@@ -3,6 +3,14 @@
 Cosine scoring, a learnable upper-triangular cosine transform trained with
 a triplet ranking loss over hard-mined negatives, development-set centering,
 LDA, and a two-covariance PLDA with closed-form likelihood-ratio scoring.
+
+One scoring path serves trial lists, the validation pairs of
+``all_pairs_eer`` and the per-pair ``*_score`` functions: ``scoring_rows``
+preprocesses each utterance once (unit rows for cosine, model ``None``;
+transformed unit rows for CSML; length-norm and LDA for PLDA), and
+``score_pairs`` scores index pairs of those rows ``SCORE_BLOCK`` trials at
+a time, so memory stays O(SCORE_BLOCK * d) however long the trial list.
+A zero-norm embedding raises "degenerate embedding: zero norm".
 """
 
 from __future__ import annotations
@@ -13,7 +21,10 @@ import numpy as np
 from scipy.linalg import cholesky, eigh, solve_triangular
 from scipy.special import expit
 
+from . import formats as fm
 from .metrics import ScoreSet, Trial, compute_eer
+
+SCORE_BLOCK = 4096         # trials per block of ``score_pairs``
 
 
 # ---------------------------------------------------------------------------
@@ -22,12 +33,7 @@ from .metrics import ScoreSet, Trial, compute_eer
 
 def cosine_score(x1, x2) -> float:
     """Inner product of the length-normalized vectors."""
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    n1, n2 = np.linalg.norm(x1), np.linalg.norm(x2)
-    if n1 < 1e-12 or n2 < 1e-12:
-        raise ValueError("degenerate embedding: zero norm")
-    return float(np.dot(x1, x2) / (n1 * n2))
+    return _score_one(None, x1, x2)
 
 
 @dataclass
@@ -56,20 +62,14 @@ class CsmlTransform:
         return self.matrix.shape[0]
 
 
-def _transform_matrix(a) -> np.ndarray:
-    return a.matrix if isinstance(a, CsmlTransform) else np.asarray(a, dtype=np.float64)
-
-
 def csml_score(x1, x2, a) -> float:
     """Cosine similarity of the transformed pair (A x1, A x2)."""
-    am = _transform_matrix(a)
-    return cosine_score(am @ np.asarray(x1, dtype=np.float64),
-                        am @ np.asarray(x2, dtype=np.float64))
+    return _score_one(a, x1, x2)
 
 
 def _transformed_unit_rows(a, embeddings):
     e = np.asarray(embeddings, dtype=np.float64)
-    u = e @ _transform_matrix(a).T
+    u = e @ (a.matrix if isinstance(a, CsmlTransform) else np.asarray(a, dtype=np.float64)).T
     norms = np.linalg.norm(u, axis=1)
     if np.any(norms < 1e-12):
         raise ValueError("degenerate embedding: zero norm after transform")
@@ -178,24 +178,10 @@ def _project_upper(matrix: np.ndarray, diag_floor: float) -> np.ndarray:
     return out
 
 
-def _val_score_set(embeddings, labels, indices, a, rng, max_trials) -> ScoreSet:
-    idx = np.asarray(indices)
-    labels = np.asarray(labels)
-    pairs = [(i, j) for k, i in enumerate(idx) for j in idx[k + 1 :]]
-    if len(pairs) > max_trials:
-        keep = rng.choice(len(pairs), size=max_trials, replace=False)
-        pairs = [pairs[k] for k in sorted(keep)]
-    trials, scores = [], []
-    for i, j in pairs:
-        trials.append(Trial(str(i), str(j), bool(labels[i] == labels[j])))
-        scores.append(csml_score(embeddings[i], embeddings[j], a))
-    return ScoreSet(trials, np.asarray(scores))
-
-
 def csml_validation_eer(embeddings, labels, indices, a, seed: int = 0,
                         max_trials: int = 5000) -> float:
-    rng = np.random.default_rng(seed)
-    return compute_eer(_val_score_set(embeddings, labels, indices, a, rng, max_trials))
+    return all_pairs_eer(a, np.asarray(embeddings)[indices], np.asarray(labels)[indices],
+                         np.random.default_rng(seed), max_trials)
 
 
 def train_csml(embeddings, labels, opts: CsmlTrainConfig | None = None) -> CsmlTransform:
@@ -225,21 +211,17 @@ def train_csml(embeddings, labels, opts: CsmlTrainConfig | None = None) -> CsmlT
     val_idx = np.sort(np.asarray(val_idx, dtype=np.intp))
 
     def has_both_trial_kinds(idx):
-        if idx.size < 2 or len(np.unique(labels[idx])) < 2:
-            return False
-        counts = [np.sum(labels[idx] == s) for s in np.unique(labels[idx])]
-        return max(counts) >= 2
+        counts = np.unique(labels[idx], return_counts=True)[1]
+        return counts.size >= 2 and counts.max() >= 2
     if not has_both_trial_kinds(val_idx):
         val_idx = np.arange(len(labels))
-    if train_idx.size < 2 or len(np.unique(labels[train_idx])) < 2 \
-            or not any(np.sum(labels[train_idx] == s) >= 2
-                       for s in np.unique(labels[train_idx])):
+    if not has_both_trial_kinds(train_idx):
         train_idx = np.arange(len(labels))
 
     a = np.eye(dim)
-    val_rng = np.random.default_rng(opts.seed + 1)
     best = CsmlTransform(a.copy())
-    best_eer = compute_eer(_val_score_set(embeddings, labels, val_idx, a, val_rng, opts.max_val_trials))
+    best_eer = csml_validation_eer(embeddings, labels, val_idx, a, seed=opts.seed + 1,
+                                   max_trials=opts.max_val_trials)
 
     train_emb = embeddings[train_idx]
     train_lab = labels[train_idx]
@@ -268,8 +250,8 @@ def train_csml(embeddings, labels, opts: CsmlTrainConfig | None = None) -> CsmlT
                 step *= 0.5
             if not accepted:
                 break
-        val_rng = np.random.default_rng(opts.seed + 1)
-        eer = compute_eer(_val_score_set(embeddings, labels, val_idx, a, val_rng, opts.max_val_trials))
+        eer = csml_validation_eer(embeddings, labels, val_idx, a, seed=opts.seed + 1,
+                                  max_trials=opts.max_val_trials)
         if eer <= best_eer:                # ties keep the most-trained candidate
             best_eer = eer
             best = CsmlTransform(a.copy())
@@ -459,5 +441,74 @@ def plda_score_many(model: PldaModel, enroll, test, preprocess: bool = True) -> 
     return ll_same - ll_diff
 
 
-def plda_score(model: PldaModel, e1, e2, preprocess: bool = True) -> float:
-    return float(plda_score_many(model, [e1], [e2], preprocess=preprocess)[0])
+# ---------------------------------------------------------------------------
+# the one scoring path
+
+
+def scoring_rows(model, embeddings) -> np.ndarray:
+    """Rows for ``score_pairs``; ``model``: None (cosine), CSML transform or PLDA."""
+    e = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+    if model is None:
+        return length_normalize(e)
+    if isinstance(model, PldaModel):
+        return plda_preprocess(model, e)
+    return _transformed_unit_rows(model, e)[3]
+
+
+def score_pairs(model, rows, enroll_idx, test_idx) -> np.ndarray:
+    """Scores of the trials (rows[enroll_idx[k]], rows[test_idx[k]]) of ``scoring_rows``."""
+    enroll_idx, test_idx = np.asarray(enroll_idx), np.asarray(test_idx)
+    out = np.empty(enroll_idx.size)
+    for lo in range(0, out.size, SCORE_BLOCK):
+        block = slice(lo, lo + SCORE_BLOCK)
+        r1, r2 = rows[enroll_idx[block]], rows[test_idx[block]]
+        out[block] = (plda_score_many(model, r1, r2, preprocess=False)
+                      if isinstance(model, PldaModel) else (r1 * r2).sum(axis=1))
+    return out
+
+
+def _score_one(model, x1, x2) -> float:
+    return float(score_pairs(model, scoring_rows(model, [x1, x2]), [0], [1])[0])
+
+
+def plda_score(model: PldaModel, e1, e2) -> float:
+    return _score_one(model, e1, e2)
+
+
+def all_pairs_eer(model, embeddings, labels, rng, max_trials: int) -> float:
+    """EER over the row pairs i < j (row-major), at most ``max_trials`` of them
+    kept by a sorted ``rng.choice`` of pair positions."""
+    labels = np.asarray(labels)
+    i, j = np.triu_indices(labels.size, k=1)
+    if i.size > max_trials:
+        keep = np.sort(rng.choice(i.size, size=max_trials, replace=False))
+        i, j = i[keep], j[keep]
+    same = (labels[i] == labels[j]).tolist()
+    scores = score_pairs(model, scoring_rows(model, embeddings), i, j)
+    return compute_eer(ScoreSet([Trial("", "", t) for t in same], scores))
+
+
+def save_backend(path, model) -> None:
+    """Write a CSML transform or a ``PldaModel`` as a float64 archive."""
+    if isinstance(model, CsmlTransform):
+        arrays, meta = {"transform": model.matrix}, {"kind": "csml"}
+    else:
+        arrays = {"mean": model.mean, "between": model.between, "within": model.within}
+        if model.lda is not None:
+            arrays.update(lda=model.lda.matrix, lda_eigenvalues=model.lda.eigenvalues)
+        meta = {"kind": "plda", "length_norm": model.length_norm,
+                "lda_dim": model.lda.out_dim if model.lda else None}
+    fm.write_archive(path, arrays, meta, dtype="f8")
+
+
+def load_backend(path, kind: str):
+    """Read the ``save_backend`` file of ``kind`` "csml" or "plda"."""
+    arrays, meta = fm.read_archive(path)
+    if meta is None or meta.get("kind") != kind:
+        what = "cosine transform" if kind == "csml" else "PLDA model"
+        raise ValueError(f"{path}: not a {what} file")
+    if kind == "csml":
+        return CsmlTransform(arrays["transform"])
+    lda = LdaProjection(arrays["lda"], arrays["lda_eigenvalues"]) if "lda" in arrays else None
+    return PldaModel(arrays["mean"], arrays["between"], arrays["within"],
+                     lda=lda, length_norm=meta["length_norm"])

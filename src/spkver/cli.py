@@ -132,22 +132,15 @@ def _cmd_backend_train(args) -> int:
     if args.kind == "csml":
         opts = bk.CsmlTrainConfig(epochs=args.epochs, n_hard=args.n_hard,
                                   max_triplets=args.max_triplets, seed=args.seed)
-        transform = bk.train_csml(matrix, labels, opts)
-        fm.write_archive(args.out, {"transform": transform.matrix},
-                         {"kind": "csml"}, dtype="f8")
-        print(f"wrote cosine transform ({transform.dim}x{transform.dim}) to {args.out}")
+        model = bk.train_csml(matrix, labels, opts)
+        what = f"cosine transform ({model.dim}x{model.dim})"
     else:
         model = bk.plda_fit(matrix, labels, n_iter=args.em_iters,
                             lda_dim=args.lda_dim,
                             length_norm=not args.no_length_norm)
-        arrays = {"mean": model.mean, "between": model.between, "within": model.within}
-        meta = {"kind": "plda", "length_norm": model.length_norm,
-                "lda_dim": model.lda.out_dim if model.lda else None}
-        if model.lda is not None:
-            arrays["lda"] = model.lda.matrix
-            arrays["lda_eigenvalues"] = model.lda.eigenvalues
-        fm.write_archive(args.out, arrays, meta, dtype="f8")
-        print(f"wrote PLDA model to {args.out}")
+        what = "PLDA model"
+    bk.save_backend(args.out, model)
+    print(f"wrote {what} to {args.out}")
     return 0
 
 
@@ -155,43 +148,23 @@ def _cmd_score(args) -> int:
     embeddings = fm.read_embeddings(args.embeddings)
     with open(args.trials, encoding="utf-8") as fh:
         trials = mt.parse_trials(fh.read())
+    if args.backend != "cosine" and not args.model:
+        raise CliError(f"--model is required for the {args.backend} backend")
+    model = None if args.backend == "cosine" else bk.load_backend(args.model, args.backend)
+    index = {}
+    for utt in (u for t in trials for u in (t.enroll, t.test)):
+        if utt not in embeddings:
+            raise CliError(f"trial references unknown utterance {utt!r}")
+        index.setdefault(utt, len(index))
+    matrix = np.stack([embeddings[u] for u in index])
     if args.center:
         arrays, _ = fm.read_archive(args.center)
-        mean = arrays["mean"]
-        embeddings = {u: bk.center(e, mean) for u, e in embeddings.items()}
-
-    if args.backend == "cosine":
-        scorer = lambda e1, e2: bk.cosine_score(e1, e2)
-    elif args.backend == "csml":
-        if not args.model:
-            raise CliError("--model is required for the csml backend")
-        arrays, meta = fm.read_archive(args.model)
-        if meta is None or meta.get("kind") != "csml":
-            raise CliError(f"{args.model}: not a cosine transform file")
-        transform = bk.CsmlTransform(arrays["transform"])
-        scorer = lambda e1, e2: bk.csml_score(e1, e2, transform)
-    else:
-        if not args.model:
-            raise CliError("--model is required for the plda backend")
-        arrays, meta = fm.read_archive(args.model)
-        if meta is None or meta.get("kind") != "plda":
-            raise CliError(f"{args.model}: not a PLDA model file")
-        lda = None
-        if "lda" in arrays:
-            lda = bk.LdaProjection(arrays["lda"], arrays["lda_eigenvalues"])
-        model = bk.PldaModel(arrays["mean"], arrays["between"], arrays["within"],
-                             lda=lda, length_norm=meta["length_norm"])
-        scorer = lambda e1, e2: bk.plda_score(model, e1, e2)
-
-    scores = []
-    for trial in trials:
-        if trial.enroll not in embeddings or trial.test not in embeddings:
-            raise CliError(f"trial references unknown utterance "
-                           f"{trial.enroll!r} or {trial.test!r}")
-        scores.append(scorer(embeddings[trial.enroll], embeddings[trial.test]))
-    score_set = mt.ScoreSet(trials, np.asarray(scores))
+        matrix = bk.center(matrix, arrays["mean"])
+    scores = bk.score_pairs(model, bk.scoring_rows(model, matrix),
+                            [index[t.enroll] for t in trials],
+                            [index[t.test] for t in trials])
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(mt.write_scores(score_set))
+        fh.write(mt.write_scores(mt.ScoreSet(trials, scores)))
     print(f"wrote {len(scores)} scores to {args.out}")
     return 0
 

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import models as m
+from .backend import all_pairs_eer
 from .corpus import segment_frame_bounds
 from .formats import ExperimentConfig, save_checkpoint
-from .metrics import ScoreSet, Trial, compute_eer
 from .objectives import LambdaSchedule, MarginConfig, asoftmax_loss, softmax_ce
 
 # A batch loss above this multiple of ln(C), the chance-level loss for C
@@ -103,21 +103,6 @@ def _speaker_table(utt2spk: dict[str, str]):
     spk_index = {s: i for i, s in enumerate(speakers)}
     labels = np.array([spk_index[utt2spk[u]] for u in utts], dtype=np.intp)
     return utts, speakers, labels
-
-
-def _validation_eer(model, features, utts, labels, rng, max_trials=2000):
-    embs = np.stack([m.forward_embed(model, features[u]) for u in utts])
-    pairs = [(i, j) for i in range(len(utts)) for j in range(i + 1, len(utts))]
-    if len(pairs) > max_trials:
-        keep = rng.choice(len(pairs), size=max_trials, replace=False)
-        pairs = [pairs[k] for k in sorted(keep)]
-    trials, scores = [], []
-    for i, j in pairs:
-        ei, ej = embs[i], embs[j]
-        denom = np.linalg.norm(ei) * np.linalg.norm(ej)
-        trials.append(Trial(utts[i], utts[j], bool(labels[i] == labels[j])))
-        scores.append(float(ei @ ej / denom) if denom > 0 else 0.0)
-    return compute_eer(ScoreSet(trials, np.asarray(scores)))
 
 
 def _diverged(step: int, epoch: int, lr: float, what: str) -> RuntimeError:
@@ -222,8 +207,8 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
                   "step": step}
         if val_utts:
             val_rng = np.random.default_rng(cfg.seed + 7919 + epoch)
-            record["val_eer"] = _validation_eer(model, features, val_utts,
-                                                val_labels, val_rng)
+            embs = np.stack([m.forward_embed(model, features[u]) for u in val_utts])
+            record["val_eer"] = all_pairs_eer(None, embs, val_labels, val_rng, max_trials=2000)
             if result.best_val_eer is None or record["val_eer"] < result.best_val_eer:
                 result.best_val_eer = record["val_eer"]
                 result.best_state = {k: v.copy() for k, v in

@@ -1,5 +1,6 @@
 """Backend contracts: scoring identities, triplet-loss oracles and
-gradients, mining against a full-sort oracle, LDA/PLDA oracles."""
+gradients, mining against a full-sort oracle, the shared validation pair
+sampler, LDA/PLDA oracles."""
 
 import numpy as np
 import pytest
@@ -266,6 +267,45 @@ def test_train_csml_validation_eer_never_worse_than_identity():
                                          seed=seed)
         eer_fit = bk.csml_validation_eer(emb, labels, idx, trained, seed=seed)
         assert eer_fit <= eer_eye + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the shared validation pair sampler
+
+
+def test_all_pairs_eer_scores_sorted_choice_of_row_major_pairs(monkeypatch):
+    rng = np.random.default_rng(12)
+    emb, labels = clustered_embeddings(rng, 3, 5, 4, spread=0.8, scale=1.0)
+    pairs = [(i, j) for i in range(15) for j in range(i + 1, 15)]
+    keep = sorted(np.random.default_rng(4).choice(len(pairs), size=40, replace=False))
+    drawn = [pairs[k] for k in keep]
+    seen = []
+    original = bk.score_pairs
+
+    def spy(model, rows, enroll_idx, test_idx):
+        seen.append(list(zip(np.asarray(enroll_idx).tolist(), np.asarray(test_idx).tolist())))
+        return original(model, rows, enroll_idx, test_idx)
+    monkeypatch.setattr(bk, "score_pairs", spy)
+
+    eer = bk.all_pairs_eer(None, emb, labels, np.random.default_rng(4), max_trials=40)
+    assert seen == [drawn]
+    oracle = ScoreSet([Trial(str(i), str(j), bool(labels[i] == labels[j])) for i, j in drawn],
+                      [emb[i] @ emb[j] / (np.linalg.norm(emb[i]) * np.linalg.norm(emb[j]))
+                       for i, j in drawn])
+    assert eer == compute_eer(oracle)
+
+    bk.all_pairs_eer(None, emb, labels, np.random.default_rng(4), max_trials=len(pairs))
+    assert seen[1] == pairs
+
+
+@pytest.mark.parametrize("model", [None, CsmlTransform.identity(4),
+                                   PldaModel(np.zeros(4), np.eye(4), np.eye(4))],
+                         ids=["cosine", "csml", "plda"])
+def test_all_pairs_eer_rejects_zero_norm_row(model):
+    emb, labels = clustered_embeddings(np.random.default_rng(13), 2, 3, 4)
+    emb[4] = 0.0
+    with pytest.raises(ValueError, match="degenerate embedding: zero norm"):
+        bk.all_pairs_eer(model, emb, labels, np.random.default_rng(0), max_trials=100)
 
 
 # ---------------------------------------------------------------------------

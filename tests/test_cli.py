@@ -166,7 +166,10 @@ def test_eval_perfect_fixture_prints_zero(capsys, tmp_path):
     assert "0.000%" in out
 
 
-def test_backend_train_and_score_csml_plda(capsys, tmp_path):
+def _score_all_backends(capsys, tmp_path):
+    """Fit CSML and LDA-PLDA through the CLI, score one trial list with all
+    three backends; returns the written embeddings, the trials and the
+    model files."""
     rng = np.random.default_rng(1)
     centers = 3.0 * rng.standard_normal((4, 8))
     emb, utt2spk = {}, {}
@@ -180,54 +183,80 @@ def test_backend_train_and_score_csml_plda(capsys, tmp_path):
                                    for k, v in emb.items()})
     fm.write_utt2spk(tmp_path / "utt2spk.txt", utt2spk)
 
+    # every utterance recurs; the last trial puts one on both sides
     utts = sorted(emb)
     trials = [mt.Trial(a, b, utt2spk[a] == utt2spk[b])
               for i, a in enumerate(utts) for b in utts[i + 1 :]]
+    trials.append(mt.Trial(utts[3], utts[3], True))
     trials_path = tmp_path / "trials.txt"
     trials_path.write_text(mt.write_trials(trials))
 
-    csml_path = tmp_path / "csml.bin"
+    models = {"csml": tmp_path / "csml.bin", "plda": tmp_path / "plda.bin"}
     code, _, err = run(capsys, "backend-train", "--kind", "csml",
                        "--embeddings", str(emb_path),
                        "--utt2spk", str(tmp_path / "utt2spk.txt"),
-                       "--out", str(csml_path), "--epochs", "2", "--n-hard", "10")
+                       "--out", str(models["csml"]), "--epochs", "2", "--n-hard", "10")
     assert code == 0, err
-    code, _, err = run(capsys, "score", "--backend", "csml",
-                       "--embeddings", str(emb_path), "--trials", str(trials_path),
-                       "--model", str(csml_path),
-                       "--out", str(tmp_path / "csml_scores.txt"))
-    assert code == 0, err
-
-    plda_path = tmp_path / "plda.bin"
     code, _, err = run(capsys, "backend-train", "--kind", "lda-plda",
                        "--embeddings", str(emb_path),
                        "--utt2spk", str(tmp_path / "utt2spk.txt"),
-                       "--out", str(plda_path), "--em-iters", "5", "--lda-dim", "3")
+                       "--out", str(models["plda"]), "--em-iters", "5", "--lda-dim", "3")
     assert code == 0, err
-    code, _, err = run(capsys, "score", "--backend", "plda",
-                       "--embeddings", str(emb_path), "--trials", str(trials_path),
-                       "--model", str(plda_path),
-                       "--out", str(tmp_path / "plda_scores.txt"))
-    assert code == 0, err
+    for backend in ("cosine", "csml", "plda"):
+        extra = ["--model", str(models[backend])] if backend in models else []
+        code, _, err = run(capsys, "score", "--backend", backend,
+                           "--embeddings", str(emb_path), "--trials", str(trials_path),
+                           "--out", str(tmp_path / f"{backend}_scores.txt"), *extra)
+        assert code == 0, err
+    return fm.read_embeddings(emb_path), trials, models
 
+
+def _assert_scores_match_library(tmp_path, embeddings, trials, models):
+    """Each backend's score file equals an independent library reference
+    within 1e-9: numpy cosine, cosine of the transformed pair, and
+    ``plda_score_many`` with preprocessing."""
+    e1 = np.stack([embeddings[t.enroll] for t in trials])
+    e2 = np.stack([embeddings[t.test] for t in trials])
+
+    def cosine(a, b):
+        return (a * b).sum(axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+    transform = bk.load_backend(models["csml"], "csml").matrix
+    expected = {"cosine": cosine(e1, e2),
+                "csml": cosine(e1 @ transform.T, e2 @ transform.T),
+                "plda": bk.plda_score_many(bk.load_backend(models["plda"], "plda"), e1, e2,
+                                           preprocess=True)}
+    for backend, ref in expected.items():
+        parsed = mt.parse_scores((tmp_path / f"{backend}_scores.txt").read_text())
+        assert parsed.trials == trials
+        np.testing.assert_allclose(parsed.scores, ref, rtol=1e-9, atol=1e-9, err_msg=backend)
+
+
+def test_backend_train_and_score_csml_plda(capsys, tmp_path):
+    embeddings, trials, models = _score_all_backends(capsys, tmp_path)
+    _assert_scores_match_library(tmp_path, embeddings, trials, models)
     for name in ("csml_scores.txt", "plda_scores.txt"):
         code, out, _ = run(capsys, "eval", "--scores", str(tmp_path / name))
         assert code == 0
 
     # centering changes cosine scores
     mean_path = tmp_path / "mean.bin"
-    stacked = np.stack([emb[u] for u in utts])
+    stacked = np.stack([embeddings[u] for u in sorted(embeddings)])
     fm.write_archive(mean_path, {"mean": stacked.mean(axis=0)}, None, dtype="f8")
     code, _, _ = run(capsys, "score", "--backend", "cosine",
-                     "--embeddings", str(emb_path), "--trials", str(trials_path),
+                     "--embeddings", str(tmp_path / "emb.bin"),
+                     "--trials", str(tmp_path / "trials.txt"),
                      "--center", str(mean_path),
                      "--out", str(tmp_path / "centered.txt"))
     assert code == 0
-    code, _, _ = run(capsys, "score", "--backend", "cosine",
-                     "--embeddings", str(emb_path), "--trials", str(trials_path),
-                     "--out", str(tmp_path / "plain.txt"))
-    assert code == 0
-    assert (tmp_path / "centered.txt").read_text() != (tmp_path / "plain.txt").read_text()
+    assert (tmp_path / "centered.txt").read_text() != \
+        (tmp_path / "cosine_scores.txt").read_text()
+
+
+def test_score_blocks_cross_boundaries_and_match_library(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(bk, "SCORE_BLOCK", 7)      # 277 trials: 39 full blocks and 4
+    embeddings, trials, models = _score_all_backends(capsys, tmp_path)
+    assert len(trials) % 7 != 0 and len(trials) > 7
+    _assert_scores_match_library(tmp_path, embeddings, trials, models)
 
 
 def test_gradcheck_subcommand_quick(capsys):
@@ -245,3 +274,35 @@ def test_score_requires_model_for_csml(capsys, tmp_path):
                        "--embeddings", str(emb_path), "--trials", str(trials_path),
                        "--out", str(tmp_path / "s.txt"))
     assert code == 2 and "--model" in err
+
+
+def test_score_names_only_the_missing_utterance(capsys, tmp_path):
+    emb_path = tmp_path / "emb.bin"
+    fm.write_embeddings(emb_path, {"alpha": np.ones(3), "beta": np.arange(3.0)})
+    trials_path = tmp_path / "t.txt"
+    trials_path.write_text("alpha beta nontarget\nalpha ghost target\n")
+    code, _, err = run(capsys, "score", "--backend", "cosine",
+                       "--embeddings", str(emb_path), "--trials", str(trials_path),
+                       "--out", str(tmp_path / "s.txt"))
+    assert code == 2
+    assert "'ghost'" in err and "alpha" not in err
+
+
+@pytest.mark.parametrize("backend", ["cosine", "csml", "plda"])
+def test_score_zero_norm_embedding_exits_2(capsys, tmp_path, backend):
+    emb_path = tmp_path / "emb.bin"
+    fm.write_embeddings(emb_path, {"a": np.array([1.0, 2.0, 0.5]), "z": np.zeros(3)})
+    trials_path = tmp_path / "t.txt"
+    trials_path.write_text("a z nontarget\n")
+    models = {"csml": bk.CsmlTransform.identity(3),
+              "plda": bk.PldaModel(np.zeros(3), np.eye(3), np.eye(3))}
+    extra = []
+    if backend in models:
+        bk.save_backend(tmp_path / "model.bin", models[backend])
+        extra = ["--model", str(tmp_path / "model.bin")]
+    code, _, err = run(capsys, "score", "--backend", backend, *extra,
+                       "--embeddings", str(emb_path), "--trials", str(trials_path),
+                       "--out", str(tmp_path / "s.txt"))
+    assert code == 2
+    assert "degenerate embedding: zero norm" in err
+    assert not (tmp_path / "s.txt").exists()

@@ -1,6 +1,7 @@
 """Training-loop contracts: zero-lr no-op, loss descent, divergence abort
 (also after resume and on a non-finite gradient norm), deterministic replay,
-checkpoint resume bit-match, extraction bookkeeping."""
+checkpoint resume bit-match, zero-norm validation embeddings, extraction
+bookkeeping."""
 
 import numpy as np
 import pytest
@@ -185,3 +186,11 @@ def test_thread_count_env(monkeypatch):
     assert tr.default_thread_count() == 3
     monkeypatch.setenv("SPKVER_THREADS", "junk")
     assert tr.default_thread_count() == 1
+
+
+def test_zero_norm_validation_embedding_raises(monkeypatch):
+    features, utt2spk = tiny_corpus(n_speakers=4, utts=8)
+    cfg = tiny_config(epochs=1, steps_per_epoch=1, val_fraction=0.25)
+    monkeypatch.setattr(md, "forward_embed", lambda model, feats: np.zeros(8))
+    with pytest.raises(ValueError, match="degenerate embedding: zero norm"):
+        tr.train_extractor(features, utt2spk, cfg)
