@@ -5,6 +5,11 @@ a scalar loss can be backpropagated through the graph.  Only the layouts the
 networks use are supported: frame sequences are (T, C) matrices, segment
 activations are (B, D) matrices, pooled statistics are 1-D vectors.  There is
 no general broadcasting.
+
+Selections (max pooling, max-feature-map, PReLU) are written as comparisons
+plus ``np.maximum``/``np.minimum`` and mask multiplies rather than
+``np.where``/``argmax``: on random masks ``np.where`` takes a branch per
+element and runs several times slower than the SIMD min/max loops.
 """
 
 from __future__ import annotations
@@ -31,8 +36,10 @@ class Tensor:
 
     def accumulate_grad(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy: ``g`` may be a view that other tensors also receive
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def backward(self):
         """Backpropagate from a scalar output to every reachable tensor."""
@@ -111,9 +118,12 @@ def time_delay(x: Tensor, w: Tensor, b: Tensor | None, context: int, dilation: i
     if t_in < span:
         raise ValueError(f"segment too short: {t_in} frames < receptive span {span}")
     t_out = t_in - (context - 1) * dilation
-    spliced = np.concatenate(
-        [xv[k * dilation : k * dilation + t_out] for k in range(context)], axis=1
-    )
+    if context == 1:
+        spliced = xv
+    else:
+        spliced = np.concatenate(
+            [xv[k * dilation : k * dilation + t_out] for k in range(context)], axis=1
+        )
     wv = w.data
     if wv.shape[0] != context * c_in:
         raise ValueError(
@@ -121,7 +131,7 @@ def time_delay(x: Tensor, w: Tensor, b: Tensor | None, context: int, dilation: i
         )
     out = spliced @ wv
     if b is not None:
-        out = out + b.data
+        out += b.data
     parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
@@ -137,6 +147,22 @@ def time_delay(x: Tensor, w: Tensor, b: Tensor | None, context: int, dilation: i
     return Tensor(out, parents=parents, backward=backward)
 
 
+def _pair_max(first, second):
+    """Elementwise max of two same-shape arrays, and the mask ``first >= second``.
+
+    ``np.maximum`` returns its second argument when the inputs compare equal,
+    so ties (+0 against -0 included) take ``first``; a NaN in either slot
+    gives NaN.  The mask routes the gradient: to ``first`` where it is set.
+    """
+    return np.maximum(second, first), first >= second
+
+
+def _route(g, mask, g_first, g_second):
+    """Backward of ``_pair_max``: write g * mask and g * ~mask into two views."""
+    np.multiply(g, mask, out=g_first)
+    np.multiply(g, ~mask, out=g_second)
+
+
 def max_pool_2x2(x: Tensor) -> Tensor:
     """Max over 2x2 blocks (frame pair x channel pair), stride 2 on both axes.
 
@@ -149,16 +175,18 @@ def max_pool_2x2(x: Tensor) -> Tensor:
         raise ValueError("channel count must be even")
     if t_in < 2:
         raise ValueError("segment too short: max pooling needs at least 2 frames")
-    t2, c2 = t_in // 2, c_in // 2
-    blocks = xv[: 2 * t2].reshape(t2, 2, c2, 2).transpose(0, 2, 1, 3).reshape(t2, c2, 4)
-    idx = blocks.argmax(axis=2)
-    out = np.take_along_axis(blocks, idx[..., None], axis=2)[..., 0]
+    t2 = t_in // 2
+    # channel pair within each frame, then frame pair: the first maximum in
+    # (frame, channel) scan order wins every tie
+    rows, channel_mask = _pair_max(xv[: 2 * t2, 0::2], xv[: 2 * t2, 1::2])
+    out, frame_mask = _pair_max(rows[0::2], rows[1::2])
 
     def backward(g):
-        gb = np.zeros((t2, c2, 4))
-        np.put_along_axis(gb, idx[..., None], g[..., None], axis=2)
-        gx = np.zeros_like(xv)
-        gx[: 2 * t2] = gb.reshape(t2, c2, 2, 2).transpose(0, 2, 1, 3).reshape(2 * t2, c_in)
+        g_rows = np.empty(rows.shape)
+        _route(g, frame_mask, g_rows[0::2], g_rows[1::2])
+        gx = np.empty_like(xv)
+        gx[2 * t2 :] = 0.0                  # a dropped odd frame
+        _route(g_rows, channel_mask, gx[: 2 * t2, 0::2], gx[: 2 * t2, 1::2])
         x.accumulate_grad(gx)
 
     return Tensor(out, parents=(x,), backward=backward)
@@ -175,32 +203,41 @@ def max_pool_time(x: Tensor) -> Tensor:
     if t_in < 2:
         raise ValueError("segment too short: max pooling needs at least 2 frames")
     t2 = t_in // 2
-    first = xv[0 : 2 * t2 : 2]
-    second = xv[1 : 2 * t2 : 2]
-    take_first = first >= second
-    out = np.where(take_first, first, second)
+    out, take_first = _pair_max(xv[0 : 2 * t2 : 2], xv[1 : 2 * t2 : 2])
 
     def backward(g):
-        gx = np.zeros_like(xv)
-        gx[0 : 2 * t2 : 2] = np.where(take_first, g, 0.0)
-        gx[1 : 2 * t2 : 2] = np.where(take_first, 0.0, g)
+        gx = np.empty_like(xv)
+        gx[2 * t2 :] = 0.0
+        _route(g, take_first, gx[0 : 2 * t2 : 2], gx[1 : 2 * t2 : 2])
         x.accumulate_grad(gx)
 
     return Tensor(out, parents=(x,), backward=backward)
 
 
 def prelu(x: Tensor, slope: Tensor) -> Tensor:
-    """x where x >= 0, slope * x otherwise; one learnable slope per channel."""
+    """x where x >= 0, slope * x otherwise; one learnable slope per channel.
+
+    For a slope a <= 1 this is max(a x, x) and for a > 1 it is min(a x, x);
+    both run on every call, each masked to its channels.  Ties return x, so
+    the sign of a zero input is kept.
+    """
     xv = _as2d(x, "prelu")
     av = slope.data
     if av.shape != (xv.shape[1],):
         raise ValueError("dimension error: slope vector length must equal channel dim")
-    pos = xv >= 0
-    out = np.where(pos, xv, xv * av[None, :])
+    out = xv * av
+    np.maximum(out, xv, out=out, where=av <= 1)
+    np.minimum(out, xv, out=out, where=av > 1)
 
     def backward(g):
-        x.accumulate_grad(g * np.where(pos, 1.0, av[None, :]))
-        slope.accumulate_grad((g * np.where(pos, 0.0, xv)).sum(axis=0))
+        pos = xv >= 0
+        gx = np.multiply(~pos, av)          # a where x < 0 (or NaN), else 0
+        gx += pos                           # 1 where x >= 0
+        gx *= g
+        x.accumulate_grad(gx)
+        gslope = np.minimum(xv, 0.0)        # x where x < 0, else +0
+        gslope *= g
+        slope.accumulate_grad(gslope.sum(axis=0))
 
     return Tensor(out, parents=(x, slope), backward=backward)
 
@@ -216,14 +253,11 @@ def mfm(x: Tensor) -> Tensor:
     if n % 2 != 0:
         raise ValueError("channel count must be even")
     c = n // 2
-    first, second = xv[:, :c], xv[:, c:]
-    take_first = first >= second
-    out = np.where(take_first, first, second)
+    out, take_first = _pair_max(xv[:, :c], xv[:, c:])
 
     def backward(g):
-        gx = np.zeros_like(xv)
-        gx[:, :c] = np.where(take_first, g, 0.0)
-        gx[:, c:] = np.where(take_first, 0.0, g)
+        gx = np.empty_like(xv)
+        _route(g, take_first, gx[:, :c], gx[:, c:])
         x.accumulate_grad(gx)
 
     return Tensor(out, parents=(x,), backward=backward)
@@ -245,7 +279,10 @@ def stats_pool(x: Tensor, eps: float = 1e-8) -> Tensor:
 
     def backward(g):
         gm, gs = g[:c], g[c:]
-        gx = gm[None, :] / t_in + gs[None, :] * centered / (t_in * std[None, :])
+        # gm / T + gs * centered / (T * std), evaluated in that order in place
+        gx = np.multiply(gs, centered)
+        gx /= t_in * std
+        gx += gm / t_in
         x.accumulate_grad(gx)
 
     return Tensor(out, parents=(x,), backward=backward)

@@ -502,11 +502,21 @@ def save_backend(path, model) -> None:
 
 
 def load_backend(path, kind: str):
-    """Read the ``save_backend`` file of ``kind`` "csml" or "plda"."""
+    """Read the ``save_backend`` file of ``kind`` "csml" or "plda".
+
+    Raises ValueError naming the file when its kind differs or an array the
+    kind needs is missing.
+    """
     arrays, meta = fm.read_archive(path)
+    what = "cosine transform" if kind == "csml" else "PLDA model"
     if meta is None or meta.get("kind") != kind:
-        what = "cosine transform" if kind == "csml" else "PLDA model"
         raise ValueError(f"{path}: not a {what} file")
+    need = ["transform"] if kind == "csml" else ["mean", "between", "within"]
+    if "lda" in arrays:
+        need.append("lda_eigenvalues")
+    missing = [name for name in need if name not in arrays]
+    if missing:
+        raise ValueError(f"{path}: {what} file lacks array(s) {', '.join(missing)}")
     if kind == "csml":
         return CsmlTransform(arrays["transform"])
     lda = LdaProjection(arrays["lda"], arrays["lda_eigenvalues"]) if "lda" in arrays else None

@@ -159,6 +159,8 @@ def _cmd_score(args) -> int:
     matrix = np.stack([embeddings[u] for u in index])
     if args.center:
         arrays, _ = fm.read_archive(args.center)
+        if "mean" not in arrays:
+            raise CliError(f"{args.center}: no 'mean' array to center with")
         matrix = bk.center(matrix, arrays["mean"])
     scores = bk.score_pairs(model, bk.scoring_rows(model, matrix),
                             [index[t.enroll] for t in trials],

@@ -15,6 +15,7 @@ import configparser
 import hashlib
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass, asdict, fields
 
@@ -63,19 +64,27 @@ def write_archive(path, arrays: dict[str, np.ndarray], meta: dict | None = None,
 
 
 def read_archive(path):
-    """Read a container; returns (arrays, meta-or-None)."""
+    """Read a container; returns (arrays, meta-or-None).
+
+    A file that ends inside a record raises ValueError("<path>: truncated
+    archive").
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[: len(MAGIC)] != MAGIC:
         raise ValueError(f"{path}: not a tensor container (bad magic)")
     offset = len(MAGIC)
 
-    def unpack(fmt):
+    def take(n):
         nonlocal offset
-        size = struct.calcsize(fmt)
-        values = struct.unpack_from(fmt, data, offset)
-        offset += size
-        return values
+        if offset + n > len(data):
+            raise ValueError(f"{path}: truncated archive")
+        chunk = data[offset : offset + n]
+        offset += n
+        return chunk
+
+    def unpack(fmt):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
 
     (version,) = unpack("<I")
     if version != FORMAT_VERSION:
@@ -85,20 +94,14 @@ def read_archive(path):
     meta = None
     for _ in range(count):
         (name_len,) = unpack("<I")
-        name = data[offset : offset + name_len].decode("utf-8")
-        offset += name_len
+        name = take(name_len).decode("utf-8")
         code, ndim = unpack("<BI")
-        shape = tuple(unpack("<" + "Q" * ndim)) if ndim else ()
+        shape = unpack("<" + "Q" * ndim)
         if code == _DTYPE_JSON:
-            payload = data[offset : offset + shape[0]]
-            offset += shape[0]
-            meta = json.loads(payload.decode("utf-8"))
+            meta = json.loads(take(shape[0]).decode("utf-8"))
         else:
             np_dtype = np.dtype("<f4") if code == _DTYPE_F32 else np.dtype("<f8")
-            n_items = int(np.prod(shape)) if shape else 1
-            nbytes = n_items * np_dtype.itemsize
-            arr = np.frombuffer(data[offset : offset + nbytes], dtype=np_dtype)
-            offset += nbytes
+            arr = np.frombuffer(take(math.prod(shape) * np_dtype.itemsize), dtype=np_dtype)
             arrays[name] = arr.reshape(shape).astype(np.float64)
     return arrays, meta
 

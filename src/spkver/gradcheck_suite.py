@@ -51,7 +51,8 @@ def op_checks(seed: int = 0, samples: int | None = None):
     checks.append(("max_pool_time", lambda: _quadratic(ad.max_pool_time(xp)), [xp]))
 
     xr = Tensor(rng.standard_normal((6, 5)), requires_grad=True, name="xr")
-    slope = Tensor(np.full(5, 0.25), requires_grad=True, name="slope")
+    # negative, (0, 1) and > 1 slopes: both the max and the min branch of prelu
+    slope = Tensor(np.array([-0.5, 0.25, 0.75, 1.5, 2.0]), requires_grad=True, name="slope")
     checks.append(("prelu", lambda: _quadratic(ad.prelu(xr, slope)), [xr, slope]))
 
     xm = Tensor(rng.standard_normal((6, 8)), requires_grad=True, name="xm")

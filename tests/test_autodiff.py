@@ -1,5 +1,10 @@
 """Primitive-op contracts: exact small cases, independent oracles,
-finite-difference gradients, and routing properties."""
+finite-difference gradients, and routing properties.
+
+The selection ops (max_pool_2x2, max_pool_time, prelu, mfm) are also held
+bit-for-bit to reference versions kept below (argmax / np.where forms):
+outputs, sign bits of outputs and gradients on inputs with planted ties,
+and checkpoint bytes of a short training run of each stack."""
 
 import numpy as np
 import pytest
@@ -7,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spkver import autodiff as ad
+from spkver import training as tr
 from spkver.autodiff import ParameterSet, Tensor, grad_check
+from spkver.corpus import SyntheticCorpusSpec, generate_synthetic_corpus
+from spkver.formats import ExperimentConfig
 
 
 def quadratic(out):
@@ -274,6 +282,16 @@ def test_stack_slice_pad_roundtrip_gradients():
     assert err < 1e-4
 
 
+def test_fan_out_gradients_do_not_alias():
+    # x reaches the loss twice through add: its first gradient must be a copy,
+    # not the array y also receives
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    y = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    err = grad_check(lambda: quadratic(ad.add(ad.add(x, y), x)), {"x": x, "y": y})
+    assert err < 1e-4
+
+
 def test_forward_deterministic():
     rng = np.random.default_rng(18)
     xv = rng.standard_normal((6, 4))
@@ -345,3 +363,170 @@ def test_primitive_gradients_random_trials(seed):
         if name == "time_delay":
             params["w"] = w
         assert grad_check(fn, params) < 1e-4, name
+
+
+# ---------------------------------------------------------------------------
+# bit-exact agreement with the reference selection ops
+
+
+def ref_accumulate_grad(self, g):
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+def ref_max_pool_2x2(x):
+    xv = x.data
+    t_in, c_in = xv.shape
+    t2, c2 = t_in // 2, c_in // 2
+    blocks = xv[: 2 * t2].reshape(t2, 2, c2, 2).transpose(0, 2, 1, 3).reshape(t2, c2, 4)
+    idx = blocks.argmax(axis=2)
+    out = np.take_along_axis(blocks, idx[..., None], axis=2)[..., 0]
+
+    def backward(g):
+        gb = np.zeros((t2, c2, 4))
+        np.put_along_axis(gb, idx[..., None], g[..., None], axis=2)
+        gx = np.zeros_like(xv)
+        gx[: 2 * t2] = gb.reshape(t2, c2, 2, 2).transpose(0, 2, 1, 3).reshape(2 * t2, c_in)
+        x.accumulate_grad(gx)
+
+    return Tensor(out, parents=(x,), backward=backward)
+
+
+def ref_max_pool_time(x):
+    xv = x.data
+    t2 = xv.shape[0] // 2
+    first = xv[0 : 2 * t2 : 2]
+    second = xv[1 : 2 * t2 : 2]
+    take_first = first >= second
+    out = np.where(take_first, first, second)
+
+    def backward(g):
+        gx = np.zeros_like(xv)
+        gx[0 : 2 * t2 : 2] = np.where(take_first, g, 0.0)
+        gx[1 : 2 * t2 : 2] = np.where(take_first, 0.0, g)
+        x.accumulate_grad(gx)
+
+    return Tensor(out, parents=(x,), backward=backward)
+
+
+def ref_prelu(x, slope):
+    xv, av = x.data, slope.data
+    pos = xv >= 0
+    out = np.where(pos, xv, xv * av[None, :])
+
+    def backward(g):
+        x.accumulate_grad(g * np.where(pos, 1.0, av[None, :]))
+        slope.accumulate_grad((g * np.where(pos, 0.0, xv)).sum(axis=0))
+
+    return Tensor(out, parents=(x, slope), backward=backward)
+
+
+def ref_mfm(x):
+    xv = x.data
+    c = xv.shape[1] // 2
+    first, second = xv[:, :c], xv[:, c:]
+    take_first = first >= second
+    out = np.where(take_first, first, second)
+
+    def backward(g):
+        gx = np.zeros_like(xv)
+        gx[:, :c] = np.where(take_first, g, 0.0)
+        gx[:, c:] = np.where(take_first, 0.0, g)
+        x.accumulate_grad(gx)
+
+    return Tensor(out, parents=(x,), backward=backward)
+
+
+REFERENCE_OPS = {"max_pool_2x2": ref_max_pool_2x2, "max_pool_time": ref_max_pool_time,
+                 "prelu": ref_prelu, "mfm": ref_mfm}
+PRELU_SLOPES = (-0.5, 0.0, 0.25, 1.0, 1.5)
+
+
+def tied_input(rng, shape):
+    """Normals with planted ties: repeated small grid values and zeros of both signs."""
+    v = rng.standard_normal(shape)
+    grid = rng.random(shape) < 0.5
+    v[grid] = rng.integers(-2, 3, size=int(grid.sum())) * 0.5
+    zeros = v == 0.0
+    v[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    return v
+
+
+def run_op(op, xv, g, slope=None):
+    """Output, input gradient and (for prelu) slope gradient of one op call."""
+    x = Tensor(xv.copy(), requires_grad=True)
+    a = None if slope is None else Tensor(slope.copy(), requires_grad=True)
+    out = op(x) if a is None else op(x, a)
+    out._backward(g)
+    return out.data, x.grad, (None if a is None else a.grad)
+
+
+def assert_same_as_reference(name, xv, slope=None, seed=0):
+    new_out = getattr(ad, name)(Tensor(xv)) if slope is None else \
+        ad.prelu(Tensor(xv), Tensor(slope))
+    g = np.random.default_rng(seed).standard_normal(new_out.shape)
+    new = run_op(getattr(ad, name), xv, g, slope)
+    ref = run_op(REFERENCE_OPS[name], xv, g, slope)
+    assert np.array_equal(new[0], ref[0]), "output"
+    assert np.array_equal(np.signbit(new[0]), np.signbit(ref[0])), "output sign bits"
+    assert np.array_equal(new[1], ref[1]), "input gradient"
+    if slope is not None:
+        assert np.array_equal(new[2], ref[2]), "slope gradient"
+
+
+@pytest.mark.parametrize("name", ["max_pool_2x2", "max_pool_time", "mfm"])
+@pytest.mark.parametrize("frames", [2, 7, 10, 33])
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_ops_match_reference_bitwise(name, frames, seed):
+    rng = np.random.default_rng(100 + seed)
+    assert_same_as_reference(name, tied_input(rng, (frames, 12)), seed=seed)
+
+
+@pytest.mark.parametrize("slopes", [(s,) for s in PRELU_SLOPES] + [PRELU_SLOPES])
+@pytest.mark.parametrize("seed", range(4))
+def test_prelu_matches_reference_bitwise(slopes, seed):
+    rng = np.random.default_rng(200 + seed)
+    xv = tied_input(rng, (9, 10))
+    slope = np.array(slopes)[rng.integers(0, len(slopes), size=10)]
+    assert_same_as_reference("prelu", xv, slope=slope, seed=seed)
+
+
+def test_pair_ops_all_tied_route_to_first_in_scan_order():
+    xv = np.array([[0.0, -0.0, -0.0, 0.0], [-0.0, 0.0, 0.0, -0.0]])
+    for name in ("max_pool_2x2", "max_pool_time", "mfm"):
+        assert_same_as_reference(name, xv)
+        assert_same_as_reference(name, -xv)
+
+
+@pytest.mark.parametrize("name", ["max_pool_2x2", "max_pool_time", "mfm"])
+def test_pair_ops_propagate_nan_from_either_slot(name):
+    # pair partners: channel halves for mfm, frame pairs for the pools
+    for row, col in [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (1, 2)]:
+        xv = np.arange(8.0).reshape(2, 4)
+        xv[row, col] = np.nan
+        out = getattr(ad, name)(Tensor(xv)).data
+        expect = REFERENCE_OPS[name](Tensor(np.where(np.isnan(xv), np.inf, xv))).data
+        assert np.array_equal(np.isnan(out), np.isinf(expect)), (row, col)
+
+
+@pytest.mark.parametrize("arch,loss", [("maxpool", "asoftmax"), ("resnet", "softmax")])
+def test_training_checkpoint_bytes_match_reference_ops(arch, loss, tmp_path, monkeypatch):
+    spec = SyntheticCorpusSpec(n_speakers=3, utts_per_speaker=4, utterance_s=2.0,
+                               separation=1.5, seed=3)
+    features, utt2spk = generate_synthetic_corpus(spec)
+    cfg = ExperimentConfig(arch=arch, resnet_blocks=2, width_scale=0.125, loss=loss,
+                           learning_rate=0.1, batch_size=4, epochs=2, steps_per_epoch=2,
+                           segment_min_s=0.9, segment_max_s=1.4, val_fraction=0.0, seed=5)
+
+    def checkpoint_bytes(tag):
+        path = tmp_path / f"{tag}.ckpt"
+        result = tr.train_extractor(features, utt2spk, cfg)
+        tr.save_train_checkpoint(path, result, cfg, epoch=cfg.epochs)
+        return path.read_bytes()
+
+    new = checkpoint_bytes("new")
+    for name, op in REFERENCE_OPS.items():
+        monkeypatch.setattr(ad, name, op)
+    monkeypatch.setattr(ad.Tensor, "accumulate_grad", ref_accumulate_grad)
+    assert checkpoint_bytes("reference") == new

@@ -306,3 +306,50 @@ def test_score_zero_norm_embedding_exits_2(capsys, tmp_path, backend):
     assert code == 2
     assert "degenerate embedding: zero norm" in err
     assert not (tmp_path / "s.txt").exists()
+
+
+def test_score_center_without_mean_exits_2(capsys, tmp_path):
+    emb_path = tmp_path / "emb.bin"
+    fm.write_embeddings(emb_path, {"a": np.array([1.0, 2.0]), "b": np.array([2.0, 1.0])})
+    trials_path = tmp_path / "t.txt"
+    trials_path.write_text("a b nontarget\n")
+    center_path = tmp_path / "avg.bin"
+    fm.write_archive(center_path, {"avg": np.zeros(2)}, None, dtype="f8")
+    code, _, err = run(capsys, "score", "--backend", "cosine", "--center", str(center_path),
+                       "--embeddings", str(emb_path), "--trials", str(trials_path),
+                       "--out", str(tmp_path / "s.txt"))
+    assert code == 2
+    assert "avg.bin" in err and "'mean'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("backend,arrays,missing", [
+    ("csml", {"matrix": np.eye(2)}, "transform"),
+    ("plda", {"mean": np.zeros(2), "between": np.eye(2)}, "within"),
+    ("plda", {"mean": np.zeros(2), "between": np.eye(2), "within": np.eye(2),
+              "lda": np.eye(2)}, "lda_eigenvalues"),
+])
+def test_score_model_missing_array_exits_2(capsys, tmp_path, backend, arrays, missing):
+    emb_path = tmp_path / "emb.bin"
+    fm.write_embeddings(emb_path, {"a": np.array([1.0, 2.0]), "b": np.array([2.0, 1.0])})
+    trials_path = tmp_path / "t.txt"
+    trials_path.write_text("a b nontarget\n")
+    model_path = tmp_path / "model.bin"
+    fm.write_archive(model_path, arrays, {"kind": backend, "length_norm": True}, dtype="f8")
+    with pytest.raises(ValueError, match=f"model.bin: .* lacks array\\(s\\) {missing}$"):
+        bk.load_backend(model_path, backend)
+    code, _, err = run(capsys, "score", "--backend", backend, "--model", str(model_path),
+                       "--embeddings", str(emb_path), "--trials", str(trials_path),
+                       "--out", str(tmp_path / "s.txt"))
+    assert code == 2 and missing in err and not (tmp_path / "s.txt").exists()
+
+
+def test_score_truncated_embeddings_exits_2(capsys, tmp_path):
+    emb_path = tmp_path / "emb.bin"
+    fm.write_embeddings(emb_path, {"a": np.array([1.0, 2.0]), "b": np.array([2.0, 1.0])})
+    emb_path.write_bytes(emb_path.read_bytes()[:40])
+    trials_path = tmp_path / "t.txt"
+    trials_path.write_text("a b nontarget\n")
+    code, _, err = run(capsys, "score", "--backend", "cosine",
+                       "--embeddings", str(emb_path), "--trials", str(trials_path),
+                       "--out", str(tmp_path / "s.txt"))
+    assert code == 2 and "emb.bin: truncated archive" in err

@@ -39,6 +39,19 @@ def test_archive_bad_magic(tmp_path):
         fm.read_archive(path)
 
 
+def test_archive_truncated_anywhere_raises_value_error(tmp_path):
+    path = tmp_path / "emb.bin"
+    fm.write_embeddings(path, {"utt": np.arange(3.0), "utt2": np.ones(3)})
+    data = path.read_bytes()
+    # every cut after the magic lands in the header (8..16), a name length, a
+    # name (the first is 20..28), a dtype/rank, a shape (33..41) or a payload
+    assert data[20:28] == fm.META_KEY.encode() and data[33:41] == (32).to_bytes(8, "little")
+    for cut in range(len(fm.MAGIC), len(data)):
+        (tmp_path / "cut.bin").write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="cut.bin: truncated archive"):
+            fm.read_archive(tmp_path / "cut.bin")
+
+
 def test_feature_and_embedding_wrappers(tmp_path):
     rng = np.random.default_rng(2)
     feats = {"u1": rng.standard_normal((8, 3)).astype(np.float32).astype(float),
