@@ -217,17 +217,19 @@ def max_pool_time(x: Tensor) -> Tensor:
 def prelu(x: Tensor, slope: Tensor) -> Tensor:
     """x where x >= 0, slope * x otherwise; one learnable slope per channel.
 
-    For a slope a <= 1 this is max(a x, x) and for a > 1 it is min(a x, x);
-    both run on every call, each masked to its channels.  Ties return x, so
-    the sign of a zero input is kept.
+    For a slope a <= 1 this is max(a x, x) and for a > 1 it is min(a x, x),
+    recomputed on just the channels with a > 1 (usually none).  Ties return
+    x, so the sign of a zero input is kept.
     """
     xv = _as2d(x, "prelu")
     av = slope.data
     if av.shape != (xv.shape[1],):
         raise ValueError("dimension error: slope vector length must equal channel dim")
     out = xv * av
-    np.maximum(out, xv, out=out, where=av <= 1)
-    np.minimum(out, xv, out=out, where=av > 1)
+    np.maximum(out, xv, out=out)
+    steep = np.flatnonzero(av > 1)
+    x_steep = xv[:, steep]
+    out[:, steep] = np.minimum(x_steep * av[steep], x_steep)
 
     def backward(g):
         pos = xv >= 0
