@@ -308,11 +308,16 @@ def test_score_zero_norm_embedding_exits_2(capsys, tmp_path, backend):
     assert not (tmp_path / "s.txt").exists()
 
 
-def test_score_center_without_mean_exits_2(capsys, tmp_path):
+def _two_utterance_inputs(tmp_path):
     emb_path = tmp_path / "emb.bin"
     fm.write_embeddings(emb_path, {"a": np.array([1.0, 2.0]), "b": np.array([2.0, 1.0])})
     trials_path = tmp_path / "t.txt"
     trials_path.write_text("a b nontarget\n")
+    return emb_path, trials_path
+
+
+def test_score_center_without_mean_exits_2(capsys, tmp_path):
+    emb_path, trials_path = _two_utterance_inputs(tmp_path)
     center_path = tmp_path / "avg.bin"
     fm.write_archive(center_path, {"avg": np.zeros(2)}, None, dtype="f8")
     code, _, err = run(capsys, "score", "--backend", "cosine", "--center", str(center_path),
@@ -329,10 +334,7 @@ def test_score_center_without_mean_exits_2(capsys, tmp_path):
               "lda": np.eye(2)}, "lda_eigenvalues"),
 ])
 def test_score_model_missing_array_exits_2(capsys, tmp_path, backend, arrays, missing):
-    emb_path = tmp_path / "emb.bin"
-    fm.write_embeddings(emb_path, {"a": np.array([1.0, 2.0]), "b": np.array([2.0, 1.0])})
-    trials_path = tmp_path / "t.txt"
-    trials_path.write_text("a b nontarget\n")
+    emb_path, trials_path = _two_utterance_inputs(tmp_path)
     model_path = tmp_path / "model.bin"
     fm.write_archive(model_path, arrays, {"kind": backend, "length_norm": True}, dtype="f8")
     with pytest.raises(ValueError, match=f"model.bin: .* lacks array\\(s\\) {missing}$"):
@@ -344,11 +346,8 @@ def test_score_model_missing_array_exits_2(capsys, tmp_path, backend, arrays, mi
 
 
 def test_score_truncated_embeddings_exits_2(capsys, tmp_path):
-    emb_path = tmp_path / "emb.bin"
-    fm.write_embeddings(emb_path, {"a": np.array([1.0, 2.0]), "b": np.array([2.0, 1.0])})
+    emb_path, trials_path = _two_utterance_inputs(tmp_path)
     emb_path.write_bytes(emb_path.read_bytes()[:40])
-    trials_path = tmp_path / "t.txt"
-    trials_path.write_text("a b nontarget\n")
     code, _, err = run(capsys, "score", "--backend", "cosine",
                        "--embeddings", str(emb_path), "--trials", str(trials_path),
                        "--out", str(tmp_path / "s.txt"))
