@@ -316,21 +316,6 @@ def slice_time(x: Tensor, start: int, length: int) -> Tensor:
     return Tensor(xv[start : start + length], parents=(x,), backward=backward)
 
 
-def pad_channels(x: Tensor, out_channels: int) -> Tensor:
-    """Zero-pad the channel axis on the right up to ``out_channels``."""
-    xv = _as2d(x, "pad_channels")
-    c_in = xv.shape[1]
-    if out_channels < c_in:
-        raise ValueError("dimension error: cannot pad to fewer channels")
-    out = np.zeros((xv.shape[0], out_channels))
-    out[:, :c_in] = xv
-
-    def backward(g):
-        x.accumulate_grad(g[:, :c_in])
-
-    return Tensor(out, parents=(x,), backward=backward)
-
-
 def stack_rows(rows: list[Tensor]) -> Tensor:
     """Stack 1-D tensors into a (B, D) matrix; the backward pass splits rows."""
     if not rows:

@@ -504,8 +504,8 @@ def save_backend(path, model) -> None:
 def load_backend(path, kind: str):
     """Read the ``save_backend`` file of ``kind`` "csml" or "plda".
 
-    Raises ValueError naming the file when its kind differs or an array the
-    kind needs is missing.
+    Raises ValueError naming the file when its kind differs or an array or
+    metadata key the kind needs is missing.
     """
     arrays, meta = fm.read_archive(path)
     what = "cosine transform" if kind == "csml" else "PLDA model"
@@ -519,6 +519,8 @@ def load_backend(path, kind: str):
         raise ValueError(f"{path}: {what} file lacks array(s) {', '.join(missing)}")
     if kind == "csml":
         return CsmlTransform(arrays["transform"])
+    if "length_norm" not in meta:
+        raise ValueError(f"{path}: {what} file lacks metadata key length_norm")
     lda = LdaProjection(arrays["lda"], arrays["lda_eigenvalues"]) if "lda" in arrays else None
     return PldaModel(arrays["mean"], arrays["between"], arrays["within"],
                      lda=lda, length_norm=meta["length_norm"])

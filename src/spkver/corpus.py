@@ -62,26 +62,22 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec):
     return features, utt2spk
 
 
-def sample_segment(features: np.ndarray, range_s: tuple[float, float],
-                   rng: np.random.Generator, frame_shift_ms: float = 10.0) -> np.ndarray:
-    """Uniformly placed contiguous slice of uniformly drawn duration.
-
-    Durations are drawn as whole frame counts within ``range_s`` and capped
-    at the utterance length.
-    """
-    values = features.values if hasattr(features, "values") else np.asarray(features)
-    t = values.shape[0]
-    min_frames = max(1, int(round(range_s[0] * 1000.0 / frame_shift_ms)))
-    max_frames = max(min_frames, int(round(range_s[1] * 1000.0 / frame_shift_ms)))
-    if t < min_frames:
-        raise ValueError(
-            f"utterance shorter than minimum segment: {t} < {min_frames} frames")
-    length = int(rng.integers(min_frames, min(max_frames, t) + 1))
-    start = int(rng.integers(0, t - length + 1))
-    return values[start : start + length]
-
-
 def segment_frame_bounds(range_s: tuple[float, float], frame_shift_ms: float) -> tuple[int, int]:
     min_frames = max(1, int(round(range_s[0] * 1000.0 / frame_shift_ms)))
     max_frames = max(min_frames, int(round(range_s[1] * 1000.0 / frame_shift_ms)))
     return min_frames, max_frames
+
+
+def sample_segments(utterances: list[np.ndarray], bounds: tuple[int, int],
+                    rng: np.random.Generator) -> list[np.ndarray]:
+    """Contiguous slices of one shared length, drawn in whole frames from
+    ``bounds`` capped at the shortest utterance (never below the lower bound),
+    then one uniformly drawn start per utterance, in order."""
+    lo, hi = bounds
+    shortest = min(u.shape[0] for u in utterances)
+    if shortest < lo:
+        raise ValueError(
+            f"utterance shorter than minimum segment: {shortest} < {lo} frames")
+    length = int(rng.integers(lo, max(lo, min(hi, shortest)) + 1))
+    starts = [int(rng.integers(0, u.shape[0] - length + 1)) for u in utterances]
+    return [u[start : start + length] for u, start in zip(utterances, starts)]

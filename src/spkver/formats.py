@@ -27,6 +27,7 @@ FORMAT_VERSION = 1
 _DTYPE_F32 = 0
 _DTYPE_F64 = 1
 _DTYPE_JSON = 2
+_ARRAY_DTYPES = {_DTYPE_F32: np.dtype("<f4"), _DTYPE_F64: np.dtype("<f8")}
 
 META_KEY = "__meta__"
 
@@ -66,8 +67,8 @@ def write_archive(path, arrays: dict[str, np.ndarray], meta: dict | None = None,
 def read_archive(path):
     """Read a container; returns (arrays, meta-or-None).
 
-    A file that ends inside a record raises ValueError("<path>: truncated
-    archive").
+    A file that ends inside a record, a metadata record that is not 1-D and
+    an unknown dtype code raise ValueError naming the path.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -98,9 +99,13 @@ def read_archive(path):
         code, ndim = unpack("<BI")
         shape = unpack("<" + "Q" * ndim)
         if code == _DTYPE_JSON:
+            if ndim != 1:
+                raise ValueError(f"{path}: metadata record {name!r} has rank {ndim}, not 1")
             meta = json.loads(take(shape[0]).decode("utf-8"))
         else:
-            np_dtype = np.dtype("<f4") if code == _DTYPE_F32 else np.dtype("<f8")
+            if code not in _ARRAY_DTYPES:
+                raise ValueError(f"{path}: record {name!r} has unknown dtype code {code}")
+            np_dtype = _ARRAY_DTYPES[code]
             arr = np.frombuffer(take(math.prod(shape) * np_dtype.itemsize), dtype=np_dtype)
             arrays[name] = arr.reshape(shape).astype(np.float64)
     return arrays, meta

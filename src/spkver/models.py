@@ -18,14 +18,14 @@ would make the stack impossible to wire.
 
 Residual extractor: frame1 (K=3, 69 x 128), a 2x2 pool down to 64 channels,
 M residual blocks of two K=3 time-delay layers at width 64 (identity skip,
-trimmed in time, zero-padded in channels if ever narrower), a K=1 expansion
-to 2048, a final 2x2 pool, then the shared tail.  Each block widens the
-input context by 8 frames.
+trimmed in time), a K=1 expansion to 2048, a final 2x2 pool, then the shared
+tail.  Each block widens the input context by 8 frames.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -52,6 +52,8 @@ class LayerSpec:
     has_bias: bool = True
 
     def __post_init__(self):
+        if self.kind not in _KINDS or self.kind == ResidualBlockSpec.kind:
+            raise ValueError(f"layer {self.name}: unknown kind {self.kind!r}")
         if self.in_dim <= 0 or self.out_dim <= 0:
             raise ValueError(f"layer {self.name}: dims must be positive")
 
@@ -60,19 +62,21 @@ class LayerSpec:
 class ResidualBlockSpec:
     """Two context-3 time-delay sub-layers with an identity skip.
 
-    The skip is trimmed to the main branch's valid frame range and
-    zero-padded in channels when the block input is narrower than its
-    width; the sum passes through the block's final activation.
+    The skip is trimmed to the main branch's valid frame range; the sum
+    passes through the block's final activation.  The block keeps its
+    width, so its input must be exactly ``width`` channels wide.
     """
 
+    kind: ClassVar[str] = "residual_block"   # a class constant: not in asdict()
     name: str
     in_dim: int
     width: int
     context: int = 3
 
-    @property
-    def out_dim(self) -> int:
-        return self.width
+    def __post_init__(self):
+        if self.in_dim != self.width:
+            raise ValueError(f"block {self.name}: input width {self.in_dim} "
+                             f"differs from block width {self.width}")
 
 
 @dataclass
@@ -88,24 +92,20 @@ class ExtractorModel:
     width_scale: float = 1.0
     depth_name: str = ""
 
+    def __post_init__(self):
+        for layer in self.frame_layers():
+            if _KINDS[layer.kind].reach is None:
+                raise ValueError(f"layer {layer.name}: {layer.kind} cannot run on frames")
+        if self.layers[-1].kind != "classifier":
+            raise ValueError(f"last layer {self.layers[-1].name} is not a classifier")
+
     def frame_layers(self) -> list:
-        idx = next(i for i, l in enumerate(self.layers)
-                   if isinstance(l, LayerSpec) and l.kind == "stats_pool")
+        idx = next(i for i, l in enumerate(self.layers) if l.kind == "stats_pool")
         return self.layers[:idx]
 
     def segment_layers(self) -> list[LayerSpec]:
-        idx = next(i for i, l in enumerate(self.layers)
-                   if isinstance(l, LayerSpec) and l.kind == "stats_pool")
+        idx = next(i for i, l in enumerate(self.layers) if l.kind == "stats_pool")
         return [l for l in self.layers[idx + 1 :] if l.kind == "affine_mfm"]
-
-    def stats_layer(self) -> LayerSpec:
-        return next(l for l in self.layers
-                    if isinstance(l, LayerSpec) and l.kind == "stats_pool")
-
-    def classifier_layer(self) -> LayerSpec:
-        last = self.layers[-1]
-        assert isinstance(last, LayerSpec) and last.kind == "classifier"
-        return last
 
     def arch_dict(self) -> dict:
         """JSON-serializable architecture description for checkpoints."""
@@ -137,22 +137,85 @@ def _init_affine(params: ParameterSet, name: str, fan_in: int, fan_out: int,
         params.add(f"{name}.b", rng.uniform(-bound, bound, size=fan_out))
 
 
+def _init_tdnn(params: ParameterSet, name: str, fan_in: int, width: int,
+               rng: np.random.Generator):
+    """Affine weights plus a PReLU slope per output channel."""
+    _init_affine(params, name, fan_in, width, rng)
+    params.add(f"{name}.slope", np.full(width, 0.25))
+
+
+def _tdnn(params: ParameterSet, name: str, x: Tensor, context: int,
+          dilation: int = 1) -> Tensor:
+    h = ad.time_delay(x, params[f"{name}.w"], params[f"{name}.b"], context, dilation)
+    return ad.prelu(h, params[f"{name}.slope"])
+
+
+def _init_block(params: ParameterSet, block: ResidualBlockSpec, rng: np.random.Generator):
+    _init_tdnn(params, f"{block.name}.td1", block.context * block.in_dim, block.width, rng)
+    _init_tdnn(params, f"{block.name}.td2", block.context * block.width, block.width, rng)
+
+
+def _apply_block(params: ParameterSet, block: ResidualBlockSpec, x: Tensor) -> Tensor:
+    h = _tdnn(params, f"{block.name}.td1", x, block.context)
+    h = ad.time_delay(h, params[f"{block.name}.td2.w"], params[f"{block.name}.td2.b"],
+                      block.context)
+    trim = 2 * (block.context - 1)
+    skip = ad.slice_time(x, trim // 2, x.shape[0] - trim)
+    return ad.prelu(ad.add(h, skip), params[f"{block.name}.td2.slope"])
+
+
+def _affine(params: ParameterSet, layer: LayerSpec, x: Tensor) -> Tensor:
+    bias = f"{layer.name}.b"
+    return ad.affine(x, params[f"{layer.name}.w"], params[bias] if bias in params else None)
+
+
+class _Kind(NamedTuple):
+    """How one layer kind is built, run and accounted for.  Ops are looked up
+    on ``ad`` when a layer runs, so a wrapper installed on one sees every call."""
+
+    forward: Callable                  # (params, layer, x) -> Tensor
+    allocate: Callable = lambda params, layer, rng: None   # adds the layer's weights
+    reach: Callable | None = None      # frames added per input step; None: not frame-level
+    window: Callable | None = None     # full spliced window (see total_context)
+    stride: int = 1                    # time decimation; multiplies the step
+    shape: Callable | None = lambda layer: (layer.in_dim, layer.out_dim)  # affine (in, out)
+
+
+_KINDS: dict[str, _Kind] = {
+    "time_delay": _Kind(
+        forward=lambda params, layer, x: _tdnn(params, layer.name, x, layer.context,
+                                               layer.dilation),
+        allocate=lambda params, layer, rng: _init_tdnn(
+            params, layer.name, layer.context * layer.in_dim, layer.out_dim, rng),
+        reach=lambda layer: (layer.context - 1) * layer.dilation,
+        window=lambda layer: layer.context * layer.dilation,
+        shape=lambda layer: (layer.context * layer.in_dim, layer.out_dim)),
+    ResidualBlockSpec.kind: _Kind(
+        forward=_apply_block,
+        allocate=_init_block,
+        reach=lambda block: 2 * (block.context - 1),
+        shape=lambda block: (block.in_dim, block.width)),
+    "max_pool": _Kind(
+        forward=lambda params, layer, x: ad.max_pool_2x2(x),
+        reach=lambda layer: 1, stride=2, shape=None),
+    "max_pool_time": _Kind(
+        forward=lambda params, layer, x: ad.max_pool_time(x),
+        reach=lambda layer: 1, stride=2, shape=None),
+    "stats_pool": _Kind(forward=lambda params, layer, x: ad.stats_pool(x)),
+    "affine_mfm": _Kind(
+        forward=lambda params, layer, x: ad.mfm(_affine(params, layer, x)),
+        allocate=lambda params, layer, rng: _init_affine(
+            params, layer.name, layer.in_dim, 2 * layer.out_dim, rng)),
+    "classifier": _Kind(
+        forward=_affine,
+        allocate=lambda params, layer, rng: _init_affine(
+            params, layer.name, layer.in_dim, layer.out_dim, rng, bias=layer.has_bias)),
+}
+
+
 def _allocate(layers: list, params: ParameterSet, rng: np.random.Generator):
     for layer in layers:
-        if isinstance(layer, ResidualBlockSpec):
-            k = layer.context
-            _init_affine(params, f"{layer.name}.td1", k * layer.in_dim, layer.width, rng)
-            params.add(f"{layer.name}.td1.slope", np.full(layer.width, 0.25))
-            _init_affine(params, f"{layer.name}.td2", k * layer.width, layer.width, rng)
-            params.add(f"{layer.name}.td2.slope", np.full(layer.width, 0.25))
-        elif layer.kind == "time_delay":
-            _init_affine(params, layer.name, layer.context * layer.in_dim, layer.out_dim, rng)
-            params.add(f"{layer.name}.slope", np.full(layer.out_dim, 0.25))
-        elif layer.kind == "affine_mfm":
-            _init_affine(params, layer.name, layer.in_dim, 2 * layer.out_dim, rng)
-        elif layer.kind == "classifier":
-            _init_affine(params, layer.name, layer.in_dim, layer.out_dim, rng,
-                         bias=layer.has_bias)
+        _KINDS[layer.kind].allocate(params, layer, rng)
 
 
 def build_maxpool_net(n_spk: int, in_dim: int = 23, width_scale: float = 1.0,
@@ -236,73 +299,58 @@ def model_from_arch_dict(arch: dict, seed: int = 0) -> ExtractorModel:
                           depth_name=arch.get("depth_name", ""))
 
 
-def _apply_block(params: ParameterSet, block: ResidualBlockSpec, x: Tensor) -> Tensor:
-    h = ad.time_delay(x, params[f"{block.name}.td1.w"], params[f"{block.name}.td1.b"],
-                      block.context)
-    h = ad.prelu(h, params[f"{block.name}.td1.slope"])
-    h = ad.time_delay(h, params[f"{block.name}.td2.w"], params[f"{block.name}.td2.b"],
-                      block.context)
-    trim = 2 * (block.context - 1)
-    skip = ad.slice_time(x, trim // 2, x.shape[0] - trim)
-    if block.in_dim < block.width:
-        skip = ad.pad_channels(skip, block.width)
-    elif block.in_dim > block.width:
-        raise ValueError(f"block {block.name}: input wider than block width")
-    return ad.prelu(ad.add(h, skip), params[f"{block.name}.td2.slope"])
-
-
-def frame_stats_graph(model: ExtractorModel, features) -> Tensor:
+def frame_stats_graph(model: ExtractorModel, features: np.ndarray) -> Tensor:
     """Frame-level stack plus statistics pooling; returns a 1-D tensor."""
-    x = features if isinstance(features, Tensor) else Tensor(np.asarray(features))
+    x = Tensor(features)
     if x.data.ndim != 2 or x.data.shape[1] != model.in_dim:
         raise ValueError(f"expected (T, {model.in_dim}) features, got {x.data.shape}")
     need = receptive_field(model)
     if x.data.shape[0] < need:
         raise ValueError(
             f"segment shorter than receptive field: {x.data.shape[0]} < {need} frames")
-    params = model.params
-    for layer in model.frame_layers():
-        if isinstance(layer, ResidualBlockSpec):
-            x = _apply_block(params, layer, x)
-        elif layer.kind == "time_delay":
-            x = ad.time_delay(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"],
-                              layer.context, layer.dilation)
-            x = ad.prelu(x, params[f"{layer.name}.slope"])
-        elif layer.kind == "max_pool":
-            x = ad.max_pool_2x2(x)
-        elif layer.kind == "max_pool_time":
-            x = ad.max_pool_time(x)
-        else:
-            raise ValueError(f"unexpected frame-level layer kind {layer.kind}")
-    return ad.stats_pool(x)
+    n_frame = len(model.frame_layers())
+    for layer in model.layers[: n_frame + 1]:       # frame layers, then stats pooling
+        x = _KINDS[layer.kind].forward(model.params, layer, x)
+    return x
 
 
 def segment_graph(model: ExtractorModel, pooled: Tensor) -> Tensor:
     """Segment-level MFM layers on a (B, 2C) batch; returns (B, emb)."""
     x = pooled
     for layer in model.segment_layers():
-        x = ad.affine(x, model.params[f"{layer.name}.w"], model.params[f"{layer.name}.b"])
-        x = ad.mfm(x)
+        x = _KINDS[layer.kind].forward(model.params, layer, x)
     return x
 
 
 def classifier_graph(model: ExtractorModel, emb: Tensor) -> Tensor:
-    layer = model.classifier_layer()
-    bias = model.params[f"{layer.name}.b"] if layer.has_bias else None
-    return ad.affine(emb, model.params[f"{layer.name}.w"], bias)
+    layer = model.layers[-1]                        # the classifier, see ExtractorModel
+    return _KINDS[layer.kind].forward(model.params, layer, emb)
 
 
-def embed_graph(model: ExtractorModel, features) -> Tensor:
+def embed_graph(model: ExtractorModel, features: np.ndarray) -> Tensor:
     """Embedding graph for one utterance; classifier layer not applied."""
     pooled = ad.stack_rows([frame_stats_graph(model, features)])
     return segment_graph(model, pooled)
 
 
-def forward_embed(model: ExtractorModel, features) -> np.ndarray:
+def forward_embed(model: ExtractorModel, features: np.ndarray) -> np.ndarray:
     """Deterministic fixed-length embedding of a feature matrix."""
-    values = features.values if hasattr(features, "values") else np.asarray(features)
-    out = embed_graph(model, values)
-    return out.data[0].copy()
+    return embed_graph(model, features).data[0].copy()
+
+
+def _frame_steps(model_or_layers):
+    """(layer, kind, input step, whether a stride-2 pool precedes it) for each
+    frame-level layer of a model or layer list, up to the first other layer."""
+    layers = (model_or_layers.frame_layers()
+              if isinstance(model_or_layers, ExtractorModel) else model_or_layers)
+    step, after_pool = 1, False
+    for layer in layers:
+        kind = _KINDS[layer.kind]
+        if kind.reach is None:
+            return
+        yield layer, kind, step, after_pool
+        step *= kind.stride
+        after_pool = kind.stride > 1
 
 
 def receptive_field(model_or_layers) -> int:
@@ -312,22 +360,8 @@ def receptive_field(model_or_layers) -> int:
     layer at input step j widens the span by (K-1)*d*j, a stride-2 pool by
     j and doubles the step.
     """
-    layers = (model_or_layers.frame_layers()
-              if isinstance(model_or_layers, ExtractorModel) else model_or_layers)
-    span, step = 1, 1
-    for layer in layers:
-        if isinstance(layer, ResidualBlockSpec):
-            span += 2 * (layer.context - 1) * step
-        elif layer.kind == "time_delay":
-            span += (layer.context - 1) * layer.dilation * step
-        elif layer.kind in ("max_pool", "max_pool_time"):
-            span += step
-            step *= 2
-        elif layer.kind == "stats_pool":
-            break
-        else:
-            raise ValueError(f"unexpected layer kind {layer.kind}")
-    return span
+    return 1 + sum(kind.reach(layer) * step
+                   for layer, kind, step, _ in _frame_steps(model_or_layers))
 
 
 def total_context(model_or_layers) -> list[tuple[str, int]]:
@@ -340,39 +374,20 @@ def total_context(model_or_layers) -> list[tuple[str, int]]:
     overstates the exact influence span of the max-pooling stack by 2
     from its second frame layer on.
     """
-    layers = (model_or_layers.frame_layers()
-              if isinstance(model_or_layers, ExtractorModel) else model_or_layers)
-    out: list[tuple[str, int]] = []
-    span, step = 1, 1
-    prev_was_pool = False
-    for layer in layers:
-        if isinstance(layer, ResidualBlockSpec):
-            span += 2 * (layer.context - 1) * step
-            prev_was_pool = False
-        elif layer.kind == "time_delay":
-            if prev_was_pool and layer.context >= 5:
-                span += layer.context * layer.dilation * step
-            else:
-                span += (layer.context - 1) * layer.dilation * step
-            prev_was_pool = False
-        elif layer.kind in ("max_pool", "max_pool_time"):
-            span += step
-            step *= 2
-            prev_was_pool = True
-        else:
-            break
-        out.append((layer.name, span))
-    return out
+    column: list[tuple[str, int]] = []
+    span = 1
+    for layer, kind, step, after_pool in _frame_steps(model_or_layers):
+        wide = after_pool and kind.window is not None and layer.context >= 5
+        span += (kind.window if wide else kind.reach)(layer) * step
+        column.append((layer.name, span))
+    return column
 
 
 def layer_shape_pairs(model: ExtractorModel) -> dict[str, tuple[int, int]]:
     """Affine (in, out) pairs of every weight-bearing layer."""
     pairs: dict[str, tuple[int, int]] = {}
     for layer in model.layers:
-        if isinstance(layer, ResidualBlockSpec):
-            pairs[layer.name] = (layer.in_dim, layer.width)
-        elif layer.kind == "time_delay":
-            pairs[layer.name] = (layer.context * layer.in_dim, layer.out_dim)
-        elif layer.kind in ("stats_pool", "affine_mfm", "classifier"):
-            pairs[layer.name] = (layer.in_dim, layer.out_dim)
+        shape = _KINDS[layer.kind].shape
+        if shape is not None:
+            pairs[layer.name] = shape(layer)
     return pairs

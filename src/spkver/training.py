@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from . import models as m
 from .backend import all_pairs_eer
-from .corpus import segment_frame_bounds
+from .corpus import sample_segments, segment_frame_bounds
 from .formats import ExperimentConfig, save_checkpoint
 from .objectives import LambdaSchedule, MarginConfig, asoftmax_loss, softmax_ce
 
@@ -175,14 +175,8 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
         epoch_losses = []
         for _ in range(cfg.steps_per_epoch):
             picks = rng.integers(0, len(train_utts), size=cfg.batch_size)
-            batch_feats = [features[train_utts[i]] for i in picks]
-            shortest = min(f.shape[0] for f in batch_feats)
-            seg_hi = max(seg_lo, min(max_frames, shortest))
-            seg_len = int(rng.integers(seg_lo, seg_hi + 1))
-            segments = []
-            for feats in batch_feats:
-                start = int(rng.integers(0, feats.shape[0] - seg_len + 1))
-                segments.append(feats[start : start + seg_len])
+            segments = sample_segments([features[train_utts[i]] for i in picks],
+                                       (seg_lo, max_frames), rng)
             batch_labels = train_labels[picks]
 
             lam = schedule.value(step) if cfg.loss == "asoftmax" else 0.0

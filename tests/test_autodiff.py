@@ -270,11 +270,10 @@ def test_stats_pool_permutation_invariant(seed):
 # structural ops and the checker itself
 
 
-def test_stack_slice_pad_roundtrip_gradients():
+def test_stack_slice_roundtrip_gradients():
     rng = np.random.default_rng(17)
     x = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
-    err = grad_check(lambda: quadratic(ad.pad_channels(ad.slice_time(x, 1, 4), 5)),
-                     {"x": x})
+    err = grad_check(lambda: quadratic(ad.slice_time(x, 1, 4)), {"x": x})
     assert err < 1e-4
     rows = [Tensor(rng.standard_normal(4), requires_grad=True) for _ in range(3)]
     err = grad_check(lambda: quadratic(ad.stack_rows(rows)),

@@ -332,12 +332,17 @@ def test_score_center_without_mean_exits_2(capsys, tmp_path):
     ("plda", {"mean": np.zeros(2), "between": np.eye(2)}, "within"),
     ("plda", {"mean": np.zeros(2), "between": np.eye(2), "within": np.eye(2),
               "lda": np.eye(2)}, "lda_eigenvalues"),
+    ("plda", {"mean": np.zeros(2), "between": np.eye(2), "within": np.eye(2)},
+     "length_norm"),
 ])
 def test_score_model_missing_array_exits_2(capsys, tmp_path, backend, arrays, missing):
     emb_path, trials_path = _two_utterance_inputs(tmp_path)
     model_path = tmp_path / "model.bin"
-    fm.write_archive(model_path, arrays, {"kind": backend, "length_norm": True}, dtype="f8")
-    with pytest.raises(ValueError, match=f"model.bin: .* lacks array\\(s\\) {missing}$"):
+    meta = {"kind": backend, "length_norm": True}
+    meta.pop(missing, None)             # a missing metadata key rather than an array
+    fm.write_archive(model_path, arrays, meta, dtype="f8")
+    with pytest.raises(ValueError,
+                       match=f"model.bin: .* lacks (array\\(s\\)|metadata key) {missing}$"):
         bk.load_backend(model_path, backend)
     code, _, err = run(capsys, "score", "--backend", backend, "--model", str(model_path),
                        "--embeddings", str(emb_path), "--trials", str(trials_path),

@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import chi2
 
 from spkver.corpus import (SyntheticCorpusSpec, generate_synthetic_corpus,
-                           sample_segment)
+                           sample_segments, segment_frame_bounds)
 from spkver.metrics import ScoreSet, Trial, compute_eer
 
 
@@ -72,23 +72,25 @@ def test_corpus_shapes_and_labels():
 def test_segment_exact_range_returns_full_utterance():
     rng = np.random.default_rng(4)
     feats = rng.standard_normal((300, 5))
-    out = sample_segment(feats, (3.0, 3.0), np.random.default_rng(0), 10.0)
-    assert np.array_equal(out, feats)
+    out = sample_segments([feats], segment_frame_bounds((3.0, 3.0), 10.0),
+                          np.random.default_rng(0))
+    assert len(out) == 1 and np.array_equal(out[0], feats)
 
 
 def test_segment_too_short_rejected():
     rng = np.random.default_rng(5)
+    utts = [rng.standard_normal((600, 5)), rng.standard_normal((100, 5))]
     with pytest.raises(ValueError, match="utterance shorter than minimum segment"):
-        sample_segment(rng.standard_normal((100, 5)), (3.0, 5.0), rng, 10.0)
+        sample_segments(utts, segment_frame_bounds((3.0, 5.0), 10.0), rng)
 
 
 def test_segment_fixed_seed_reproducible():
     rng_feats = np.random.default_rng(6)
-    feats = rng_feats.standard_normal((800, 4))
-    a = [sample_segment(feats, (1.0, 4.0), np.random.default_rng(42), 10.0)
-         for _ in range(5)]
-    b = [sample_segment(feats, (1.0, 4.0), np.random.default_rng(42), 10.0)
-         for _ in range(5)]
+    utts = [rng_feats.standard_normal((800, 4)), rng_feats.standard_normal((500, 4))]
+    bounds = segment_frame_bounds((1.0, 4.0), 10.0)
+    a = sample_segments(utts, bounds, np.random.default_rng(42))
+    b = sample_segments(utts, bounds, np.random.default_rng(42))
+    assert len({seg.shape[0] for seg in a}) == 1       # one length per batch
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
@@ -99,8 +101,9 @@ def test_segment_duration_uniform_chi_square():
     feats = np.zeros((1000, 2))
     rng = np.random.default_rng(7)
     lo, hi = 50, 59                      # 0.5 s .. 0.59 s at 10 ms shift
-    draws = [sample_segment(feats, (0.50, 0.59), rng, 10.0).shape[0]
-             for _ in range(10_000)]
+    bounds = segment_frame_bounds((0.50, 0.59), 10.0)
+    assert bounds == (lo, hi)
+    draws = [sample_segments([feats], bounds, rng)[0].shape[0] for _ in range(10_000)]
     counts = np.bincount(draws, minlength=hi + 1)[lo : hi + 1]
     expected = 10_000 / (hi - lo + 1)
     stat = float(((counts - expected) ** 2 / expected).sum())
@@ -110,7 +113,8 @@ def test_segment_duration_uniform_chi_square():
 def test_segment_start_positions_cover_utterance():
     feats = np.arange(2000, dtype=float).reshape(200, 10)
     rng = np.random.default_rng(8)
-    starts = {int(sample_segment(feats, (0.5, 0.5), rng, 10.0)[0, 0] // 10)
+    bounds = segment_frame_bounds((0.5, 0.5), 10.0)
+    starts = {int(sample_segments([feats], bounds, rng)[0][0, 0] // 10)
               for _ in range(500)}
     assert min(starts) == 0
     assert max(starts) == 150

@@ -52,6 +52,28 @@ def test_archive_truncated_anywhere_raises_value_error(tmp_path):
             fm.read_archive(tmp_path / "cut.bin")
 
 
+def test_archive_metadata_record_of_rank_0_raises_value_error(tmp_path):
+    path = tmp_path / "emb.bin"
+    fm.write_embeddings(path, {"utt": np.arange(3.0)})
+    data = path.read_bytes()
+    # the __meta__ record comes first: rank at 29..33, its one dimension at 33..41
+    assert data[20:28] == fm.META_KEY.encode() and data[29:33] == (1).to_bytes(4, "little")
+    path.write_bytes(data[:29] + (0).to_bytes(4, "little") + data[41:])
+    with pytest.raises(ValueError, match="emb.bin: metadata record '__meta__' has rank 0"):
+        fm.read_archive(path)
+
+
+def test_archive_unknown_dtype_code_raises_value_error(tmp_path):
+    path = tmp_path / "w.bin"
+    fm.write_archive(path, {"w": np.ones(2)}, None, dtype="f8")
+    data = bytearray(path.read_bytes())
+    assert data[20:21] == b"w" and data[21] == 1    # name, then the dtype code
+    data[21] = 3
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="w.bin: record 'w' has unknown dtype code 3"):
+        fm.read_archive(path)
+
+
 def test_feature_and_embedding_wrappers(tmp_path):
     rng = np.random.default_rng(2)
     feats = {"u1": rng.standard_normal((8, 3)).astype(np.float32).astype(float),

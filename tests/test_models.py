@@ -2,10 +2,12 @@
 against an influence-propagation oracle, and a layerwise replay oracle
 for the embedding forward pass."""
 
+import json
+
 import numpy as np
 import pytest
 
-from spkver import autodiff as ad
+from spkver import formats as fm
 from spkver import models as md
 from spkver.autodiff import Tensor
 from spkver.models import LayerSpec, ResidualBlockSpec
@@ -95,17 +97,7 @@ def test_intermediate_shapes_match_recursion(build):
     x = Tensor(rng.standard_normal((400, 23)))
     actual = []
     for layer in model.frame_layers():
-        if isinstance(layer, ResidualBlockSpec):
-            x = md._apply_block(model.params, layer, x)
-        elif layer.kind == "time_delay":
-            x = ad.time_delay(x, model.params[f"{layer.name}.w"],
-                              model.params[f"{layer.name}.b"], layer.context,
-                              layer.dilation)
-            x = ad.prelu(x, model.params[f"{layer.name}.slope"])
-        elif layer.kind == "max_pool":
-            x = ad.max_pool_2x2(x)
-        elif layer.kind == "max_pool_time":
-            x = ad.max_pool_time(x)
+        x = md._KINDS[layer.kind].forward(model.params, layer, x)
         actual.append((layer.name, x.data.shape[0], x.data.shape[1]))
     assert actual == shape_recursion_oracle(model, 400)
 
@@ -292,15 +284,6 @@ def test_residual_block_zero_weights_identity():
     assert np.allclose(out.data, xv[2:10], atol=1e-12)
 
 
-def test_width_mismatched_skip_zero_padded():
-    block = ResidualBlockSpec("block1", 4, 6)
-    params = md.ParameterSet()
-    md._allocate([block], params, np.random.default_rng(11))
-    xv = np.random.default_rng(12).standard_normal((10, 4))
-    out = md._apply_block(params, block, Tensor(xv))
-    assert out.data.shape == (6, 6)
-
-
 def test_arch_dict_roundtrip():
     model = md.build_res_net(2, n_spk=5, width_scale=0.25, seed=13)
     clone = md.model_from_arch_dict(model.arch_dict())
@@ -308,3 +291,84 @@ def test_arch_dict_roundtrip():
     feats = np.random.default_rng(14).standard_normal((120, 23))
     assert np.array_equal(md.forward_embed(model, feats),
                           md.forward_embed(clone, feats))
+
+
+RES1_ARCH = (
+    '{"arch": "resnet", "depth_name": "res-tdnn-6", "embedding_dim": 64, "in_dim": 23, '
+    '"layers": [{"context": 3, "dilation": 1, "has_bias": true, "in_dim": 23, '
+    '"kind": "time_delay", "name": "frame1", "out_dim": 16}, {"context": 2, '
+    '"dilation": 1, "has_bias": true, "in_dim": 16, "kind": "max_pool", '
+    '"name": "maxpool1", "out_dim": 8}, {"block": true, "context": 3, "in_dim": 8, '
+    '"name": "block1", "width": 8}, {"context": 1, "dilation": 1, "has_bias": true, '
+    '"in_dim": 8, "kind": "time_delay", "name": "frame3", "out_dim": 256}, '
+    '{"context": 2, "dilation": 1, "has_bias": true, "in_dim": 256, '
+    '"kind": "max_pool", "name": "maxpool3", "out_dim": 128}, {"context": 1, '
+    '"dilation": 1, "has_bias": true, "in_dim": 128, "kind": "stats_pool", '
+    '"name": "stats", "out_dim": 256}, {"context": 1, "dilation": 1, '
+    '"has_bias": true, "in_dim": 256, "kind": "affine_mfm", "name": "segment6", '
+    '"out_dim": 128}, {"context": 1, "dilation": 1, "has_bias": true, '
+    '"in_dim": 128, "kind": "affine_mfm", "name": "segment7", "out_dim": 64}, '
+    '{"context": 1, "dilation": 1, "has_bias": true, "in_dim": 64, '
+    '"kind": "classifier", "name": "classifier", "out_dim": 3}], "n_spk": 3, '
+    '"width_scale": 0.125}')
+
+MAXPOOL_ARCH = (
+    '{"arch": "maxpool", "depth_name": "maxpool-net-7", "embedding_dim": 64, '
+    '"in_dim": 23, "layers": [{"context": 7, "dilation": 1, "has_bias": true, '
+    '"in_dim": 23, "kind": "time_delay", "name": "frame1", "out_dim": 32}, '
+    '{"context": 2, "dilation": 1, "has_bias": true, "in_dim": 32, '
+    '"kind": "max_pool", "name": "maxpool1", "out_dim": 16}, {"context": 5, '
+    '"dilation": 1, "has_bias": true, "in_dim": 16, "kind": "time_delay", '
+    '"name": "frame2", "out_dim": 32}, {"context": 2, "dilation": 1, '
+    '"has_bias": true, "in_dim": 32, "kind": "max_pool", "name": "maxpool2", '
+    '"out_dim": 16}, {"context": 3, "dilation": 1, "has_bias": true, "in_dim": 16, '
+    '"kind": "time_delay", "name": "frame3", "out_dim": 32}, {"context": 2, '
+    '"dilation": 1, "has_bias": true, "in_dim": 32, "kind": "max_pool_time", '
+    '"name": "maxpool3", "out_dim": 32}, {"context": 1, "dilation": 1, '
+    '"has_bias": true, "in_dim": 32, "kind": "time_delay", "name": "frame4", '
+    '"out_dim": 256}, {"context": 2, "dilation": 1, "has_bias": true, '
+    '"in_dim": 256, "kind": "max_pool", "name": "maxpool4", "out_dim": 128}, '
+    '{"context": 1, "dilation": 1, "has_bias": true, "in_dim": 128, '
+    '"kind": "stats_pool", "name": "stats", "out_dim": 256}, {"context": 1, '
+    '"dilation": 1, "has_bias": true, "in_dim": 256, "kind": "affine_mfm", '
+    '"name": "segment6", "out_dim": 128}, {"context": 1, "dilation": 1, '
+    '"has_bias": true, "in_dim": 128, "kind": "affine_mfm", "name": "segment7", '
+    '"out_dim": 64}, {"context": 1, "dilation": 1, "has_bias": true, "in_dim": 64, '
+    '"kind": "classifier", "name": "classifier", "out_dim": 3}], "n_spk": 3, '
+    '"width_scale": 0.125}')
+
+
+@pytest.mark.parametrize("build,expected", [
+    (lambda: md.build_res_net(1, n_spk=3, width_scale=0.125), RES1_ARCH),
+    (lambda: md.build_maxpool_net(n_spk=3, width_scale=0.125), MAXPOOL_ARCH),
+])
+def test_arch_dict_golden(build, expected):
+    """The checkpoint's architecture record, byte for byte."""
+    assert json.dumps(build().arch_dict(), sort_keys=True) == expected
+
+
+def test_checkpoint_with_mismatched_block_width_names_block(tmp_path):
+    model = md.build_res_net(1, n_spk=3, width_scale=0.125)
+    path = tmp_path / "narrow.ckpt"
+    fm.save_checkpoint(path, model, step=0, epoch=0, config_hash="")
+    arrays, meta = fm.read_archive(path)
+    # block1 reads 6 of its 8 channels; its first weight is sized to match
+    meta["arch"]["layers"][2]["in_dim"] = 6
+    for prefix in ("param", "momentum"):
+        arrays[f"{prefix}.block1.td1.w"] = arrays[f"{prefix}.block1.td1.w"][: 3 * 6]
+    fm.write_archive(path, arrays, meta, dtype="f8")
+    with pytest.raises(ValueError, match="block block1: input width 6"):
+        fm.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda layers: layers[0].update(kind="conv"), "layer frame1: unknown kind 'conv'"),
+    (lambda layers: layers.insert(0, layers.pop(-3)),
+     "layer segment6: affine_mfm cannot run on frames"),
+    (lambda layers: layers.pop(), "last layer segment7 is not a classifier"),
+], ids=["unknown-kind", "segment-layer-on-frames", "no-classifier"])
+def test_malformed_architecture_rejected_at_load(edit, message):
+    arch = md.build_maxpool_net(n_spk=3, width_scale=0.125).arch_dict()
+    edit(arch["layers"])
+    with pytest.raises(ValueError, match=message):
+        md.model_from_arch_dict(arch)
