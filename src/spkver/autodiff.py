@@ -332,15 +332,6 @@ def stack_rows(rows: list[Tensor]) -> Tensor:
     return Tensor(out, parents=tuple(rows), backward=backward)
 
 
-def scale(x: Tensor, factor: float) -> Tensor:
-    """Multiply by a constant."""
-
-    def backward(g):
-        x.accumulate_grad(g * factor)
-
-    return Tensor(x.data * factor, parents=(x,), backward=backward)
-
-
 class ParameterSet:
     """Named trainable tensors plus their per-tensor momentum buffers."""
 

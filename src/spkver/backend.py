@@ -114,44 +114,34 @@ def triplet_loss_and_grad(a, embeddings, triplets, need_grad: bool = True):
     return loss, grad
 
 
-def mine_triplets(embeddings, labels, a, n_hard: int = 1500,
-                  max_per_anchor: int | None = None) -> list[tuple[int, int, int]]:
-    """Build (anchor, positive, negative) index triplets.
+def mine_triplets(embeddings, labels, a, n_hard: int = 1500) -> np.ndarray:
+    """Build (anchor, positive, negative) index triplets as an (n, 3) array.
 
     Every embedding with at least one same-label partner serves as an
     anchor; all its positives are used, and its negatives are the n_hard
     highest-scoring different-label embeddings under the current transform
-    (ties broken by index).  ``max_per_anchor`` caps the positive x negative
-    pairing per anchor, in deterministic order.
+    (ties broken by index).  Rows run anchor by anchor, positive-major, with
+    each positive's negatives in score order.
     """
     labels = np.asarray(labels)
     _, _, _, u_hat = _transformed_unit_rows(a, embeddings)
     scores = u_hat @ u_hat.T
     n = len(labels)
-    triplets: list[tuple[int, int, int]] = []
-    found_anchor = False
+    per_anchor = []
     for i in range(n):
-        positives = np.flatnonzero((labels == labels[i]) & (np.arange(n) != i))
+        same = labels == labels[i]
+        positives = np.flatnonzero(same & (np.arange(n) != i))
         if positives.size == 0:
             continue
-        found_anchor = True
-        negatives = np.flatnonzero(labels != labels[i])
-        if negatives.size == 0:
-            continue
-        order = negatives[np.argsort(-scores[i, negatives], kind="stable")]
-        hard = order[: min(n_hard, order.size)]
-        count = 0
-        for p in positives:
-            for neg in hard:
-                if max_per_anchor is not None and count >= max_per_anchor:
-                    break
-                triplets.append((i, int(p), int(neg)))
-                count += 1
-            if max_per_anchor is not None and count >= max_per_anchor:
-                break
-    if not found_anchor:
+        negatives = np.flatnonzero(~same)
+        hard = negatives[np.argsort(-scores[i, negatives], kind="stable")][:n_hard]
+        per_anchor.append(np.column_stack([np.full(positives.size * hard.size, i),
+                                           np.repeat(positives, hard.size),
+                                           np.tile(hard, positives.size)]))
+    if not per_anchor:
         raise ValueError("insufficient positives: no speaker has two embeddings")
-    if not triplets:
+    triplets = np.concatenate(per_anchor)
+    if triplets.size == 0:
         raise ValueError("insufficient positives: need at least two speakers")
     return triplets
 
@@ -163,7 +153,6 @@ class CsmlTrainConfig:
     epochs: int = 20
     steps_per_epoch: int = 4
     n_hard: int = 1500
-    max_per_anchor: int | None = None
     max_triplets: int | None = 100_000
     val_fraction: float = 0.25
     max_val_trials: int = 5000
@@ -228,11 +217,10 @@ def train_csml(embeddings, labels, opts: CsmlTrainConfig | None = None) -> CsmlT
     for _ in range(opts.epochs):
         n_impostors = min((train_lab != spk).sum() for spk in np.unique(train_lab))
         triplets = mine_triplets(train_emb, train_lab, a,
-                                 n_hard=min(opts.n_hard, int(n_impostors)),
-                                 max_per_anchor=opts.max_per_anchor)
+                                 n_hard=min(opts.n_hard, int(n_impostors)))
         if opts.max_triplets is not None and len(triplets) > opts.max_triplets:
             keep = rng.choice(len(triplets), size=opts.max_triplets, replace=False)
-            triplets = [triplets[k] for k in sorted(keep)]
+            triplets = triplets[np.sort(keep)]
         for _ in range(opts.steps_per_epoch):
             loss, grad = triplet_loss_and_grad(a, train_emb, triplets)
             gnorm2 = float((grad ** 2).sum())
@@ -279,22 +267,26 @@ def length_normalize(embeddings) -> np.ndarray:
     return e / norms
 
 
+def _class_stats(e: np.ndarray, labels: np.ndarray):
+    """Each row's class index, the class sizes and the class means (classes in
+    ``np.unique`` order), from one stable sort of the rows by class and one
+    ``np.add.reduceat`` over the resulting runs."""
+    _, index, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    sums = np.add.reduceat(e[np.argsort(index, kind="stable")], np.cumsum(counts) - counts,
+                           axis=0)
+    return index, counts, sums / counts[:, None]
+
+
 def _scatter_matrices(embeddings, labels):
+    """Within- and between-class scatter divided by the row count, the global
+    mean, the class sizes and the class means."""
     e = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
-    n, d = e.shape
+    index, counts, means = _class_stats(e, np.asarray(labels))
+    n = e.shape[0]
     mean = e.mean(axis=0)
-    s_w = np.zeros((d, d))
-    s_b = np.zeros((d, d))
-    for c in classes:
-        members = e[labels == c]
-        mu_c = members.mean(axis=0)
-        centered = members - mu_c
-        s_w += centered.T @ centered
-        diff = mu_c - mean
-        s_b += members.shape[0] * np.outer(diff, diff)
-    return s_w / n, s_b / n, mean, classes
+    centered = e - means[index]
+    diff = means - mean
+    return centered.T @ centered / n, (counts[:, None] * diff).T @ diff / n, mean, counts, means
 
 
 def _ridge(matrix: np.ndarray, rel: float = 1e-6) -> np.ndarray:
@@ -316,8 +308,8 @@ class LdaProjection:
 
 def lda_fit(embeddings, labels, out_dim: int) -> LdaProjection:
     """Projection maximizing between-class over within-class scatter."""
-    s_w, s_b, _, classes = _scatter_matrices(embeddings, labels)
-    if len(classes) < 2:
+    s_w, s_b, _, counts, _ = _scatter_matrices(embeddings, labels)
+    if counts.size < 2:
         raise ValueError("need at least 2 classes")
     d = s_w.shape[0]
     if not 0 < out_dim <= d:
@@ -361,11 +353,18 @@ def plda_preprocess(model: PldaModel, x) -> np.ndarray:
 
 def plda_fit(embeddings, labels, n_iter: int = 15, lda_dim: int | None = None,
              length_norm: bool = True) -> PldaModel:
-    """Fit the two-covariance model by EM over per-speaker latent means."""
+    """Fit the two-covariance model by EM over per-speaker latent means.
+
+    The E-step puts every speaker's posterior mean in one row of a (K, d)
+    matrix.  A speaker's posterior covariance depends only on its number of
+    samples, so it is inverted once per distinct class size.  The M-step sums
+    are matrix products over those rows plus the within-class scatter of the
+    data, which EM leaves unchanged.
+    """
     e = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
-    classes = np.unique(labels)
-    if len(classes) < 2 or not any((labels == c).sum() >= 2 for c in classes):
+    counts = np.unique(labels, return_counts=True)[1]
+    if counts.size < 2 or counts.max() < 2:
         raise ValueError("need at least 2 classes with 2 samples each")
 
     lda = None
@@ -375,41 +374,32 @@ def plda_fit(embeddings, labels, n_iter: int = 15, lda_dim: int | None = None,
         lda = lda_fit(e, labels, lda_dim)
         e = lda_project(lda, e)
 
-    d = e.shape[1]
-    n_total = e.shape[0]
-    groups = []
-    for c in classes:
-        members = e[labels == c]
-        mu_c = members.mean(axis=0)
-        centered = members - mu_c
-        groups.append((members.shape[0], mu_c, centered.T @ centered))
-
-    s_w, s_b, mean, _ = _scatter_matrices(e, labels)
+    n_total, d = e.shape
+    s_w, s_b, mean, counts, means = _scatter_matrices(e, labels)
+    scatter = n_total * s_w                        # sum of the per-class scatters
+    sizes, size_index, n_of_size = np.unique(counts, return_inverse=True, return_counts=True)
     between = _ridge(s_b)
     within = _ridge(s_w)
 
     for _ in range(n_iter):
         b_inv = np.linalg.inv(between)
         w_inv = np.linalg.inv(within)
-        counts = sorted({n_k for n_k, _, _ in groups})
-        post_cov = {n_k: np.linalg.inv(b_inv + n_k * w_inv) for n_k in counts}
-        sum_y = np.zeros(d)
-        sum_b = np.zeros((d, d))
-        sum_w = np.zeros((d, d))
-        y_means = []
-        for n_k, mu_k, s_k in groups:
-            cov_k = post_cov[n_k]
-            y_k = cov_k @ (b_inv @ mean + n_k * (w_inv @ mu_k))
-            y_means.append((n_k, mu_k, s_k, y_k, cov_k))
-            sum_y += y_k
-        new_mean = sum_y / len(groups)
-        for n_k, mu_k, s_k, y_k, cov_k in y_means:
-            diff = y_k - new_mean
-            sum_b += cov_k + np.outer(diff, diff)
-            resid = mu_k - y_k
-            sum_w += s_k + n_k * (np.outer(resid, resid) + cov_k)
-        mean = new_mean
-        between = _ridge((sum_b + sum_b.T) / (2 * len(groups)), rel=1e-10)
+        rhs = b_inv @ mean + counts[:, None] * (means @ w_inv.T)
+        y = np.empty_like(means)
+        cov_b = np.zeros((d, d))                   # sum over speakers of cov_k
+        cov_w = np.zeros((d, d))                   # sum over speakers of n_k cov_k
+        for j, n_k in enumerate(sizes):
+            cov = np.linalg.inv(b_inv + n_k * w_inv)
+            rows = size_index == j
+            y[rows] = rhs[rows] @ cov.T
+            cov_b += n_of_size[j] * cov
+            cov_w += n_of_size[j] * n_k * cov
+        mean = y.mean(axis=0)
+        diff = y - mean
+        resid = means - y
+        sum_b = cov_b + diff.T @ diff
+        sum_w = scatter + cov_w + (counts[:, None] * resid).T @ resid
+        between = _ridge((sum_b + sum_b.T) / (2 * counts.size), rel=1e-10)
         within = _ridge((sum_w + sum_w.T) / (2 * n_total), rel=1e-10)
 
     return PldaModel(mean, between, within, lda=lda, length_norm=length_norm)

@@ -190,19 +190,34 @@ def save_checkpoint(path, model, *, step: int, epoch: int, config_hash: str,
 
 
 def load_checkpoint(path):
-    """Rebuild the model and return (model, meta)."""
+    """Rebuild the model and return (model, meta).
+
+    The file must hold exactly a ``param.<name>`` and a ``momentum.<name>``
+    array of the parameter's shape for every parameter its architecture
+    implies; anything else raises ValueError naming the file and the array.
+    """
     from .models import model_from_arch_dict
 
     arrays, meta = read_archive(path)
     if meta is None or meta.get("kind") != "checkpoint":
         raise ValueError(f"{path}: not a checkpoint")
+    if "arch" not in meta:
+        raise ValueError(f"{path}: checkpoint lacks metadata key arch")
     model = model_from_arch_dict(meta["arch"])
-    params = {name[len("param."):]: arr for name, arr in arrays.items()
-              if name.startswith("param.")}
-    model.params.load_state(params)
-    for name, arr in arrays.items():
-        if name.startswith("momentum."):
-            model.params.velocity[name[len("momentum."):]] = arr.copy()
+    shapes = {f"{prefix}.{name}": tensor.data.shape for name, tensor in model.params.items()
+              for prefix in ("param", "momentum")}
+    for name in sorted(arrays.keys() | shapes.keys()):
+        if name not in shapes:
+            raise ValueError(f"{path}: array {name} is not part of the architecture")
+        if name not in arrays:
+            raise ValueError(f"{path}: checkpoint lacks array {name}")
+        if arrays[name].shape != shapes[name]:
+            raise ValueError(f"{path}: array {name} has shape {arrays[name].shape}, "
+                             f"architecture needs {shapes[name]}")
+    names = model.params.names()
+    model.params.load_state({name: arrays[f"param.{name}"] for name in names})
+    for name in names:
+        model.params.velocity[name] = arrays[f"momentum.{name}"].copy()
     return model, meta
 
 
@@ -263,8 +278,12 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh)
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    convert = {f.name: {"int": int, "float": float}.get(f.type, str)
+               for f in fields(ExperimentConfig)}
     kwargs = {}
     for section, keys in ExperimentConfig._SECTIONS.items():
         if not parser.has_section(section):
@@ -272,14 +291,10 @@ def load_config(path) -> ExperimentConfig:
         for key in parser[section]:
             if key not in keys:
                 raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
-            raw = parser[section][key]
-            kind = types[key]
-            if kind == "int":
-                kwargs[key] = int(raw)
-            elif kind == "float":
-                kwargs[key] = float(raw)
-            else:
-                kwargs[key] = raw
+            try:
+                kwargs[key] = convert[key](parser[section][key])
+            except (configparser.Error, ValueError) as exc:   # bad '%' syntax or number
+                raise ValueError(f"{path}: [{section}] {key}: {exc}") from exc
     return ExperimentConfig(**kwargs)
 
 

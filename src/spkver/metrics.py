@@ -66,14 +66,10 @@ def detection_points(target_scores, nontarget_scores):
     tgt = np.sort(np.asarray(target_scores, dtype=np.float64))
     non = np.sort(np.asarray(nontarget_scores, dtype=np.float64))
     thresholds = np.unique(np.concatenate([tgt, non]))[::-1]
-    p_fa = [0.0]
-    p_miss = [1.0]
-    for th in thresholds:
-        n_tgt_ge = tgt.size - np.searchsorted(tgt, th, side="left")
-        n_non_ge = non.size - np.searchsorted(non, th, side="left")
-        p_fa.append(n_non_ge / non.size)
-        p_miss.append(1.0 - n_tgt_ge / tgt.size)
-    return np.asarray(p_fa), np.asarray(p_miss)
+    n_tgt_ge = tgt.size - np.searchsorted(tgt, thresholds, side="left")
+    n_non_ge = non.size - np.searchsorted(non, thresholds, side="left")
+    return (np.concatenate([[0.0], n_non_ge / non.size]),
+            np.concatenate([[1.0], 1.0 - n_tgt_ge / tgt.size]))
 
 
 def _validated_split(score_set: ScoreSet):

@@ -93,6 +93,9 @@ class ExtractorModel:
     depth_name: str = ""
 
     def __post_init__(self):
+        n_pool = sum(layer.kind == "stats_pool" for layer in self.layers)
+        if n_pool != 1:
+            raise ValueError(f"architecture has {n_pool} stats_pool layers, needs exactly one")
         for layer in self.frame_layers():
             if _KINDS[layer.kind].reach is None:
                 raise ValueError(f"layer {layer.name}: {layer.kind} cannot run on frames")

@@ -1,11 +1,13 @@
 """Backend contracts: scoring identities, triplet-loss oracles and
 gradients, mining against a full-sort oracle, the shared validation pair
-sampler, LDA/PLDA oracles."""
+sampler, LDA/PLDA oracles, and the array scatter and PLDA EM against
+per-speaker loop oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 from scipy.stats import multivariate_normal
 
 from spkver import backend as bk
@@ -155,7 +157,7 @@ def test_triplet_loss_empty_rejected():
 def test_mine_triplets_small_exhaustive():
     emb = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]])
     labels = np.array(["a", "a", "b", "b"])
-    got = set(mine_triplets(emb, labels, CsmlTransform.identity(2), n_hard=2))
+    got = set(map(tuple, mine_triplets(emb, labels, CsmlTransform.identity(2), n_hard=2).tolist()))
     expected = set()
     for i in range(4):
         for p in range(4):
@@ -214,6 +216,24 @@ def test_mine_triplets_permutation_invariant_as_set():
     other = {(tuple(emb2[a]), tuple(emb2[p]), tuple(emb2[n]))
              for a, p, n in mine_triplets(emb2, labels2, eye, n_hard=4)}
     assert base == other
+
+
+def test_mine_triplets_rows_in_loop_order():
+    """Anchor by anchor, positive-major, negatives in score order: the order
+    ``train_csml`` subsamples from."""
+    rng = np.random.default_rng(24)
+    emb = rng.standard_normal((14, 3))
+    labels = np.array([2, 0, 1, 0, 2, 3, 0, 1, 4, 2, 0, 1, 3, 0])   # speaker 4 has no partner
+    got = mine_triplets(emb, labels, CsmlTransform.identity(3), n_hard=4)
+    u = emb / np.linalg.norm(emb, axis=1, keepdims=True)
+    expected = []
+    for i in range(14):
+        positives = [p for p in range(14) if p != i and labels[p] == labels[i]]
+        negatives = sorted((n for n in range(14) if labels[n] != labels[i]),
+                           key=lambda n: (-(u[i] @ u[n]), n))[:4]
+        expected += [(i, p, n) for p in positives for n in negatives]
+    assert got.shape == (len(expected), 3) and got.dtype.kind == "i"
+    assert got.tolist() == [list(t) for t in expected]
 
 
 def test_mine_triplets_insufficient_positives():
@@ -381,7 +401,7 @@ def test_lda_beats_random_projections():
         """Between/within ratio of the projected data, trace of
         (P S_w P^T)^-1 (P S_b P^T)."""
         z = emb @ p.T
-        s_w, s_b, _, _ = bk._scatter_matrices(z, labels)
+        s_w, s_b = bk._scatter_matrices(z, labels)[:2]
         return np.trace(np.linalg.solve(s_w, s_b))
 
     ours = ratio(proj.matrix)
@@ -492,6 +512,79 @@ def test_plda_fit_requires_multisample_classes():
     emb = rng.standard_normal((3, 4))
     with pytest.raises(ValueError, match="2 classes"):
         plda_fit(emb, np.array([0, 1, 2]))
+
+
+def loop_scatter_matrices(e, labels):
+    """Per-speaker loop oracle for ``_scatter_matrices``: (s_w, s_b, mean)."""
+    n, d = e.shape
+    mean = e.mean(axis=0)
+    s_w, s_b = np.zeros((d, d)), np.zeros((d, d))
+    for c in np.unique(labels):
+        members = e[labels == c]
+        mu_c = members.mean(axis=0)
+        s_w += (members - mu_c).T @ (members - mu_c)
+        s_b += len(members) * np.outer(mu_c - mean, mu_c - mean)
+    return s_w / n, s_b / n, mean
+
+
+def loop_plda_fit(e, labels, n_iter, lda_dim=None):
+    """Per-speaker EM oracle for ``plda_fit`` with length norm: one posterior
+    covariance inverted per speaker.  Returns (mean, between, within, lda)."""
+    e = e / np.linalg.norm(e, axis=1, keepdims=True)
+    lda = None
+    if lda_dim is not None:
+        s_w, s_b, _ = loop_scatter_matrices(e, labels)
+        vals, vecs = eigh(s_b, s_w)
+        lda = vecs[:, np.argsort(vals)[::-1][:lda_dim]].T
+        e = e @ lda.T
+    groups = []
+    for c in np.unique(labels):
+        members = e[labels == c]
+        mu_c = members.mean(axis=0)
+        groups.append((len(members), mu_c, (members - mu_c).T @ (members - mu_c)))
+    s_w, s_b, mean = loop_scatter_matrices(e, labels)
+    between, within = bk._ridge(s_b), bk._ridge(s_w)
+    for _ in range(n_iter):
+        b_inv, w_inv = np.linalg.inv(between), np.linalg.inv(within)
+        post = []
+        for n_k, mu_k, s_k in groups:
+            cov = np.linalg.inv(b_inv + n_k * w_inv)
+            post.append((n_k, mu_k, s_k, cov @ (b_inv @ mean + n_k * (w_inv @ mu_k)), cov))
+        mean = sum(y for _, _, _, y, _ in post) / len(groups)
+        sum_b = sum(cov + np.outer(y - mean, y - mean) for _, _, _, y, cov in post)
+        sum_w = sum(s_k + n_k * (np.outer(mu_k - y, mu_k - y) + cov)
+                    for n_k, mu_k, s_k, y, cov in post)
+        between = bk._ridge((sum_b + sum_b.T) / (2 * len(groups)), rel=1e-10)
+        within = bk._ridge((sum_w + sum_w.T) / (2 * len(e)), rel=1e-10)
+    return mean, between, within, lda
+
+
+def assert_rel_close(got, expected, rel=1e-10):
+    assert np.abs(got - expected).max() <= rel * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("lda_dim", [None, 4])
+def test_scatter_and_plda_fit_match_per_speaker_loop_oracle(lda_dim):
+    rng = np.random.default_rng(23)
+    sizes = np.tile(np.arange(1, 7), 5)                 # 30 speakers of 1 to 6 samples
+    labels = rng.permutation(np.repeat([f"spk{k:02d}" for k in range(sizes.size)], sizes))
+    centers = 2.0 * rng.standard_normal((sizes.size, 8))
+    codes = np.unique(labels, return_inverse=True)[1]
+    emb = centers[codes] + 0.5 * rng.standard_normal((labels.size, 8))
+
+    s_w, s_b, mean, counts, _ = bk._scatter_matrices(emb, labels)
+    for got, expected in zip((s_w, s_b, mean), loop_scatter_matrices(emb, labels)):
+        assert_rel_close(got, expected)
+    assert np.array_equal(counts, np.unique(labels, return_counts=True)[1])
+
+    model = plda_fit(emb, labels, n_iter=6, lda_dim=lda_dim)
+    mean, between, within, lda = loop_plda_fit(emb, labels, 6, lda_dim)
+    assert_rel_close(model.mean, mean)
+    assert_rel_close(model.between, between)
+    assert_rel_close(model.within, within)
+    assert (model.lda is None) == (lda is None)
+    if lda is not None:
+        assert_rel_close(model.lda.matrix, lda)
 
 
 def test_plda_with_lda_preprocessing():

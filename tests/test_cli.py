@@ -8,6 +8,7 @@ from spkver import backend as bk
 from spkver import formats as fm
 from spkver import frontend as fe
 from spkver import metrics as mt
+from spkver import models as md
 from spkver.cli import main
 
 
@@ -90,6 +91,20 @@ def test_train_epochs_zero_emits_loadable_checkpoint(capsys, toy_dir, tmp_path):
     assert code == 0, err
     emb = fm.read_embeddings(emb_path)
     assert len(emb) == 18
+
+
+def test_extract_checkpoint_with_extra_momentum_exits_2(capsys, toy_dir, tmp_path):
+    ckpt = tmp_path / "extra.ckpt"
+    fm.save_checkpoint(ckpt, md.build_maxpool_net(n_spk=3, width_scale=0.125),
+                       step=0, epoch=0, config_hash="")
+    arrays, meta = fm.read_archive(ckpt)
+    arrays["momentum.bogus"] = np.zeros(2)
+    fm.write_archive(ckpt, arrays, meta, dtype="f8")
+    code, _, err = run(capsys, "extract", "--checkpoint", str(ckpt),
+                       "--features", str(toy_dir / "corpus" / "feats.bin"),
+                       "--out", str(tmp_path / "emb.bin"))
+    assert code == 2 and "extra.ckpt: array momentum.bogus" in err
+    assert not (tmp_path / "emb.bin").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow is the point

@@ -1,11 +1,14 @@
 """File-format round-trips, byte stability, checkpoint reload fidelity,
 and config parsing."""
 
+import re
+
 import numpy as np
 import pytest
 
 from spkver import formats as fm
 from spkver import models as md
+from spkver.cli import main
 
 
 def test_archive_roundtrip_and_byte_stability(tmp_path):
@@ -120,6 +123,32 @@ def test_checkpoint_roundtrip_bit_identical_forward(tmp_path):
                           model.params.velocity["frame1.w"])
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda arrays, meta: meta.pop("arch"), "checkpoint lacks metadata key arch"),
+    (lambda arrays, meta: arrays.pop("param.frame1.b"), "checkpoint lacks array param.frame1.b"),
+    (lambda arrays, meta: arrays.pop("momentum.block1.td2.w"),
+     "checkpoint lacks array momentum.block1.td2.w"),
+    (lambda arrays, meta: arrays.update({"momentum.frame1.b": np.zeros(3)}),
+     "array momentum.frame1.b has shape (3,), architecture needs (16,)"),
+    (lambda arrays, meta: arrays.update({"param.classifier.w": arrays["param.classifier.w"].T}),
+     "array param.classifier.w has shape (3, 64), architecture needs (64, 3)"),
+    (lambda arrays, meta: arrays.update({"momentum.bogus": np.zeros(2)}),
+     "array momentum.bogus is not part of the architecture"),
+    (lambda arrays, meta: arrays.update({"notes": np.zeros(2)}),
+     "array notes is not part of the architecture"),
+], ids=["no-arch", "missing-param", "missing-momentum", "misshaped-momentum",
+        "misshaped-param", "extra-momentum", "extra-array"])
+def test_checkpoint_arrays_must_match_architecture(tmp_path, edit, message):
+    path = tmp_path / "edited.ckpt"
+    fm.save_checkpoint(path, md.build_res_net(1, n_spk=3, width_scale=0.125),
+                       step=0, epoch=0, config_hash="")
+    arrays, meta = fm.read_archive(path)
+    edit(arrays, meta)
+    fm.write_archive(path, arrays, meta, dtype="f8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        fm.load_checkpoint(path)
+
+
 def test_checkpoint_write_is_deterministic(tmp_path):
     model = md.build_maxpool_net(n_spk=3, width_scale=0.125, seed=5)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -160,6 +189,25 @@ segment_max_s = 4.0
     (tmp_path / "bad.ini").write_text("[model]\nnot_a_key = 3\n")
     with pytest.raises(ValueError, match="unknown key"):
         fm.load_config(tmp_path / "bad.ini")
+
+
+@pytest.mark.parametrize("text", [
+    "[model]\narch = resnet\n[model]\nwidth_scale = 0.5\n",
+    "[model]\narch = resnet\narch = maxpool\n",
+    "arch = resnet\n",
+    "[optimizer]\nlearning_rate = 5%\n",
+    "[optimizer]\nepochs = three\n",
+], ids=["duplicate-section", "duplicate-key", "no-section-header", "bad-interpolation",
+        "bad-number"])
+def test_malformed_config_names_path_and_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+        fm.load_config(path)
+    missing = str(tmp_path / "missing")
+    assert main(["train", "--config", str(path), "--features", missing,
+                 "--utt2spk", missing, "--out", missing]) == 2
+    assert f"spkver: {path}: " in capsys.readouterr().err
 
 
 def test_config_dump_reparses(tmp_path):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spkver.metrics import (DcfParams, ScoreSet, Trial, compute_eer,
-                            compute_min_dcf, parse_scores, parse_trials,
-                            write_scores, write_trials)
+                            compute_min_dcf, detection_points, parse_scores,
+                            parse_trials, write_scores, write_trials)
 
 
 def make_set(target_scores, nontarget_scores):
@@ -26,7 +26,7 @@ def oracle_operating_points(tgt, non):
     points = [(0.0, 1.0)]
     for th in sorted(set(np.concatenate([tgt, non])), reverse=True):
         p_fa = float(np.mean(non >= th))
-        p_miss = float(np.mean(tgt < th))
+        p_miss = 1.0 - float(np.mean(tgt >= th))
         points.append((p_fa, p_miss))
     return points
 
@@ -78,9 +78,14 @@ def test_eer_and_dcf_match_oracle_random_sets():
         n_n = int(rng.integers(1, 200))
         tgt = rng.normal(1.0, 1.0, size=n_t)
         non = rng.normal(0.0, 1.0, size=n_n)
-        if rng.random() < 0.3:                     # force ties
+        if rng.random() < 0.3:                     # force ties, +0 and -0 among them
             tgt = np.round(tgt, 1)
             non = np.round(non, 1)
+            tgt[::3] = -0.0
+            non[::3] = 0.0
+            non[1::5] = -0.0
+        p_fa, p_miss = detection_points(tgt, non)
+        assert list(zip(p_fa.tolist(), p_miss.tolist())) == oracle_operating_points(tgt, non)
         s = make_set(tgt, non)
         assert compute_eer(s) == pytest.approx(oracle_eer(tgt, non), abs=1e-12)
         for p in (0.01, 0.001):

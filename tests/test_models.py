@@ -366,7 +366,10 @@ def test_checkpoint_with_mismatched_block_width_names_block(tmp_path):
     (lambda layers: layers.insert(0, layers.pop(-3)),
      "layer segment6: affine_mfm cannot run on frames"),
     (lambda layers: layers.pop(), "last layer segment7 is not a classifier"),
-], ids=["unknown-kind", "segment-layer-on-frames", "no-classifier"])
+    (lambda layers: layers.pop(8), "architecture has 0 stats_pool layers"),
+    (lambda layers: layers.insert(8, dict(layers[8])), "architecture has 2 stats_pool layers"),
+], ids=["unknown-kind", "segment-layer-on-frames", "no-classifier", "no-stats-pool",
+        "two-stats-pools"])
 def test_malformed_architecture_rejected_at_load(edit, message):
     arch = md.build_maxpool_net(n_spk=3, width_scale=0.125).arch_dict()
     edit(arch["layers"])
