@@ -7,9 +7,9 @@ LDA, and a two-covariance PLDA with closed-form likelihood-ratio scoring.
 One scoring path serves trial lists, the validation pairs of
 ``all_pairs_eer`` and the per-pair ``*_score`` functions: ``scoring_rows``
 preprocesses each utterance once (unit rows for cosine, model ``None``;
-transformed unit rows for CSML; length-norm and LDA for PLDA), and
-``score_pairs`` scores index pairs of those rows ``SCORE_BLOCK`` trials at
-a time, so memory stays O(SCORE_BLOCK * d) however long the trial list.
+transformed unit rows for CSML; for PLDA, length-norm, LDA and the basis that
+diagonalises both covariances), and ``score_pairs`` scores index pairs of those
+rows, one dot product each, ``SCORE_BLOCK`` trials at a time (O(block * d) memory).
 A zero-norm embedding raises "degenerate embedding: zero norm".
 """
 
@@ -413,7 +413,7 @@ def _gaussian_logpdf(x_centered: np.ndarray, chol_lower: np.ndarray) -> np.ndarr
 
 
 def plda_score_many(model: PldaModel, enroll, test, preprocess: bool = True) -> np.ndarray:
-    """Log-likelihood ratio log p(pair | same) - log p(pair | different)."""
+    """LLR log p(pair | same) - log p(pair | different), the reference for ``score_pairs``."""
     e1 = np.atleast_2d(np.asarray(enroll, dtype=np.float64))
     e2 = np.atleast_2d(np.asarray(test, dtype=np.float64))
     if preprocess:
@@ -436,23 +436,32 @@ def plda_score_many(model: PldaModel, enroll, test, preprocess: bool = True) -> 
 
 
 def scoring_rows(model, embeddings) -> np.ndarray:
-    """Rows for ``score_pairs``; ``model``: None (cosine), CSML transform or PLDA."""
+    """Rows for ``score_pairs``; ``model``: None (cosine), CSML transform or PLDA.
+    PLDA rows are u sqrt(psi / (2 psi + 1)) and a last column, the utterance's own
+    LLR term, where u = (x - mean) V, V^T within V = I, V^T between V = diag(psi)."""
     e = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     if model is None:
         return length_normalize(e)
-    if isinstance(model, PldaModel):
-        return plda_preprocess(model, e)
-    return _transformed_unit_rows(model, e)[3]
+    if not isinstance(model, PldaModel):
+        return _transformed_unit_rows(model, e)[3]
+    psi, v = eigh(model.between, model.within)
+    if np.any(psi < 0):
+        raise ValueError("PLDA between covariance has a negative generalized eigenvalue")
+    u = (plda_preprocess(model, e) - model.mean) @ v
+    q = (-0.5 * psi ** 2 / ((psi + 1) * (2 * psi + 1)) * u ** 2).sum(axis=1) \
+        + 0.25 * np.log((psi + 1) ** 2 / (2 * psi + 1)).sum()
+    return np.column_stack([u * np.sqrt(psi / (2 * psi + 1)), q])
 
 
 def score_pairs(model, rows, enroll_idx, test_idx) -> np.ndarray:
-    """Scores of the trials (rows[enroll_idx[k]], rows[test_idx[k]]) of ``scoring_rows``."""
+    """Scores of the trials (rows[enroll_idx[k]], rows[test_idx[k]]) of ``scoring_rows``:
+    row-wise dots, for PLDA of all but the last column plus both last columns."""
     enroll_idx, test_idx = np.asarray(enroll_idx), np.asarray(test_idx)
     out = np.empty(enroll_idx.size)
     for lo in range(0, out.size, SCORE_BLOCK):
         block = slice(lo, lo + SCORE_BLOCK)
         r1, r2 = rows[enroll_idx[block]], rows[test_idx[block]]
-        out[block] = (plda_score_many(model, r1, r2, preprocess=False)
+        out[block] = ((r1[:, :-1] * r2[:, :-1]).sum(axis=1) + (r1[:, -1] + r2[:, -1])
                       if isinstance(model, PldaModel) else (r1 * r2).sum(axis=1))
     return out
 
@@ -495,7 +504,8 @@ def load_backend(path, kind: str):
     """Read the ``save_backend`` file of ``kind`` "csml" or "plda".
 
     Raises ValueError naming the file when its kind differs or an array or
-    metadata key the kind needs is missing.
+    metadata key the kind needs is missing, and the array too when a PLDA array
+    is mis-shaped, not finite, not symmetric or not (semi)definite.
     """
     arrays, meta = fm.read_archive(path)
     what = "cosine transform" if kind == "csml" else "PLDA model"
@@ -511,6 +521,22 @@ def load_backend(path, kind: str):
         return CsmlTransform(arrays["transform"])
     if "length_norm" not in meta:
         raise ValueError(f"{path}: {what} file lacks metadata key length_norm")
+    d = (arrays["within"].shape or (0,))[0]
+    shapes = {"mean": (d,), "between": (d, d), "within": (d, d)}
+    if "lda" in arrays:
+        shapes.update(lda=(d, *arrays["lda"].shape[-1:]), lda_eigenvalues=(d,))
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape or not np.all(np.isfinite(arrays[name])):
+            raise ValueError(f"{path}: array {name} must be finite, of shape {shape}")
+    for name, a in (("within", arrays["within"]), ("between", arrays["between"])):
+        if np.abs(a - a.T).max(initial=0.0) > 1e-10 * np.abs(a).max(initial=0.0):
+            raise ValueError(f"{path}: array {name} is not symmetric")
+        try:
+            cholesky(a)
+        except np.linalg.LinAlgError:   # a singular between is allowed, an indefinite one not
+            if name == "within" or np.linalg.eigvalsh(a)[0] < 0:
+                raise ValueError(f"{path}: array {name} is not positive "
+                                 f"{'' if name == 'within' else 'semi-'}definite") from None
     lda = LdaProjection(arrays["lda"], arrays["lda_eigenvalues"]) if "lda" in arrays else None
     return PldaModel(arrays["mean"], arrays["between"], arrays["within"],
                      lda=lda, length_norm=meta["length_norm"])

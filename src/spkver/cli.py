@@ -83,6 +83,9 @@ def _cmd_train(args) -> int:
     resume = None
     if args.resume:
         model, ck_meta = fm.load_checkpoint(args.resume)
+        for key in ("config_hash", "step", "epoch", "rng_state"):
+            if ck_meta.get(key) is None:
+                raise CliError(f"{args.resume}: checkpoint lacks metadata key {key}")
         if ck_meta["config_hash"] != cfg.config_hash():
             raise CliError("checkpoint was produced by a different configuration")
         resume = {"model": model, "meta": ck_meta}

@@ -285,9 +285,10 @@ def load_config(path) -> ExperimentConfig:
     convert = {f.name: {"int": int, "float": float}.get(f.type, str)
                for f in fields(ExperimentConfig)}
     kwargs = {}
-    for section, keys in ExperimentConfig._SECTIONS.items():
-        if not parser.has_section(section):
-            continue
+    for section in parser.sections():
+        keys = ExperimentConfig._SECTIONS.get(section)
+        if keys is None:
+            raise ValueError(f"{path}: unknown section [{section}]")
         for key in parser[section]:
             if key not in keys:
                 raise ValueError(f"{path}: unknown key {key!r} in [{section}]")

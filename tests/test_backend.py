@@ -1,7 +1,8 @@
 """Backend contracts: scoring identities, triplet-loss oracles and
 gradients, mining against a full-sort oracle, the shared validation pair
-sampler, LDA/PLDA oracles, and the array scatter and PLDA EM against
-per-speaker loop oracles."""
+sampler, LDA/PLDA oracles, the array scatter and PLDA EM against
+per-speaker loop oracles, and PLDA scoring in diagonal form against the
+joint-Gaussian reference ``plda_score_many``."""
 
 import numpy as np
 import pytest
@@ -593,3 +594,79 @@ def test_plda_with_lda_preprocessing():
     model = plda_fit(emb, labels, n_iter=8, lda_dim=4)
     assert model.lda is not None and model.lda.out_dim == 4
     assert np.isfinite(plda_score(model, emb[0], emb[1]))
+
+
+# ---------------------------------------------------------------------------
+# PLDA scoring in diagonal form against the joint-Gaussian reference
+
+
+def random_plda_model(rng, d, lda_in=None, length_norm=False):
+    """Random non-isotropic between/within covariances; with ``lda_in``, an
+    LDA projection from ``lda_in`` dimensions down to d."""
+    def spd(scale):
+        a = rng.standard_normal((d, d + 2))
+        return scale * (a @ a.T) / d + np.diag(rng.uniform(0.05, 0.5, d))
+    lda = None
+    if lda_in is not None:
+        lda = LdaProjection(rng.standard_normal((d, lda_in)), np.sort(rng.uniform(0, 5, d))[::-1])
+    return PldaModel(rng.standard_normal(d), spd(rng.uniform(0.2, 3.0)), spd(1.0),
+                     lda=lda, length_norm=length_norm)
+
+
+def assert_matches_reference_and_symmetric(model, emb, enroll_idx, test_idx):
+    """``score_pairs`` on ``scoring_rows`` agrees with ``plda_score_many`` to 1e-9
+    relative (scaled by max(1, |ref|)) and is exactly symmetric in the pair."""
+    rows = bk.scoring_rows(model, emb)
+    got = bk.score_pairs(model, rows, enroll_idx, test_idx)
+    ref = bk.plda_score_many(model, emb[enroll_idx], emb[test_idx])
+    assert np.all(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)) <= 1e-9)
+    assert np.array_equal(got, bk.score_pairs(model, rows, test_idx, enroll_idx))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 12, 20])
+@pytest.mark.parametrize("length_norm", [False, True])
+@pytest.mark.parametrize("with_lda", [False, True])
+def test_plda_diagonal_form_matches_joint_gaussian_reference(d, length_norm, with_lda):
+    rng = np.random.default_rng(100 + d)
+    in_dim = d + 4 if with_lda else d
+    model = random_plda_model(rng, d, lda_in=in_dim if with_lda else None,
+                              length_norm=length_norm)
+    emb = 1.5 * rng.standard_normal((30, in_dim))
+    assert_matches_reference_and_symmetric(model, emb, *rng.integers(0, 30, size=(2, 200)))
+
+
+def test_plda_diagonal_form_across_score_blocks(monkeypatch):
+    monkeypatch.setattr(bk, "SCORE_BLOCK", 16)     # 250 trials: 15 full blocks and 10
+    rng = np.random.default_rng(120)
+    model = random_plda_model(rng, 9, lda_in=12, length_norm=True)
+    emb = rng.standard_normal((40, 12))
+    assert_matches_reference_and_symmetric(model, emb, *rng.integers(0, 40, size=(2, 250)))
+
+
+def test_indefinite_between_rejected_at_load_and_at_scoring(tmp_path):
+    """With ``within`` positive definite, a negative eigenvalue of ``between`` is a
+    negative generalized eigenvalue (Sylvester's law of inertia)."""
+    path = tmp_path / "plda.bin"
+    model = PldaModel(np.zeros(3), np.diag([1.0, -0.2, 2.0]), 2.0 + np.eye(3),
+                      length_norm=False)
+    assert eigh(model.between, model.within, eigvals_only=True)[0] < 0
+    with pytest.raises(ValueError, match="between covariance has a negative generalized"):
+        bk.scoring_rows(model, np.ones((2, 3)))
+    bk.save_backend(path, model)
+    with pytest.raises(ValueError, match="plda.bin: array between is not positive semi-definite"):
+        bk.load_backend(path, "plda")
+    model.between[1, 1] = 0.0                      # semi-definite is allowed
+    bk.save_backend(path, model)
+    assert np.array_equal(bk.load_backend(path, "plda").between, model.between)
+
+
+def test_score_pairs_never_calls_the_reference(monkeypatch):
+    rng = np.random.default_rng(121)
+    model = random_plda_model(rng, 5)
+    rows = bk.scoring_rows(model, rng.standard_normal((6, 5)))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("plda_score_many on the scoring path")
+    monkeypatch.setattr(bk, "plda_score_many", fail)
+    monkeypatch.setattr(bk, "_gaussian_logpdf", fail)
+    assert np.all(np.isfinite(bk.score_pairs(model, rows, [0, 1, 2], [3, 4, 5])))

@@ -372,3 +372,56 @@ def test_score_truncated_embeddings_exits_2(capsys, tmp_path):
                        "--embeddings", str(emb_path), "--trials", str(trials_path),
                        "--out", str(tmp_path / "s.txt"))
     assert code == 2 and "emb.bin: truncated archive" in err
+
+
+def _plda_arrays():
+    """A valid 3-dimensional PLDA model over 2-dimensional embeddings."""
+    return {"mean": np.zeros(3), "between": np.diag([1.0, 2.0, 3.0]),
+            "within": np.eye(3) + 0.1, "lda": np.arange(6.0).reshape(3, 2) - 2.0,
+            "lda_eigenvalues": np.array([3.0, 2.0, 1.0])}
+
+
+@pytest.mark.parametrize("name,edit", [
+    ("within", lambda a: -np.eye(3)),
+    ("between", lambda a: a + np.triu(np.ones_like(a), 1)),
+    ("between", lambda a: a[:2, :2]),
+    ("mean", lambda a: a[:2]),
+    ("lda", lambda a: a[:2]),
+    ("between", lambda a: a * np.array([1.0, np.nan, 1.0])),
+], ids=["within-negative-definite", "between-asymmetric", "between-too-small",
+        "mean-too-short", "lda-too-few-rows", "between-nan"])
+def test_score_malformed_plda_model_exits_2(capsys, tmp_path, name, edit):
+    emb_path, trials_path = _two_utterance_inputs(tmp_path)
+    model_path = tmp_path / "plda.bin"
+    arrays = _plda_arrays()
+    argv = ["score", "--backend", "plda", "--model", str(model_path),
+            "--embeddings", str(emb_path), "--trials", str(trials_path),
+            "--out", str(tmp_path / "s.txt")]
+    fm.write_archive(model_path, arrays, {"kind": "plda", "length_norm": True}, dtype="f8")
+    assert run(capsys, *argv)[0] == 0
+    (tmp_path / "s.txt").unlink()
+    arrays[name] = edit(arrays[name])
+    fm.write_archive(model_path, arrays, {"kind": "plda", "length_norm": True}, dtype="f8")
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and f"spkver: {model_path}: array {name} " in err
+    assert not (tmp_path / "s.txt").exists()
+
+
+@pytest.mark.parametrize("key", ["config_hash", "step", "epoch", "rng_state"])
+def test_resume_checkpoint_missing_metadata_key_exits_2(capsys, toy_dir, tmp_path, key):
+    corpus = toy_dir / "corpus"
+    cfg_path = tmp_path / "exp.ini"
+    write_toy_config(cfg_path, epochs=0)
+    ckpt = tmp_path / "init.ckpt"
+    train = ["train", "--config", str(cfg_path), "--features", str(corpus / "feats.bin"),
+             "--utt2spk", str(corpus / "utt2spk.txt")]
+    resume = [*train, "--out", str(tmp_path / "next.ckpt"), "--resume", str(ckpt)]
+    code, _, err = run(capsys, *train, "--out", str(ckpt))
+    assert code == 0, err
+    assert run(capsys, *resume)[0] == 0
+    arrays, meta = fm.read_archive(ckpt)
+    del meta[key]
+    fm.write_archive(ckpt, arrays, meta, dtype="f8")
+    code, _, err = run(capsys, *resume)
+    assert code == 2
+    assert f"spkver: {ckpt}: checkpoint lacks metadata key {key}" in err

@@ -197,8 +197,9 @@ segment_max_s = 4.0
     "arch = resnet\n",
     "[optimizer]\nlearning_rate = 5%\n",
     "[optimizer]\nepochs = three\n",
+    "[optimiser]\nlearning_rate = 1e9\n",
 ], ids=["duplicate-section", "duplicate-key", "no-section-header", "bad-interpolation",
-        "bad-number"])
+        "bad-number", "unknown-section"])
 def test_malformed_config_names_path_and_exits_2(tmp_path, capsys, text):
     path = tmp_path / "bad.ini"
     path.write_text(text)
