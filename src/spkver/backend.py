@@ -22,7 +22,7 @@ from scipy.linalg import cholesky, eigh, solve_triangular
 from scipy.special import expit
 
 from . import formats as fm
-from .metrics import ScoreSet, Trial, compute_eer
+from .metrics import ScoreSet, compute_eer
 
 SCORE_BLOCK = 4096         # trials per block of ``score_pairs``
 
@@ -442,6 +442,12 @@ def scoring_rows(model, embeddings) -> np.ndarray:
     e = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     if model is None:
         return length_normalize(e)
+    if isinstance(model, PldaModel):
+        width = model.mean.size if model.lda is None else model.lda.matrix.shape[1]
+    else:
+        width = np.shape(model.matrix if isinstance(model, CsmlTransform) else model)[1]
+    if e.shape[1] != width:
+        raise ValueError(f"model input width {width} differs from embedding width {e.shape[1]}")
     if not isinstance(model, PldaModel):
         return _transformed_unit_rows(model, e)[3]
     psi, v = eigh(model.between, model.within)
@@ -482,9 +488,8 @@ def all_pairs_eer(model, embeddings, labels, rng, max_trials: int) -> float:
     if i.size > max_trials:
         keep = np.sort(rng.choice(i.size, size=max_trials, replace=False))
         i, j = i[keep], j[keep]
-    same = (labels[i] == labels[j]).tolist()
     scores = score_pairs(model, scoring_rows(model, embeddings), i, j)
-    return compute_eer(ScoreSet([Trial("", "", t) for t in same], scores))
+    return compute_eer(ScoreSet(labels[i] == labels[j], scores))
 
 
 def save_backend(path, model) -> None:

@@ -147,10 +147,18 @@ def _cmd_backend_train(args) -> int:
     return 0
 
 
+def _parse_text_file(path, parse):
+    """``parse`` of the UTF-8 text of ``path``; a ValueError names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except ValueError as exc:                 # UnicodeDecodeError included
+        raise CliError(f"{path}: {exc}") from exc
+
+
 def _cmd_score(args) -> int:
     embeddings = fm.read_embeddings(args.embeddings)
-    with open(args.trials, encoding="utf-8") as fh:
-        trials = mt.parse_trials(fh.read())
+    trials = _parse_text_file(args.trials, mt.parse_trials)
     if args.backend != "cosine" and not args.model:
         raise CliError(f"--model is required for the {args.backend} backend")
     model = None if args.backend == "cosine" else bk.load_backend(args.model, args.backend)
@@ -165,18 +173,22 @@ def _cmd_score(args) -> int:
         if "mean" not in arrays:
             raise CliError(f"{args.center}: no 'mean' array to center with")
         matrix = bk.center(matrix, arrays["mean"])
-    scores = bk.score_pairs(model, bk.scoring_rows(model, matrix),
-                            [index[t.enroll] for t in trials],
+    try:
+        rows = bk.scoring_rows(model, matrix)
+    except ValueError as exc:
+        if model is None:
+            raise
+        raise CliError(f"{args.model}: {exc}") from exc
+    scores = bk.score_pairs(model, rows, [index[t.enroll] for t in trials],
                             [index[t.test] for t in trials])
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(mt.write_scores(mt.ScoreSet(trials, scores)))
+        fh.write(mt.write_scores(mt.ScoreSet.from_trials(trials, scores)))
     print(f"wrote {len(scores)} scores to {args.out}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    with open(args.scores, encoding="utf-8") as fh:
-        score_set = mt.parse_scores(fh.read())
+    score_set = _parse_text_file(args.scores, mt.parse_scores)
     summary = mt.summarize(score_set, p_targets=tuple(args.p_target))
     print(f"{'metric':<18} value")
     print(f"{'EER':<18} {summary['eer'] * 100:.3f}%")

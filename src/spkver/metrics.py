@@ -1,14 +1,16 @@
 """Verification-trial evaluation: EER and normalized minimum detection cost.
 
-Both metrics sweep thresholds over the distinct score values, treating tied
-scores atomically.  The miss / false-alarm curve is a polyline over those
-operating points; the EER is the crossing of P_miss = P_fa found by linear
-interpolation between adjacent vertices, which makes the result invariant
-under any strictly increasing transform of the scores.
+A ``ScoreSet`` holds trials as columns: a target mask and a score array for
+the metrics, and the enroll and test ids for file I/O only.  Both metrics
+sweep thresholds over the distinct score values, treating tied scores
+atomically; the EER is the crossing of P_miss = P_fa, interpolated linearly
+between adjacent operating points, which makes it invariant under any
+strictly increasing transform of the scores.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,24 +23,36 @@ class Trial(NamedTuple):
     is_target: bool
 
 
-@dataclass
 class ScoreSet:
-    """Trials paired with one finite score each."""
+    """Trials as columns: target mask, finite scores, and ids (blank if not given)."""
 
-    trials: list[Trial]
-    scores: np.ndarray
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        if len(self.trials) != self.scores.shape[0]:
-            raise ValueError("one score per trial required")
-        if self.scores.size and not np.all(np.isfinite(self.scores)):
+    def __init__(self, is_target, scores, enroll: list[str] | None = None,
+                 test: list[str] | None = None):
+        self.is_target = np.asarray(is_target, dtype=bool)
+        self.scores = np.asarray(scores, dtype=np.float64)
+        n = self.scores.size
+        self.enroll = [""] * n if enroll is None else enroll
+        self.test = [""] * n if test is None else test
+        shapes = {self.is_target.shape, self.scores.shape, (len(self.enroll),), (len(self.test),)}
+        if shapes != {(n,)}:
+            raise ValueError("target mask, scores and ids must be 1-D, of one length")
+        if not np.isfinite(self.scores).all():
             raise ValueError("scores must be finite")
 
+    @classmethod
+    def from_trials(cls, trials: list[Trial], scores) -> ScoreSet:
+        return cls([t.is_target for t in trials], scores,
+                   [t.enroll for t in trials], [t.test for t in trials])
+
+    @property
+    def trials(self) -> list[Trial]:
+        return list(map(Trial, self.enroll, self.test, self.is_target.tolist()))
+
     def split(self):
-        is_target = np.fromiter((t.is_target for t in self.trials), dtype=bool,
-                                count=len(self.trials))
-        return self.scores[is_target], self.scores[~is_target]
+        """Target and nontarget scores; there must be at least one of each."""
+        if self.is_target.all() or not self.is_target.any():
+            raise ValueError("degenerate trial set: need at least one target and one nontarget")
+        return self.scores[self.is_target], self.scores[~self.is_target]
 
 
 @dataclass
@@ -72,17 +86,9 @@ def detection_points(target_scores, nontarget_scores):
             np.concatenate([[1.0], 1.0 - n_tgt_ge / tgt.size]))
 
 
-def _validated_split(score_set: ScoreSet):
-    tgt, non = score_set.split()
-    if tgt.size == 0 or non.size == 0:
-        raise ValueError("degenerate trial set: need at least one target and one nontarget")
-    return tgt, non
-
-
 def compute_eer(score_set: ScoreSet) -> float:
     """Equal error rate as a fraction in [0, 0.5]."""
-    tgt, non = _validated_split(score_set)
-    p_fa, p_miss = detection_points(tgt, non)
+    p_fa, p_miss = detection_points(*score_set.split())
     diff = p_miss - p_fa
     k = int(np.argmax(diff <= 0))          # first vertex at or below the crossing
     if diff[k] == 0.0:
@@ -99,10 +105,8 @@ def compute_min_dcf(score_set: ScoreSet, params: DcfParams | None = None) -> flo
     minimized over the operating points and divided by
     min(c_miss * p_target, c_fa * (1 - p_target)).
     """
-    if params is None:
-        params = DcfParams()
-    tgt, non = _validated_split(score_set)
-    p_fa, p_miss = detection_points(tgt, non)
+    params = params or DcfParams()
+    p_fa, p_miss = detection_points(*score_set.split())
     dcf = (params.c_miss * p_miss * params.p_target
            + params.c_fa * p_fa * (1.0 - params.p_target))
     norm = min(params.c_miss * params.p_target, params.c_fa * (1.0 - params.p_target))
@@ -114,22 +118,42 @@ def compute_min_dcf(score_set: ScoreSet, params: DcfParams | None = None) -> flo
 
 _LABELS = {"target": True, "nontarget": False}
 _LABEL_TEXT = {True: "target", False: "nontarget"}
+_FORMATS = {3: "enroll test target|nontarget", 4: "enroll test target|nontarget score"}
+
+
+def _columns(text: str, n_fields: int) -> list:
+    """Enroll ids, test ids, target mask and, in a score file (4 fields), scores of the
+    non-blank lines, from one ``text.split()``; lines are walked only to name a bad one."""
+    fields_per_line = set(map(len, map(str.split, text.splitlines())))
+    tokens = text.split()
+    if not tokens:
+        raise ValueError("no trials")
+    if fields_per_line <= {0, n_fields}:
+        with contextlib.suppress(KeyError, ValueError):   # a bad label, a score float() rejects
+            n = len(tokens) // n_fields
+            is_target = np.fromiter(map(_LABELS.__getitem__, tokens[2::n_fields]), bool, n)
+            scores = [np.fromiter(map(float, tokens[k::n_fields]), np.float64, n)
+                      for k in range(3, n_fields)]
+            if all(np.isfinite(column).all() for column in scores):
+                return [tokens[0::n_fields], tokens[1::n_fields], is_target, *scores]
+    not_finite = []          # named only if no line is malformed or has a bad score
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if parts and (len(parts) != n_fields or parts[2] not in _LABELS):
+            raise ValueError(f"line {lineno}: expected {_FORMATS[n_fields]!r}, got {raw!r}")
+        for score in parts[3:]:
+            try:
+                if not np.isfinite(float(score)):
+                    not_finite.append(f"line {lineno}: score {score!r} is not finite")
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad score {score!r}") from None
+    raise ValueError(not_finite[0])
 
 
 def parse_trials(text: str) -> list[Trial]:
     """Parse "enroll test target|nontarget" lines."""
-    trials: list[Trial] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3 or parts[2] not in _LABELS:
-            raise ValueError(f"line {lineno}: expected 'enroll test target|nontarget', got {raw!r}")
-        trials.append(Trial(parts[0], parts[1], _LABELS[parts[2]]))
-    if not trials:
-        raise ValueError("no trials")
-    return trials
+    enroll, test, is_target = _columns(text, 3)
+    return list(map(Trial, enroll, test, is_target.tolist()))
 
 
 def write_trials(trials: list[Trial]) -> str:
@@ -138,31 +162,14 @@ def write_trials(trials: list[Trial]) -> str:
 
 def write_scores(score_set: ScoreSet) -> str:
     """Trial lines with an appended score column; round-trip exact."""
-    lines = []
-    for trial, score in zip(score_set.trials, score_set.scores):
-        lines.append(f"{trial.enroll} {trial.test} {_LABEL_TEXT[trial.is_target]} {float(score)!r}\n")
-    return "".join(lines)
+    return "".join(f"{e} {t} {_LABEL_TEXT[y]} {s!r}\n" for e, t, y, s in zip(
+        score_set.enroll, score_set.test, score_set.is_target.tolist(), score_set.scores.tolist()))
 
 
 def parse_scores(text: str) -> ScoreSet:
-    trials: list[Trial] = []
-    scores: list[float] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 4 or parts[2] not in _LABELS:
-            raise ValueError(
-                f"line {lineno}: expected 'enroll test target|nontarget score', got {raw!r}")
-        try:
-            scores.append(float(parts[3]))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad score {parts[3]!r}") from exc
-        trials.append(Trial(parts[0], parts[1], _LABELS[parts[2]]))
-    if not trials:
-        raise ValueError("no trials")
-    return ScoreSet(trials, np.asarray(scores))
+    """Parse trial lines with an appended score column."""
+    enroll, test, is_target, scores = _columns(text, 4)
+    return ScoreSet(is_target, scores, enroll, test)
 
 
 def summarize(score_set: ScoreSet, p_targets=(0.01, 0.001)) -> dict[str, float]:

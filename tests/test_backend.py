@@ -310,9 +310,9 @@ def test_all_pairs_eer_scores_sorted_choice_of_row_major_pairs(monkeypatch):
 
     eer = bk.all_pairs_eer(None, emb, labels, np.random.default_rng(4), max_trials=40)
     assert seen == [drawn]
-    oracle = ScoreSet([Trial(str(i), str(j), bool(labels[i] == labels[j])) for i, j in drawn],
-                      [emb[i] @ emb[j] / (np.linalg.norm(emb[i]) * np.linalg.norm(emb[j]))
-                       for i, j in drawn])
+    oracle = ScoreSet.from_trials(
+        [Trial(str(i), str(j), bool(labels[i] == labels[j])) for i, j in drawn],
+        [emb[i] @ emb[j] / (np.linalg.norm(emb[i]) * np.linalg.norm(emb[j])) for i, j in drawn])
     assert eer == compute_eer(oracle)
 
     bk.all_pairs_eer(None, emb, labels, np.random.default_rng(4), max_trials=len(pairs))

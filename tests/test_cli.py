@@ -173,12 +173,37 @@ def test_full_pipeline_matches_library(capsys, toy_dir, tmp_path):
 def test_eval_perfect_fixture_prints_zero(capsys, tmp_path):
     trials = [mt.Trial("a", "b", True), mt.Trial("a", "c", False),
               mt.Trial("d", "e", True), mt.Trial("d", "f", False)]
-    s = mt.ScoreSet(trials, np.array([0.9, 0.1, 0.8, 0.2]))
+    s = mt.ScoreSet.from_trials(trials, np.array([0.9, 0.1, 0.8, 0.2]))
     path = tmp_path / "scores.txt"
     path.write_text(mt.write_scores(s))
     code, out, _ = run(capsys, "eval", "--scores", str(path))
     assert code == 0
     assert "0.000%" in out
+
+
+def test_eval_builds_no_trial_rows(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "scores.txt"
+    path.write_text("a b target 0.9\na c nontarget 0.1\n")
+    monkeypatch.setattr(mt, "Trial", None)            # calling it would raise TypeError
+    code, out, err = run(capsys, "eval", "--scores", str(path))
+    assert code == 0, err
+    assert "0.000%" in out
+
+
+@pytest.mark.parametrize("text,message", [
+    (b"a b target\n", "line 1: expected"),
+    (b"a b target 0.5\nc d nontarget 0.5 x\n", "line 2: expected"),
+    (b"a b maybe 0.5\n", "line 1: expected"),
+    (b"a b target 0.5\nc d nontarget 0.5.1\n", "line 2: bad score '0.5.1'"),
+    (b"a b target 0.5\nc d nontarget nan\n", "line 2: score 'nan' is not finite"),
+    (b"", "no trials"),
+    (b"a b target 0.5\n\xff\n", "'utf-8' codec can't decode"),
+], ids=["3-fields", "5-fields", "bad-label", "bad-float", "nan", "empty", "not-utf-8"])
+def test_eval_malformed_score_file_exits_2_naming_it(capsys, tmp_path, text, message):
+    path = tmp_path / "scores.txt"
+    path.write_bytes(text)
+    code, _, err = run(capsys, "eval", "--scores", str(path))
+    assert code == 2 and f"spkver: {path}: {message}" in err
 
 
 def _score_all_backends(capsys, tmp_path):
@@ -301,6 +326,37 @@ def test_score_names_only_the_missing_utterance(capsys, tmp_path):
                        "--out", str(tmp_path / "s.txt"))
     assert code == 2
     assert "'ghost'" in err and "alpha" not in err
+
+
+def test_score_malformed_trial_file_exits_2_naming_it(capsys, tmp_path):
+    emb_path = tmp_path / "emb.bin"
+    fm.write_embeddings(emb_path, {"a": np.ones(3), "b": np.arange(3.0)})
+    trials_path = tmp_path / "t.txt"
+    trials_path.write_text("a b target\na b maybe\n")
+    code, _, err = run(capsys, "score", "--backend", "cosine",
+                       "--embeddings", str(emb_path), "--trials", str(trials_path),
+                       "--out", str(tmp_path / "s.txt"))
+    assert code == 2 and f"spkver: {trials_path}: line 2: expected" in err
+
+
+@pytest.mark.parametrize("backend,model", [
+    ("csml", bk.CsmlTransform.identity(3)),
+    ("plda", bk.PldaModel(np.zeros(2), np.eye(2), np.eye(2),
+                          lda=bk.LdaProjection(np.eye(2, 3), np.ones(2)))),
+    ("plda", bk.PldaModel(np.zeros(3), np.eye(3), np.eye(3))),
+], ids=["csml", "plda-lda", "plda"])
+def test_score_model_of_other_width_exits_2_naming_it(capsys, tmp_path, backend, model):
+    emb_path = tmp_path / "emb.bin"
+    fm.write_embeddings(emb_path, {"a": np.arange(1.0, 5.0), "b": np.ones(4)})
+    trials_path = tmp_path / "t.txt"
+    trials_path.write_text("a b nontarget\n")
+    model_path = tmp_path / "model.bin"
+    bk.save_backend(model_path, model)
+    code, _, err = run(capsys, "score", "--backend", backend, "--model", str(model_path),
+                       "--embeddings", str(emb_path), "--trials", str(trials_path),
+                       "--out", str(tmp_path / "s.txt"))
+    assert code == 2
+    assert f"spkver: {model_path}: model input width 3 differs from embedding width 4" in err
 
 
 @pytest.mark.parametrize("backend", ["cosine", "csml", "plda"])

@@ -20,7 +20,7 @@ def mean_vector_eer(features, utt2spk):
             denom = np.linalg.norm(va) * np.linalg.norm(vb)
             trials.append(Trial(a, b, utt2spk[a] == utt2spk[b]))
             scores.append(va @ vb / denom)
-    return compute_eer(ScoreSet(trials, np.asarray(scores)))
+    return compute_eer(ScoreSet.from_trials(trials, np.asarray(scores)))
 
 
 def test_same_seed_identical_corpora():

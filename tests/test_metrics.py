@@ -3,7 +3,7 @@ invariance properties and file round-trips."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spkver.metrics import (DcfParams, ScoreSet, Trial, compute_eer,
@@ -14,7 +14,7 @@ from spkver.metrics import (DcfParams, ScoreSet, Trial, compute_eer,
 def make_set(target_scores, nontarget_scores):
     trials = [Trial(f"e{i}", f"t{i}", True) for i in range(len(target_scores))]
     trials += [Trial(f"e{i}", f"u{i}", False) for i in range(len(nontarget_scores))]
-    return ScoreSet(trials, np.concatenate([target_scores, nontarget_scores]))
+    return ScoreSet.from_trials(trials, np.concatenate([target_scores, nontarget_scores]))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def test_eer_and_dcf_match_oracle_random_sets():
 def test_degenerate_trial_set():
     trials = [Trial("a", "b", True)]
     with pytest.raises(ValueError, match="degenerate trial set"):
-        compute_eer(ScoreSet(trials, np.array([0.5])))
+        compute_eer(ScoreSet.from_trials(trials, np.array([0.5])))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,7 @@ def test_scores_roundtrip_exact():
     rng = np.random.default_rng(3)
     trials = [Trial(f"e{i}", f"t{i}", bool(i % 3 == 0)) for i in range(1000)]
     scores = rng.standard_normal(1000) * 1e3
-    s = ScoreSet(trials, scores)
+    s = ScoreSet.from_trials(trials, scores)
     text = write_scores(s)
     back = parse_scores(text)
     assert back.trials == trials
@@ -192,8 +192,170 @@ def test_scores_roundtrip_exact():
 def test_parse_scores_errors():
     with pytest.raises(ValueError, match="line 1"):
         parse_scores("e t target not_a_number\n")
+    with pytest.raises(ValueError, match="line 2: score 'nan' is not finite"):
+        parse_scores("a b target 1\nc d nontarget nan\n")
 
 
 def test_nonfinite_scores_rejected():
     with pytest.raises(ValueError, match="finite"):
-        ScoreSet([Trial("a", "b", True)], np.array([np.inf]))
+        ScoreSet.from_trials([Trial("a", "b", True)], np.array([np.inf]))
+
+
+@pytest.mark.parametrize("columns", [
+    ([True, False], [[0.1, 0.2]]),
+    ([True, False], [0.1]),
+    ([[True, False]], [0.1, 0.2]),
+    ([True, False], [0.1, 0.2], ["a"], ["b", "c"]),
+    ([True, False], [0.1, 0.2], ["a", "b"], ["c"]),
+], ids=["2-D-scores", "short-scores", "2-D-mask", "short-enroll", "short-test"])
+def test_score_set_rejects_columns_of_other_shapes(columns):
+    with pytest.raises(ValueError, match="1-D, of one length"):
+        ScoreSet(*columns)
+
+
+def test_column_built_set_scores_like_trial_rows():
+    rng = np.random.default_rng(4)
+    is_target = rng.random(300) < 0.3
+    scores = np.round(rng.normal(is_target.astype(float), 1.0), 1)   # ties included
+    rows = [Trial(f"e{k}", f"t{k}", bool(y)) for k, y in enumerate(is_target)]
+    by_columns, by_rows = ScoreSet(is_target, scores), ScoreSet.from_trials(rows, scores)
+    assert compute_eer(by_columns) == compute_eer(by_rows)
+    for p in (0.01, 0.001):
+        params = DcfParams(p_target=p)
+        assert compute_min_dcf(by_columns, params) == compute_min_dcf(by_rows, params)
+    assert by_rows.trials == rows and by_columns.trials[0] == Trial("", "", bool(is_target[0]))
+
+
+# ---------------------------------------------------------------------------
+# line-by-line reference parser, writer and split: the oracles of the tokenizer
+
+LABELS = {"target": True, "nontarget": False}
+LABEL_TEXT = {True: "target", False: "nontarget"}
+
+
+def loop_parse_trials(text):
+    trials = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3 or parts[2] not in LABELS:
+            raise ValueError(f"line {lineno}: expected 'enroll test target|nontarget', got {raw!r}")
+        trials.append(Trial(parts[0], parts[1], LABELS[parts[2]]))
+    if not trials:
+        raise ValueError("no trials")
+    return trials
+
+
+def loop_parse_scores(text):
+    """Trials, scores (non-finite ones included) and each trial's line number."""
+    trials, scores, linenos = [], [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 4 or parts[2] not in LABELS:
+            raise ValueError(
+                f"line {lineno}: expected 'enroll test target|nontarget score', got {raw!r}")
+        try:
+            scores.append(float(parts[3]))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad score {parts[3]!r}") from exc
+        trials.append(Trial(parts[0], parts[1], LABELS[parts[2]]))
+        linenos.append(lineno)
+    if not trials:
+        raise ValueError("no trials")
+    return trials, np.asarray(scores), linenos
+
+
+def loop_write_scores(trials, scores):
+    lines = []
+    for trial, score in zip(trials, scores):
+        lines.append(f"{trial.enroll} {trial.test} {LABEL_TEXT[trial.is_target]} {float(score)!r}\n")
+    return "".join(lines)
+
+
+def loop_split(trials, scores):
+    is_target = np.fromiter((t.is_target for t in trials), dtype=bool, count=len(trials))
+    return scores[is_target], scores[~is_target]
+
+
+FIELD_TEXT = {
+    "id": ["a", "spk_01-u2", "é", "x.y", "target", "1.5"],
+    "label": ["target", "nontarget"],
+    "score": ["0.25", "1e3", "-0.0", "+.5", "1_0", "1e999", "٣", "inf", "nan"],
+}
+BAD_FIELD_TEXT = {"id": [], "label": ["Target", "maybe"], "score": ["1__0", "0x1", "abc"]}
+LINE_ENDS = ["\n", "\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"]
+GAPS = [" ", " ", "  ", "\t", " \t", "\xa0", "\u3000"]
+
+
+@st.composite
+def trial_file_texts(draw, n_fields):
+    """Trial (3 fields) or score (4 fields) file texts; in about half of them
+    some lines have a field too few or too many, in about half a bad label or score."""
+    bad_lines, bad_fields = draw(st.booleans()), draw(st.booleans())
+    text = ""
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["line"] * 6 + ["blank"] + ["short", "long"] * bad_lines))
+        if kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t ", "\xa0", "\u2028"]))
+        else:
+            n = n_fields + {"line": 0, "short": -1, "long": 1}[kind]
+            kinds = ["id", "id", "label", "score", "id"][:n]
+            fields = [draw(st.sampled_from(FIELD_TEXT[k] + BAD_FIELD_TEXT[k] * bad_fields))
+                      for k in kinds]
+            if "score" in kinds and draw(st.booleans()):
+                fields[3] = repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+            line = draw(st.sampled_from(["", " ", "\t"]))
+            for field in fields:
+                line += field + draw(st.sampled_from(GAPS))
+        text += line + draw(st.sampled_from(LINE_ENDS))
+    return text
+
+
+def outcome(parse, text):
+    try:
+        return parse(text), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(trial_file_texts(3))
+@example("e1 t1\ntarget e2 t2 nontarget\n")   # 2 + 4 fields: two good rows by token count
+def test_trial_parser_matches_line_by_line_parser(text):
+    got, error = outcome(parse_trials, text)
+    expected, expected_error = outcome(loop_parse_trials, text)
+    assert error == expected_error
+    assert got == expected
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(trial_file_texts(4))
+@example("a b target\n0.5 c d nontarget 0.7\n")     # 3 + 5 fields: two good rows by count
+@example("a b target nan\nc d target\n")             # the malformed line is named first
+def test_score_parser_matches_line_by_line_parser(text):
+    got, error = outcome(parse_scores, text)
+    expected, expected_error = outcome(loop_parse_scores, text)
+    if expected_error is not None:
+        assert error == expected_error
+        return
+    trials, scores, linenos = expected
+    not_finite = np.flatnonzero(~np.isfinite(scores))
+    if not_finite.size:
+        k = not_finite[0]
+        score_text = text.splitlines()[linenos[k] - 1].split()[3]
+        assert error == f"line {linenos[k]}: score {score_text!r} is not finite"
+        return
+    assert error is None
+    assert got.enroll == [t.enroll for t in trials] and got.test == [t.test for t in trials]
+    assert got.trials == trials
+    assert got.scores.tobytes() == scores.tobytes()             # -0.0 keeps its sign
+    assert np.array_equal(got.is_target, [t.is_target for t in trials])
+    if 0 < got.is_target.sum() < len(trials):
+        for a, b in zip(got.split(), loop_split(trials, scores)):
+            assert a.tobytes() == b.tobytes()
+    assert write_scores(got) == loop_write_scores(trials, scores)
