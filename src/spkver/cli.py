@@ -172,6 +172,9 @@ def _cmd_score(args) -> int:
         arrays, _ = fm.read_archive(args.center)
         if "mean" not in arrays:
             raise CliError(f"{args.center}: no 'mean' array to center with")
+        if arrays["mean"].shape != matrix.shape[1:]:
+            raise CliError(f"{args.center}: mean has {arrays['mean'].size} entries, "
+                           f"embeddings have {matrix.shape[1]}")
         matrix = bk.center(matrix, arrays["mean"])
     try:
         rows = bk.scoring_rows(model, matrix)

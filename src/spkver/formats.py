@@ -7,15 +7,28 @@ shape, payload).  Feature and embedding payloads are 32-bit floats;
 checkpoints keep 64-bit payloads so a reloaded model reproduces forward
 passes bit-for-bit.  Records are written in sorted name order so a
 write -> read -> write cycle is byte-identical.
+
+Container I/O copies each payload once:
+
+- ``write_archive`` hands every record's packed header and its array's own
+  buffer to the file; no byte string of the whole archive is built.
+- ``read_archive`` reads each payload straight into the array it returns.
+  64-bit payloads are returned as read; 32-bit ones are widened to float64,
+  which is their one copy.  (Payloads smaller than the file buffer, like
+  the headers, pass through that buffer on the way.)
+- Before allocating a payload, ``read_archive`` checks its size against the
+  bytes left in the file, so a corrupt header cannot ask for more memory
+  than the file holds.
+- The byte format is the one described above, unchanged.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, asdict, fields
 
@@ -28,6 +41,12 @@ _DTYPE_F32 = 0
 _DTYPE_F64 = 1
 _DTYPE_JSON = 2
 _ARRAY_DTYPES = {_DTYPE_F32: np.dtype("<f4"), _DTYPE_F64: np.dtype("<f8")}
+_U32 = struct.Struct("<I")
+_CODE_RANK = struct.Struct("<BI")
+# File buffer: headers and small payloads gather here, so the 2.8 MB archive
+# of 1,360 embeddings takes 11 reads or writes rather than 345 with the
+# default 8 KiB; larger payloads bypass it.
+_FILE_BUFFER = 1 << 18
 
 META_KEY = "__meta__"
 
@@ -35,79 +54,83 @@ META_KEY = "__meta__"
 def write_archive(path, arrays: dict[str, np.ndarray], meta: dict | None = None,
                   dtype: str = "f4"):
     """Write named arrays plus an optional JSON metadata record."""
-    records: dict[str, tuple[int, bytes, tuple[int, ...]]] = {}
+    records: dict[str, tuple[int, bytes | memoryview, tuple[int, ...]]] = {}
     np_dtype = np.dtype("<" + dtype)
     code = _DTYPE_F32 if dtype == "f4" else _DTYPE_F64
     for name, arr in arrays.items():
         if name == META_KEY:
             raise ValueError(f"array name {META_KEY!r} is reserved")
-        a = np.ascontiguousarray(np.asarray(arr), dtype=np_dtype)
-        records[name] = (code, a.tobytes(), a.shape)
+        a = np.ascontiguousarray(arr, dtype=np_dtype)
+        records[name] = (code, a.data, a.shape)
     if meta is not None:
         payload = json.dumps(meta, sort_keys=True).encode("utf-8")
         records[META_KEY] = (_DTYPE_JSON, payload, (len(payload),))
 
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", FORMAT_VERSION))
-    buf.write(struct.pack("<I", len(records)))
+    chunks = [MAGIC + struct.pack("<II", FORMAT_VERSION, len(records))]
     for name in sorted(records):
         code, payload, shape = records[name]
         encoded = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<BI", code, len(shape)))
-        for dim in shape:
-            buf.write(struct.pack("<Q", dim))
-        buf.write(payload)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        chunks.append(struct.pack(f"<I{len(encoded)}sBI{len(shape)}Q",
+                                  len(encoded), encoded, code, len(shape), *shape))
+        chunks.append(payload)
+    with open(path, "wb", buffering=_FILE_BUFFER) as fh:
+        fh.writelines(chunks)
 
 
 def read_archive(path):
     """Read a container; returns (arrays, meta-or-None).
 
-    A file that ends inside a record, a metadata record that is not 1-D and
-    an unknown dtype code raise ValueError naming the path.
+    Every array is a fresh, writable float64 array that shares memory with
+    no other.  A file that ends inside a record (or whose record claims more
+    bytes than the file holds), a metadata record that is not 1-D and an
+    unknown dtype code raise ValueError naming the path.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path}: not a tensor container (bad magic)")
-    offset = len(MAGIC)
+    with open(path, "rb", buffering=_FILE_BUFFER) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(MAGIC)) != MAGIC:
+            raise ValueError(f"{path}: not a tensor container (bad magic)")
+        offset = len(MAGIC)     # tracked here: fh.tell() costs a system call
 
-    def take(n):
-        nonlocal offset
-        if offset + n > len(data):
-            raise ValueError(f"{path}: truncated archive")
-        chunk = data[offset : offset + n]
-        offset += n
-        return chunk
+        def claim(n):
+            """Advance past n bytes; fail first if the file does not hold them."""
+            nonlocal offset
+            if n > size - offset:
+                raise ValueError(f"{path}: truncated archive")
+            offset += n
 
-    def unpack(fmt):
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+        def take(n):
+            claim(n)
+            chunk = fh.read(n)
+            if len(chunk) != n:
+                raise ValueError(f"{path}: truncated archive")
+            return chunk
 
-    (version,) = unpack("<I")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported container version {version}")
-    (count,) = unpack("<I")
-    arrays: dict[str, np.ndarray] = {}
-    meta = None
-    for _ in range(count):
-        (name_len,) = unpack("<I")
-        name = take(name_len).decode("utf-8")
-        code, ndim = unpack("<BI")
-        shape = unpack("<" + "Q" * ndim)
-        if code == _DTYPE_JSON:
-            if ndim != 1:
-                raise ValueError(f"{path}: metadata record {name!r} has rank {ndim}, not 1")
-            meta = json.loads(take(shape[0]).decode("utf-8"))
-        else:
+        (version,) = _U32.unpack(take(4))
+        if version != FORMAT_VERSION:
+            raise ValueError(f"{path}: unsupported container version {version}")
+        (count,) = _U32.unpack(take(4))
+        arrays: dict[str, np.ndarray] = {}
+        meta = None
+        for _ in range(count):
+            (name_len,) = _U32.unpack(take(4))
+            name = take(name_len).decode("utf-8")
+            code, ndim = _CODE_RANK.unpack(take(5))
+            shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+            if code == _DTYPE_JSON:
+                if ndim != 1:
+                    raise ValueError(f"{path}: metadata record {name!r} has rank {ndim}, not 1")
+                meta = json.loads(take(shape[0]).decode("utf-8"))
+                continue
             if code not in _ARRAY_DTYPES:
                 raise ValueError(f"{path}: record {name!r} has unknown dtype code {code}")
             np_dtype = _ARRAY_DTYPES[code]
-            arr = np.frombuffer(take(math.prod(shape) * np_dtype.itemsize), dtype=np_dtype)
-            arrays[name] = arr.reshape(shape).astype(np.float64)
+            nbytes = math.prod(shape) * np_dtype.itemsize
+            claim(nbytes)
+            arr = np.empty(shape, np_dtype)
+            # an empty array has no bytes to read (and memoryview cannot cast it)
+            if nbytes and fh.readinto(memoryview(arr).cast("B")) != nbytes:
+                raise ValueError(f"{path}: truncated archive")
+            arrays[name] = arr.astype(np.float64, copy=False)
     return arrays, meta
 
 
@@ -214,10 +237,10 @@ def load_checkpoint(path):
         if arrays[name].shape != shapes[name]:
             raise ValueError(f"{path}: array {name} has shape {arrays[name].shape}, "
                              f"architecture needs {shapes[name]}")
-    names = model.params.names()
-    model.params.load_state({name: arrays[f"param.{name}"] for name in names})
-    for name in names:
-        model.params.velocity[name] = arrays[f"momentum.{name}"].copy()
+    # read_archive's arrays are fresh and unshared: they become the state as they are
+    for name, tensor in model.params.items():
+        tensor.data = arrays[f"param.{name}"]
+        model.params.velocity[name] = arrays[f"momentum.{name}"]
     return model, meta
 
 

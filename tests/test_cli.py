@@ -398,6 +398,18 @@ def test_score_center_without_mean_exits_2(capsys, tmp_path):
     assert "avg.bin" in err and "'mean'" in err and "Traceback" not in err
 
 
+def test_score_center_mean_of_wrong_length_names_file_and_lengths(capsys, tmp_path):
+    emb_path, trials_path = _two_utterance_inputs(tmp_path)
+    center_path = tmp_path / "dev_mean.bin"
+    fm.write_archive(center_path, {"mean": np.zeros(3)}, None, dtype="f8")
+    code, _, err = run(capsys, "score", "--backend", "cosine", "--center", str(center_path),
+                       "--embeddings", str(emb_path), "--trials", str(trials_path),
+                       "--out", str(tmp_path / "s.txt"))
+    assert code == 2
+    assert err.strip() == f"spkver: {center_path}: mean has 3 entries, embeddings have 2"
+    assert not (tmp_path / "s.txt").exists()
+
+
 @pytest.mark.parametrize("backend,arrays,missing", [
     ("csml", {"matrix": np.eye(2)}, "transform"),
     ("plda", {"mean": np.zeros(2), "between": np.eye(2)}, "within"),

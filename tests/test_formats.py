@@ -1,13 +1,20 @@
 """File-format round-trips, byte stability, checkpoint reload fidelity,
 and config parsing."""
 
+import hashlib
+import itertools
 import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spkver import formats as fm
 from spkver import models as md
+from spkver import training as tr
 from spkver.cli import main
 
 
@@ -155,6 +162,115 @@ def test_checkpoint_write_is_deterministic(tmp_path):
     fm.save_checkpoint(p1, model, step=0, epoch=0, config_hash="h")
     fm.save_checkpoint(p2, model, step=0, epoch=0, config_hash="h")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# The sha256 of one archive per payload dtype pins the byte format.
+# ``write_archive`` stores a rank-0 array as shape (1,).
+_PINNED_ARRAYS = {"w": np.linspace(-1.0, 1.0, 7) / 3.0,
+                  "m": np.arange(12.0).reshape(3, 4) / 7.0,
+                  "scalar": np.array(np.pi),
+                  "empty": np.zeros((0, 3)),
+                  "grüße/µ": np.array([1e-30, -2.5, 1e30])}
+_PINNED_META = {"kind": "fixture", "note": "naïve ✓", "n": 3, "nested": {"a": [1, 2.5, None]}}
+
+
+@pytest.mark.parametrize("dtype,sha256", [
+    ("f4", "6256a81813516deb8c7c0f397fbc79ece5212463b5f31fd0fc8070bfd6d6b883"),
+    ("f8", "77124fad2c94e6ef6c568b7702288b96bdbad07815d7a67e6f685239e1ae9caf"),
+])
+def test_archive_bytes_are_pinned(tmp_path, dtype, sha256):
+    path = tmp_path / "pinned.bin"
+    fm.write_archive(path, _PINNED_ARRAYS, _PINNED_META, dtype=dtype)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+    back, meta = fm.read_archive(path)
+    assert meta == _PINNED_META and set(back) == set(_PINNED_ARRAYS)
+    for name, arr in _PINNED_ARRAYS.items():
+        stored = np.atleast_1d(arr).astype("<" + dtype).astype(np.float64)
+        assert back[name].shape == stored.shape and np.array_equal(back[name], stored)
+    fm.write_archive(tmp_path / "again.bin", back, meta, dtype=dtype)
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+_names = st.text(max_size=6).filter(lambda name: name != fm.META_KEY)
+_arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                     elements=st.floats(-1e30, 1e30, allow_subnormal=False))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(arrays=st.dictionaries(_names, _arrays, max_size=4),
+       meta=st.one_of(st.none(), st.dictionaries(st.text(max_size=4), st.integers(), max_size=3)),
+       dtype=st.sampled_from(["f4", "f8"]))
+def test_archive_write_read_write_is_byte_identical(tmp_path_factory, arrays, meta, dtype):
+    path = tmp_path_factory.mktemp("rt") / "x.bin"
+    fm.write_archive(path, arrays, meta, dtype=dtype)
+    back, meta_back = fm.read_archive(path)
+    assert meta_back == meta and set(back) == set(arrays)
+    for name, arr in arrays.items():
+        expected = np.atleast_1d(arr)
+        if dtype == "f4":
+            expected = expected.astype(np.float32).astype(np.float64)
+        assert back[name].shape == expected.shape and np.array_equal(back[name], expected)
+    again = path.with_name("again.bin")
+    fm.write_archive(again, back, meta_back, dtype=dtype)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _one_record_archive(header_fields, payload):
+    """An archive of one record: name length, name, dtype code, rank, dims; then bytes."""
+    name_len, name, code, ndim, *dims = header_fields
+    return (fm.MAGIC + struct.pack("<II", fm.FORMAT_VERSION, 1)
+            + struct.pack(f"<I{len(name)}sBI{len(dims)}Q", name_len, name, code, ndim, *dims)
+            + payload)
+
+
+@pytest.mark.parametrize("data", [
+    _one_record_archive((1, b"w", 1, 1, 2**40), bytes(300)),     # 8 TiB claimed
+    _one_record_archive((1, b"w", 1, 1, 25), bytes(199)),        # one byte short
+    _one_record_archive((2**32 - 1, b"w", 1, 1, 1), bytes(8)),   # a 4 GiB name
+    _one_record_archive((1, b"w", 1, 2**31), bytes(300)),        # a 16 GiB shape
+], ids=["huge-payload", "payload-one-byte-short", "huge-name", "huge-rank"])
+def test_archive_sizes_are_checked_before_allocation(tmp_path, data):
+    path = tmp_path / "lying.bin"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: truncated archive")):
+        fm.read_archive(path)
+
+
+def _assert_fresh_float64(arrays):
+    for arr in arrays:
+        assert arr.dtype == np.float64
+        assert arr.flags.c_contiguous and arr.flags.aligned and arr.flags.writeable
+    for a, b in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b)
+
+
+def test_archive_arrays_are_fresh_writable_float64(tmp_path):
+    arrays = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4), "c": np.zeros((0, 2))}
+    for dtype in ("f4", "f8"):
+        fm.write_archive(tmp_path / "x.bin", arrays, {"kind": "x"}, dtype=dtype)
+        back, _ = fm.read_archive(tmp_path / "x.bin")
+        _assert_fresh_float64(list(back.values()))
+
+
+def test_loaded_checkpoint_trains_in_place(tmp_path):
+    model = md.build_res_net(1, n_spk=3, width_scale=0.125, seed=2)
+    for i, vel in enumerate(model.params.velocity.values()):
+        vel[...] = 0.01 * i
+    path = tmp_path / "m.ckpt"
+    fm.save_checkpoint(path, model, step=0, epoch=0, config_hash="")
+    clone, _ = fm.load_checkpoint(path)
+    names = clone.params.names()
+    params = {n: clone.params[n].data for n in names}
+    velocity = dict(clone.params.velocity)
+    _assert_fresh_float64(list(params.values()) + list(velocity.values()))
+    for n in names:
+        clone.params[n].grad = np.full(params[n].shape, 0.5)
+    tr.sgd_step(clone.params, lr=0.1, momentum=0.9)
+    for n in names:
+        assert clone.params[n].data is params[n] and clone.params.velocity[n] is velocity[n]
+        expected_vel = 0.9 * model.params.velocity[n] + 0.5
+        assert np.array_equal(velocity[n], expected_vel)
+        assert np.array_equal(params[n], model.params[n].data - 0.1 * expected_vel)
 
 
 def test_config_parse_and_hash(tmp_path):
