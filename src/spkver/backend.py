@@ -18,13 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, eigh, solve_triangular
-from scipy.special import expit
 
 from . import formats as fm
 from .metrics import ScoreSet, compute_eer
 
 SCORE_BLOCK = 4096         # trials per block of ``score_pairs``
+TRI_BLOCK = 64             # ``_tri_inv`` hands triangles of at most this many rows to LAPACK
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +81,12 @@ def triplet_loss(a, embeddings, triplets) -> float:
     return loss
 
 
+def _triplet_weights(d):
+    """dL/dd = -1 / (1 + exp(d)) per triplet; d is a difference of two cosines,
+    so it lies in [-2, 2] and exp(d) is finite."""
+    return -1.0 / (1.0 + np.exp(d))
+
+
 def triplet_loss_and_grad(a, embeddings, triplets, need_grad: bool = True):
     """Triplet ranking loss and its gradient w.r.t. the transform.
 
@@ -100,7 +105,7 @@ def triplet_loss_and_grad(a, embeddings, triplets, need_grad: bool = True):
     if not need_grad:
         return loss, None
 
-    w = -expit(-d)                          # dL/dd per triplet
+    w = _triplet_weights(d)
     gu = np.zeros_like(u)
 
     def pair_grad(i, j, coef, s):
@@ -294,6 +299,33 @@ def _ridge(matrix: np.ndarray, rel: float = 1e-6) -> np.ndarray:
     return matrix + (rel * np.trace(matrix) / d + 1e-12) * np.eye(d)
 
 
+def _tri_inv(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by 2x2 block recursion,
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: one pair of GEMMs
+    per level, ``np.linalg.inv`` on blocks of at most ``TRI_BLOCK`` rows."""
+    n = lower.shape[0]
+    if n <= TRI_BLOCK:
+        return np.tril(np.linalg.inv(lower))
+    h = n // 2
+    a_inv, c_inv = _tri_inv(lower[:h, :h]), _tri_inv(lower[h:, h:])
+    out = np.zeros_like(lower)
+    out[:h, :h], out[h:, h:] = a_inv, c_inv
+    out[h:, :h] = -c_inv @ (lower[h:, :h] @ a_inv)
+    return out
+
+
+def _generalized_eigh(a: np.ndarray, chol_b: np.ndarray, top: int | None = None):
+    """Ascending eigenvalues w and eigenvectors V of a v = w b v, given the
+    Cholesky factor L of b (b = L L^T): with (w, U) the eigenpairs of
+    L^-1 a L^-T, V = L^-T U, so that V^T b V = I and V^T a V = diag(w).
+    ``top``: only the pairs of the ``top`` largest eigenvalues, descending."""
+    l_inv = _tri_inv(chol_b)
+    w, u = np.linalg.eigh(l_inv @ a @ l_inv.T)
+    if top is not None:
+        w, u = w[::-1][:top], u[:, ::-1][:, :top]
+    return w, l_inv.T @ u
+
+
 @dataclass
 class LdaProjection:
     """Rows are generalized eigenvectors ordered by decreasing eigenvalue."""
@@ -315,12 +347,11 @@ def lda_fit(embeddings, labels, out_dim: int) -> LdaProjection:
     if not 0 < out_dim <= d:
         raise ValueError(f"out_dim must be in [1, {d}]")
     try:
-        cholesky(s_w, lower=True)
+        chol = np.linalg.cholesky(s_w)
     except np.linalg.LinAlgError:
-        s_w = _ridge(s_w)
-    vals, vecs = eigh(s_b, s_w)
-    order = np.argsort(vals)[::-1][:out_dim]
-    return LdaProjection(vecs[:, order].T.copy(), vals[order].copy())
+        chol = np.linalg.cholesky(_ridge(s_w))
+    vals, vecs = _generalized_eigh(s_b, chol, top=out_dim)
+    return LdaProjection(vecs.T.copy(), vals.copy())
 
 
 def lda_project(projection: LdaProjection, x) -> np.ndarray:
@@ -406,7 +437,7 @@ def plda_fit(embeddings, labels, n_iter: int = 15, lda_dim: int | None = None,
 
 
 def _gaussian_logpdf(x_centered: np.ndarray, chol_lower: np.ndarray) -> np.ndarray:
-    solved = solve_triangular(chol_lower, x_centered.T, lower=True)
+    solved = np.linalg.solve(chol_lower, x_centered.T)
     logdet = 2.0 * np.log(np.diag(chol_lower)).sum()
     k = chol_lower.shape[0]
     return -0.5 * ((solved ** 2).sum(axis=0) + logdet + k * np.log(2.0 * np.pi))
@@ -422,8 +453,8 @@ def plda_score_many(model: PldaModel, enroll, test, preprocess: bool = True) -> 
     d = model.mean.shape[0]
     total = model.between + model.within
     joint = np.block([[total, model.between], [model.between, total]])
-    chol_total = cholesky(total, lower=True)
-    chol_joint = cholesky(joint, lower=True)
+    chol_total = np.linalg.cholesky(total)
+    chol_joint = np.linalg.cholesky(joint)
     u1 = e1 - model.mean
     u2 = e2 - model.mean
     ll_same = _gaussian_logpdf(np.hstack([u1, u2]), chol_joint)
@@ -450,7 +481,7 @@ def scoring_rows(model, embeddings) -> np.ndarray:
         raise ValueError(f"model input width {width} differs from embedding width {e.shape[1]}")
     if not isinstance(model, PldaModel):
         return _transformed_unit_rows(model, e)[3]
-    psi, v = eigh(model.between, model.within)
+    psi, v = _generalized_eigh(model.between, np.linalg.cholesky(model.within))
     if np.any(psi < 0):
         raise ValueError("PLDA between covariance has a negative generalized eigenvalue")
     u = (plda_preprocess(model, e) - model.mean) @ v
@@ -537,7 +568,7 @@ def load_backend(path, kind: str):
         if np.abs(a - a.T).max(initial=0.0) > 1e-10 * np.abs(a).max(initial=0.0):
             raise ValueError(f"{path}: array {name} is not symmetric")
         try:
-            cholesky(a)
+            np.linalg.cholesky(a)
         except np.linalg.LinAlgError:   # a singular between is allowed, an indefinite one not
             if name == "within" or np.linalg.eigvalsh(a)[0] < 0:
                 raise ValueError(f"{path}: array {name} is not positive "

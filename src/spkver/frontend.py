@@ -8,11 +8,10 @@ Nyquist, 23 cepstra with the zeroth coefficient kept as an energy proxy.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-from scipy.io import wavfile
 
 LOG_FLOOR = 1e-10
 MEL_LOW_HZ = 20.0
@@ -75,20 +74,59 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
+_PCM, _EXTENSIBLE = 1, 0xFFFE       # WAVE format tags
+
+
 def read_wav(path) -> Waveform:
-    """Read a 16-bit PCM mono WAV file, scaling samples to [-1, 1]."""
-    rate, data = wavfile.read(path)
-    if data.dtype != np.int16:
-        raise ValueError(f"invalid signal: expected 16-bit PCM, got {data.dtype}")
-    if data.ndim != 1:
-        raise ValueError("invalid signal: expected mono audio")
-    return Waveform(data.astype(np.float64) / 32768.0, int(rate))
+    """Read a 16-bit PCM mono WAV file, scaling samples to [-1, 1].
+
+    Raises ValueError naming the file when it is not RIFF/WAVE, lacks a
+    ``fmt `` chunk before its ``data`` chunk, is not 16-bit mono integer PCM
+    (format tag 1, or an extensible header with a PCM subformat), or its
+    data chunk is cut short.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+        raise ValueError(f"{path}: not a RIFF/WAVE file")
+    pos, fmt = 12, None
+    while pos + 8 <= len(blob):
+        chunk, size = struct.unpack_from("<4sI", blob, pos)
+        pos += 8
+        if chunk == b"fmt ":
+            if size < 16 or pos + size > len(blob):
+                raise ValueError(f"{path}: fmt chunk cut short")
+            fmt = struct.unpack_from("<HHIIHH", blob, pos)
+            if fmt[0] == _EXTENSIBLE and size >= 26:
+                fmt = (struct.unpack_from("<H", blob, pos + 24)[0], *fmt[1:])
+        elif chunk == b"data":
+            if fmt is None:
+                raise ValueError(f"{path}: no fmt chunk before the data chunk")
+            tag, channels, rate, _, _, bits = fmt
+            if tag != _PCM:
+                raise ValueError(f"{path}: WAVE format tag {tag:#x} is not integer PCM")
+            if bits != 16:
+                raise ValueError(f"{path}: expected 16-bit PCM, got {bits}-bit")
+            if channels != 1:
+                raise ValueError(f"{path}: expected mono audio, got {channels} channels")
+            if pos + size > len(blob):
+                raise ValueError(f"{path}: data chunk cut short: "
+                                 f"{len(blob) - pos} of {size} bytes")
+            data = np.frombuffer(blob, dtype="<i2", count=size // 2, offset=pos)
+            return Waveform(data / 32768.0, rate)
+        pos += size + (size & 1)           # chunks are word-aligned
+    raise ValueError(f"{path}: no {'fmt' if fmt is None else 'data'} chunk")
 
 
 def write_wav(path, waveform: Waveform):
-    """Write a waveform as 16-bit PCM mono."""
-    clipped = np.clip(waveform.samples, -1.0, 1.0)
-    wavfile.write(path, waveform.sample_rate, (clipped * 32767.0).astype(np.int16))
+    """Write a waveform as 16-bit PCM mono: a 44-byte RIFF header, then the samples."""
+    pcm = (np.clip(waveform.samples, -1.0, 1.0) * 32767.0).astype("<i2")
+    rate = waveform.sample_rate
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + pcm.nbytes, b"WAVE",
+                         b"fmt ", 16, _PCM, 1, rate, 2 * rate, 2, 16, b"data", pcm.nbytes)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(pcm.data)
 
 
 def frame_count(n_samples: int, frame_len: int, frame_shift: int) -> int:
@@ -138,6 +176,16 @@ def filterbank_ranges(n_filters: int, sample_rate: int,
     return [(hz_points[m], hz_points[m + 2]) for m in range(n_filters)]
 
 
+def _dct_basis(n: int, k: int) -> np.ndarray:
+    """(n, k) orthonormal DCT-II basis: column j is sqrt(2/n) cos(pi j (2i + 1) / 2n)
+    over rows i, column 0 scaled by 1/sqrt(2), so ``x @ _dct_basis(n, k)`` is the
+    first k coefficients of x's orthonormal DCT-II."""
+    basis = np.sqrt(2.0 / n) * np.cos(np.pi / (2 * n) * np.outer(2 * np.arange(n) + 1,
+                                                                 np.arange(k)))
+    basis[:, 0] /= np.sqrt(2.0)
+    return basis
+
+
 def _fft_size(frame_len: int) -> int:
     n = 1
     while n < frame_len:
@@ -182,7 +230,7 @@ def compute_mfcc(waveform: Waveform, cfg: FrontendConfig | None = None) -> Featu
     fbank = mel_filterbank(cfg.n_mel_filters, n_fft, rate)
     energies = magnitude @ fbank.T
     log_energies = np.log(np.maximum(energies, LOG_FLOOR))
-    cepstra = scipy.fft.dct(log_energies, type=2, norm="ortho", axis=1)[:, : cfg.n_cepstra]
+    cepstra = log_energies @ _dct_basis(cfg.n_mel_filters, cfg.n_cepstra)
     return FeatureMatrix(cepstra, cfg.frame_shift_ms)
 
 

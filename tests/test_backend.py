@@ -1,14 +1,17 @@
 """Backend contracts: scoring identities, triplet-loss oracles and
 gradients, mining against a full-sort oracle, the shared validation pair
 sampler, LDA/PLDA oracles, the array scatter and PLDA EM against
-per-speaker loop oracles, and PLDA scoring in diagonal form against the
-joint-Gaussian reference ``plda_score_many``."""
+per-speaker loop oracles, PLDA scoring in diagonal form against the
+joint-Gaussian reference ``plda_score_many``, and the numpy linear algebra
+(generalized eigenproblem, triangular inverse, triplet weights) against
+scipy."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
+from scipy.special import expit
 from scipy.stats import multivariate_normal
 
 from spkver import backend as bk
@@ -116,6 +119,11 @@ def test_triplet_loss_matches_direct_summation_oracle():
              - csml_score(emb[anc], emb[neg], transform))
         direct += np.log(1 + np.exp(-d))
     assert triplet_loss(transform, emb, triplets) == pytest.approx(direct, abs=1e-12)
+
+
+def test_triplet_weights_match_expit_oracle():
+    d = np.linspace(-2.0, 2.0, 200_001)
+    assert np.abs(bk._triplet_weights(d) - -expit(-d)).max() <= 4.5e-16
 
 
 def test_triplet_loss_gradient_matches_finite_differences():
@@ -670,3 +678,69 @@ def test_score_pairs_never_calls_the_reference(monkeypatch):
     monkeypatch.setattr(bk, "plda_score_many", fail)
     monkeypatch.setattr(bk, "_gaussian_logpdf", fail)
     assert np.all(np.isfinite(bk.score_pairs(model, rows, [0, 1, 2], [3, 4, 5])))
+
+
+# ---------------------------------------------------------------------------
+# numpy generalized eigenproblem and triangular inverse against scipy
+
+
+def generalized_pair(rng, d, cond_b=None):
+    """Symmetric positive-definite (a, b); with ``cond_b``, b is a random rotation
+    of a spectrum spread log-uniformly over ``cond_b``."""
+    x = rng.standard_normal((d, d + 3))
+    a = x @ x.T / d
+    if cond_b is None:
+        y = rng.standard_normal((d, d + 3))
+        return a, y @ y.T / d + 0.1 * np.eye(d)
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    return a, (q * np.logspace(0.0, -np.log10(cond_b), d)) @ q.T
+
+
+def residuals(a, b, w, v):
+    """max |V^T b V - I| and max |V^T a V - diag(w)| / max |w|."""
+    return (np.abs(v.T @ b @ v - np.eye(w.size)).max(),
+            np.abs(v.T @ a @ v - np.diag(w)).max() / np.abs(w).max())
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 48, 150, 512])
+def test_generalized_eigh_matches_scipy(d):
+    rng = np.random.default_rng(200 + d)
+    a, b = generalized_pair(rng, d)
+    w, v = bk._generalized_eigh(a, np.linalg.cholesky(b))
+    expected = eigh(a, b, eigvals_only=True)
+    assert np.abs(w - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert max(residuals(a, b, w, v)) <= 1e-10
+
+
+def test_generalized_eigh_ill_conditioned_b():
+    """With cond(b) = 1e8 the answer itself is only defined to about cond(b) * eps:
+    scipy's own |V^T b V - I| is near 1e-9 on such pairs, and two backward-stable
+    solvers' eigenvalues differ by up to about 1e-9 relative.  So every check is
+    held to cond(b) * 1e-16."""
+    cond_b = 1e8
+    a, b = generalized_pair(np.random.default_rng(207), 48, cond_b=cond_b)
+    assert np.linalg.cond(b) >= cond_b
+    w, v = bk._generalized_eigh(a, np.linalg.cholesky(b))
+    expected = eigh(a, b, eigvals_only=True)
+    tol = cond_b * 1e-16
+    assert np.abs(w - expected).max() <= tol * np.abs(expected).max()
+    assert max(residuals(a, b, w, v)) <= tol
+
+
+def test_generalized_eigh_top_pairs_descend():
+    a, b = generalized_pair(np.random.default_rng(208), 40)
+    chol = np.linalg.cholesky(b)
+    w, v = bk._generalized_eigh(a, chol)
+    w_top, v_top = bk._generalized_eigh(a, chol, top=6)
+    assert np.array_equal(w_top, w[::-1][:6])
+    assert np.abs(v_top - v[:, ::-1][:, :6]).max() <= 1e-13 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, bk.TRI_BLOCK + 3])
+def test_triangular_inverse_at_block_boundaries(offset):
+    n = bk.TRI_BLOCK + offset
+    x = np.random.default_rng(n).standard_normal((n, n + 5))
+    lower = np.linalg.cholesky(x @ x.T / n)
+    inv = bk._tri_inv(lower)
+    assert np.array_equal(inv, np.tril(inv))
+    assert np.abs(lower @ inv - np.eye(n)).max() <= 1e-12

@@ -1,9 +1,16 @@
 """End-to-end CLI behavior: subcommand plumbing, exit codes, and
 equality with the library-level results."""
 
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spkver
 from spkver import backend as bk
 from spkver import formats as fm
 from spkver import frontend as fe
@@ -72,6 +79,69 @@ def test_mfcc_subcommand(capsys, tmp_path):
     feats, meta = fm.read_features(out)
     assert set(feats) == {"utt0", "utt1"}
     assert meta["dim"] == 23
+
+
+def riff(*chunks):
+    body = b"".join(cid + struct.pack("<I", len(data)) + data for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def fmt_chunk(tag=1, channels=1, bits=16, rate=8000):
+    align = channels * bits // 8
+    return b"fmt ", struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits)
+
+
+SILENCE = (b"data", bytes(1600))
+
+
+@pytest.mark.parametrize("blob,message", [
+    (b"hello, not audio\n", "not a RIFF/WAVE file"),
+    (b"", "not a RIFF/WAVE file"),
+    (riff(SILENCE), "no fmt chunk before the data chunk"),
+    (riff(fmt_chunk()), "no data chunk"),
+    (riff((b"fmt ", b"\x01\x00\x01\x00")), "fmt chunk cut short"),
+    (riff(fmt_chunk(tag=3, bits=32), SILENCE), "WAVE format tag 0x3 is not integer PCM"),
+    (riff(fmt_chunk(tag=6, bits=8), SILENCE), "WAVE format tag 0x6 is not integer PCM"),
+    (riff(fmt_chunk(bits=8), SILENCE), "expected 16-bit PCM, got 8-bit"),
+    (riff(fmt_chunk(bits=32), SILENCE), "expected 16-bit PCM, got 32-bit"),
+    (riff(fmt_chunk(channels=2), SILENCE), "expected mono audio, got 2 channels"),
+    (riff(fmt_chunk(), SILENCE)[:-10], "data chunk cut short: 1590 of 1600 bytes"),
+], ids=["text", "empty", "no-fmt", "no-data", "short-fmt", "float", "a-law", "8-bit",
+        "32-bit", "stereo", "cut-short"])
+def test_mfcc_malformed_wav_exits_2_naming_it(capsys, tmp_path, blob, message):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(blob)
+    code, _, err = run(capsys, "mfcc", "--wav", str(path), "--out", str(tmp_path / "f.bin"))
+    assert code == 2 and f"spkver: {path}: {message}" in err, err
+    assert not (tmp_path / "f.bin").exists()
+
+
+def test_commands_never_import_scipy(tmp_path):
+    """mfcc, LDA-PLDA training and PLDA scoring in a fresh interpreter leave no
+    ``scipy`` module in ``sys.modules``."""
+    def p(name):
+        return str(tmp_path / name)
+    rng = np.random.default_rng(3)
+    fe.write_wav(p("a.wav"), fe.Waveform(0.3 * rng.standard_normal(4000), 8000))
+    emb = {f"u{i}": 2.0 * np.eye(3)[i // 4] + rng.standard_normal(3) for i in range(12)}
+    fm.write_embeddings(p("emb.bin"), emb)
+    fm.write_utt2spk(p("utt2spk.txt"), {utt: f"s{i // 4}" for i, utt in enumerate(emb)})
+    (tmp_path / "trials.txt").write_text("u0 u1 target\nu0 u4 nontarget\n")
+    commands = [
+        ["mfcc", "--wav", p("a.wav"), "--out", p("feats.bin")],
+        ["backend-train", "--kind", "lda-plda", "--embeddings", p("emb.bin"),
+         "--utt2spk", p("utt2spk.txt"), "--out", p("plda.bin"), "--lda-dim", "2"],
+        ["score", "--backend", "plda", "--embeddings", p("emb.bin"), "--trials",
+         p("trials.txt"), "--model", p("plda.bin"), "--out", p("scores.txt")],
+    ]
+    script = ("import sys\nfrom spkver.cli import main\n"
+              f"codes = [main(argv) for argv in {commands!r}]\n"
+              "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(spkver.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] []", done.stdout + done.stderr
 
 
 def test_train_epochs_zero_emits_loadable_checkpoint(capsys, toy_dir, tmp_path):

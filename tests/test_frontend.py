@@ -1,10 +1,16 @@
 """Frontend contracts: frame arithmetic, a brute-force DFT oracle for the
-filterbank path, VAD threshold behavior, and windowed-mean oracles for CMN."""
+filterbank path, the DCT basis and the WAV reader and writer against scipy,
+VAD threshold behavior, and windowed-mean oracles for CMN."""
+
+import io
+import struct
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.io import wavfile
 
 from spkver import frontend as fe
 
@@ -83,6 +89,13 @@ def test_sine_peaks_in_filter_covering_tone_dft_oracle():
     strongest = int(np.argmax(oracle_energies))
     left, right = fe.filterbank_ranges(cfg.n_mel_filters, rate)[strongest]
     assert left <= tone <= right
+
+
+@pytest.mark.parametrize("n,k", [(23, 23), (23, 13), (40, 20)])
+def test_dct_basis_matches_scipy_orthonormal_dct(n, k):
+    log_energies = np.random.default_rng(n + k).uniform(-23.0, 10.0, (50, n))
+    expected = scipy.fft.dct(log_energies, type=2, norm="ortho", axis=1)[:, :k]
+    assert np.abs(log_energies @ fe._dct_basis(n, k) - expected).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -185,3 +198,42 @@ def test_voiced_features_pipeline_and_wav_roundtrip(tmp_path):
     assert feats.dim == 23
     assert feats.n_frames >= 1
     assert np.all(np.isfinite(feats.values))
+
+
+@pytest.mark.parametrize("rate,n", [(8000, 8000), (16000, 1), (44100, 12345), (8000, 0)])
+def test_read_wav_matches_scipy_reader(tmp_path, rate, n):
+    data = np.random.default_rng(n).integers(-32768, 32768, n).astype(np.int16)
+    data[:2] = (-32768, 32767)[: min(n, 2)]
+    path = tmp_path / "in.wav"
+    wavfile.write(path, rate, data)
+    expected_rate, expected = wavfile.read(path)
+    loaded = fe.read_wav(path)
+    assert loaded.sample_rate == expected_rate == rate
+    assert np.array_equal(loaded.samples, expected.astype(np.float64) / 32768.0)
+
+
+def test_read_wav_skips_other_chunks_and_reads_extensible_pcm(tmp_path):
+    samples = np.array([0, 1, -2, 32767, -32768], dtype="<i2")
+    fmt = (struct.pack("<HHIIHHHHI", 0xFFFE, 1, 8000, 16000, 2, 16, 22, 16, 4)
+           + struct.pack("<H", 1) + bytes(14))            # PCM subformat GUID
+    body = (b"WAVE" + b"LIST" + struct.pack("<I", 3) + b"abc\0"   # odd chunk, padded
+            + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", samples.nbytes) + samples.tobytes())
+    path = tmp_path / "ext.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    loaded = fe.read_wav(path)
+    assert loaded.sample_rate == 8000
+    assert np.array_equal(loaded.samples, samples / 32768.0)
+
+
+def test_write_wav_writes_scipy_bytes_and_reads_back(tmp_path):
+    rng = np.random.default_rng(7)
+    samples = np.concatenate([[-1.5, -1.0, 0.0, 1.0, 1.5], rng.uniform(-1, 1, 997)])
+    expected = (np.clip(samples, -1.0, 1.0) * 32767.0).astype(np.int16)
+    path = tmp_path / "out.wav"
+    fe.write_wav(path, fe.Waveform(samples, 16000))
+    rate, data = wavfile.read(path)
+    assert rate == 16000 and data.dtype == np.int16 and np.array_equal(data, expected)
+    reference = io.BytesIO()
+    wavfile.write(reference, 16000, expected)
+    assert path.read_bytes() == reference.getvalue()
