@@ -23,6 +23,8 @@ from . import formats as fm
 from .metrics import ScoreSet, compute_eer
 
 SCORE_BLOCK = 4096         # trials per block of ``score_pairs``
+CSML_VAL_TRIALS = 5000     # validation pairs per held-out EER of ``train_csml``
+CSML_DIAG_FLOOR = 1e-4     # smallest diagonal entry of a CSML descent step
 TRI_BLOCK = 64             # ``_tri_inv`` hands triangles of at most this many rows to LAPACK
 
 
@@ -72,7 +74,7 @@ def _transformed_unit_rows(a, embeddings):
     norms = np.linalg.norm(u, axis=1)
     if np.any(norms < 1e-12):
         raise ValueError("degenerate embedding: zero norm after transform")
-    return e, u, norms, u / norms[:, None]
+    return e, norms, u / norms[:, None]
 
 
 def triplet_loss(a, embeddings, triplets) -> float:
@@ -90,33 +92,33 @@ def _triplet_weights(d):
 def triplet_loss_and_grad(a, embeddings, triplets, need_grad: bool = True):
     """Triplet ranking loss and its gradient w.r.t. the transform.
 
-    The gradient is masked to the upper triangle, matching the transform's
-    free parameters.
+    Every score a triplet reads is an entry of the Gram matrix S = U Uᵀ of
+    the N transformed unit rows U (one N x N matrix, as ``mine_triplets``
+    builds): the margin is d = S[a, p] - S[a, n].  The gradient sums dL/dd
+    into G (+w at (a, p), -w at (a, n)) with one ``np.bincount``; dL/dU is
+    (G + Gᵀ) U, each row projected onto its unit sphere's tangent space and
+    divided by its norm before the product with the embeddings.  The gradient
+    is masked to the upper triangle, matching the transform's free parameters.
     """
     trip = np.asarray(triplets, dtype=np.intp)
     if trip.size == 0:
         raise ValueError("no triplets")
-    e, u, norms, u_hat = _transformed_unit_rows(a, embeddings)
+    e, norms, u_hat = _transformed_unit_rows(a, embeddings)
+    n = len(u_hat)
+    gram = u_hat @ u_hat.T
     ai, pi, ni = trip[:, 0], trip[:, 1], trip[:, 2]
-    s_ap = (u_hat[ai] * u_hat[pi]).sum(axis=1)
-    s_an = (u_hat[ai] * u_hat[ni]).sum(axis=1)
-    d = s_ap - s_an
+    d = gram[ai, pi] - gram[ai, ni]
     loss = float(np.logaddexp(0.0, -d).sum())
     if not need_grad:
         return loss, None
 
     w = _triplet_weights(d)
-    gu = np.zeros_like(u)
-
-    def pair_grad(i, j, coef, s):
-        # d s(u_i, u_j) / d u_i = (u_hat_j - s * u_hat_i) / ||u_i||
-        np.add.at(gu, i, coef[:, None] * (u_hat[j] - s[:, None] * u_hat[i]) / norms[i][:, None])
-        np.add.at(gu, j, coef[:, None] * (u_hat[i] - s[:, None] * u_hat[j]) / norms[j][:, None])
-
-    pair_grad(ai, pi, w, s_ap)
-    pair_grad(ai, ni, -w, s_an)
-    grad = np.triu(gu.T @ e)
-    return loss, grad
+    g = np.bincount(np.concatenate([ai * n + pi, ai * n + ni]), np.concatenate([w, -w]),
+                    minlength=n * n).reshape(n, n)
+    g += g.T
+    gu = g @ u_hat
+    gu = (gu - (gu * u_hat).sum(axis=1, keepdims=True) * u_hat) / norms[:, None]
+    return loss, np.triu(gu.T @ e)
 
 
 def mine_triplets(embeddings, labels, a, n_hard: int = 1500) -> np.ndarray:
@@ -129,7 +131,7 @@ def mine_triplets(embeddings, labels, a, n_hard: int = 1500) -> np.ndarray:
     each positive's negatives in score order.
     """
     labels = np.asarray(labels)
-    _, _, _, u_hat = _transformed_unit_rows(a, embeddings)
+    u_hat = _transformed_unit_rows(a, embeddings)[2]
     scores = u_hat @ u_hat.T
     n = len(labels)
     per_anchor = []
@@ -160,22 +162,19 @@ class CsmlTrainConfig:
     n_hard: int = 1500
     max_triplets: int | None = 100_000
     val_fraction: float = 0.25
-    max_val_trials: int = 5000
-    diag_floor: float = 1e-4
     seed: int = 0
 
 
-def _project_upper(matrix: np.ndarray, diag_floor: float) -> np.ndarray:
+def _project_upper(matrix: np.ndarray) -> np.ndarray:
     out = np.triu(matrix)
     d = np.diag(out).copy()
-    np.fill_diagonal(out, np.maximum(d, diag_floor))
+    np.fill_diagonal(out, np.maximum(d, CSML_DIAG_FLOOR))
     return out
 
 
-def csml_validation_eer(embeddings, labels, indices, a, seed: int = 0,
-                        max_trials: int = 5000) -> float:
+def csml_validation_eer(embeddings, labels, indices, a, seed: int = 0) -> float:
     return all_pairs_eer(a, np.asarray(embeddings)[indices], np.asarray(labels)[indices],
-                         np.random.default_rng(seed), max_trials)
+                         np.random.default_rng(seed), CSML_VAL_TRIALS)
 
 
 def train_csml(embeddings, labels, opts: CsmlTrainConfig | None = None) -> CsmlTransform:
@@ -214,15 +213,14 @@ def train_csml(embeddings, labels, opts: CsmlTrainConfig | None = None) -> CsmlT
 
     a = np.eye(dim)
     best = CsmlTransform(a.copy())
-    best_eer = csml_validation_eer(embeddings, labels, val_idx, a, seed=opts.seed + 1,
-                                   max_trials=opts.max_val_trials)
+    best_eer = csml_validation_eer(embeddings, labels, val_idx, a, seed=opts.seed + 1)
 
     train_emb = embeddings[train_idx]
     train_lab = labels[train_idx]
+    n_impostors = min((train_lab != spk).sum() for spk in np.unique(train_lab))
+    n_hard = min(opts.n_hard, int(n_impostors))
     for _ in range(opts.epochs):
-        n_impostors = min((train_lab != spk).sum() for spk in np.unique(train_lab))
-        triplets = mine_triplets(train_emb, train_lab, a,
-                                 n_hard=min(opts.n_hard, int(n_impostors)))
+        triplets = mine_triplets(train_emb, train_lab, a, n_hard=n_hard)
         if opts.max_triplets is not None and len(triplets) > opts.max_triplets:
             keep = rng.choice(len(triplets), size=opts.max_triplets, replace=False)
             triplets = triplets[np.sort(keep)]
@@ -234,7 +232,7 @@ def train_csml(embeddings, labels, opts: CsmlTrainConfig | None = None) -> CsmlT
             step = 1.0 / max(1.0, np.sqrt(gnorm2))
             accepted = False
             for _ in range(30):
-                cand = _project_upper(a - step * grad, opts.diag_floor)
+                cand = _project_upper(a - step * grad)
                 cand_loss, _ = triplet_loss_and_grad(cand, train_emb, triplets, need_grad=False)
                 if cand_loss <= loss - 1e-4 * step * gnorm2:
                     a = cand
@@ -243,8 +241,7 @@ def train_csml(embeddings, labels, opts: CsmlTrainConfig | None = None) -> CsmlT
                 step *= 0.5
             if not accepted:
                 break
-        eer = csml_validation_eer(embeddings, labels, val_idx, a, seed=opts.seed + 1,
-                                  max_trials=opts.max_val_trials)
+        eer = csml_validation_eer(embeddings, labels, val_idx, a, seed=opts.seed + 1)
         if eer <= best_eer:                # ties keep the most-trained candidate
             best_eer = eer
             best = CsmlTransform(a.copy())
@@ -480,7 +477,7 @@ def scoring_rows(model, embeddings) -> np.ndarray:
     if e.shape[1] != width:
         raise ValueError(f"model input width {width} differs from embedding width {e.shape[1]}")
     if not isinstance(model, PldaModel):
-        return _transformed_unit_rows(model, e)[3]
+        return _transformed_unit_rows(model, e)[2]
     psi, v = _generalized_eigh(model.between, np.linalg.cholesky(model.within))
     if np.any(psi < 0):
         raise ValueError("PLDA between covariance has a negative generalized eigenvalue")

@@ -82,8 +82,8 @@ def read_wav(path) -> Waveform:
 
     Raises ValueError naming the file when it is not RIFF/WAVE, lacks a
     ``fmt `` chunk before its ``data`` chunk, is not 16-bit mono integer PCM
-    (format tag 1, or an extensible header with a PCM subformat), or its
-    data chunk is cut short.
+    (format tag 1, or an extensible header with a PCM subformat), declares a
+    sample rate of 0, or its data chunk is cut short.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -109,6 +109,8 @@ def read_wav(path) -> Waveform:
                 raise ValueError(f"{path}: expected 16-bit PCM, got {bits}-bit")
             if channels != 1:
                 raise ValueError(f"{path}: expected mono audio, got {channels} channels")
+            if rate == 0:
+                raise ValueError(f"{path}: sample rate must be positive")
             if pos + size > len(blob):
                 raise ValueError(f"{path}: data chunk cut short: "
                                  f"{len(blob) - pos} of {size} bytes")

@@ -146,6 +146,52 @@ def test_triplet_loss_gradient_matches_finite_differences():
             assert abs(fd - grad[i, j]) / max(abs(fd), abs(grad[i, j]), 1e-6) < 1e-4
 
 
+def gathered_loss_and_grad(a, emb, triplets):
+    """Per-triplet reference: gather the anchor, positive and negative unit
+    rows, score each pair by a row-wise dot and scatter each pair's gradient
+    back to both rows with ``np.add.at``."""
+    e = np.asarray(emb, dtype=np.float64)
+    u = e @ a.T
+    norms = np.linalg.norm(u, axis=1)
+    u_hat = u / norms[:, None]
+    ai, pi, ni = np.asarray(triplets).T
+    s_ap = (u_hat[ai] * u_hat[pi]).sum(axis=1)
+    s_an = (u_hat[ai] * u_hat[ni]).sum(axis=1)
+    d = s_ap - s_an
+    w = -1.0 / (1.0 + np.exp(d))
+    gu = np.zeros_like(u)
+
+    def pair_grad(i, j, coef, s):
+        # d s(u_i, u_j) / d u_i = (u_hat_j - s * u_hat_i) / ||u_i||
+        np.add.at(gu, i, coef[:, None] * (u_hat[j] - s[:, None] * u_hat[i]) / norms[i][:, None])
+        np.add.at(gu, j, coef[:, None] * (u_hat[i] - s[:, None] * u_hat[j]) / norms[j][:, None])
+
+    pair_grad(ai, pi, w, s_ap)
+    pair_grad(ai, ni, -w, s_an)
+    return float(np.logaddexp(0.0, -d).sum()), np.triu(gu.T @ e)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_triplet_loss_and_grad_match_gathered_reference(seed):
+    """The Gram-form loss and gradient equal the per-triplet gather/scatter
+    form to 1e-12 relative, with duplicate triplets, repeated anchors and
+    rows where p == n, a == p or a == n."""
+    rng = np.random.default_rng(seed)
+    n, dim = 12, 7
+    emb = rng.standard_normal((n, dim))
+    a = np.triu(rng.standard_normal((dim, dim)))
+    np.fill_diagonal(a, np.abs(np.diag(a)) + 0.3)
+    triplets = rng.integers(0, n, size=(60, 3))
+    triplets[:8, 0] = 3                                  # repeated anchor
+    special = [(1, 2, 2), (4, 4, 5), (6, 7, 6), (8, 8, 8), (0, 1, 2), (0, 1, 2)]
+    triplets = np.concatenate([triplets, special, triplets[:10]])   # duplicates
+    loss, grad = triplet_loss_and_grad(a, emb, triplets)
+    ref_loss, ref_grad = gathered_loss_and_grad(a, emb, triplets)
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+    assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+    assert triplet_loss(a, emb, triplets) == loss
+
+
 def test_triplet_loss_strictly_decreasing_in_margin():
     emb = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.3, 0.9]])
     eye = CsmlTransform.identity(2)

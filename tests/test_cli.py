@@ -105,9 +105,10 @@ SILENCE = (b"data", bytes(1600))
     (riff(fmt_chunk(bits=8), SILENCE), "expected 16-bit PCM, got 8-bit"),
     (riff(fmt_chunk(bits=32), SILENCE), "expected 16-bit PCM, got 32-bit"),
     (riff(fmt_chunk(channels=2), SILENCE), "expected mono audio, got 2 channels"),
+    (riff(fmt_chunk(rate=0), SILENCE), "sample rate must be positive"),
     (riff(fmt_chunk(), SILENCE)[:-10], "data chunk cut short: 1590 of 1600 bytes"),
 ], ids=["text", "empty", "no-fmt", "no-data", "short-fmt", "float", "a-law", "8-bit",
-        "32-bit", "stereo", "cut-short"])
+        "32-bit", "stereo", "zero-rate", "cut-short"])
 def test_mfcc_malformed_wav_exits_2_naming_it(capsys, tmp_path, blob, message):
     path = tmp_path / "bad.wav"
     path.write_bytes(blob)
