@@ -1,7 +1,12 @@
 """Reverse-mode automatic differentiation over the op set the extractors need.
 
 Tensors wrap float64 numpy arrays and remember the op that produced them, so
-a scalar loss can be backpropagated through the graph.  Only the layouts the
+a scalar loss can be backpropagated through the graph.  ``backward`` frees
+the graph as it walks it: each node drops its closure, its parents and its
+``.grad`` as soon as its own backward has run, so activations are released
+one by one and only tensors with ``requires_grad`` (parameters, marked
+inputs) keep a gradient.  A graph can therefore be backpropagated once; a
+second ``backward`` on it raises.  Only the layouts the
 networks use are supported: frame sequences are (T, C) matrices, segment
 activations are (B, D) matrices, pooled statistics are 1-D vectors.  There is
 no general broadcasting.
@@ -42,18 +47,35 @@ class Tensor:
             self.grad += g
 
     def backward(self):
-        """Backpropagate from a scalar output to every reachable tensor."""
+        """Backpropagate from a scalar output to every reachable tensor.
+
+        Frees the graph on the way: after a node's backward has run, its
+        closure and parents are dropped, and so is its ``.grad`` unless it
+        has ``requires_grad``.  Runs once per graph; calling it again on the
+        same graph raises a RuntimeError.
+        """
         if self.data.size != 1:
             raise ValueError("loss must be scalar")
         order = topo_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node._backward = _released
+                node._parents = ()
+            if not node.requires_grad:
+                node.grad = None
 
     def __repr__(self):
         tag = self.name or "tensor"
         return f"Tensor({tag}, shape={self.data.shape})"
+
+
+def _released(g):
+    """Stands in for the closure of a node whose graph backward has freed."""
+    raise RuntimeError("graph already released by backward(); rebuild it to "
+                       "backpropagate again")
 
 
 def topo_order(root: Tensor) -> list[Tensor]:
@@ -133,13 +155,16 @@ def time_delay(x: Tensor, w: Tensor, b: Tensor | None, context: int, dilation: i
     if b is not None:
         out += b.data
     parents = (x, w) if b is None else (x, w, b)
+    # a leaf that needs no gradient (the feature matrix) skips g @ w.T
+    need_gx = x.requires_grad or bool(x._parents)
 
     def backward(g):
-        gs = g @ wv.T
-        gx = np.zeros_like(xv)
-        for k in range(context):
-            gx[k * dilation : k * dilation + t_out] += gs[:, k * c_in : (k + 1) * c_in]
-        x.accumulate_grad(gx)
+        if need_gx:
+            gs = g @ wv.T
+            gx = np.zeros_like(xv)
+            for k in range(context):
+                gx[k * dilation : k * dilation + t_out] += gs[:, k * c_in : (k + 1) * c_in]
+            x.accumulate_grad(gx)
         w.accumulate_grad(spliced.T @ g)
         if b is not None:
             b.accumulate_grad(g.sum(axis=0))

@@ -121,7 +121,8 @@ def triplet_loss_and_grad(a, embeddings, triplets, need_grad: bool = True):
     return loss, np.triu(gu.T @ e)
 
 
-def mine_triplets(embeddings, labels, a, n_hard: int = 1500) -> np.ndarray:
+def mine_triplets(embeddings, labels, a, n_hard: int = 1500,
+                  max_triplets: int | None = None, rng=None) -> np.ndarray:
     """Build (anchor, positive, negative) index triplets as an (n, 3) array.
 
     Every embedding with at least one same-label partner serves as an
@@ -129,27 +130,42 @@ def mine_triplets(embeddings, labels, a, n_hard: int = 1500) -> np.ndarray:
     highest-scoring different-label embeddings under the current transform
     (ties broken by index).  Rows run anchor by anchor, positive-major, with
     each positive's negatives in score order.
+
+    With ``max_triplets`` set and more rows than that, ``rng`` draws which
+    rows to keep (``rng.choice(total, max_triplets, replace=False)``) and
+    only those are built, in row order.
     """
     labels = np.asarray(labels)
     u_hat = _transformed_unit_rows(a, embeddings)[2]
     scores = u_hat @ u_hat.T
     n = len(labels)
-    per_anchor = []
-    for i in range(n):
+    _, group, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    n_pos = sizes[group] - 1
+    counts = n_pos * np.minimum(n - sizes[group], n_hard)
+    if not n_pos.any():
+        raise ValueError("insufficient positives: no speaker has two embeddings")
+    total = int(counts.sum())
+    if total == 0:
+        raise ValueError("insufficient positives: need at least two speakers")
+    if max_triplets is not None and total > max_triplets:
+        rows = np.sort(rng.choice(total, size=max_triplets, replace=False))
+    else:
+        rows = np.arange(total)
+
+    ends = np.cumsum(counts)
+    anchors = np.searchsorted(ends, rows, side="right")
+    local = rows - (ends - counts)[anchors]
+    bounds = np.searchsorted(anchors, np.arange(n + 1))
+    triplets = np.empty((rows.size, 3), dtype=np.intp)
+    triplets[:, 0] = anchors
+    for i in np.flatnonzero(np.diff(bounds)):
         same = labels == labels[i]
         positives = np.flatnonzero(same & (np.arange(n) != i))
-        if positives.size == 0:
-            continue
         negatives = np.flatnonzero(~same)
         hard = negatives[np.argsort(-scores[i, negatives], kind="stable")][:n_hard]
-        per_anchor.append(np.column_stack([np.full(positives.size * hard.size, i),
-                                           np.repeat(positives, hard.size),
-                                           np.tile(hard, positives.size)]))
-    if not per_anchor:
-        raise ValueError("insufficient positives: no speaker has two embeddings")
-    triplets = np.concatenate(per_anchor)
-    if triplets.size == 0:
-        raise ValueError("insufficient positives: need at least two speakers")
+        kept = slice(bounds[i], bounds[i + 1])
+        triplets[kept, 1] = positives[local[kept] // hard.size]
+        triplets[kept, 2] = hard[local[kept] % hard.size]
     return triplets
 
 
@@ -220,10 +236,8 @@ def train_csml(embeddings, labels, opts: CsmlTrainConfig | None = None) -> CsmlT
     n_impostors = min((train_lab != spk).sum() for spk in np.unique(train_lab))
     n_hard = min(opts.n_hard, int(n_impostors))
     for _ in range(opts.epochs):
-        triplets = mine_triplets(train_emb, train_lab, a, n_hard=n_hard)
-        if opts.max_triplets is not None and len(triplets) > opts.max_triplets:
-            keep = rng.choice(len(triplets), size=opts.max_triplets, replace=False)
-            triplets = triplets[np.sort(keep)]
+        triplets = mine_triplets(train_emb, train_lab, a, n_hard=n_hard,
+                                 max_triplets=opts.max_triplets, rng=rng)
         for _ in range(opts.steps_per_epoch):
             loss, grad = triplet_loss_and_grad(a, train_emb, triplets)
             gnorm2 = float((grad ** 2).sum())

@@ -291,6 +291,32 @@ def test_mine_triplets_rows_in_loop_order():
     assert got.tolist() == [list(t) for t in expected]
 
 
+@pytest.mark.parametrize("max_triplets", [1, 37, 250, 10_000])
+def test_mine_triplets_subsample_builds_only_the_drawn_rows(max_triplets):
+    """With ``max_triplets`` the rows are exactly ``full[np.sort(keep)]`` for
+    the draw ``train_csml`` made over the full array, and the generator is
+    left in the same state; no draw is made when every row fits."""
+    rng = np.random.default_rng(25)
+    emb = rng.standard_normal((23, 4))
+    # uneven speakers, one without a partner, and n_hard above some anchors'
+    # impostor counts, so the per-anchor row counts differ
+    labels = np.array([0] * 9 + [1] * 6 + [2] * 4 + [3] * 3 + [4])
+    a = np.triu(rng.standard_normal((4, 4)))
+    np.fill_diagonal(a, np.abs(np.diag(a)) + 0.5)
+    transform, n_hard = CsmlTransform(a), 15
+    full = mine_triplets(emb, labels, transform, n_hard=n_hard)
+    reference, drawing = np.random.default_rng(9), np.random.default_rng(9)
+    if len(full) > max_triplets:
+        expected = full[np.sort(reference.choice(len(full), size=max_triplets, replace=False))]
+    else:
+        expected = full
+    got = mine_triplets(emb, labels, transform, n_hard=n_hard,
+                        max_triplets=max_triplets, rng=drawing)
+    assert got.dtype == full.dtype
+    assert np.array_equal(got, expected)
+    assert drawing.bit_generator.state == reference.bit_generator.state
+
+
 def test_mine_triplets_insufficient_positives():
     emb = np.eye(3)
     with pytest.raises(ValueError, match="insufficient positives"):
