@@ -364,12 +364,14 @@ class ParameterSet:
         self._params: dict[str, Tensor] = {}
         self.velocity: dict[str, np.ndarray] = {}
 
-    def add(self, name: str, array) -> Tensor:
+    def add(self, name: str, array, velocity=None) -> Tensor:
+        """Add a parameter holding ``array`` (not copied if it is float64)
+        with momentum buffer ``velocity``, zeros when None."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
         t = Tensor(array, requires_grad=True, name=name)
         self._params[name] = t
-        self.velocity[name] = np.zeros_like(t.data)
+        self.velocity[name] = np.zeros_like(t.data) if velocity is None else velocity
         return t
 
     def __getitem__(self, name: str) -> Tensor:

@@ -93,8 +93,9 @@ def _cmd_train(args) -> int:
                                 frame_shift_ms=meta["frame_shift_ms"])
     tr.save_train_checkpoint(args.out, result, cfg)
     if result.best_state is not None and args.best_out:
-        best_model = tr.build_model(cfg, len(set(utt2spk.values())))
-        best_model.params.load_state(result.best_state)
+        best_model = md.model_from_arch_dict(result.model.arch_dict(), seed=None)
+        for name, _, _ in md.parameter_table(best_model.layers):
+            best_model.params.add(name, result.best_state[name])
         fm.save_checkpoint(args.best_out, best_model, step=result.final_step,
                            epoch=cfg.epochs, config_hash=cfg.config_hash(),
                            rng_state=result.rng_state,

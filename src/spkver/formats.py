@@ -218,16 +218,18 @@ def load_checkpoint(path):
     The file must hold exactly a ``param.<name>`` and a ``momentum.<name>``
     array of the parameter's shape for every parameter its architecture
     implies; anything else raises ValueError naming the file and the array.
+    The model adopts the file's arrays: nothing is drawn or allocated for it.
     """
-    from .models import model_from_arch_dict
+    from .models import model_from_arch_dict, parameter_table
 
     arrays, meta = read_archive(path)
     if meta is None or meta.get("kind") != "checkpoint":
         raise ValueError(f"{path}: not a checkpoint")
     if "arch" not in meta:
         raise ValueError(f"{path}: checkpoint lacks metadata key arch")
-    model = model_from_arch_dict(meta["arch"])
-    shapes = {f"{prefix}.{name}": tensor.data.shape for name, tensor in model.params.items()
+    model = model_from_arch_dict(meta["arch"], seed=None)
+    table = parameter_table(model.layers)
+    shapes = {f"{prefix}.{name}": shape for name, shape, _ in table
               for prefix in ("param", "momentum")}
     for name in sorted(arrays.keys() | shapes.keys()):
         if name not in shapes:
@@ -238,9 +240,8 @@ def load_checkpoint(path):
             raise ValueError(f"{path}: array {name} has shape {arrays[name].shape}, "
                              f"architecture needs {shapes[name]}")
     # read_archive's arrays are fresh and unshared: they become the state as they are
-    for name, tensor in model.params.items():
-        tensor.data = arrays[f"param.{name}"]
-        model.params.velocity[name] = arrays[f"momentum.{name}"]
+    for name, _, _ in table:
+        model.params.add(name, arrays[f"param.{name}"], arrays[f"momentum.{name}"])
     return model, meta
 
 

@@ -201,7 +201,7 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
                   "step": step}
         if val_utts:
             val_rng = np.random.default_rng(cfg.seed + 7919 + epoch)
-            embs = np.stack([m.forward_embed(model, features[u]) for u in val_utts])
+            embs = m.embed_batch(model, [features[u] for u in val_utts])
             record["val_eer"] = all_pairs_eer(None, embs, val_labels, val_rng, max_trials=2000)
             if result.best_val_eer is None or record["val_eer"] < result.best_val_eer:
                 result.best_val_eer = record["val_eer"]
@@ -242,16 +242,15 @@ def extract_embeddings(model: m.ExtractorModel, features: dict[str, np.ndarray],
             log(f"warning: skipping {u}: {features[u].shape[0]} frames < "
                 f"receptive field {need}")
     n_workers = threads if threads is not None else default_thread_count()
+    kept_features = [features[u] for u in kept]
     if n_workers > 1 and len(kept) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            vectors = list(pool.map(lambda u: m.forward_embed(model, features[u]), kept))
+            rows = m.embed_batch(model, kept_features, pool.map)
     else:
-        vectors = [m.forward_embed(model, features[u]) for u in kept]
-    embeddings = {u: np.asarray(v, dtype=np.float32).astype(np.float64)
-                  for u, v in zip(kept, vectors)}
-    return embeddings, skipped
+        rows = m.embed_batch(model, kept_features)
+    return dict(zip(kept, rows.astype(np.float32).astype(np.float64))), skipped
 
 
 def save_train_checkpoint(path, result: TrainResult, cfg: ExperimentConfig,

@@ -16,6 +16,7 @@ from spkver import formats as fm
 from spkver import frontend as fe
 from spkver import metrics as mt
 from spkver import models as md
+from spkver import training as tr
 from spkver.cli import main
 
 
@@ -176,6 +177,59 @@ def test_extract_checkpoint_with_extra_momentum_exits_2(capsys, toy_dir, tmp_pat
                        "--out", str(tmp_path / "emb.bin"))
     assert code == 2 and "extra.ckpt: array momentum.bogus" in err
     assert not (tmp_path / "emb.bin").exists()
+
+
+def test_extract_all_short_writes_empty_archive(capsys, tmp_path):
+    feats = {f"u{i}": np.random.default_rng(i).standard_normal((10 + i, 23))
+             for i in range(3)}
+    fm.write_features(tmp_path / "feats.bin", feats, 10.0)
+    ckpt = tmp_path / "m.ckpt"
+    fm.save_checkpoint(ckpt, md.build_maxpool_net(n_spk=3, width_scale=0.125),
+                       step=0, epoch=0, config_hash="")
+    code, out, err = run(capsys, "extract", "--checkpoint", str(ckpt),
+                         "--features", str(tmp_path / "feats.bin"),
+                         "--out", str(tmp_path / "emb.bin"),
+                         "--manifest", str(tmp_path / "skipped.txt"))
+    assert code == 0, err
+    assert fm.read_embeddings(tmp_path / "emb.bin") == {}
+    assert (tmp_path / "skipped.txt").read_text() == "u0 skipped\nu1 skipped\nu2 skipped\n"
+    assert "wrote 0 embeddings" in out and "(3 skipped)" in out
+
+
+def test_train_best_out_builds_no_second_random_model(capsys, toy_dir, tmp_path,
+                                                      monkeypatch):
+    """The best checkpoint holds the best state with zero momentum, byte for
+    byte what loading that state over a freshly built model wrote."""
+    corpus = toy_dir / "corpus"
+    cfg = write_toy_config(tmp_path / "exp.ini", epochs=2, val_fraction=0.34)
+    builds, results = [], []
+    build_model, train_extractor = tr.build_model, tr.train_extractor
+
+    def counted_build(*args):
+        builds.append(args)
+        return build_model(*args)
+
+    def kept_train(*args, **kwargs):
+        results.append(train_extractor(*args, **kwargs))
+        return results[-1]
+    monkeypatch.setattr(tr, "build_model", counted_build)
+    monkeypatch.setattr(tr, "train_extractor", kept_train)
+    best = tmp_path / "best.ckpt"
+    code, _, err = run(capsys, "train", "--config", str(tmp_path / "exp.ini"),
+                       "--features", str(corpus / "feats.bin"),
+                       "--utt2spk", str(corpus / "utt2spk.txt"),
+                       "--out", str(tmp_path / "last.ckpt"), "--best-out", str(best))
+    assert code == 0, err
+    assert len(builds) == 1
+    result = results[0]
+    assert result.best_state is not None
+    reference = build_model(cfg, 3)
+    reference.params.load_state(result.best_state)
+    fm.save_checkpoint(tmp_path / "ref.ckpt", reference, step=result.final_step,
+                       epoch=cfg.epochs, config_hash=cfg.config_hash(),
+                       rng_state=result.rng_state,
+                       extra={"best_val_eer": result.best_val_eer})
+    assert best.read_bytes() == (tmp_path / "ref.ckpt").read_bytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow is the point

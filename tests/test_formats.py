@@ -1,10 +1,11 @@
-"""File-format round-trips, byte stability, checkpoint reload fidelity,
-and config parsing."""
+"""File-format round-trips, byte stability, checkpoint reload fidelity
+and load memory, and config parsing."""
 
 import hashlib
 import itertools
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,31 @@ def test_checkpoint_arrays_must_match_architecture(tmp_path, edit, message):
     fm.write_archive(path, arrays, meta, dtype="f8")
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         fm.load_checkpoint(path)
+
+
+def test_load_checkpoint_adopts_the_archive_arrays(tmp_path, monkeypatch):
+    """No random draw and no parameter or momentum array beyond the ones
+    read: the load peaks within 15% of the archive's payload bytes."""
+    model = md.build_res_net(3, n_spk=4, width_scale=0.25, seed=6)
+    path = tmp_path / "m.ckpt"
+    fm.save_checkpoint(path, model, step=0, epoch=0, config_hash="")
+    payload = sum(t.data.nbytes + model.params.velocity[n].nbytes
+                  for n, t in model.params.items())
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    tracemalloc.start()
+    try:
+        clone, _ = fm.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * payload, (peak, payload)
+    assert clone.params.names() == model.params.names()
+    for name, tensor in model.params.items():
+        assert np.array_equal(clone.params[name].data, tensor.data)
+        assert np.array_equal(clone.params.velocity[name], model.params.velocity[name])
 
 
 def test_checkpoint_write_is_deterministic(tmp_path):

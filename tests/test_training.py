@@ -1,7 +1,7 @@
 """Training-loop contracts: zero-lr no-op, loss descent, divergence abort
 (also after resume and on a non-finite gradient norm), deterministic replay,
 checkpoint resume bit-match, zero-norm validation embeddings, extraction
-bookkeeping."""
+bookkeeping and batch-invariant embeddings."""
 
 import numpy as np
 import pytest
@@ -181,6 +181,28 @@ def test_extract_threaded_matches_serial():
         assert np.array_equal(serial[utt], threaded[utt])
 
 
+def test_embedding_does_not_depend_on_its_batch(monkeypatch):
+    """Whole set, subsets, one utterance alone, threads: bit-identical rows.
+
+    At width 0.25 segment6 is a 512 x 512 product, where OpenBLAS sums a
+    2- or 3-row GEMM in another order than a 4-row one; with the block
+    constant at 4, ten utterances make blocks of 4, 4 and 2."""
+    features, _ = tiny_corpus(n_speakers=2, utts=5, seconds=2.0)
+    model = md.build_res_net(1, n_spk=2, width_scale=0.25, seed=4)
+    monkeypatch.setattr(md, "EMBED_BLOCK", 4)
+    utts = sorted(features)
+    whole = dict(zip(utts, md.embed_batch(model, [features[u] for u in utts])))
+    for subset in (utts[:5], utts[3:9], utts[::3], utts[1:3], [utts[7]]):
+        rows = md.embed_batch(model, [features[u] for u in subset])
+        for utt, row in zip(subset, rows):
+            assert np.array_equal(row, whole[utt]), (subset, utt)
+    for utt in utts:
+        assert np.array_equal(md.forward_embed(model, features[utt]), whole[utt])
+    threaded, _ = tr.extract_embeddings(model, features, threads=3)
+    for utt in utts:
+        assert np.array_equal(threaded[utt], whole[utt].astype(np.float32))
+
+
 def test_thread_count_env(monkeypatch):
     monkeypatch.setenv("SPKVER_THREADS", "3")
     assert tr.default_thread_count() == 3
@@ -191,6 +213,6 @@ def test_thread_count_env(monkeypatch):
 def test_zero_norm_validation_embedding_raises(monkeypatch):
     features, utt2spk = tiny_corpus(n_speakers=4, utts=8)
     cfg = tiny_config(epochs=1, steps_per_epoch=1, val_fraction=0.25)
-    monkeypatch.setattr(md, "forward_embed", lambda model, feats: np.zeros(8))
+    monkeypatch.setattr(md, "embed_batch", lambda model, feats: np.zeros((len(feats), 8)))
     with pytest.raises(ValueError, match="degenerate embedding: zero norm"):
         tr.train_extractor(features, utt2spk, cfg)
