@@ -67,9 +67,12 @@ def _cmd_mfcc(args) -> int:
         raise CliError("no input WAV files")
     features = {}
     for path in paths:
-        feats = voiced_features(read_wav(path), cfg,
-                                apply_vad=not args.no_vad,
-                                apply_cmn=not args.no_cmn)
+        waveform = read_wav(path)         # its errors name the file already
+        try:
+            feats = voiced_features(waveform, cfg, apply_vad=not args.no_vad,
+                                    apply_cmn=not args.no_cmn)
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}") from exc
         features[path.stem] = feats.values
     fm.write_features(args.out, features, cfg.frame_shift_ms)
     print(f"wrote features for {len(features)} utterances to {args.out}")
@@ -105,7 +108,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    model, _ = fm.load_checkpoint(args.checkpoint)
+    model, _ = fm.load_checkpoint(args.checkpoint, momentum=False)
     features, _ = fm.read_features(args.features)
     embeddings, skipped = tr.extract_embeddings(
         model, features, threads=args.threads,

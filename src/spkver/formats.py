@@ -19,6 +19,9 @@ Container I/O copies each payload once:
 - Before allocating a payload, ``read_archive`` checks its size against the
   bytes left in the file, so a corrupt header cannot ask for more memory
   than the file holds.
+- ``read_archive`` can skip the payloads of records named by a prefix: it
+  checks their headers the same way and seeks past them.  Extraction skips
+  a checkpoint's momentum buffers, half of its bytes, this way.
 - The byte format is the one described above, unchanged.
 """
 
@@ -77,13 +80,16 @@ def write_archive(path, arrays: dict[str, np.ndarray], meta: dict | None = None,
         fh.writelines(chunks)
 
 
-def read_archive(path):
+def read_archive(path, skip_prefix: str | None = None):
     """Read a container; returns (arrays, meta-or-None).
 
     Every array is a fresh, writable float64 array that shares memory with
-    no other.  A file that ends inside a record (or whose record claims more
-    bytes than the file holds), a metadata record that is not 1-D and an
-    unknown dtype code raise ValueError naming the path.
+    no other, except for array records whose name starts with
+    ``skip_prefix``: their payloads are not read, and each comes back as a
+    read-only all-NaN placeholder of its shape that holds no memory.  A file
+    that ends inside a record (or whose record claims more bytes than the
+    file holds), a metadata record that is not 1-D and an unknown dtype code
+    raise ValueError naming the path, skipped records included.
     """
     with open(path, "rb", buffering=_FILE_BUFFER) as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -126,6 +132,10 @@ def read_archive(path):
             np_dtype = _ARRAY_DTYPES[code]
             nbytes = math.prod(shape) * np_dtype.itemsize
             claim(nbytes)
+            if skip_prefix is not None and name.startswith(skip_prefix):
+                fh.seek(nbytes, os.SEEK_CUR)
+                arrays[name] = np.broadcast_to(np.float64(np.nan), shape)
+                continue
             arr = np.empty(shape, np_dtype)
             # an empty array has no bytes to read (and memoryview cannot cast it)
             if nbytes and fh.readinto(memoryview(arr).cast("B")) != nbytes:
@@ -212,17 +222,20 @@ def save_checkpoint(path, model, *, step: int, epoch: int, config_hash: str,
     write_archive(path, arrays, meta, dtype="f8")
 
 
-def load_checkpoint(path):
+def load_checkpoint(path, momentum: bool = True):
     """Rebuild the model and return (model, meta).
 
     The file must hold exactly a ``param.<name>`` and a ``momentum.<name>``
     array of the parameter's shape for every parameter its architecture
     implies; anything else raises ValueError naming the file and the array.
     The model adopts the file's arrays: nothing is drawn or allocated for it.
+    With ``momentum=False`` the momentum payloads are checked but not read,
+    and the model's momentum buffers are read-only NaN placeholders: it can
+    embed, but not train.
     """
     from .models import model_from_arch_dict, parameter_table
 
-    arrays, meta = read_archive(path)
+    arrays, meta = read_archive(path, skip_prefix=None if momentum else "momentum.")
     if meta is None or meta.get("kind") != "checkpoint":
         raise ValueError(f"{path}: not a checkpoint")
     if "arch" not in meta:

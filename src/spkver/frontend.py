@@ -4,10 +4,17 @@ Converts raw audio into voiced, mean-normalized cepstral feature matrices.
 The defaults target telephone-band speech (any sample rate works): 25 ms
 frames at a 10 ms shift, 23 triangular mel filters between 20 Hz and
 Nyquist, 23 cepstra with the zeroth coefficient kept as an energy proxy.
+
+Nothing loops per frame: frames are strided views windowed into one
+zero-padded FFT buffer, and sliding CMN is one indexed cumulative sum.  The
+window, filterbank and DCT tables are cached read-only per frame length,
+filter count, cepstrum count and sample rate.  Features are bit-identical to
+the per-frame loops kept as an oracle in ``tests/test_frontend.py``.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -188,11 +195,16 @@ def _dct_basis(n: int, k: int) -> np.ndarray:
     return basis
 
 
-def _fft_size(frame_len: int) -> int:
-    n = 1
-    while n < frame_len:
-        n *= 2
-    return n
+@functools.lru_cache(maxsize=16)
+def _mfcc_tables(frame_len: int, n_filters: int, n_cepstra: int, sample_rate: int):
+    """Read-only zero-padded Hamming window, transposed mel filterbank, DCT basis."""
+    window = np.zeros(1 << (frame_len - 1).bit_length())    # next power of two
+    window[:frame_len] = np.hamming(frame_len)
+    fbank = mel_filterbank(n_filters, window.size, sample_rate)
+    dct = _dct_basis(n_filters, n_cepstra)
+    for table in (window, fbank, dct):
+        table.flags.writeable = False
+    return window, fbank.T, dct
 
 
 def compute_mfcc(waveform: Waveform, cfg: FrontendConfig | None = None) -> FeatureMatrix:
@@ -202,8 +214,9 @@ def compute_mfcc(waveform: Waveform, cfg: FrontendConfig | None = None) -> Featu
     mel filterbank -> log (floored) -> orthonormal DCT-II.  The zeroth
     cepstrum is retained as a log-energy proxy in column 0.
 
-    Raises ValueError for non-finite samples ("invalid signal") or a
-    waveform shorter than one frame ("input too short").
+    Raises ValueError for non-finite samples or a sample rate that rounds
+    the frame shift to 0 samples ("invalid signal"), or for a waveform
+    shorter than one frame ("input too short").
     """
     if cfg is None:
         cfg = FrontendConfig()
@@ -215,24 +228,27 @@ def compute_mfcc(waveform: Waveform, cfg: FrontendConfig | None = None) -> Featu
     rate = waveform.sample_rate
     frame_len = int(round(cfg.frame_length_ms * rate / 1000.0))
     frame_shift = int(round(cfg.frame_shift_ms * rate / 1000.0))
+    if frame_shift < 1:            # frame_len >= frame_shift: it rounds a longer time
+        raise ValueError(f"invalid signal: at {rate} Hz the {cfg.frame_shift_ms:g} ms "
+                         f"frame shift is {frame_shift} samples, under one")
     n_frames = frame_count(samples.size, frame_len, frame_shift)
     if n_frames < 1:
         raise ValueError(f"input too short: {samples.size} samples < one {frame_len}-sample frame")
 
+    window, fbank_t, dct = _mfcc_tables(frame_len, cfg.n_mel_filters, cfg.n_cepstra, rate)
+    emphasized = samples
     if cfg.preemphasis > 0:
-        emphasized = np.concatenate([samples[:1], samples[1:] - cfg.preemphasis * samples[:-1]])
-    else:
-        emphasized = samples
-    starts = np.arange(n_frames) * frame_shift
-    frames = np.stack([emphasized[s : s + frame_len] for s in starts])
-    frames = frames * np.hamming(frame_len)
+        emphasized = np.empty_like(samples)
+        emphasized[0] = samples[0]
+        np.multiply(samples[:-1], cfg.preemphasis, out=emphasized[1:])
+        np.subtract(samples[1:], emphasized[1:], out=emphasized[1:])
+    frames = np.lib.stride_tricks.sliding_window_view(emphasized, frame_len)[::frame_shift]
+    padded = np.zeros((n_frames, window.size))
+    np.multiply(frames, window[:frame_len], out=padded[:, :frame_len])
 
-    n_fft = _fft_size(frame_len)
-    magnitude = np.abs(np.fft.rfft(frames, n=n_fft, axis=1))
-    fbank = mel_filterbank(cfg.n_mel_filters, n_fft, rate)
-    energies = magnitude @ fbank.T
-    log_energies = np.log(np.maximum(energies, LOG_FLOOR))
-    cepstra = log_energies @ _dct_basis(cfg.n_mel_filters, cfg.n_cepstra)
+    magnitude = np.abs(np.fft.rfft(padded, axis=1))
+    log_energies = np.log(np.maximum(magnitude @ fbank_t, LOG_FLOOR))
+    cepstra = log_energies @ dct
     return FeatureMatrix(cepstra, cfg.frame_shift_ms)
 
 
@@ -267,12 +283,10 @@ def sliding_cmn(features: FeatureMatrix, cfg: FrontendConfig | None = None) -> F
     window = int(round(cfg.cmn_window_s * 1000.0 / features.frame_shift_ms))
     window = max(1, min(window, t))
     half = window // 2
-    cumsum = np.vstack([np.zeros((1, values.shape[1])), np.cumsum(values, axis=0)])
-    out = np.empty_like(values)
-    for i in range(t):
-        start = min(max(i - half, 0), t - window)
-        mean = (cumsum[start + window] - cumsum[start]) / window
-        out[i] = values[i] - mean
+    cumsum = np.zeros((t + 1, values.shape[1]))
+    np.cumsum(values, axis=0, out=cumsum[1:])
+    start = np.clip(np.arange(t) - half, 0, t - window)
+    out = values - (cumsum[start + window] - cumsum[start]) / window
     return FeatureMatrix(out, features.frame_shift_ms)
 
 

@@ -108,8 +108,12 @@ SILENCE = (b"data", bytes(1600))
     (riff(fmt_chunk(channels=2), SILENCE), "expected mono audio, got 2 channels"),
     (riff(fmt_chunk(rate=0), SILENCE), "sample rate must be positive"),
     (riff(fmt_chunk(), SILENCE)[:-10], "data chunk cut short: 1590 of 1600 bytes"),
+    (riff(fmt_chunk(rate=10), SILENCE),
+     "invalid signal: at 10 Hz the 10 ms frame shift is 0 samples, under one"),
+    (riff(fmt_chunk(), (b"data", bytes(100))),
+     "input too short: 50 samples < one 200-sample frame"),
 ], ids=["text", "empty", "no-fmt", "no-data", "short-fmt", "float", "a-law", "8-bit",
-        "32-bit", "stereo", "zero-rate", "cut-short"])
+        "32-bit", "stereo", "zero-rate", "cut-short", "ten-hz", "too-short"])
 def test_mfcc_malformed_wav_exits_2_naming_it(capsys, tmp_path, blob, message):
     path = tmp_path / "bad.wav"
     path.write_bytes(blob)

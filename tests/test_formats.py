@@ -153,8 +153,9 @@ def test_checkpoint_arrays_must_match_architecture(tmp_path, edit, message):
     arrays, meta = fm.read_archive(path)
     edit(arrays, meta)
     fm.write_archive(path, arrays, meta, dtype="f8")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
-        fm.load_checkpoint(path)
+    for momentum in (True, False):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            fm.load_checkpoint(path, momentum=momentum)
 
 
 def test_load_checkpoint_adopts_the_archive_arrays(tmp_path, monkeypatch):
@@ -276,6 +277,45 @@ def test_archive_arrays_are_fresh_writable_float64(tmp_path):
         fm.write_archive(tmp_path / "x.bin", arrays, {"kind": "x"}, dtype=dtype)
         back, _ = fm.read_archive(tmp_path / "x.bin")
         _assert_fresh_float64(list(back.values()))
+
+
+def test_load_without_momentum_reads_only_the_parameters(tmp_path):
+    """The extraction load peaks within 15% of the ``param.*`` payload bytes,
+    embeds like a full load and refuses to train."""
+    model = md.build_res_net(3, n_spk=4, width_scale=0.25, seed=6)
+    path = tmp_path / "m.ckpt"
+    fm.save_checkpoint(path, model, step=0, epoch=0, config_hash="")
+    payload = sum(t.data.nbytes for _, t in model.params.items())
+    tracemalloc.start()
+    try:
+        clone, _ = fm.load_checkpoint(path, momentum=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * payload, (peak, payload)
+    feats = np.random.default_rng(5).standard_normal((120, 23))
+    assert np.array_equal(md.forward_embed(clone, feats), md.forward_embed(model, feats))
+    for name, vel in clone.params.velocity.items():
+        assert vel.shape == model.params.velocity[name].shape and not vel.flags.writeable
+        clone.params[name].grad = np.zeros(vel.shape)
+    with pytest.raises(ValueError, match="read-only"):
+        tr.sgd_step(clone.params, lr=0.1, momentum=0.9)
+
+
+def test_skipped_records_are_checked_against_the_file(tmp_path):
+    path = tmp_path / "x.bin"
+    fm.write_archive(path, {"a": np.arange(4.0), "skip.b": np.ones((2, 3))}, {"kind": "x"})
+    arrays, meta = fm.read_archive(path, skip_prefix="skip.")
+    assert meta == {"kind": "x"} and np.array_equal(arrays["a"], np.arange(4.0))
+    assert arrays["skip.b"].shape == (2, 3) and np.isnan(arrays["skip.b"]).all()
+    blob = path.read_bytes()
+    (tmp_path / "cut.bin").write_bytes(blob[:blob.index(b"skip.b") + 30])
+    with pytest.raises(ValueError, match="truncated archive"):
+        fm.read_archive(tmp_path / "cut.bin", skip_prefix="skip.")
+    code_at = blob.index(b"skip.b") + len("skip.b")
+    (tmp_path / "code.bin").write_bytes(blob[:code_at] + b"\x07" + blob[code_at + 1:])
+    with pytest.raises(ValueError, match="record 'skip.b' has unknown dtype code 7"):
+        fm.read_archive(tmp_path / "code.bin", skip_prefix="skip.")
 
 
 def test_loaded_checkpoint_trains_in_place(tmp_path):

@@ -237,3 +237,78 @@ def test_write_wav_writes_scipy_bytes_and_reads_back(tmp_path):
     reference = io.BytesIO()
     wavfile.write(reference, 16000, expected)
     assert path.read_bytes() == reference.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with the per-frame loops
+
+
+def loop_voiced_features(wave, cfg):
+    """The frontend as per-frame loops with every table built per call: a
+    frame list, a fresh window, filterbank and DCT basis, and a CMN loop."""
+    samples, rate = wave.samples, wave.sample_rate
+    frame_len = int(round(cfg.frame_length_ms * rate / 1000.0))
+    frame_shift = int(round(cfg.frame_shift_ms * rate / 1000.0))
+    n_frames = fe.frame_count(samples.size, frame_len, frame_shift)
+    if cfg.preemphasis > 0:
+        samples = np.concatenate([samples[:1], samples[1:] - cfg.preemphasis * samples[:-1]])
+    frames = np.stack([samples[s : s + frame_len] for s in np.arange(n_frames) * frame_shift])
+    frames = frames * np.hamming(frame_len)
+    n_fft = 1
+    while n_fft < frame_len:
+        n_fft *= 2
+    magnitude = np.abs(np.fft.rfft(frames, n=n_fft, axis=1))
+    energies = magnitude @ fe.mel_filterbank(cfg.n_mel_filters, n_fft, rate).T
+    values = (np.log(np.maximum(energies, fe.LOG_FLOOR))
+              @ fe._dct_basis(cfg.n_mel_filters, cfg.n_cepstra))
+    values = values[fe.energy_vad(fe.FeatureMatrix(values, cfg.frame_shift_ms), cfg)]
+
+    t = values.shape[0]
+    window = max(1, min(int(round(cfg.cmn_window_s * 1000.0 / cfg.frame_shift_ms)), t))
+    half = window // 2
+    cumsum = np.vstack([np.zeros((1, values.shape[1])), np.cumsum(values, axis=0)])
+    out = np.empty_like(values)
+    for i in range(t):
+        start = min(max(i - half, 0), t - window)
+        out[i] = values[i] - (cumsum[start + window] - cumsum[start]) / window
+    return out
+
+
+LENGTHS = {"one-frame": lambda rate: rate // 40,              # exactly one 25 ms frame
+           "ragged": lambda rate: 9 * rate + rate // 100 - 3,  # not a multiple of the shift
+           "under-cmn-window": lambda rate: 6 * rate // 5}     # 1.2 s < the 3 s window
+
+
+@pytest.mark.parametrize("length", sorted(LENGTHS))
+@pytest.mark.parametrize("n_cepstra", [13, 23])
+@pytest.mark.parametrize("preemphasis", [0.0, 0.97])
+@pytest.mark.parametrize("rate", [8000, 16000])
+def test_voiced_features_bit_identical_to_per_frame_loops(rate, preemphasis, n_cepstra,
+                                                          length):
+    n = LENGTHS[length](rate)
+    rng = np.random.default_rng([rate, n_cepstra, n])
+    gain = np.repeat(rng.uniform(0.01, 1.0, n // 400 + 1), 400)[:n]   # voiced and quiet stretches
+    wave = fe.Waveform(gain * rng.standard_normal(n), rate)
+    cfg = fe.FrontendConfig(preemphasis=preemphasis, n_cepstra=n_cepstra)
+    expected = loop_voiced_features(wave, cfg)
+    assert length != "one-frame" or expected.shape[0] == 1
+    assert length != "ragged" or expected.shape[0] > 300     # the window slides
+    assert np.array_equal(fe.voiced_features(wave, cfg).values, expected)
+
+
+def test_mfcc_tables_are_read_only():
+    for table in fe._mfcc_tables(200, 23, 13, 8000):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+
+
+def test_alternating_rates_match_fresh_tables():
+    waves = [sine(440, 1.5, 8000), sine(440, 1.5, 16000)]
+    fresh = []
+    for wave in waves:
+        fe._mfcc_tables.cache_clear()
+        fresh.append(fe.voiced_features(wave).values)
+    for _ in range(2):
+        for wave, expected in zip(waves, fresh):
+            assert np.array_equal(fe.voiced_features(wave).values, expected)
