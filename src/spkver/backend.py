@@ -11,6 +11,10 @@ transformed unit rows for CSML; for PLDA, length-norm, LDA and the basis that
 diagonalises both covariances), and ``score_pairs`` scores index pairs of those
 rows, one dot product each, ``SCORE_BLOCK`` trials at a time (O(block * d) memory).
 A zero-norm embedding raises "degenerate embedding: zero norm".
+
+CSML fitting builds each transform's rows (``_csml_rows``: the unit rows U and their
+Gram matrix S = U Uᵀ) once: mining and the step's loss and gradient read them, and a
+line-search probe that ``train_csml`` accepts hands its rows on to the next step.
 """
 
 from __future__ import annotations
@@ -22,9 +26,12 @@ import numpy as np
 from . import formats as fm
 from .metrics import ScoreSet, compute_eer
 
-SCORE_BLOCK = 4096         # trials per block of ``score_pairs``
+# Trials per block of ``score_pairs``: a block's two gathers (1 MB each at d = 512) stay in
+# cache and reuse heap pages; at 4096 trials they were 16 MB, mapped and faulted in afresh.
+SCORE_BLOCK = 256
 CSML_VAL_TRIALS = 5000     # validation pairs per held-out EER of ``train_csml``
 CSML_DIAG_FLOOR = 1e-4     # smallest diagonal entry of a CSML descent step
+MINE_BLOCK = 256           # anchors per block of ``mine_triplets``' hard-negative search
 TRI_BLOCK = 64             # ``_tri_inv`` hands triangles of at most this many rows to LAPACK
 
 
@@ -77,10 +84,15 @@ def _transformed_unit_rows(a, embeddings):
     return e, norms, u / norms[:, None]
 
 
+def _csml_rows(a, embeddings):
+    """(embeddings, norms, unit rows U, Gram matrix S = U Uᵀ) under transform ``a``."""
+    e, norms, u_hat = _transformed_unit_rows(a, embeddings)
+    return e, norms, u_hat, u_hat @ u_hat.T
+
+
 def triplet_loss(a, embeddings, triplets) -> float:
     """Sum over triplets of log(1 + exp(-(s_ap - s_an))) under csml scores."""
-    loss, _ = triplet_loss_and_grad(a, embeddings, triplets, need_grad=False)
-    return loss
+    return triplet_loss_and_grad(_csml_rows(a, embeddings), triplets, need_grad=False)[0]
 
 
 def _triplet_weights(d):
@@ -89,12 +101,12 @@ def _triplet_weights(d):
     return -1.0 / (1.0 + np.exp(d))
 
 
-def triplet_loss_and_grad(a, embeddings, triplets, need_grad: bool = True):
+def triplet_loss_and_grad(rows, triplets, need_grad: bool = True):
     """Triplet ranking loss and its gradient w.r.t. the transform.
 
-    Every score a triplet reads is an entry of the Gram matrix S = U Uᵀ of
-    the N transformed unit rows U (one N x N matrix, as ``mine_triplets``
-    builds): the margin is d = S[a, p] - S[a, n].  The gradient sums dL/dd
+    ``rows`` are one transform's ``_csml_rows``.  Every score a triplet reads is
+    an entry of their Gram matrix S = U Uᵀ (the N x N matrix ``mine_triplets``
+    reads too): the margin is d = S[a, p] - S[a, n].  The gradient sums dL/dd
     into G (+w at (a, p), -w at (a, n)) with one ``np.bincount``; dL/dU is
     (G + Gᵀ) U, each row projected onto its unit sphere's tangent space and
     divided by its norm before the product with the embeddings.  The gradient
@@ -103,9 +115,8 @@ def triplet_loss_and_grad(a, embeddings, triplets, need_grad: bool = True):
     trip = np.asarray(triplets, dtype=np.intp)
     if trip.size == 0:
         raise ValueError("no triplets")
-    e, norms, u_hat = _transformed_unit_rows(a, embeddings)
+    e, norms, u_hat, gram = rows
     n = len(u_hat)
-    gram = u_hat @ u_hat.T
     ai, pi, ni = trip[:, 0], trip[:, 1], trip[:, 2]
     d = gram[ai, pi] - gram[ai, ni]
     loss = float(np.logaddexp(0.0, -d).sum())
@@ -121,52 +132,55 @@ def triplet_loss_and_grad(a, embeddings, triplets, need_grad: bool = True):
     return loss, np.triu(gu.T @ e)
 
 
-def mine_triplets(embeddings, labels, a, n_hard: int = 1500,
+def mine_triplets(rows, labels, n_hard: int = 1500,
                   max_triplets: int | None = None, rng=None) -> np.ndarray:
     """Build (anchor, positive, negative) index triplets as an (n, 3) array.
 
-    Every embedding with at least one same-label partner serves as an
-    anchor; all its positives are used, and its negatives are the n_hard
-    highest-scoring different-label embeddings under the current transform
-    (ties broken by index).  Rows run anchor by anchor, positive-major, with
-    each positive's negatives in score order.
+    ``rows`` are the current transform's ``_csml_rows``.  Every embedding with
+    at least one same-label partner serves as an anchor; all its positives are
+    used, and its negatives are the n_hard highest-scoring different-label
+    embeddings under the transform (ties broken by index).  Rows run anchor by
+    anchor, positive-major, with each positive's negatives in score order.
 
     With ``max_triplets`` set and more rows than that, ``rng`` draws which
     rows to keep (``rng.choice(total, max_triplets, replace=False)``) and
     only those are built, in row order.
     """
-    labels = np.asarray(labels)
-    u_hat = _transformed_unit_rows(a, embeddings)[2]
-    scores = u_hat @ u_hat.T
-    n = len(labels)
     _, group, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    n = group.size
     n_pos = sizes[group] - 1
-    counts = n_pos * np.minimum(n - sizes[group], n_hard)
+    n_neg = np.minimum(n - sizes[group], n_hard)
+    counts = n_pos * n_neg
     if not n_pos.any():
         raise ValueError("insufficient positives: no speaker has two embeddings")
     total = int(counts.sum())
     if total == 0:
         raise ValueError("insufficient positives: need at least two speakers")
     if max_triplets is not None and total > max_triplets:
-        rows = np.sort(rng.choice(total, size=max_triplets, replace=False))
+        if rng is None:
+            raise ValueError(f"max_triplets={max_triplets} of {total} needs a generator (rng)")
+        kept = np.sort(rng.choice(total, size=max_triplets, replace=False))
     else:
-        rows = np.arange(total)
+        kept = np.arange(total)
+
+    # Each anchor's k hardest negatives in score order, ties to the lower index:
+    # the entries at or above the row's k-th largest impostor score, sorted stably.
+    k = int(n_neg.max())
+    hard = np.empty((n, k), dtype=np.intp)
+    for lo in range(0, n, MINE_BLOCK):
+        neg = -rows[3][lo:lo + MINE_BLOCK]
+        neg[group[lo:lo + MINE_BLOCK, None] == group] = np.inf    # same speaker: last
+        r, c = np.nonzero(neg <= np.partition(neg, k - 1, axis=1)[:, k - 1:k])
+        c = c[np.lexsort((neg[r, c], r))]                 # r stays sorted, ties keep c order
+        hard[lo:lo + len(neg)] = c[np.arange(r.size) - np.searchsorted(r, r) < k].reshape(-1, k)
 
     ends = np.cumsum(counts)
-    anchors = np.searchsorted(ends, rows, side="right")
-    local = rows - (ends - counts)[anchors]
-    bounds = np.searchsorted(anchors, np.arange(n + 1))
-    triplets = np.empty((rows.size, 3), dtype=np.intp)
-    triplets[:, 0] = anchors
-    for i in np.flatnonzero(np.diff(bounds)):
-        same = labels == labels[i]
-        positives = np.flatnonzero(same & (np.arange(n) != i))
-        negatives = np.flatnonzero(~same)
-        hard = negatives[np.argsort(-scores[i, negatives], kind="stable")][:n_hard]
-        kept = slice(bounds[i], bounds[i + 1])
-        triplets[kept, 1] = positives[local[kept] // hard.size]
-        triplets[kept, 2] = hard[local[kept] % hard.size]
-    return triplets
+    anchors = np.searchsorted(ends, kept, side="right")
+    positive, negative = np.divmod(kept - (ends - counts)[anchors], n_neg[anchors])
+    members = np.argsort(group, kind="stable")               # speaker by speaker, by index
+    start = (np.cumsum(sizes) - sizes)[group[anchors]]       # the anchor's speaker in members
+    positive += positive >= np.argsort(members)[anchors] - start   # skip the anchor itself
+    return np.column_stack([anchors, members[start + positive], hard[anchors, negative]])
 
 
 @dataclass
@@ -235,11 +249,13 @@ def train_csml(embeddings, labels, opts: CsmlTrainConfig | None = None) -> CsmlT
     train_lab = labels[train_idx]
     n_impostors = min((train_lab != spk).sum() for spk in np.unique(train_lab))
     n_hard = min(opts.n_hard, int(n_impostors))
+    rows = None                            # ``_csml_rows`` of ``a``, built once per transform
     for _ in range(opts.epochs):
-        triplets = mine_triplets(train_emb, train_lab, a, n_hard=n_hard,
+        rows = rows or _csml_rows(a, train_emb)
+        triplets = mine_triplets(rows, train_lab, n_hard=n_hard,
                                  max_triplets=opts.max_triplets, rng=rng)
         for _ in range(opts.steps_per_epoch):
-            loss, grad = triplet_loss_and_grad(a, train_emb, triplets)
+            loss, grad = triplet_loss_and_grad(rows, triplets)
             gnorm2 = float((grad ** 2).sum())
             if gnorm2 < 1e-18:
                 break
@@ -247,9 +263,10 @@ def train_csml(embeddings, labels, opts: CsmlTrainConfig | None = None) -> CsmlT
             accepted = False
             for _ in range(30):
                 cand = _project_upper(a - step * grad)
-                cand_loss, _ = triplet_loss_and_grad(cand, train_emb, triplets, need_grad=False)
+                cand_rows = _csml_rows(cand, train_emb)
+                cand_loss, _ = triplet_loss_and_grad(cand_rows, triplets, need_grad=False)
                 if cand_loss <= loss - 1e-4 * step * gnorm2:
-                    a = cand
+                    a, rows = cand, cand_rows
                     accepted = True
                     break
                 step *= 0.5
@@ -524,12 +541,15 @@ def plda_score(model: PldaModel, e1, e2) -> float:
 
 def all_pairs_eer(model, embeddings, labels, rng, max_trials: int) -> float:
     """EER over the row pairs i < j (row-major), at most ``max_trials`` of them
-    kept by a sorted ``rng.choice`` of pair positions."""
+    kept by a sorted ``rng.choice`` of pair positions.  A position maps to its
+    pair through the row ends, so only the kept pairs are ever built."""
     labels = np.asarray(labels)
-    i, j = np.triu_indices(labels.size, k=1)
-    if i.size > max_trials:
-        keep = np.sort(rng.choice(i.size, size=max_trials, replace=False))
-        i, j = i[keep], j[keep]
+    ends = np.cumsum(np.arange(labels.size - 1, 0, -1))   # pairs (i, j) with i <= row
+    total = int(ends[-1]) if ends.size else 0
+    keep = (np.sort(rng.choice(total, size=max_trials, replace=False))
+            if total > max_trials else np.arange(total))
+    i = np.searchsorted(ends, keep, side="right")
+    j = keep - ends[i] + labels.size
     scores = score_pairs(model, scoring_rows(model, embeddings), i, j)
     return compute_eer(ScoreSet(labels[i] == labels[j], scores))
 

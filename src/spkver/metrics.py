@@ -88,7 +88,10 @@ def detection_points(target_scores, nontarget_scores):
 
 def compute_eer(score_set: ScoreSet) -> float:
     """Equal error rate as a fraction in [0, 0.5]."""
-    p_fa, p_miss = detection_points(*score_set.split())
+    return _eer(*detection_points(*score_set.split()))
+
+
+def _eer(p_fa, p_miss) -> float:
     diff = p_miss - p_fa
     k = int(np.argmax(diff <= 0))          # first vertex at or below the crossing
     if diff[k] == 0.0:
@@ -105,8 +108,10 @@ def compute_min_dcf(score_set: ScoreSet, params: DcfParams | None = None) -> flo
     minimized over the operating points and divided by
     min(c_miss * p_target, c_fa * (1 - p_target)).
     """
-    params = params or DcfParams()
-    p_fa, p_miss = detection_points(*score_set.split())
+    return _min_dcf(*detection_points(*score_set.split()), params or DcfParams())
+
+
+def _min_dcf(p_fa, p_miss, params: DcfParams) -> float:
     dcf = (params.c_miss * p_miss * params.p_target
            + params.c_fa * p_fa * (1.0 - params.p_target))
     norm = min(params.c_miss * params.p_target, params.c_fa * (1.0 - params.p_target))
@@ -173,8 +178,9 @@ def parse_scores(text: str) -> ScoreSet:
 
 
 def summarize(score_set: ScoreSet, p_targets=(0.01, 0.001)) -> dict[str, float]:
-    """Metric name -> value record for reporting."""
-    out = {"eer": compute_eer(score_set)}
+    """Metric name -> value record for reporting, from one ``detection_points`` sweep."""
+    points = detection_points(*score_set.split())
+    out = {"eer": _eer(*points)}
     for p in p_targets:
-        out[f"min_dcf_p{p:g}"] = compute_min_dcf(score_set, DcfParams(p_target=p))
+        out[f"min_dcf_p{p:g}"] = _min_dcf(*points, DcfParams(p_target=p))
     return out

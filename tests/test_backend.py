@@ -132,7 +132,7 @@ def test_triplet_loss_gradient_matches_finite_differences():
     a = np.triu(rng.standard_normal((5, 5)))
     np.fill_diagonal(a, np.abs(np.diag(a)) + 0.8)
     triplets = [(0, 1, 2), (3, 4, 5), (6, 7, 1), (2, 0, 6), (4, 3, 7)]
-    _, grad = triplet_loss_and_grad(a, emb, triplets)
+    _, grad = triplet_loss_and_grad(bk._csml_rows(a, emb), triplets)
     assert np.all(np.tril(grad, -1) == 0.0)
     eps = 1e-6
     for i in range(5):
@@ -185,7 +185,7 @@ def test_triplet_loss_and_grad_match_gathered_reference(seed):
     triplets[:8, 0] = 3                                  # repeated anchor
     special = [(1, 2, 2), (4, 4, 5), (6, 7, 6), (8, 8, 8), (0, 1, 2), (0, 1, 2)]
     triplets = np.concatenate([triplets, special, triplets[:10]])   # duplicates
-    loss, grad = triplet_loss_and_grad(a, emb, triplets)
+    loss, grad = triplet_loss_and_grad(bk._csml_rows(a, emb), triplets)
     ref_loss, ref_grad = gathered_loss_and_grad(a, emb, triplets)
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
     assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
@@ -209,10 +209,92 @@ def test_triplet_loss_empty_rejected():
 # mining
 
 
+def mine(emb, labels, a, **kwargs):
+    """``mine_triplets`` on the rows of transform ``a``."""
+    return mine_triplets(bk._csml_rows(a, emb), labels, **kwargs)
+
+
+def loop_mine_triplets(embeddings, labels, a, n_hard, max_triplets=None, rng=None):
+    """Anchor-by-anchor reference: each anchor's impostors by a stable argsort
+    of its negated score row, its positives by a label comparison."""
+    labels = np.asarray(labels)
+    u_hat = bk._transformed_unit_rows(a, embeddings)[2]
+    scores = u_hat @ u_hat.T
+    n = len(labels)
+    _, group, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    counts = (sizes[group] - 1) * np.minimum(n - sizes[group], n_hard)
+    total = int(counts.sum())
+    if max_triplets is not None and total > max_triplets:
+        rows = np.sort(rng.choice(total, size=max_triplets, replace=False))
+    else:
+        rows = np.arange(total)
+    ends = np.cumsum(counts)
+    anchors = np.searchsorted(ends, rows, side="right")
+    local = rows - (ends - counts)[anchors]
+    bounds = np.searchsorted(anchors, np.arange(n + 1))
+    triplets = np.empty((rows.size, 3), dtype=np.intp)
+    triplets[:, 0] = anchors
+    for i in np.flatnonzero(np.diff(bounds)):
+        same = labels == labels[i]
+        positives = np.flatnonzero(same & (np.arange(n) != i))
+        negatives = np.flatnonzero(~same)
+        hard = negatives[np.argsort(-scores[i, negatives], kind="stable")][:n_hard]
+        kept = slice(bounds[i], bounds[i + 1])
+        triplets[kept, 1] = positives[local[kept] // hard.size]
+        triplets[kept, 2] = hard[local[kept] % hard.size]
+    return triplets
+
+
+def quantised_embeddings(seed, n=40, dim=3):
+    """Embeddings on a coarse grid, so that many impostor scores tie exactly,
+    and uneven speakers: 12, 9, 7, 5, 4 and 2 rows, plus one without a partner."""
+    rng = np.random.default_rng(seed)
+    emb = rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
+    emb[np.all(emb == 0, axis=1)] = 1.0
+    labels = np.repeat(np.arange(7), [12, 9, 7, 5, 4, 2, 1])[rng.permutation(n)]
+    return emb, labels
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n_hard", [1, 3, 28, 35, 39, 500],
+                         ids=["1", "3", "28-fewest", "35-some", "39-most", "500-above"])
+@pytest.mark.parametrize("max_triplets", [None, 1, 300, 10**6])
+def test_mine_triplets_equals_per_anchor_loop_on_ties(seed, n_hard, max_triplets):
+    """Bit-exact against the per-anchor loop on tie-heavy scores, with n_hard
+    below, at and above the impostor counts (28 for the largest speaker, 39 for
+    the one without a partner) and with and without a drawn subsample."""
+    emb, labels = quantised_embeddings(seed)
+    transform = np.triu(np.random.default_rng(seed).integers(0, 2, (3, 3))) + np.eye(3)
+    u_hat = bk._transformed_unit_rows(transform, emb)[2]
+    assert np.unique(u_hat @ u_hat.T).size < 100     # of 1,600 scores: exact ties galore
+    reference, drawing = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = loop_mine_triplets(emb, labels, transform, n_hard, max_triplets, reference)
+    got = mine(emb, labels, transform, n_hard=n_hard, max_triplets=max_triplets, rng=drawing)
+    assert got.dtype == expected.dtype and got.flags.c_contiguous
+    assert np.array_equal(got, expected)
+    assert drawing.bit_generator.state == reference.bit_generator.state
+
+
+def test_mine_triplets_in_blocks_equals_one_block(monkeypatch):
+    emb, labels = quantised_embeddings(3)
+    eye = CsmlTransform.identity(3)
+    whole = mine(emb, labels, eye, n_hard=6)
+    monkeypatch.setattr(bk, "MINE_BLOCK", 7)          # 40 anchors: 5 full blocks and 5
+    assert np.array_equal(mine(emb, labels, eye, n_hard=6), whole)
+
+
+def test_mine_triplets_subsample_needs_a_generator():
+    emb, labels = quantised_embeddings(4)
+    with pytest.raises(ValueError, match=r"max_triplets=10 of \d+ needs a generator \(rng\)"):
+        mine(emb, labels, CsmlTransform.identity(3), n_hard=5, max_triplets=10)
+    # no draw is needed when every row fits
+    assert len(mine(emb, labels, CsmlTransform.identity(3), n_hard=1, max_triplets=10**6)) > 0
+
+
 def test_mine_triplets_small_exhaustive():
     emb = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]])
     labels = np.array(["a", "a", "b", "b"])
-    got = set(map(tuple, mine_triplets(emb, labels, CsmlTransform.identity(2), n_hard=2).tolist()))
+    got = set(map(tuple, mine(emb, labels, CsmlTransform.identity(2), n_hard=2).tolist()))
     expected = set()
     for i in range(4):
         for p in range(4):
@@ -228,7 +310,7 @@ def test_mine_triplets_hardest_is_argmax():
     emb = rng.standard_normal((10, 4))
     labels = np.array([0] * 5 + [1] * 5)
     eye = CsmlTransform.identity(4)
-    triplets = mine_triplets(emb, labels, eye, n_hard=1)
+    triplets = mine(emb, labels, eye, n_hard=1)
     u = emb / np.linalg.norm(emb, axis=1, keepdims=True)
     s = u @ u.T
     for anchor in range(10):
@@ -247,7 +329,7 @@ def test_mine_triplets_matches_full_sort_oracle():
     np.fill_diagonal(a, np.abs(np.diag(a)) + 0.5)
     transform = CsmlTransform(a)
     n_hard = 7
-    triplets = mine_triplets(emb, labels, transform, n_hard=n_hard)
+    triplets = mine(emb, labels, transform, n_hard=n_hard)
     for anchor in range(30):
         mined = sorted({n for aa, _, n in triplets if aa == anchor})
         if not mined:
@@ -265,11 +347,11 @@ def test_mine_triplets_permutation_invariant_as_set():
     labels = np.array([0, 0, 0, 1, 1, 2, 2, 2])
     eye = CsmlTransform.identity(3)
     base = {(tuple(emb[a]), tuple(emb[p]), tuple(emb[n]))
-            for a, p, n in mine_triplets(emb, labels, eye, n_hard=4)}
+            for a, p, n in mine(emb, labels, eye, n_hard=4)}
     perm = rng.permutation(8)
     emb2, labels2 = emb[perm], labels[perm]
     other = {(tuple(emb2[a]), tuple(emb2[p]), tuple(emb2[n]))
-             for a, p, n in mine_triplets(emb2, labels2, eye, n_hard=4)}
+             for a, p, n in mine(emb2, labels2, eye, n_hard=4)}
     assert base == other
 
 
@@ -279,7 +361,7 @@ def test_mine_triplets_rows_in_loop_order():
     rng = np.random.default_rng(24)
     emb = rng.standard_normal((14, 3))
     labels = np.array([2, 0, 1, 0, 2, 3, 0, 1, 4, 2, 0, 1, 3, 0])   # speaker 4 has no partner
-    got = mine_triplets(emb, labels, CsmlTransform.identity(3), n_hard=4)
+    got = mine(emb, labels, CsmlTransform.identity(3), n_hard=4)
     u = emb / np.linalg.norm(emb, axis=1, keepdims=True)
     expected = []
     for i in range(14):
@@ -304,14 +386,13 @@ def test_mine_triplets_subsample_builds_only_the_drawn_rows(max_triplets):
     a = np.triu(rng.standard_normal((4, 4)))
     np.fill_diagonal(a, np.abs(np.diag(a)) + 0.5)
     transform, n_hard = CsmlTransform(a), 15
-    full = mine_triplets(emb, labels, transform, n_hard=n_hard)
+    full = mine(emb, labels, transform, n_hard=n_hard)
     reference, drawing = np.random.default_rng(9), np.random.default_rng(9)
     if len(full) > max_triplets:
         expected = full[np.sort(reference.choice(len(full), size=max_triplets, replace=False))]
     else:
         expected = full
-    got = mine_triplets(emb, labels, transform, n_hard=n_hard,
-                        max_triplets=max_triplets, rng=drawing)
+    got = mine(emb, labels, transform, n_hard=n_hard, max_triplets=max_triplets, rng=drawing)
     assert got.dtype == full.dtype
     assert np.array_equal(got, expected)
     assert drawing.bit_generator.state == reference.bit_generator.state
@@ -320,7 +401,7 @@ def test_mine_triplets_subsample_builds_only_the_drawn_rows(max_triplets):
 def test_mine_triplets_insufficient_positives():
     emb = np.eye(3)
     with pytest.raises(ValueError, match="insufficient positives"):
-        mine_triplets(emb, np.array([0, 1, 2]), CsmlTransform.identity(3))
+        mine(emb, np.array([0, 1, 2]), CsmlTransform.identity(3))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +430,7 @@ def test_train_csml_descends_on_separable_data():
     opts = CsmlTrainConfig(epochs=5, steps_per_epoch=3, n_hard=10, seed=2,
                            val_fraction=0.3)
     trained = train_csml(emb, labels, opts)
-    triplets = mine_triplets(emb, labels, CsmlTransform.identity(4), n_hard=10)
+    triplets = mine(emb, labels, CsmlTransform.identity(4), n_hard=10)
     before = triplet_loss(CsmlTransform.identity(4), emb, triplets)
     after = triplet_loss(trained, emb, triplets)
     assert after < before
@@ -368,6 +449,66 @@ def test_train_csml_validation_eer_never_worse_than_identity():
                                          seed=seed)
         eer_fit = bk.csml_validation_eer(emb, labels, idx, trained, seed=seed)
         assert eer_fit <= eer_eye + 1e-9
+
+
+def loop_train_csml(embeddings, labels, opts):
+    """``train_csml`` as a step loop that rebuilds the rows for every call and
+    mines anchor by anchor; returns the transform and the rejected probes."""
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(opts.seed)
+    train_idx, val_idx = [], []
+    for spk in np.unique(labels):
+        members = np.flatnonzero(labels == spk)
+        members = members[rng.permutation(members.size)]
+        n_val = max(1, int(round(opts.val_fraction * members.size))) if members.size > 1 else 0
+        val_idx.extend(members[:n_val])
+        train_idx.extend(members[n_val:])
+    train_idx, val_idx = np.sort(train_idx), np.sort(val_idx)
+    for idx in (val_idx, train_idx):
+        counts = np.unique(labels[idx], return_counts=True)[1]
+        assert counts.size >= 2 and counts.max() >= 2     # no fallback to all rows
+    a = np.eye(embeddings.shape[1])
+    best = a.copy()
+    best_eer = bk.csml_validation_eer(embeddings, labels, val_idx, a, seed=opts.seed + 1)
+    train_emb, train_lab = embeddings[train_idx], labels[train_idx]
+    n_hard = min(opts.n_hard, min((train_lab != spk).sum() for spk in np.unique(train_lab)))
+    rejected = 0
+    for _ in range(opts.epochs):
+        triplets = loop_mine_triplets(train_emb, train_lab, a, n_hard, opts.max_triplets, rng)
+        for _ in range(opts.steps_per_epoch):
+            loss, grad = triplet_loss_and_grad(bk._csml_rows(a, train_emb), triplets)
+            gnorm2 = float((grad ** 2).sum())
+            if gnorm2 < 1e-18:
+                break
+            step = 1.0 / max(1.0, np.sqrt(gnorm2))
+            for _ in range(30):
+                cand = bk._project_upper(a - step * grad)
+                if triplet_loss(cand, train_emb, triplets) <= loss - 1e-4 * step * gnorm2:
+                    a = cand
+                    break
+                rejected += 1
+                step *= 0.5
+            else:
+                break
+        eer = bk.csml_validation_eer(embeddings, labels, val_idx, a, seed=opts.seed + 1)
+        if eer <= best_eer:
+            best_eer, best = eer, a.copy()
+    return best, rejected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_train_csml_equals_step_loop_oracle(seed):
+    """The fitted transform equals, bit for bit, that of a loop rebuilding the
+    transform's rows for every mining, gradient and probe, over several
+    epochs with rejected probes."""
+    rng = np.random.default_rng(30 + seed)
+    emb, labels = clustered_embeddings(rng, 8, 8, 3, spread=0.5, scale=1.0)
+    emb = np.hstack([emb, 2.0 * rng.standard_normal((len(emb), 3))])   # nuisance dims
+    opts = CsmlTrainConfig(epochs=3, steps_per_epoch=3, n_hard=6, max_triplets=150,
+                           seed=seed)
+    expected, rejected = loop_train_csml(emb, labels, opts)
+    assert rejected >= 1 and not np.array_equal(expected, np.eye(6))
+    assert np.array_equal(train_csml(emb, labels, opts).matrix, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +538,29 @@ def test_all_pairs_eer_scores_sorted_choice_of_row_major_pairs(monkeypatch):
 
     bk.all_pairs_eer(None, emb, labels, np.random.default_rng(4), max_trials=len(pairs))
     assert seen[1] == pairs
+
+
+@pytest.mark.parametrize("n_rows", [9, 10, 11, 40], ids=["below", "at", "above", "far-above"])
+def test_all_pairs_eer_pairs_equal_triu_indices_oracle(monkeypatch, n_rows):
+    """The kept pairs and the generator state are those of indexing
+    ``np.triu_indices`` with the sorted draw; 10 rows have max_trials = 45 pairs."""
+    emb, labels = clustered_embeddings(np.random.default_rng(14), 5, 8, 3)
+    emb, labels = emb[:n_rows], labels[:n_rows]
+    seen = []
+    original = bk.score_pairs
+
+    def spy(model, rows, enroll_idx, test_idx):
+        seen.append((np.asarray(enroll_idx), np.asarray(test_idx)))
+        return original(model, rows, enroll_idx, test_idx)
+    monkeypatch.setattr(bk, "score_pairs", spy)
+    reference, drawing = np.random.default_rng(5), np.random.default_rng(5)
+    i, j = np.triu_indices(n_rows, k=1)
+    if i.size > 45:
+        keep = np.sort(reference.choice(i.size, size=45, replace=False))
+        i, j = i[keep], j[keep]
+    bk.all_pairs_eer(None, emb, labels, drawing, max_trials=45)
+    assert np.array_equal(seen[0][0], i) and np.array_equal(seen[0][1], j)
+    assert drawing.bit_generator.state == reference.bit_generator.state
 
 
 @pytest.mark.parametrize("model", [None, CsmlTransform.identity(4),

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spkver import metrics as mt
 from spkver.metrics import (DcfParams, ScoreSet, Trial, compute_eer,
                             compute_min_dcf, detection_points, parse_scores,
-                            parse_trials, write_scores, write_trials)
+                            parse_trials, summarize, write_scores, write_trials)
 
 
 def make_set(target_scores, nontarget_scores):
@@ -109,6 +110,22 @@ def test_min_dcf_perfect_and_useless():
     useless = make_set(np.full(5, 1.0), np.full(7, 1.0))
     assert compute_min_dcf(useless) == pytest.approx(1.0, abs=1e-12)
     assert compute_min_dcf(useless, DcfParams(p_target=0.001)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_summarize_sweeps_once_and_equals_the_metric_functions(monkeypatch):
+    """One ``detection_points`` call for the EER and every minDCF, each value
+    bit-identical to ``compute_eer`` / ``compute_min_dcf`` (tied scores included)."""
+    rng = np.random.default_rng(6)
+    s = make_set(np.round(rng.normal(1.0, 1, 400), 1), np.round(rng.normal(0.0, 1, 900), 1))
+    p_targets = (0.5, 0.01, 0.001)
+    expected = {"eer": compute_eer(s)}
+    expected.update({f"min_dcf_p{p:g}": compute_min_dcf(s, DcfParams(p_target=p))
+                     for p in p_targets})
+    calls = []
+    monkeypatch.setattr(mt, "detection_points",
+                        lambda *args: calls.append(args) or detection_points(*args))
+    assert summarize(s, p_targets) == expected
+    assert len(calls) == 1
 
 
 def test_min_dcf_normalized_bound_and_eer_threshold_bound():
