@@ -11,6 +11,28 @@ networks use are supported: frame sequences are (T, C) matrices, segment
 activations are (B, D) matrices, pooled statistics are 1-D vectors.  There is
 no general broadcasting.
 
+The graph holds only what a backward reads.  Every node keeps its ``.data``;
+beyond that, an op's closure keeps
+- ``affine``, ``time_delay``: the input's and weight's ``.data`` (the graph
+  holds them already); ``time_delay`` rebuilds its K * C_in-wide splice in
+  backward for the weight gradient instead of keeping it;
+- ``max_pool_2x2``: its two bool masks (channel pair, then frame pair) and
+  the shape of the channel-pooled rows; ``max_pool_time``, ``mfm``: one
+  bool mask;
+- ``prelu``: the input's and slope's ``.data``;
+- ``stats_pool``: the input's ``.data`` and its C-entry mean and std; the
+  centered input is recomputed in backward;
+- ``add``, ``slice_time``, ``stack_rows``: their parents (``slice_time``
+  also its input's ``.data``) and nothing else.
+
+Gradient ownership: a backward hands each parent a float64 array that no
+other tensor holds, and ``accumulate_grad`` adopts the first one a tensor
+receives instead of copying it; later ones are added into it.  Every op
+builds a fresh gradient array; ``stack_rows`` hands each row a disjoint
+view of its own gradient, which is dropped once its backward has run.
+``add`` is the only op that passes one array to two parents, so its
+second parent gets a copy.
+
 Selections (max pooling, max-feature-map, PReLU) are written as comparisons
 plus ``np.maximum``/``np.minimum`` and mask multiplies rather than
 ``np.where``/``argmax``: on random masks ``np.where`` takes a branch per
@@ -40,9 +62,10 @@ class Tensor:
         return self.data.shape
 
     def accumulate_grad(self, g):
+        """Add ``g`` to ``.grad``; the first float64 array is adopted, not
+        copied (see the ownership rule in the module docstring)."""
         if self.grad is None:
-            # a copy: ``g`` may be a view that other tensors also receive
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = np.asarray(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -140,18 +163,20 @@ def time_delay(x: Tensor, w: Tensor, b: Tensor | None, context: int, dilation: i
     if t_in < span:
         raise ValueError(f"segment too short: {t_in} frames < receptive span {span}")
     t_out = t_in - (context - 1) * dilation
-    if context == 1:
-        spliced = xv
-    else:
-        spliced = np.concatenate(
-            [xv[k * dilation : k * dilation + t_out] for k in range(context)], axis=1
-        )
     wv = w.data
     if wv.shape[0] != context * c_in:
         raise ValueError(
             f"dimension error: spliced width {context * c_in} vs weight {wv.shape}"
         )
-    out = spliced @ wv
+
+    def splice():
+        if context == 1:
+            return xv
+        return np.concatenate(
+            [xv[k * dilation : k * dilation + t_out] for k in range(context)], axis=1
+        )
+
+    out = splice() @ wv
     if b is not None:
         out += b.data
     parents = (x, w) if b is None else (x, w, b)
@@ -165,7 +190,7 @@ def time_delay(x: Tensor, w: Tensor, b: Tensor | None, context: int, dilation: i
             for k in range(context):
                 gx[k * dilation : k * dilation + t_out] += gs[:, k * c_in : (k + 1) * c_in]
             x.accumulate_grad(gx)
-        w.accumulate_grad(spliced.T @ g)
+        w.accumulate_grad(splice().T @ g)
         if b is not None:
             b.accumulate_grad(g.sum(axis=0))
 
@@ -205,9 +230,10 @@ def max_pool_2x2(x: Tensor) -> Tensor:
     # (frame, channel) scan order wins every tie
     rows, channel_mask = _pair_max(xv[: 2 * t2, 0::2], xv[: 2 * t2, 1::2])
     out, frame_mask = _pair_max(rows[0::2], rows[1::2])
+    rows_shape = rows.shape                 # backward reads the masks, not ``rows``
 
     def backward(g):
-        g_rows = np.empty(rows.shape)
+        g_rows = np.empty(rows_shape)
         _route(g, frame_mask, g_rows[0::2], g_rows[1::2])
         gx = np.empty_like(xv)
         gx[2 * t2 :] = 0.0                  # a dropped odd frame
@@ -306,8 +332,9 @@ def stats_pool(x: Tensor, eps: float = 1e-8) -> Tensor:
 
     def backward(g):
         gm, gs = g[:c], g[c:]
-        # gm / T + gs * centered / (T * std), evaluated in that order in place
-        gx = np.multiply(gs, centered)
+        # gm / T + (xv - mean) * gs / (T * std), evaluated in that order in place
+        gx = np.subtract(xv, mean)
+        gx *= gs
         gx /= t_in * std
         gx += gm / t_in
         x.accumulate_grad(gx)
@@ -322,7 +349,7 @@ def add(x: Tensor, y: Tensor) -> Tensor:
 
     def backward(g):
         x.accumulate_grad(g)
-        y.accumulate_grad(g)
+        y.accumulate_grad(g.copy())         # ``g`` now belongs to x
 
     return Tensor(x.data + y.data, parents=(x, y), backward=backward)
 

@@ -222,20 +222,20 @@ def train_csml(embeddings, labels, opts: CsmlTrainConfig | None = None) -> CsmlT
     dim = embeddings.shape[1]
     rng = np.random.default_rng(opts.seed)
 
-    # Per-speaker split so validation has target trials.
-    train_idx, val_idx = [], []
-    for spk in np.unique(labels):
-        members = np.flatnonzero(labels == spk)
-        members = members[rng.permutation(members.size)]
-        n_val = max(1, int(round(opts.val_fraction * members.size))) if members.size > 1 else 0
-        val_idx.extend(members[:n_val])
-        train_idx.extend(members[n_val:])
-    train_idx = np.sort(np.asarray(train_idx, dtype=np.intp))
-    val_idx = np.sort(np.asarray(val_idx, dtype=np.intp))
+    # Per-speaker split so validation has target trials; speakers in sorted
+    # order, each one's rows in index order, one permutation draw each.
+    _, spk_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    by_speaker = np.argsort(spk_of, kind="stable")
+    is_val = np.zeros(len(labels), dtype=bool)
+    for start, n in zip(np.cumsum(counts) - counts, counts):
+        members = by_speaker[start : start + n][rng.permutation(n)]
+        if n > 1:
+            is_val[members[: max(1, int(round(opts.val_fraction * n)))]] = True
+    train_idx, val_idx = np.flatnonzero(~is_val), np.flatnonzero(is_val)
 
     def has_both_trial_kinds(idx):
-        counts = np.unique(labels[idx], return_counts=True)[1]
-        return counts.size >= 2 and counts.max() >= 2
+        counts = np.bincount(spk_of[idx])
+        return np.count_nonzero(counts) >= 2 and counts.max() >= 2
     if not has_both_trial_kinds(val_idx):
         val_idx = np.arange(len(labels))
     if not has_both_trial_kinds(train_idx):
@@ -247,7 +247,7 @@ def train_csml(embeddings, labels, opts: CsmlTrainConfig | None = None) -> CsmlT
 
     train_emb = embeddings[train_idx]
     train_lab = labels[train_idx]
-    n_impostors = min((train_lab != spk).sum() for spk in np.unique(train_lab))
+    n_impostors = train_idx.size - np.bincount(spk_of[train_idx]).max()
     n_hard = min(opts.n_hard, int(n_impostors))
     rows = None                            # ``_csml_rows`` of ``a``, built once per transform
     for _ in range(opts.epochs):

@@ -58,13 +58,17 @@ def clip_gradients(params: ad.ParameterSet, max_norm: float) -> float:
 
 
 def sgd_step(params: ad.ParameterSet, lr: float, momentum: float):
-    """Momentum SGD: v <- momentum v + g; p <- p - lr v."""
+    """Momentum SGD: v <- momentum v + g; p <- p - lr v.
+
+    Consumes ``.grad``: lr v is written into the gradient array once it has
+    been added to v, so afterwards ``.grad`` holds the step, not g.
+    """
     for name, tensor in params.items():
         grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
         vel = params.velocity[name]
         vel *= momentum
         vel += grad
-        tensor.data -= lr * vel
+        tensor.data -= np.multiply(vel, lr, out=grad)
 
 
 def build_model(cfg: ExperimentConfig, n_spk: int) -> m.ExtractorModel:

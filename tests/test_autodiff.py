@@ -7,7 +7,9 @@ outputs, sign bits of outputs and gradients on inputs with planted ties,
 and checkpoint bytes of a short training run of each stack.
 
 ``Tensor.backward`` frees the graph as it walks it; that is held to a
-keep-graph reference loop bit for bit, and its memory peak is bounded."""
+keep-graph reference loop bit for bit, and its memory peak is bounded.  What
+each backward closure keeps is audited against the graph's own arrays, and
+gradients handed over without a copy are checked never to alias."""
 
 import tracemalloc
 
@@ -412,6 +414,141 @@ def test_backward_memory_peak_stays_near_forward_level(arch, loss):
     finally:
         tracemalloc.stop()
     assert (peak - level) / level < 0.4
+
+
+def buffer_root(a):
+    """The array that owns the memory of ``a``."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def closure_arrays(fn):
+    """Every ndarray a closure reaches: its cells, tuples and lists in them,
+    and the closures of functions it holds."""
+    seen, stack, found = set(), [fn], []
+    while stack:
+        v = stack.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        if isinstance(v, np.ndarray):
+            found.append(v)
+        elif isinstance(v, (tuple, list)):
+            stack.extend(v)
+        elif callable(v) and getattr(v, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in v.__closure__)
+    return found
+
+
+@pytest.mark.parametrize("arch,loss", [("maxpool", "asoftmax"), ("resnet", "softmax")])
+def test_graph_keeps_only_what_backward_reads(arch, loss):
+    # Below the objective, a backward closure may hold a node's .data (or a
+    # view of it), which the graph holds anyway, a bool mask, or a vector of
+    # at most 2C entries for an input of C channels; nothing frame-sized of
+    # its own.  The objective's closure keeps its (B, N) logits.  What
+    # tracemalloc sees held after forward is those arrays and nothing else.
+    build, _ = step_setup(arch, loss, n_segments=8, frames=300)
+    tracemalloc.start()
+    try:
+        out = build()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    nodes = ad.topo_order(out)
+    leaf_roots = {id(buffer_root(n.data)) for n in nodes if not n._parents}
+    data_roots = {id(buffer_root(n.data)): buffer_root(n.data).nbytes for n in nodes}
+    allowed = {r: size for r, size in data_roots.items() if r not in leaf_roots}
+    for node in nodes:
+        if node._backward is None:
+            continue
+        width = max(p.data.shape[-1] for p in node._parents)
+        for a in closure_arrays(node._backward):
+            root = buffer_root(a)
+            if id(root) in data_roots:
+                continue
+            assert (node is out or a.dtype == bool or (a.ndim == 1 and a.size <= 2 * width)), \
+                f"{node._backward.__qualname__} keeps a {a.dtype} array of shape {a.shape}"
+            allowed[id(root)] = root.nbytes
+    assert held <= 1.05 * sum(allowed.values()), (held, sum(allowed.values()))
+
+
+def watch_gradient_ownership(loss, monkeypatch):
+    """Make every gradient a tensor adopts during ``loss.backward()`` check
+    that no other live tensor's .grad shares its memory.  The node whose
+    backward is running hands its own gradient on and is exempt."""
+    nodes = ad.topo_order(loss)
+    running = [None]
+
+    def watched(node, fn):
+        def run(g):
+            running[0] = node
+            fn(g)
+        return run
+
+    for node in nodes:
+        if node._backward is not None:
+            node._backward = watched(node, node._backward)
+    adopt = ad.Tensor.accumulate_grad
+
+    def accumulate_grad(self, g):
+        if self.grad is None:
+            for t in nodes:
+                if t is not self and t is not running[0] and t.grad is not None:
+                    assert not np.shares_memory(t.grad, g), (self, t)
+        adopt(self, g)
+
+    monkeypatch.setattr(ad.Tensor, "accumulate_grad", accumulate_grad)
+
+
+def residual_block_setup():
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.standard_normal((30, 6)), requires_grad=True, name="x")
+    p = {"x": x}
+    for name, shape in [("w1", (18, 6)), ("b1", (6,)), ("a1", (6,)),
+                        ("w2", (18, 6)), ("b2", (6,)), ("a2", (6,))]:
+        p[name] = Tensor(0.3 * rng.standard_normal(shape), requires_grad=True, name=name)
+
+    def build():
+        h = ad.prelu(ad.time_delay(x, p["w1"], p["b1"], 3), p["a1"])
+        h = ad.time_delay(h, p["w2"], p["b2"], 3)
+        return quadratic(ad.prelu(ad.add(h, ad.slice_time(x, 2, 26)), p["a2"]))
+    return build, p
+
+
+def add_same_setup():
+    x = Tensor(np.random.default_rng(24).standard_normal((5, 3)), requires_grad=True, name="x")
+    return lambda: quadratic(ad.add(x, x)), {"x": x}
+
+
+def stack_setup(arch, loss):
+    build, params = step_setup(arch, loss, n_segments=4, frames=120)
+    return build, dict(params.items())
+
+
+@pytest.mark.parametrize("setup", [
+    lambda: stack_setup("maxpool", "asoftmax"), lambda: stack_setup("resnet", "softmax"),
+    add_same_setup, residual_block_setup], ids=["maxpool", "resnet", "add_same", "residual"])
+def test_backward_hands_over_gradients_without_aliasing(setup, monkeypatch):
+    build, params = setup()
+    with monkeypatch.context() as patch:
+        patch.setattr(ad.Tensor, "accumulate_grad", ref_accumulate_grad)
+        for t in params.values():
+            t.grad = None
+        build().backward()
+        expected = {name: t.grad for name, t in params.items()}
+
+    for t in params.values():
+        t.grad = None
+    loss = build()
+    watch_gradient_ownership(loss, monkeypatch)
+    loss.backward()
+    names = list(params)
+    for i, name in enumerate(names):
+        grad = params[name].grad
+        assert grad.tobytes() == expected[name].tobytes(), name
+        for other in names[i + 1:]:
+            assert not np.shares_memory(grad, params[other].grad), (name, other)
 
 
 def test_parameter_set_unique_names():
