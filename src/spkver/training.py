@@ -16,6 +16,13 @@ the first loss would not do, because a saturated softmax can score a loss
 of exactly 0.0 on a batch.  The factor leaves room for A-softmax, whose
 loss grows with the feature norm and with psi(theta); healthy runs have
 been seen at up to about 9 ln(C).
+
+The optimizer reads and writes every parameter each step.  ``clip_gradients``
+and ``sgd_step`` sweep each tensor through flat views in blocks of
+``OPT_BLOCK`` entries and build no temporary of a parameter's size.  The
+gradient norm follows numpy's pairwise-sum splits down to the blocks, so it
+is bit for bit the norm of per-tensor ``(g ** 2).sum()``, and checkpoints do
+not depend on the block size even where clipping fires.
 """
 
 from __future__ import annotations
@@ -36,18 +43,50 @@ from .objectives import LambdaSchedule, MarginConfig, asoftmax_loss, softmax_ce
 # speakers, counts as divergence (see the module docstring).
 DIVERGENCE_FACTOR = 1e3
 
+# Entries per block of the optimizer sweeps (256 KiB of float64): a block of
+# gradient, velocity and parameter fits a 2 MiB L2 cache.  At least 128,
+# numpy's pairwise-sum leaf, so every block is a node of that sum's tree.
+OPT_BLOCK = 1 << 15
+_ZERO_BLOCK = np.zeros(OPT_BLOCK)
+_ZERO_BLOCK.flags.writeable = False
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """1-D view of ``a`` in C order.  Raises ValueError where that would need a
+    copy, since an update written into a copy would be lost silently."""
+    return a.reshape(-1, copy=False)
+
+
+def _sum_squares(flat: np.ndarray, scratch: np.ndarray) -> float:
+    """``float((flat ** 2).sum())``, bit for bit, without a temporary of
+    ``flat``'s size.  numpy's pairwise sum splits n > 128 elements at
+    ``n // 2`` rounded down to a multiple of 8 and adds the two halves'
+    sums; this takes the same splits down to slices of at most
+    ``OPT_BLOCK``, which ``.sum()`` finishes in its own order, squared into
+    ``scratch``."""
+    n = flat.size
+    if n <= OPT_BLOCK:
+        return float(np.square(flat, out=scratch[:n]).sum())
+    half = n // 2 - (n // 2) % 8
+    return _sum_squares(flat[:half], scratch) + _sum_squares(flat[half:], scratch)
+
 
 def clip_gradients(params: ad.ParameterSet, max_norm: float) -> float:
     """Scale all gradients so their global norm is at most ``max_norm``.
 
     Returns the pre-clip norm.  The stacks carry no normalization layers,
     so occasional loss spikes can otherwise send the per-channel slopes
-    into a feedback loop.
+    into a feedback loop.  Each gradient's sum of squares is formed in
+    blocks of ``OPT_BLOCK`` along numpy's pairwise-sum splits, so the norm
+    equals the one ``(g ** 2).sum()`` per tensor gives bit for bit, and so
+    do the clip decision and the scaled gradients; a dot product would sum
+    in another order.
     """
+    scratch = np.empty(OPT_BLOCK)
     total = 0.0
     for _, tensor in params.items():
         if tensor.grad is not None:
-            total += float((tensor.grad ** 2).sum())
+            total += _sum_squares(_flat(tensor.grad), scratch)
     norm = np.sqrt(total)
     if max_norm > 0 and norm > max_norm:
         factor = max_norm / norm
@@ -61,14 +100,23 @@ def sgd_step(params: ad.ParameterSet, lr: float, momentum: float):
     """Momentum SGD: v <- momentum v + g; p <- p - lr v.
 
     Consumes ``.grad``: lr v is written into the gradient array once it has
-    been added to v, so afterwards ``.grad`` holds the step, not g.
+    been added to v, so afterwards ``.grad`` holds the step, not g.  Each
+    parameter is swept once, in blocks of ``OPT_BLOCK`` entries, so a
+    block's parameter, velocity and gradient stay in cache across the three
+    operations; they are the same elementwise operations in the same order
+    as on whole arrays.  A parameter without a gradient adds zeros from a
+    shared read-only block, so a -0 velocity entry still becomes +0, and
+    its lr v goes to a block-sized temporary.
     """
     for name, tensor in params.items():
-        grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        vel = params.velocity[name]
-        vel *= momentum
-        vel += grad
-        tensor.data -= np.multiply(vel, lr, out=grad)
+        param, vel = _flat(tensor.data), _flat(params.velocity[name])
+        grad = None if tensor.grad is None else _flat(tensor.grad)
+        for lo in range(0, param.size, OPT_BLOCK):
+            p, v = param[lo:lo + OPT_BLOCK], vel[lo:lo + OPT_BLOCK]
+            g = _ZERO_BLOCK[:v.size] if grad is None else grad[lo:lo + OPT_BLOCK]
+            v *= momentum
+            v += g
+            p -= np.multiply(v, lr, out=None if grad is None else g)
 
 
 def build_model(cfg: ExperimentConfig, n_spk: int) -> m.ExtractorModel:
@@ -107,6 +155,23 @@ def _speaker_table(utt2spk: dict[str, str]):
     spk_index = {s: i for i, s in enumerate(speakers)}
     labels = np.array([spk_index[utt2spk[u]] for u in utts], dtype=np.intp)
     return utts, speakers, labels
+
+
+def _validation_split(utts: list[str], labels: np.ndarray, fraction: float) -> list[str]:
+    """Per-speaker validation split, so held-out trials include both kinds:
+    speakers in label order, each one's first ``round(fraction * n)`` (at
+    least 1) of its n utterances in ``utts`` order; speakers with one
+    utterance stay in training.  One pass over the labels."""
+    if fraction <= 0:
+        return []
+    _, spk_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    by_speaker = np.argsort(spk_of, kind="stable")
+    val_utts: list[str] = []
+    for start, n in zip(np.cumsum(counts) - counts, counts):
+        if n > 1:
+            n_val = max(1, int(round(fraction * n)))
+            val_utts += [utts[i] for i in by_speaker[start : start + n_val]]
+    return val_utts
 
 
 def _diverged(step: int, epoch: int, lr: float, what: str) -> RuntimeError:
@@ -154,13 +219,7 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
     label_of = dict(zip(utts, labels))
     usable_labels = np.array([label_of[u] for u in usable], dtype=np.intp)
 
-    # Per-speaker validation split so held-out trials include both kinds.
-    val_utts: list[str] = []
-    if cfg.val_fraction > 0:
-        for spk in np.unique(usable_labels):
-            members = [u for u, l in zip(usable, usable_labels) if l == spk]
-            if len(members) > 1:
-                val_utts += members[: max(1, int(round(cfg.val_fraction * len(members))))]
+    val_utts = _validation_split(usable, usable_labels, cfg.val_fraction)
     val_set = set(val_utts)
     val_labels = np.array([label_of[u] for u in val_utts], dtype=np.intp)
     if len(val_utts) < 2 or len(np.unique(val_labels)) < 2 \

@@ -728,6 +728,49 @@ def test_plda_fit_recovers_generative_score_ordering():
     assert agree.mean() >= 0.95
 
 
+def test_plda_fit_reaches_the_true_llr_eer_on_two_covariance_data():
+    """Known answer: on two-covariance data the LLR with the true covariances
+    is the Bayes-optimal score.  PLDA fitted on 300 speakers x 8 utterances
+    (d = 24) must come within KA_MARGIN of its EER on 300 held-out speakers
+    x 4, and neither cosine nor CSML may beat it by more than sampling noise.
+
+    Sampling noise at this size (30 fresh training and probe draws from the
+    same model): the true LLR's EER has a standard deviation of 0.0046 and
+    the paired difference fitted - true one of 0.0020 (mean +0.0042), so
+    KA_MARGIN = 0.015 is 3.2 standard errors of the EER and 7 of the
+    difference.  Cosine and CSML score about 0.06 above the true LLR."""
+    ka_margin, noise = 0.015, 3 * 0.0046
+    d = 24
+    rng = np.random.default_rng(1234)
+    q_b, q_w = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))
+    between = q_b @ np.diag(rng.uniform(0.05, 1.0, d)) @ q_b.T
+    within = q_w @ np.diag(rng.uniform(0.2, 2.0, d)) @ q_w.T
+    mu = 0.5 * rng.standard_normal(d)
+    emb, labels = sample_two_cov(rng, 300, 8, mu, between, within)
+    probe, probe_labels = sample_two_cov(rng, 300, 4, mu, between, within)
+
+    i, j = np.triu_indices(probe_labels.size, 1)
+    same = probe_labels[i] == probe_labels[j]
+    non = rng.integers(0, probe_labels.size, size=(60_000, 2))
+    non = non[probe_labels[non[:, 0]] != probe_labels[non[:, 1]]][:20_000]
+    enroll, test = np.concatenate([i[same], non[:, 0]]), np.concatenate([j[same], non[:, 1]])
+    is_target = np.arange(enroll.size) < same.sum()
+
+    def eer(model, x):
+        return compute_eer(ScoreSet(is_target, bk.score_pairs(
+            model, bk.scoring_rows(model, x), enroll, test)))
+
+    dev_mean = emb.mean(axis=0)
+    csml = train_csml(emb - dev_mean, labels, CsmlTrainConfig(
+        epochs=2, steps_per_epoch=2, n_hard=20, max_triplets=2000, seed=1))
+    truth = eer(PldaModel(mu, between, within, length_norm=False), probe)
+    fitted = eer(plda_fit(emb, labels, n_iter=10, length_norm=False), probe)
+    cosine = eer(None, probe - dev_mean)
+    csml_eer = eer(csml, probe - dev_mean)
+    assert abs(fitted - truth) <= ka_margin, (fitted, truth)
+    assert cosine >= truth - noise and csml_eer >= truth - noise, (cosine, csml_eer, truth)
+
+
 def test_plda_same_speaker_scores_higher_statistically():
     rng = np.random.default_rng(19)
     emb, labels = clustered_embeddings(rng, 8, 10, 5, spread=0.4, scale=2.0)
