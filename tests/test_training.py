@@ -117,7 +117,7 @@ def test_non_finite_entry_in_a_late_block_aborts_before_update(bad, monkeypatch)
     clip = tr.clip_gradients
 
     def plant_then_clip(params, max_norm):
-        grad = max((t.grad for _, t in params.items()), key=np.size)
+        grad = max((x.grad for _, x in params.items()), key=np.size)
         assert grad.size > tr.OPT_BLOCK
         grad.flat[-1] = bad
         return clip(params, max_norm)
@@ -310,8 +310,9 @@ def test_sgd_step_refuses_a_parameter_it_cannot_update_through_a_flat_view():
 def test_clipped_training_checkpoint_bytes_match_whole_array_optimizer(
         arch, loss, block, tmp_path, monkeypatch):
     """A run where clipping fires at every step writes the same checkpoint
-    bytes as one through the whole-array optimizer; ``block`` 256 makes
-    every tensor but the smallest span several blocks."""
+    bytes as one through the whole-array optimizer.  At the default block
+    size segment6.w spans 2 blocks; ``block`` 256 splits every weight
+    matrix above 256 entries (up to 256 blocks for segment6.w)."""
     features, utt2spk = tiny_corpus(n_speakers=3, utts=4, seconds=2.0)
     cfg = tiny_config(arch=arch, resnet_blocks=2, loss=loss, grad_clip=0.05,
                       learning_rate=0.1, epochs=2, steps_per_epoch=3)
@@ -320,9 +321,12 @@ def test_clipped_training_checkpoint_bytes_match_whole_array_optimizer(
 
     def run(tag, clip):
         norms = []
-        monkeypatch.setattr(tr, "clip_gradients",
-                            lambda params, max_norm: norms.append(clip(params, max_norm))
-                            or norms[-1])
+
+        def recording_clip(params, max_norm):
+            norms.append(clip(params, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(tr, "clip_gradients", recording_clip)
         result = tr.train_extractor(features, utt2spk, cfg)
         path = tmp_path / f"{tag}.ckpt"
         tr.save_train_checkpoint(path, result, cfg)
