@@ -410,14 +410,8 @@ class ParameterSet:
     def __len__(self) -> int:
         return len(self._params)
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self):
         return self._params.items()
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
 
     def zero_grad(self):
         for t in self._params.values():
@@ -426,29 +420,17 @@ class ParameterSet:
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data for name, t in self._params.items()}
 
-    def load_state(self, arrays: dict[str, np.ndarray]):
-        for name, t in self._params.items():
-            if name not in arrays:
-                raise ValueError(f"missing parameter in state: {name}")
-            if arrays[name].shape != t.data.shape:
-                raise ValueError(f"shape mismatch for parameter {name}")
-            t.data = np.asarray(arrays[name], dtype=np.float64).copy()
-
 
 def grad_check(loss_fn, params, eps: float = 1e-5, n_samples: int | None = None, rng=None) -> float:
     """Compare reverse-mode gradients against central finite differences.
 
     ``loss_fn`` rebuilds the graph from scratch and returns the scalar loss
-    tensor.  Every tensor in ``params`` is probed; ``n_samples`` bounds the
-    number of randomly chosen entries per tensor (None probes all entries).
-    Returns the worst relative error across probes.
+    tensor.  Every tensor of ``params``, a name -> tensor mapping (a dict or a
+    ``ParameterSet``), is probed; ``n_samples`` bounds the number of randomly
+    chosen entries per tensor (None probes all entries).  Returns the worst
+    relative error across probes.
     """
-    if isinstance(params, ParameterSet):
-        named = list(params.items())
-    elif isinstance(params, dict):
-        named = list(params.items())
-    else:
-        named = [(t.name or f"param{i}", t) for i, t in enumerate(params)]
+    named = list(params.items())
     if rng is None:
         rng = np.random.default_rng(0)
 

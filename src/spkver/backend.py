@@ -4,13 +4,14 @@ Cosine scoring, a learnable upper-triangular cosine transform trained with
 a triplet ranking loss over hard-mined negatives, development-set centering,
 LDA, and a two-covariance PLDA with closed-form likelihood-ratio scoring.
 
-One scoring path serves trial lists, the validation pairs of
-``all_pairs_eer`` and the per-pair ``*_score`` functions: ``scoring_rows``
-preprocesses each utterance once (unit rows for cosine, model ``None``;
-transformed unit rows for CSML; for PLDA, length-norm, LDA and the basis that
-diagonalises both covariances), and ``score_pairs`` scores index pairs of those
-rows, one dot product each, ``SCORE_BLOCK`` trials at a time (O(block * d) memory).
-A zero-norm embedding raises "degenerate embedding: zero norm".
+One scoring path serves trial lists and the validation pairs of
+``all_pairs_eer``: ``scoring_rows`` preprocesses each utterance once (unit
+rows for cosine, model ``None``; transformed unit rows for CSML; for PLDA,
+length-norm, LDA and the basis that diagonalises both covariances), and
+``score_pairs`` scores index pairs of those rows, one dot product each,
+``SCORE_BLOCK`` trials at a time (O(block * d) memory).  One trial (x1, x2)
+is ``score_pairs(model, scoring_rows(model, [x1, x2]), [0], [1])[0]``.  A
+zero-norm embedding raises "degenerate embedding: zero norm".
 
 CSML fitting builds each transform's rows (``_csml_rows``: the unit rows U and their
 Gram matrix S = U Uᵀ) once: mining and the step's loss and gradient read them, and a
@@ -36,12 +37,7 @@ TRI_BLOCK = 64             # ``_tri_inv`` hands triangles of at most this many r
 
 
 # ---------------------------------------------------------------------------
-# cosine and learned-cosine scoring
-
-
-def cosine_score(x1, x2) -> float:
-    """Inner product of the length-normalized vectors."""
-    return _score_one(None, x1, x2)
+# learned-cosine scoring
 
 
 @dataclass
@@ -61,18 +57,9 @@ class CsmlTransform:
             raise ValueError("transform diagonal must be positive")
         self.matrix = a
 
-    @classmethod
-    def identity(cls, dim: int) -> "CsmlTransform":
-        return cls(np.eye(dim))
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def csml_score(x1, x2, a) -> float:
-    """Cosine similarity of the transformed pair (A x1, A x2)."""
-    return _score_one(a, x1, x2)
 
 
 def _transformed_unit_rows(a, embeddings):
@@ -90,11 +77,6 @@ def _csml_rows(a, embeddings):
     return e, norms, u_hat, u_hat @ u_hat.T
 
 
-def triplet_loss(a, embeddings, triplets) -> float:
-    """Sum over triplets of log(1 + exp(-(s_ap - s_an))) under csml scores."""
-    return triplet_loss_and_grad(_csml_rows(a, embeddings), triplets, need_grad=False)[0]
-
-
 def _triplet_weights(d):
     """dL/dd = -1 / (1 + exp(d)) per triplet; d is a difference of two cosines,
     so it lies in [-2, 2] and exp(d) is finite."""
@@ -102,7 +84,9 @@ def _triplet_weights(d):
 
 
 def triplet_loss_and_grad(rows, triplets, need_grad: bool = True):
-    """Triplet ranking loss and its gradient w.r.t. the transform.
+    """Triplet ranking loss, the sum over triplets of log(1 + exp(-(s_ap - s_an)))
+    under CSML scores, and its gradient w.r.t. the transform (None unless
+    ``need_grad``).
 
     ``rows`` are one transform's ``_csml_rows``.  Every score a triplet reads is
     an entry of their Gram matrix S = U Uᵀ (the N x N matrix ``mine_triplets``
@@ -529,14 +513,6 @@ def score_pairs(model, rows, enroll_idx, test_idx) -> np.ndarray:
         out[block] = ((r1[:, :-1] * r2[:, :-1]).sum(axis=1) + (r1[:, -1] + r2[:, -1])
                       if isinstance(model, PldaModel) else (r1 * r2).sum(axis=1))
     return out
-
-
-def _score_one(model, x1, x2) -> float:
-    return float(score_pairs(model, scoring_rows(model, [x1, x2]), [0], [1])[0])
-
-
-def plda_score(model: PldaModel, e1, e2) -> float:
-    return _score_one(model, e1, e2)
 
 
 def all_pairs_eer(model, embeddings, labels, rng, max_trials: int) -> float:

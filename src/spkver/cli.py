@@ -73,7 +73,7 @@ def _cmd_mfcc(args) -> int:
                                     apply_cmn=not args.no_cmn)
         except ValueError as exc:
             raise CliError(f"{path}: {exc}") from exc
-        features[path.stem] = feats.values
+        features[path.stem] = feats
     fm.write_features(args.out, features, cfg.frame_shift_ms)
     print(f"wrote features for {len(features)} utterances to {args.out}")
     return 0
@@ -95,7 +95,12 @@ def _cmd_train(args) -> int:
     result = tr.train_extractor(features, utt2spk, cfg, log=print, resume=resume,
                                 frame_shift_ms=meta["frame_shift_ms"])
     tr.save_train_checkpoint(args.out, result, cfg)
-    if result.best_state is not None and args.best_out:
+    print(f"wrote checkpoint to {args.out}")
+    if args.best_out:
+        if result.best_state is None:
+            raise CliError(f"--best-out {args.best_out} not written: no epoch was scored on a "
+                           f"validation split (val_fraction = {cfg.val_fraction:g}, or too few "
+                           f"speakers with two usable utterances)")
         best_model = md.model_from_arch_dict(result.model.arch_dict(), seed=None)
         for name, _, _ in md.parameter_table(best_model.layers):
             best_model.params.add(name, result.best_state[name])
@@ -103,7 +108,6 @@ def _cmd_train(args) -> int:
                            epoch=cfg.epochs, config_hash=cfg.config_hash(),
                            rng_state=result.rng_state,
                            extra={"best_val_eer": result.best_val_eer})
-    print(f"wrote checkpoint to {args.out}")
     return 0
 
 
@@ -268,8 +272,7 @@ def build_parser() -> _Parser:
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--manifest")
-    p.add_argument("--threads", type=int, default=None,
-                   help="defaults to $SPKVER_THREADS or 1")
+    p.add_argument("--threads", type=int, default=1, help="default 1")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("backend-train", help="fit a scoring backend")

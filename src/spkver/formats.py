@@ -182,7 +182,10 @@ def write_utt2spk(path, utt2spk: dict[str, str]):
 
 
 def read_utt2spk(path) -> dict[str, str]:
+    """Utterance id -> speaker id; a malformed line or an id listed twice raises
+    ValueError naming the file and the line(s)."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -191,7 +194,11 @@ def read_utt2spk(path) -> dict[str, str]:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}: line {lineno}: expected 'utt spk'")
+            if parts[0] in out:
+                raise ValueError(f"{path}: line {lineno}: utterance {parts[0]!r} is already "
+                                 f"listed on line {first_line[parts[0]]}")
             out[parts[0]] = parts[1]
+            first_line[parts[0]] = lineno
     if not out:
         raise ValueError(f"{path}: empty utt2spk")
     return out

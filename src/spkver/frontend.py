@@ -1,9 +1,10 @@
 """Acoustic frontend: MFCC extraction, energy VAD and sliding-window CMN.
 
-Converts raw audio into voiced, mean-normalized cepstral feature matrices.
-The defaults target telephone-band speech (any sample rate works): 25 ms
-frames at a 10 ms shift, 23 triangular mel filters between 20 Hz and
-Nyquist, 23 cepstra with the zeroth coefficient kept as an energy proxy.
+Converts raw audio into voiced, mean-normalized cepstral feature matrices,
+float64 arrays of shape (frames, cepstra).  The defaults target
+telephone-band speech (any sample rate works): 25 ms frames at a 10 ms
+shift, 23 triangular mel filters between 20 Hz and Nyquist, 23 cepstra with
+the zeroth coefficient kept as an energy proxy.
 
 Nothing loops per frame: frames are strided views windowed into one
 zero-padded FFT buffer, and sliding CMN is one indexed cumulative sum.  The
@@ -62,25 +63,6 @@ class FrontendConfig:
             raise ValueError("cmn_window_s must be positive")
 
 
-@dataclass
-class FeatureMatrix:
-    """Frames-by-dimension feature sequence plus its frame shift."""
-
-    values: np.ndarray
-    frame_shift_ms: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-
 _PCM, _EXTENSIBLE = 1, 0xFFFE       # WAVE format tags
 
 
@@ -127,17 +109,6 @@ def read_wav(path) -> Waveform:
     raise ValueError(f"{path}: no {'fmt' if fmt is None else 'data'} chunk")
 
 
-def write_wav(path, waveform: Waveform):
-    """Write a waveform as 16-bit PCM mono: a 44-byte RIFF header, then the samples."""
-    pcm = (np.clip(waveform.samples, -1.0, 1.0) * 32767.0).astype("<i2")
-    rate = waveform.sample_rate
-    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + pcm.nbytes, b"WAVE",
-                         b"fmt ", 16, _PCM, 1, rate, 2 * rate, 2, 16, b"data", pcm.nbytes)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(pcm.data)
-
-
 def frame_count(n_samples: int, frame_len: int, frame_shift: int) -> int:
     """Number of full analysis frames: floor((N - len) / shift) + 1."""
     if n_samples < frame_len:
@@ -175,16 +146,6 @@ def mel_filterbank(n_filters: int, n_fft: int, sample_rate: int,
     return weights
 
 
-def filterbank_ranges(n_filters: int, sample_rate: int,
-                      low_hz: float = MEL_LOW_HZ, high_hz: float | None = None) -> list[tuple[float, float]]:
-    """(left, right) edge frequencies in Hz of each triangular filter."""
-    if high_hz is None:
-        high_hz = sample_rate / 2.0
-    mel_points = np.linspace(mel_scale(low_hz), mel_scale(high_hz), n_filters + 2)
-    hz_points = inverse_mel_scale(mel_points)
-    return [(hz_points[m], hz_points[m + 2]) for m in range(n_filters)]
-
-
 def _dct_basis(n: int, k: int) -> np.ndarray:
     """(n, k) orthonormal DCT-II basis: column j is sqrt(2/n) cos(pi j (2i + 1) / 2n)
     over rows i, column 0 scaled by 1/sqrt(2), so ``x @ _dct_basis(n, k)`` is the
@@ -207,8 +168,8 @@ def _mfcc_tables(frame_len: int, n_filters: int, n_cepstra: int, sample_rate: in
     return window, fbank.T, dct
 
 
-def compute_mfcc(waveform: Waveform, cfg: FrontendConfig | None = None) -> FeatureMatrix:
-    """Mel-frequency cepstra of a waveform.
+def compute_mfcc(waveform: Waveform, cfg: FrontendConfig | None = None) -> np.ndarray:
+    """Mel-frequency cepstra of a waveform, one row per frame.
 
     Pipeline: pre-emphasis -> Hamming window -> magnitude spectrum ->
     mel filterbank -> log (floored) -> orthonormal DCT-II.  The zeroth
@@ -248,11 +209,10 @@ def compute_mfcc(waveform: Waveform, cfg: FrontendConfig | None = None) -> Featu
 
     magnitude = np.abs(np.fft.rfft(padded, axis=1))
     log_energies = np.log(np.maximum(magnitude @ fbank_t, LOG_FLOOR))
-    cepstra = log_energies @ dct
-    return FeatureMatrix(cepstra, cfg.frame_shift_ms)
+    return log_energies @ dct
 
 
-def energy_vad(features: FeatureMatrix, cfg: FrontendConfig | None = None) -> np.ndarray:
+def energy_vad(features: np.ndarray, cfg: FrontendConfig | None = None) -> np.ndarray:
     """Boolean speech mask from the log-energy column.
 
     A frame counts as speech when column 0 exceeds the utterance mean plus
@@ -261,37 +221,35 @@ def energy_vad(features: FeatureMatrix, cfg: FrontendConfig | None = None) -> np
     """
     if cfg is None:
         cfg = FrontendConfig()
-    energy = features.values[:, 0]
+    energy = features[:, 0]
     threshold = energy.mean() + cfg.vad_energy_offset
     mask = energy > threshold
     mask[int(np.argmax(energy))] = True
     return mask
 
 
-def sliding_cmn(features: FeatureMatrix, cfg: FrontendConfig | None = None) -> FeatureMatrix:
+def sliding_cmn(features: np.ndarray, cfg: FrontendConfig | None = None) -> np.ndarray:
     """Subtract a sliding per-dimension mean from every frame.
 
-    The window holds ``cmn_window_s`` worth of frames, centered on the
-    current frame and pinned inside the utterance at the edges; utterances
-    shorter than the window get plain global mean subtraction (which makes
-    the op idempotent there).
+    The window holds ``cmn_window_s`` worth of frames at ``frame_shift_ms``,
+    centered on the current frame and pinned inside the utterance at the
+    edges; utterances shorter than the window get plain global mean
+    subtraction (which makes the op idempotent there).
     """
     if cfg is None:
         cfg = FrontendConfig()
-    values = features.values
-    t = values.shape[0]
-    window = int(round(cfg.cmn_window_s * 1000.0 / features.frame_shift_ms))
+    t = features.shape[0]
+    window = int(round(cfg.cmn_window_s * 1000.0 / cfg.frame_shift_ms))
     window = max(1, min(window, t))
     half = window // 2
-    cumsum = np.zeros((t + 1, values.shape[1]))
-    np.cumsum(values, axis=0, out=cumsum[1:])
+    cumsum = np.zeros((t + 1, features.shape[1]))
+    np.cumsum(features, axis=0, out=cumsum[1:])
     start = np.clip(np.arange(t) - half, 0, t - window)
-    out = values - (cumsum[start + window] - cumsum[start]) / window
-    return FeatureMatrix(out, features.frame_shift_ms)
+    return features - (cumsum[start + window] - cumsum[start]) / window
 
 
 def voiced_features(waveform: Waveform, cfg: FrontendConfig | None = None,
-                    apply_vad: bool = True, apply_cmn: bool = True) -> FeatureMatrix:
+                    apply_vad: bool = True, apply_cmn: bool = True) -> np.ndarray:
     """Full frontend: MFCC, then VAD frame selection, then sliding CMN.
 
     Selecting voiced frames before normalization keeps the surviving
@@ -301,8 +259,7 @@ def voiced_features(waveform: Waveform, cfg: FrontendConfig | None = None,
         cfg = FrontendConfig()
     feats = compute_mfcc(waveform, cfg)
     if apply_vad:
-        mask = energy_vad(feats, cfg)
-        feats = FeatureMatrix(feats.values[mask], feats.frame_shift_ms)
+        feats = feats[energy_vad(feats, cfg)]
     if apply_cmn:
         feats = sliding_cmn(feats, cfg)
     return feats

@@ -30,47 +30,48 @@ def _quadratic(out: Tensor) -> Tensor:
 
 
 def op_checks(seed: int = 0, samples: int | None = None):
-    """(name, loss_fn, params) triples covering each primitive op."""
+    """(name, loss_fn, params) triples covering each primitive op; ``params``
+    maps each probed tensor's name to it."""
     rng = np.random.default_rng(seed)
     checks = []
 
     x = Tensor(rng.standard_normal((5, 7)), requires_grad=True, name="x")
     w = Tensor(rng.standard_normal((7, 4)) * 0.5, requires_grad=True, name="w")
     b = Tensor(rng.standard_normal(4) * 0.1, requires_grad=True, name="b")
-    checks.append(("affine", lambda: _quadratic(ad.affine(x, w, b)), [x, w, b]))
+    checks.append(("affine", lambda: _quadratic(ad.affine(x, w, b)), {"x": x, "w": w, "b": b}))
 
     xt = Tensor(rng.standard_normal((12, 3)), requires_grad=True, name="xt")
     wt = Tensor(rng.standard_normal((9, 5)) * 0.4, requires_grad=True, name="wt")
     bt = Tensor(rng.standard_normal(5) * 0.1, requires_grad=True, name="bt")
     checks.append(("time_delay",
                    lambda: _quadratic(ad.time_delay(xt, wt, bt, context=3, dilation=2)),
-                   [xt, wt, bt]))
+                   {"xt": xt, "wt": wt, "bt": bt}))
 
     xp = Tensor(rng.standard_normal((10, 8)), requires_grad=True, name="xp")
-    checks.append(("max_pool_2x2", lambda: _quadratic(ad.max_pool_2x2(xp)), [xp]))
-    checks.append(("max_pool_time", lambda: _quadratic(ad.max_pool_time(xp)), [xp]))
+    checks.append(("max_pool_2x2", lambda: _quadratic(ad.max_pool_2x2(xp)), {"xp": xp}))
+    checks.append(("max_pool_time", lambda: _quadratic(ad.max_pool_time(xp)), {"xp": xp}))
 
     xr = Tensor(rng.standard_normal((6, 5)), requires_grad=True, name="xr")
     # negative, (0, 1) and > 1 slopes: both the max and the min branch of prelu
     slope = Tensor(np.array([-0.5, 0.25, 0.75, 1.5, 2.0]), requires_grad=True, name="slope")
-    checks.append(("prelu", lambda: _quadratic(ad.prelu(xr, slope)), [xr, slope]))
+    checks.append(("prelu", lambda: _quadratic(ad.prelu(xr, slope)), {"xr": xr, "slope": slope}))
 
     xm = Tensor(rng.standard_normal((6, 8)), requires_grad=True, name="xm")
-    checks.append(("mfm", lambda: _quadratic(ad.mfm(xm)), [xm]))
+    checks.append(("mfm", lambda: _quadratic(ad.mfm(xm)), {"xm": xm}))
 
     xs = Tensor(rng.standard_normal((7, 4)), requires_grad=True, name="xs")
-    checks.append(("stats_pool", lambda: _quadratic(ad.stats_pool(xs)), [xs]))
+    checks.append(("stats_pool", lambda: _quadratic(ad.stats_pool(xs)), {"xs": xs}))
 
     logits = Tensor(rng.standard_normal((4, 6)), requires_grad=True, name="logits")
     labels = rng.integers(0, 6, size=4)
-    checks.append(("softmax_ce", lambda: softmax_ce(logits, labels), [logits]))
+    checks.append(("softmax_ce", lambda: softmax_ce(logits, labels), {"logits": logits}))
 
     feats = Tensor(rng.standard_normal((5, 8)), requires_grad=True, name="feats")
     weights = Tensor(rng.standard_normal((8, 4)), requires_grad=True, name="weights")
     alabels = rng.integers(0, 4, size=5)
     cfg = MarginConfig(m=2, anneal_lambda=0.5)
     checks.append(("asoftmax", lambda: asoftmax_loss(feats, weights, alabels, cfg),
-                   [feats, weights]))
+                   {"feats": feats, "weights": weights}))
     return checks
 
 
@@ -98,16 +99,12 @@ def run_suite(frames: int = 50, samples: int = 4, seed: int = 0, log=None) -> in
     failures = 0
     rng = np.random.default_rng(seed + 1)
     for name, loss_fn, params in op_checks(seed):
-        err = grad_check(loss_fn, _named(params), n_samples=None, rng=rng)
+        err = grad_check(loss_fn, params, n_samples=None, rng=rng)
         failures += _report(log, name, err)
     for name, loss_fn, params in full_net_checks(frames, seed):
         err = grad_check(loss_fn, params, n_samples=samples, rng=rng)
         failures += _report(log, name, err)
     return failures
-
-
-def _named(tensors):
-    return {t.name or f"p{i}": t for i, t in enumerate(tensors)}
 
 
 def _report(log, name, err) -> int:

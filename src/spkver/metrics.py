@@ -57,17 +57,13 @@ class ScoreSet:
 
 @dataclass
 class DcfParams:
-    """Detection-cost prior and per-error costs."""
+    """Detection-cost prior; a miss and a false alarm both cost 1."""
 
     p_target: float = 0.01
-    c_miss: float = 1.0
-    c_fa: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.p_target < 1.0:
             raise ValueError("p_target must be in (0, 1)")
-        if self.c_miss <= 0 or self.c_fa <= 0:
-            raise ValueError("costs must be positive")
 
 
 def detection_points(target_scores, nontarget_scores):
@@ -104,18 +100,15 @@ def _eer(p_fa, p_miss) -> float:
 def compute_min_dcf(score_set: ScoreSet, params: DcfParams | None = None) -> float:
     """Minimum detection cost, normalized by the best trivial decision.
 
-    DCF(th) = c_miss * P_miss(th) * p_target + c_fa * P_fa(th) * (1 - p_target),
-    minimized over the operating points and divided by
-    min(c_miss * p_target, c_fa * (1 - p_target)).
+    DCF(th) = P_miss(th) * p_target + P_fa(th) * (1 - p_target), minimized
+    over the operating points and divided by min(p_target, 1 - p_target).
     """
     return _min_dcf(*detection_points(*score_set.split()), params or DcfParams())
 
 
 def _min_dcf(p_fa, p_miss, params: DcfParams) -> float:
-    dcf = (params.c_miss * p_miss * params.p_target
-           + params.c_fa * p_fa * (1.0 - params.p_target))
-    norm = min(params.c_miss * params.p_target, params.c_fa * (1.0 - params.p_target))
-    return float(dcf.min() / norm)
+    p = params.p_target
+    return float((p_miss * p + p_fa * (1.0 - p)).min() / min(p, 1.0 - p))
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +152,6 @@ def parse_trials(text: str) -> list[Trial]:
     """Parse "enroll test target|nontarget" lines."""
     enroll, test, is_target = _columns(text, 3)
     return list(map(Trial, enroll, test, is_target.tolist()))
-
-
-def write_trials(trials: list[Trial]) -> str:
-    return "".join(f"{t.enroll} {t.test} {_LABEL_TEXT[t.is_target]}\n" for t in trials)
 
 
 def write_scores(score_set: ScoreSet) -> str:

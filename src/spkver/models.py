@@ -181,15 +181,14 @@ def _affine(params: ParameterSet, layer: LayerSpec, x: Tensor) -> Tensor:
 
 
 class _Kind(NamedTuple):
-    """How one layer kind is built, run and accounted for.  Ops are looked up
-    on ``ad`` when a layer runs, so a wrapper installed on one sees every call."""
+    """How one layer kind is built and run, and how far it reaches in time.  Ops
+    are looked up on ``ad`` when a layer runs, so a wrapper installed on one
+    sees every call."""
 
     forward: Callable                  # (params, layer, x) -> Tensor
     params: Callable = lambda layer: []   # the layer's ParamSpecs, in initialisation order
     reach: Callable | None = None      # frames added per input step; None: not frame-level
-    window: Callable | None = None     # full spliced window (see total_context)
     stride: int = 1                    # time decimation; multiplies the step
-    shape: Callable | None = lambda layer: (layer.in_dim, layer.out_dim)  # affine (in, out)
 
 
 _KINDS: dict[str, _Kind] = {
@@ -198,20 +197,17 @@ _KINDS: dict[str, _Kind] = {
                                                layer.dilation),
         params=lambda layer: _tdnn_params(layer.name, layer.context * layer.in_dim,
                                           layer.out_dim),
-        reach=lambda layer: (layer.context - 1) * layer.dilation,
-        window=lambda layer: layer.context * layer.dilation,
-        shape=lambda layer: (layer.context * layer.in_dim, layer.out_dim)),
+        reach=lambda layer: (layer.context - 1) * layer.dilation),
     ResidualBlockSpec.kind: _Kind(
         forward=_apply_block,
         params=_block_params,
-        reach=lambda block: 2 * (block.context - 1),
-        shape=lambda block: (block.in_dim, block.width)),
+        reach=lambda block: 2 * (block.context - 1)),
     "max_pool": _Kind(
         forward=lambda params, layer, x: ad.max_pool_2x2(x),
-        reach=lambda layer: 1, stride=2, shape=None),
+        reach=lambda layer: 1, stride=2),
     "max_pool_time": _Kind(
         forward=lambda params, layer, x: ad.max_pool_time(x),
-        reach=lambda layer: 1, stride=2, shape=None),
+        reach=lambda layer: 1, stride=2),
     "stats_pool": _Kind(forward=lambda params, layer, x: ad.stats_pool(x)),
     "affine_mfm": _Kind(
         forward=lambda params, layer, x: ad.mfm(_affine(params, layer, x)),
@@ -387,62 +383,22 @@ def embed_batch(model: ExtractorModel, features: list[np.ndarray], map_fn=map) -
     return out
 
 
-def forward_embed(model: ExtractorModel, features: np.ndarray) -> np.ndarray:
-    """Deterministic fixed-length embedding of a feature matrix; bit-identical
-    to its row of any ``embed_batch`` call."""
-    return embed_batch(model, [features])[0]
-
-
-def _frame_steps(model_or_layers):
-    """(layer, kind, input step, whether a stride-2 pool precedes it) for each
-    frame-level layer of a model or layer list, up to the first other layer."""
-    layers = (model_or_layers.frame_layers()
-              if isinstance(model_or_layers, ExtractorModel) else model_or_layers)
-    step, after_pool = 1, False
-    for layer in layers:
-        kind = _KINDS[layer.kind]
-        if kind.reach is None:
-            return
-        yield layer, kind, step, after_pool
-        step *= kind.stride
-        after_pool = kind.stride > 1
-
-
 def receptive_field(model_or_layers) -> int:
-    """Minimum number of input frames that yields one output frame.
+    """Minimum number of input frames that yields one output frame, for a model
+    or a layer list (up to its first layer that is not frame-level).
 
     Exact influence-span recursion over the frame-level stack: a context-K
     layer at input step j widens the span by (K-1)*d*j, a stride-2 pool by
     j and doubles the step.
     """
-    return 1 + sum(kind.reach(layer) * step
-                   for layer, kind, step, _ in _frame_steps(model_or_layers))
+    layers = (model_or_layers.frame_layers()
+              if isinstance(model_or_layers, ExtractorModel) else model_or_layers)
+    span, step = 1, 1
+    for layer in layers:
+        kind = _KINDS[layer.kind]
+        if kind.reach is None:
+            break
+        span += kind.reach(layer) * step
+        step *= kind.stride
+    return span
 
-
-def total_context(model_or_layers) -> list[tuple[str, int]]:
-    """Per-layer total-context column in the tables' accounting.
-
-    Matches :func:`receptive_field` except that a wide frame layer
-    (context >= 5) reading pooled features is counted with its full
-    spliced window (K*step) rather than the incremental extension
-    ((K-1)*step); both published stacks follow that accounting, which
-    overstates the exact influence span of the max-pooling stack by 2
-    from its second frame layer on.
-    """
-    column: list[tuple[str, int]] = []
-    span = 1
-    for layer, kind, step, after_pool in _frame_steps(model_or_layers):
-        wide = after_pool and kind.window is not None and layer.context >= 5
-        span += (kind.window if wide else kind.reach)(layer) * step
-        column.append((layer.name, span))
-    return column
-
-
-def layer_shape_pairs(model: ExtractorModel) -> dict[str, tuple[int, int]]:
-    """Affine (in, out) pairs of every weight-bearing layer."""
-    pairs: dict[str, tuple[int, int]] = {}
-    for layer in model.layers:
-        shape = _KINDS[layer.kind].shape
-        if shape is not None:
-            pairs[layer.name] = shape(layer)
-    return pairs

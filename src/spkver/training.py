@@ -27,7 +27,6 @@ not depend on the block size even where clipping fires.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,16 +280,8 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
     return result
 
 
-def default_thread_count() -> int:
-    value = os.environ.get("SPKVER_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
 def extract_embeddings(model: m.ExtractorModel, features: dict[str, np.ndarray],
-                       threads: int | None = None, log=None):
+                       threads: int = 1, log=None):
     """Full-utterance embeddings for every feature matrix.
 
     Utterances shorter than the receptive field are skipped with a warning
@@ -304,12 +295,11 @@ def extract_embeddings(model: m.ExtractorModel, features: dict[str, np.ndarray],
         for u in skipped:
             log(f"warning: skipping {u}: {features[u].shape[0]} frames < "
                 f"receptive field {need}")
-    n_workers = threads if threads is not None else default_thread_count()
     kept_features = [features[u] for u in kept]
-    if n_workers > 1 and len(kept) > 1:
+    if threads > 1 and len(kept) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = m.embed_batch(model, kept_features, pool.map)
     else:
         rows = m.embed_batch(model, kept_features)
@@ -321,6 +311,6 @@ def save_train_checkpoint(path, result: TrainResult, cfg: ExperimentConfig,
     save_checkpoint(path, result.model, step=result.final_step,
                     epoch=epoch if epoch is not None else cfg.epochs,
                     config_hash=cfg.config_hash(),
-                    rng_state=getattr(result, "rng_state", None),
+                    rng_state=result.rng_state,
                     extra={"history": result.history,
                            "best_val_eer": result.best_val_eer})

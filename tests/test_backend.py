@@ -16,11 +16,14 @@ from scipy.stats import multivariate_normal
 
 from spkver import backend as bk
 from spkver.backend import (CsmlTrainConfig, CsmlTransform, LdaProjection,
-                            PldaModel, center, cosine_score, csml_score,
-                            lda_fit, lda_project, mine_triplets, plda_fit,
-                            plda_score, train_csml, triplet_loss,
-                            triplet_loss_and_grad)
+                            PldaModel, center, lda_fit, lda_project, mine_triplets,
+                            plda_fit, train_csml, triplet_loss_and_grad)
 from spkver.metrics import ScoreSet, Trial, compute_eer
+
+
+def score(model, x1, x2):
+    """One trial's score through the path ``spkver score`` takes."""
+    return float(bk.score_pairs(model, bk.scoring_rows(model, [x1, x2]), [0], [1])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -29,11 +32,11 @@ from spkver.metrics import ScoreSet, Trial, compute_eer
 
 def test_cosine_basics():
     x = np.array([3.0, -1.0, 2.0])
-    assert cosine_score(x, x) == pytest.approx(1.0)
-    assert cosine_score(x, -x) == pytest.approx(-1.0)
-    assert cosine_score([1.0, 0.0], [1.0, 1.0]) == pytest.approx(1 / np.sqrt(2))
+    assert score(None, x, x) == pytest.approx(1.0)
+    assert score(None, x, -x) == pytest.approx(-1.0)
+    assert score(None, [1.0, 0.0], [1.0, 1.0]) == pytest.approx(1 / np.sqrt(2))
     with pytest.raises(ValueError, match="degenerate embedding"):
-        cosine_score(np.zeros(3), x)
+        score(None, np.zeros(3), x)
 
 
 # ---------------------------------------------------------------------------
@@ -45,17 +48,17 @@ def test_csml_transform_validation():
         CsmlTransform(np.array([[1.0, 0.0], [0.5, 1.0]]))
     with pytest.raises(ValueError, match="diagonal must be positive"):
         CsmlTransform(np.array([[1.0, 2.0], [0.0, 0.0]]))
-    t = CsmlTransform.identity(4)
+    t = CsmlTransform(np.eye(4))
     assert t.dim == 4
 
 
 def test_csml_identity_and_scale_equal_cosine():
     rng = np.random.default_rng(0)
     x1, x2 = rng.standard_normal(6), rng.standard_normal(6)
-    eye = CsmlTransform.identity(6)
-    assert csml_score(x1, x2, eye) == cosine_score(x1, x2)
+    eye = CsmlTransform(np.eye(6))
+    assert score(eye, x1, x2) == score(None, x1, x2)
     doubled = CsmlTransform(2.0 * np.eye(6))
-    assert csml_score(x1, x2, doubled) == pytest.approx(cosine_score(x1, x2), abs=1e-12)
+    assert score(doubled, x1, x2) == pytest.approx(score(None, x1, x2), abs=1e-12)
 
 
 def test_csml_matches_direct_formula_oracle():
@@ -65,14 +68,14 @@ def test_csml_matches_direct_formula_oracle():
     x1, x2 = rng.standard_normal(5), rng.standard_normal(5)
     u, v = a @ x1, a @ x2
     direct = (u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
-    assert csml_score(x1, x2, CsmlTransform(a)) == pytest.approx(direct, abs=1e-12)
+    assert score(CsmlTransform(a), x1, x2) == pytest.approx(direct, abs=1e-12)
 
 
 def test_csml_symmetric():
     rng = np.random.default_rng(2)
     a = CsmlTransform(np.triu(rng.standard_normal((4, 4))) + 3 * np.eye(4))
     x1, x2 = rng.standard_normal(4), rng.standard_normal(4)
-    assert csml_score(x1, x2, a) == pytest.approx(csml_score(x2, x1, a), abs=1e-15)
+    assert score(a, x1, x2) == pytest.approx(score(a, x2, x1), abs=1e-15)
 
 
 @settings(max_examples=40, deadline=None)
@@ -82,8 +85,8 @@ def test_csml_positive_scale_invariance(c, seed):
     a = np.triu(rng.standard_normal((4, 4)))
     np.fill_diagonal(a, np.abs(np.diag(a)) + 0.1)
     x1, x2 = rng.standard_normal(4), rng.standard_normal(4)
-    assert csml_score(x1, x2, CsmlTransform(a)) == pytest.approx(
-        csml_score(x1, x2, CsmlTransform(c * a)), abs=1e-9)
+    assert score(CsmlTransform(a), x1, x2) == pytest.approx(
+        score(CsmlTransform(c * a), x1, x2), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +98,15 @@ def test_triplet_loss_symmetric_case():
     emb = rng.standard_normal((4, 5))
     emb[3] = emb[2]                      # negative equals the positive: d = 0
     triplets = [(0, 2, 3), (1, 2, 3)]
-    loss = triplet_loss(CsmlTransform.identity(5), emb, triplets)
+    loss = triplet_loss_and_grad(bk._csml_rows(np.eye(5), emb), triplets, need_grad=False)[0]
     assert loss == pytest.approx(len(triplets) * np.log(2.0), abs=1e-12)
 
 
 def test_triplet_loss_saturates_to_zero():
     emb = np.array([[1.0, 0.0], [1.0, 1e-3], [-1.0, 0.0]])
     scale_up = np.eye(2)
-    loss = triplet_loss(CsmlTransform(scale_up), 1e3 * emb, [(0, 1, 2)])
+    loss = triplet_loss_and_grad(bk._csml_rows(scale_up, 1e3 * emb), [(0, 1, 2)],
+                                 need_grad=False)[0]
     assert loss < np.log(1 + np.exp(-1.9))
 
 
@@ -115,10 +119,11 @@ def test_triplet_loss_matches_direct_summation_oracle():
     triplets = [(0, 1, 2), (3, 4, 5), (6, 7, 0), (2, 3, 4), (5, 6, 7)]
     direct = 0.0
     for anc, pos, neg in triplets:
-        d = (csml_score(emb[anc], emb[pos], transform)
-             - csml_score(emb[anc], emb[neg], transform))
+        d = (score(transform, emb[anc], emb[pos])
+             - score(transform, emb[anc], emb[neg]))
         direct += np.log(1 + np.exp(-d))
-    assert triplet_loss(transform, emb, triplets) == pytest.approx(direct, abs=1e-12)
+    loss = triplet_loss_and_grad(bk._csml_rows(transform, emb), triplets, need_grad=False)[0]
+    assert loss == pytest.approx(direct, abs=1e-12)
 
 
 def test_triplet_weights_match_expit_oracle():
@@ -139,9 +144,9 @@ def test_triplet_loss_gradient_matches_finite_differences():
         for j in range(i, 5):
             probe = a.copy()
             probe[i, j] += eps
-            up = triplet_loss(probe, emb, triplets)
+            up = triplet_loss_and_grad(bk._csml_rows(probe, emb), triplets, need_grad=False)[0]
             probe[i, j] -= 2 * eps
-            down = triplet_loss(probe, emb, triplets)
+            down = triplet_loss_and_grad(bk._csml_rows(probe, emb), triplets, need_grad=False)[0]
             fd = (up - down) / (2 * eps)
             assert abs(fd - grad[i, j]) / max(abs(fd), abs(grad[i, j]), 1e-6) < 1e-4
 
@@ -189,20 +194,20 @@ def test_triplet_loss_and_grad_match_gathered_reference(seed):
     ref_loss, ref_grad = gathered_loss_and_grad(a, emb, triplets)
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
     assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
-    assert triplet_loss(a, emb, triplets) == loss
+    assert triplet_loss_and_grad(bk._csml_rows(a, emb), triplets, need_grad=False)[0] == loss
 
 
 def test_triplet_loss_strictly_decreasing_in_margin():
     emb = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.3, 0.9]])
-    eye = CsmlTransform.identity(2)
-    closer_neg = triplet_loss(eye, emb, [(0, 1, 3)])
-    farther_neg = triplet_loss(eye, emb, [(0, 1, 2)])
+    eye = CsmlTransform(np.eye(2))
+    closer_neg = triplet_loss_and_grad(bk._csml_rows(eye, emb), [(0, 1, 3)], need_grad=False)[0]
+    farther_neg = triplet_loss_and_grad(bk._csml_rows(eye, emb), [(0, 1, 2)], need_grad=False)[0]
     assert farther_neg < closer_neg
 
 
 def test_triplet_loss_empty_rejected():
     with pytest.raises(ValueError, match="no triplets"):
-        triplet_loss(CsmlTransform.identity(2), np.ones((2, 2)), [])
+        triplet_loss_and_grad(bk._csml_rows(np.eye(2), np.ones((2, 2))), [], need_grad=False)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +282,7 @@ def test_mine_triplets_equals_per_anchor_loop_on_ties(seed, n_hard, max_triplets
 
 def test_mine_triplets_in_blocks_equals_one_block(monkeypatch):
     emb, labels = quantised_embeddings(3)
-    eye = CsmlTransform.identity(3)
+    eye = CsmlTransform(np.eye(3))
     whole = mine(emb, labels, eye, n_hard=6)
     monkeypatch.setattr(bk, "MINE_BLOCK", 7)          # 40 anchors: 5 full blocks and 5
     assert np.array_equal(mine(emb, labels, eye, n_hard=6), whole)
@@ -286,15 +291,15 @@ def test_mine_triplets_in_blocks_equals_one_block(monkeypatch):
 def test_mine_triplets_subsample_needs_a_generator():
     emb, labels = quantised_embeddings(4)
     with pytest.raises(ValueError, match=r"max_triplets=10 of \d+ needs a generator \(rng\)"):
-        mine(emb, labels, CsmlTransform.identity(3), n_hard=5, max_triplets=10)
+        mine(emb, labels, CsmlTransform(np.eye(3)), n_hard=5, max_triplets=10)
     # no draw is needed when every row fits
-    assert len(mine(emb, labels, CsmlTransform.identity(3), n_hard=1, max_triplets=10**6)) > 0
+    assert len(mine(emb, labels, CsmlTransform(np.eye(3)), n_hard=1, max_triplets=10**6)) > 0
 
 
 def test_mine_triplets_small_exhaustive():
     emb = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]])
     labels = np.array(["a", "a", "b", "b"])
-    got = set(map(tuple, mine(emb, labels, CsmlTransform.identity(2), n_hard=2).tolist()))
+    got = set(map(tuple, mine(emb, labels, CsmlTransform(np.eye(2)), n_hard=2).tolist()))
     expected = set()
     for i in range(4):
         for p in range(4):
@@ -309,7 +314,7 @@ def test_mine_triplets_hardest_is_argmax():
     rng = np.random.default_rng(6)
     emb = rng.standard_normal((10, 4))
     labels = np.array([0] * 5 + [1] * 5)
-    eye = CsmlTransform.identity(4)
+    eye = CsmlTransform(np.eye(4))
     triplets = mine(emb, labels, eye, n_hard=1)
     u = emb / np.linalg.norm(emb, axis=1, keepdims=True)
     s = u @ u.T
@@ -334,7 +339,7 @@ def test_mine_triplets_matches_full_sort_oracle():
         mined = sorted({n for aa, _, n in triplets if aa == anchor})
         if not mined:
             continue
-        scores = np.array([csml_score(emb[anchor], emb[j], transform)
+        scores = np.array([score(transform, emb[anchor], emb[j])
                            for j in range(30)])
         impostors = [j for j in range(30) if labels[j] != labels[anchor]]
         ranked = sorted(impostors, key=lambda j: (-scores[j], j))[:n_hard]
@@ -345,7 +350,7 @@ def test_mine_triplets_permutation_invariant_as_set():
     rng = np.random.default_rng(8)
     emb = rng.standard_normal((8, 3))
     labels = np.array([0, 0, 0, 1, 1, 2, 2, 2])
-    eye = CsmlTransform.identity(3)
+    eye = CsmlTransform(np.eye(3))
     base = {(tuple(emb[a]), tuple(emb[p]), tuple(emb[n]))
             for a, p, n in mine(emb, labels, eye, n_hard=4)}
     perm = rng.permutation(8)
@@ -361,7 +366,7 @@ def test_mine_triplets_rows_in_loop_order():
     rng = np.random.default_rng(24)
     emb = rng.standard_normal((14, 3))
     labels = np.array([2, 0, 1, 0, 2, 3, 0, 1, 4, 2, 0, 1, 3, 0])   # speaker 4 has no partner
-    got = mine(emb, labels, CsmlTransform.identity(3), n_hard=4)
+    got = mine(emb, labels, CsmlTransform(np.eye(3)), n_hard=4)
     u = emb / np.linalg.norm(emb, axis=1, keepdims=True)
     expected = []
     for i in range(14):
@@ -401,7 +406,7 @@ def test_mine_triplets_subsample_builds_only_the_drawn_rows(max_triplets):
 def test_mine_triplets_insufficient_positives():
     emb = np.eye(3)
     with pytest.raises(ValueError, match="insufficient positives"):
-        mine(emb, np.array([0, 1, 2]), CsmlTransform.identity(3))
+        mine(emb, np.array([0, 1, 2]), CsmlTransform(np.eye(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +435,9 @@ def test_train_csml_descends_on_separable_data():
     opts = CsmlTrainConfig(epochs=5, steps_per_epoch=3, n_hard=10, seed=2,
                            val_fraction=0.3)
     trained = train_csml(emb, labels, opts)
-    triplets = mine(emb, labels, CsmlTransform.identity(4), n_hard=10)
-    before = triplet_loss(CsmlTransform.identity(4), emb, triplets)
-    after = triplet_loss(trained, emb, triplets)
+    triplets = mine(emb, labels, CsmlTransform(np.eye(4)), n_hard=10)
+    before = triplet_loss_and_grad(bk._csml_rows(np.eye(4), emb), triplets, need_grad=False)[0]
+    after = triplet_loss_and_grad(bk._csml_rows(trained, emb), triplets, need_grad=False)[0]
     assert after < before
     assert np.all(np.diag(trained.matrix) >= 1e-4)
     assert np.all(np.tril(trained.matrix, -1) == 0.0)
@@ -445,7 +450,7 @@ def test_train_csml_validation_eer_never_worse_than_identity():
         opts = CsmlTrainConfig(epochs=4, steps_per_epoch=2, n_hard=30, seed=seed)
         trained = train_csml(emb, labels, opts)
         idx = np.arange(len(labels))
-        eer_eye = bk.csml_validation_eer(emb, labels, idx, CsmlTransform.identity(8),
+        eer_eye = bk.csml_validation_eer(emb, labels, idx, CsmlTransform(np.eye(8)),
                                          seed=seed)
         eer_fit = bk.csml_validation_eer(emb, labels, idx, trained, seed=seed)
         assert eer_fit <= eer_eye + 1e-9
@@ -483,7 +488,9 @@ def loop_train_csml(embeddings, labels, opts):
             step = 1.0 / max(1.0, np.sqrt(gnorm2))
             for _ in range(30):
                 cand = bk._project_upper(a - step * grad)
-                if triplet_loss(cand, train_emb, triplets) <= loss - 1e-4 * step * gnorm2:
+                cand_loss, _ = triplet_loss_and_grad(bk._csml_rows(cand, train_emb), triplets,
+                                                     need_grad=False)
+                if cand_loss <= loss - 1e-4 * step * gnorm2:
                     a = cand
                     break
                 rejected += 1
@@ -563,7 +570,7 @@ def test_all_pairs_eer_pairs_equal_triu_indices_oracle(monkeypatch, n_rows):
     assert drawing.bit_generator.state == reference.bit_generator.state
 
 
-@pytest.mark.parametrize("model", [None, CsmlTransform.identity(4),
+@pytest.mark.parametrize("model", [None, CsmlTransform(np.eye(4)),
                                    PldaModel(np.zeros(4), np.eye(4), np.eye(4))],
                          ids=["cosine", "csml", "plda"])
 def test_all_pairs_eer_rejects_zero_norm_row(model):
@@ -592,10 +599,10 @@ def test_centering_changes_cosine_scores_and_matches_recomputation():
     emb = rng.standard_normal((4, 5)) + 3.0
     mean = emb.mean(axis=0)
     shifted = center(emb, mean)
-    direct = cosine_score(emb[0] - mean, emb[1] - mean)
-    assert cosine_score(shifted[0], shifted[1]) == pytest.approx(direct, abs=1e-12)
-    assert cosine_score(shifted[0], shifted[1]) != pytest.approx(
-        cosine_score(emb[0], emb[1]), abs=1e-6)
+    direct = score(None, emb[0] - mean, emb[1] - mean)
+    assert score(None, shifted[0], shifted[1]) == pytest.approx(direct, abs=1e-12)
+    assert score(None, shifted[0], shifted[1]) != pytest.approx(
+        score(None, emb[0], emb[1]), abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -684,13 +691,13 @@ def test_plda_one_dimensional_closed_form_oracle():
     marginal = multivariate_normal(mean=[mu], cov=[[b + w]])
     expected = (joint_same.logpdf([e1[0], e2[0]])
                 - marginal.logpdf([e1[0]]) - marginal.logpdf([e2[0]]))
-    assert plda_score(model, e1, e2) == pytest.approx(expected, abs=1e-10)
+    assert score(model, e1, e2) == pytest.approx(expected, abs=1e-10)
 
 
 def test_plda_vanishing_between_covariance_flattens_scores():
     rng = np.random.default_rng(17)
     model = PldaModel(np.zeros(3), 1e-14 * np.eye(3), np.eye(3), length_norm=False)
-    scores = [plda_score(model, rng.standard_normal(3), rng.standard_normal(3))
+    scores = [score(model, rng.standard_normal(3), rng.standard_normal(3))
               for _ in range(10)]
     assert np.max(np.abs(np.diff(scores))) < 1e-9
 
@@ -779,8 +786,8 @@ def test_plda_same_speaker_scores_higher_statistically():
     for i in range(0, 80, 3):
         same = [j for j in range(80) if labels[j] == labels[i] and j != i]
         diff = [j for j in range(80) if labels[j] != labels[i]]
-        s_same = plda_score(model, emb[i], emb[same[0]])
-        s_diff = plda_score(model, emb[i], emb[diff[0]])
+        s_same = score(model, emb[i], emb[same[0]])
+        s_diff = score(model, emb[i], emb[diff[0]])
         wins += s_same > s_diff
         trials += 1
     assert wins / trials >= 0.9
@@ -791,8 +798,8 @@ def test_plda_length_norm_flag_scale_invariance():
     emb, labels = clustered_embeddings(rng, 4, 8, 5)
     model = plda_fit(emb, labels, n_iter=5, length_norm=True)
     e1, e2 = emb[0], emb[9]
-    assert plda_score(model, e1, e2) == pytest.approx(
-        plda_score(model, 3.7 * e1, 0.2 * e2), abs=1e-9)
+    assert score(model, e1, e2) == pytest.approx(
+        score(model, 3.7 * e1, 0.2 * e2), abs=1e-9)
 
 
 def test_plda_fit_requires_multisample_classes():
@@ -880,7 +887,7 @@ def test_plda_with_lda_preprocessing():
     emb, labels = clustered_embeddings(rng, 6, 8, 8, spread=0.5)
     model = plda_fit(emb, labels, n_iter=8, lda_dim=4)
     assert model.lda is not None and model.lda.out_dim == 4
-    assert np.isfinite(plda_score(model, emb[0], emb[1]))
+    assert np.isfinite(score(model, emb[0], emb[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 import spkver
 from spkver import backend as bk
 from spkver import formats as fm
-from spkver import frontend as fe
 from spkver import metrics as mt
 from spkver import models as md
 from spkver import training as tr
 from spkver.cli import main
+
+
+def write_wav(path, samples, rate):
+    wavfile.write(path, rate, (np.clip(samples, -1.0, 1.0) * 32767.0).astype(np.int16))
+
+
+def write_trials(path, trials):
+    path.write_text("".join(f"{t.enroll} {t.test} {'target' if t.is_target else 'nontarget'}\n"
+                            for t in trials))
 
 
 def run(capsys, *argv):
@@ -73,7 +82,7 @@ def test_mfcc_subcommand(capsys, tmp_path):
     for i in range(2):
         tone = 0.3 * np.sin(2 * np.pi * (500 + 200 * i) * np.arange(rate) / rate)
         tone += 0.02 * rng.standard_normal(rate)
-        fe.write_wav(tmp_path / f"utt{i}.wav", fe.Waveform(tone, rate))
+        write_wav(tmp_path / f"utt{i}.wav", tone, rate)
     out = tmp_path / "feats.bin"
     code, _, err = run(capsys, "mfcc", "--wav-dir", str(tmp_path), "--out", str(out))
     assert code == 0, err
@@ -128,7 +137,7 @@ def test_commands_never_import_scipy(tmp_path):
     def p(name):
         return str(tmp_path / name)
     rng = np.random.default_rng(3)
-    fe.write_wav(p("a.wav"), fe.Waveform(0.3 * rng.standard_normal(4000), 8000))
+    write_wav(p("a.wav"), 0.3 * rng.standard_normal(4000), 8000)
     emb = {f"u{i}": 2.0 * np.eye(3)[i // 4] + rng.standard_normal(3) for i in range(12)}
     fm.write_embeddings(p("emb.bin"), emb)
     fm.write_utt2spk(p("utt2spk.txt"), {utt: f"s{i // 4}" for i, utt in enumerate(emb)})
@@ -228,12 +237,29 @@ def test_train_best_out_builds_no_second_random_model(capsys, toy_dir, tmp_path,
     result = results[0]
     assert result.best_state is not None
     reference = build_model(cfg, 3)
-    reference.params.load_state(result.best_state)
+    for name, tensor in reference.params.items():
+        tensor.data = result.best_state[name].copy()
     fm.save_checkpoint(tmp_path / "ref.ckpt", reference, step=result.final_step,
                        epoch=cfg.epochs, config_hash=cfg.config_hash(),
                        rng_state=result.rng_state,
                        extra={"best_val_eer": result.best_val_eer})
     assert best.read_bytes() == (tmp_path / "ref.ckpt").read_bytes()
+
+
+def test_train_best_out_without_validation_split_exits_2(capsys, toy_dir, tmp_path):
+    """With no validation split there is no best epoch: ``--out`` is still
+    written, then the command fails naming ``--best-out`` and the split."""
+    corpus = toy_dir / "corpus"
+    write_toy_config(tmp_path / "exp.ini")                  # val_fraction = 0
+    last, best = tmp_path / "last.ckpt", tmp_path / "best.ckpt"
+    code, out, err = run(capsys, "train", "--config", str(tmp_path / "exp.ini"),
+                         "--features", str(corpus / "feats.bin"),
+                         "--utt2spk", str(corpus / "utt2spk.txt"),
+                         "--out", str(last), "--best-out", str(best))
+    assert code == 2
+    assert f"spkver: --best-out {best} not written" in err and "validation split" in err
+    assert last.exists() and f"wrote checkpoint to {last}" in out
+    assert not best.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow is the point
@@ -275,7 +301,7 @@ def test_full_pipeline_matches_library(capsys, toy_dir, tmp_path):
         for b in utts[i + 1 : i + 4]:
             trials.append(mt.Trial(a, b, utt2spk[a] == utt2spk[b]))
     trials_path = tmp_path / "trials.txt"
-    trials_path.write_text(mt.write_trials(trials))
+    write_trials(trials_path, trials)
 
     scores_path = tmp_path / "scores.txt"
     code, _, err = run(capsys, "score", "--backend", "cosine",
@@ -285,7 +311,8 @@ def test_full_pipeline_matches_library(capsys, toy_dir, tmp_path):
     assert code == 0, err
 
     emb = fm.read_embeddings(emb_path)
-    expected = np.array([bk.cosine_score(emb[t.enroll], emb[t.test]) for t in trials])
+    expected = np.array([bk.score_pairs(None, bk.scoring_rows(None, [emb[t.enroll], emb[t.test]]),
+                                        [0], [1])[0] for t in trials])
     score_set = mt.parse_scores(scores_path.read_text())
     assert np.array_equal(score_set.scores, expected)
 
@@ -358,7 +385,7 @@ def _score_all_backends(capsys, tmp_path):
               for i, a in enumerate(utts) for b in utts[i + 1 :]]
     trials.append(mt.Trial(utts[3], utts[3], True))
     trials_path = tmp_path / "trials.txt"
-    trials_path.write_text(mt.write_trials(trials))
+    write_trials(trials_path, trials)
 
     models = {"csml": tmp_path / "csml.bin", "plda": tmp_path / "plda.bin"}
     code, _, err = run(capsys, "backend-train", "--kind", "csml",
@@ -469,7 +496,7 @@ def test_score_malformed_trial_file_exits_2_naming_it(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("backend,model", [
-    ("csml", bk.CsmlTransform.identity(3)),
+    ("csml", bk.CsmlTransform(np.eye(3))),
     ("plda", bk.PldaModel(np.zeros(2), np.eye(2), np.eye(2),
                           lda=bk.LdaProjection(np.eye(2, 3), np.ones(2)))),
     ("plda", bk.PldaModel(np.zeros(3), np.eye(3), np.eye(3))),
@@ -494,7 +521,7 @@ def test_score_zero_norm_embedding_exits_2(capsys, tmp_path, backend):
     fm.write_embeddings(emb_path, {"a": np.array([1.0, 2.0, 0.5]), "z": np.zeros(3)})
     trials_path = tmp_path / "t.txt"
     trials_path.write_text("a z nontarget\n")
-    models = {"csml": bk.CsmlTransform.identity(3),
+    models = {"csml": bk.CsmlTransform(np.eye(3)),
               "plda": bk.PldaModel(np.zeros(3), np.eye(3), np.eye(3))}
     extra = []
     if backend in models:

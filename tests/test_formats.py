@@ -115,6 +115,15 @@ def test_utt2spk_roundtrip(tmp_path):
         fm.read_utt2spk(tmp_path / "bad.txt")
 
 
+def test_utt2spk_repeated_utterance_is_rejected(tmp_path):
+    """A second line for one utterance would silently relabel it."""
+    path = tmp_path / "utt2spk.txt"
+    path.write_text("u1 spkA\nu2 spkA\n\nu1 spkB\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: line 4: utterance 'u1' is already listed on line 1")):
+        fm.read_utt2spk(path)
+
+
 def test_checkpoint_roundtrip_bit_identical_forward(tmp_path):
     model = md.build_res_net(2, n_spk=4, width_scale=0.25, seed=3)
     model.params.velocity["frame1.w"][...] = 0.125
@@ -125,8 +134,8 @@ def test_checkpoint_roundtrip_bit_identical_forward(tmp_path):
     clone, meta = fm.load_checkpoint(path)
     assert meta["step"] == 17 and meta["epoch"] == 2 and meta["config_hash"] == "abc"
     feats = np.random.default_rng(4).standard_normal((150, 23))
-    assert np.array_equal(md.forward_embed(model, feats),
-                          md.forward_embed(clone, feats))
+    assert np.array_equal(md.embed_batch(model, [feats])[0],
+                          md.embed_batch(clone, [feats])[0])
     assert np.array_equal(clone.params.velocity["frame1.w"],
                           model.params.velocity["frame1.w"])
 
@@ -177,7 +186,7 @@ def test_load_checkpoint_adopts_the_archive_arrays(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 1.15 * payload, (peak, payload)
-    assert clone.params.names() == model.params.names()
+    assert [n for n, _ in clone.params.items()] == [n for n, _ in model.params.items()]
     for name, tensor in model.params.items():
         assert np.array_equal(clone.params[name].data, tensor.data)
         assert np.array_equal(clone.params.velocity[name], model.params.velocity[name])
@@ -294,7 +303,7 @@ def test_load_without_momentum_reads_only_the_parameters(tmp_path):
         tracemalloc.stop()
     assert peak <= 1.15 * payload, (peak, payload)
     feats = np.random.default_rng(5).standard_normal((120, 23))
-    assert np.array_equal(md.forward_embed(clone, feats), md.forward_embed(model, feats))
+    assert np.array_equal(md.embed_batch(clone, [feats])[0], md.embed_batch(model, [feats])[0])
     for name, vel in clone.params.velocity.items():
         assert vel.shape == model.params.velocity[name].shape and not vel.flags.writeable
         clone.params[name].grad = np.zeros(vel.shape)
@@ -325,7 +334,7 @@ def test_loaded_checkpoint_trains_in_place(tmp_path):
     path = tmp_path / "m.ckpt"
     fm.save_checkpoint(path, model, step=0, epoch=0, config_hash="")
     clone, _ = fm.load_checkpoint(path)
-    names = clone.params.names()
+    names = [n for n, _ in clone.params.items()]
     params = {n: clone.params[n].data for n in names}
     velocity = dict(clone.params.velocity)
     _assert_fresh_float64(list(params.values()) + list(velocity.values()))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from spkver import metrics as mt
 from spkver.metrics import (DcfParams, ScoreSet, Trial, compute_eer,
                             compute_min_dcf, detection_points, parse_scores,
-                            parse_trials, summarize, write_scores, write_trials)
+                            parse_trials, summarize, write_scores)
 
 
 def make_set(target_scores, nontarget_scores):
@@ -44,10 +44,10 @@ def oracle_eer(tgt, non):
     raise AssertionError("no crossing found")
 
 
-def oracle_min_dcf(tgt, non, p_target, c_miss=1.0, c_fa=1.0):
+def oracle_min_dcf(tgt, non, p_target):
     points = oracle_operating_points(tgt, non)
-    best = min(c_miss * m * p_target + c_fa * f * (1 - p_target) for f, m in points)
-    return best / min(c_miss * p_target, c_fa * (1 - p_target))
+    best = min(m * p_target + f * (1 - p_target) for f, m in points)
+    return best / min(p_target, 1 - p_target)
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +137,8 @@ def test_min_dcf_normalized_bound_and_eer_threshold_bound():
         mdcf = compute_min_dcf(s)
         assert mdcf <= 1.0 + 1e-12
         eer = compute_eer(s)
-        params = DcfParams()
-        dcf_at_eer = (params.c_miss * eer * params.p_target
-                      + params.c_fa * eer * (1 - params.p_target)) / min(
-            params.c_miss * params.p_target, params.c_fa * (1 - params.p_target))
+        p = DcfParams().p_target
+        dcf_at_eer = (eer * p + eer * (1 - p)) / min(p, 1 - p)
         assert dcf_at_eer >= mdcf - 1e-12
 
 
@@ -191,7 +189,8 @@ def test_trials_roundtrip():
     rng = np.random.default_rng(2)
     trials = [Trial(f"e{i}", f"t{rng.integers(100)}", bool(rng.random() < 0.5))
               for i in range(50)]
-    assert parse_trials(write_trials(trials)) == trials
+    text = "".join(f"{t.enroll} {t.test} {LABEL_TEXT[t.is_target]}\n" for t in trials)
+    assert parse_trials(text) == trials
 
 
 def test_scores_roundtrip_exact():

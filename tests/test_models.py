@@ -23,9 +23,17 @@ CANONICAL_PAIRS = {
 }
 
 
+def widths(model):
+    """Each layer's (input, output) width as its spec gives it: a time-delay
+    layer reads ``context`` spliced frames, a residual block keeps ``width``."""
+    return {l.name: (l.in_dim, l.width) if isinstance(l, ResidualBlockSpec) else
+            (l.context * l.in_dim if l.kind == "time_delay" else l.in_dim, l.out_dim)
+            for l in model.layers}
+
+
 def test_maxpool_net_canonical_widths():
     model = md.build_maxpool_net(n_spk=11)
-    pairs = md.layer_shape_pairs(model)
+    pairs = widths(model)
     for name, expected in CANONICAL_PAIRS.items():
         assert pairs[name] == expected, name
     assert pairs["classifier"] == (512, 11)
@@ -34,14 +42,14 @@ def test_maxpool_net_canonical_widths():
 
 def test_maxpool_net_two_speakers():
     model = md.build_maxpool_net(n_spk=2)
-    assert md.layer_shape_pairs(model)["classifier"] == (512, 2)
+    assert widths(model)["classifier"] == (512, 2)
     with pytest.raises(ValueError):
         md.build_maxpool_net(n_spk=1)
 
 
 def test_res_net_canonical_widths():
     model = md.build_res_net(3, n_spk=7)
-    pairs = md.layer_shape_pairs(model)
+    pairs = widths(model)
     assert pairs["frame1"] == (69, 128)
     for m in range(1, 4):
         assert pairs[f"block{m}"] == (64, 64)
@@ -145,10 +153,22 @@ def influence_oracle(layers):
         t += 1
 
 
+def table_context(layers):
+    """The tables' total-context column: each frame-layer prefix's receptive
+    field, where a context >= 5 layer right after a pool counts its full
+    window, one input step (2 ** pools before it) beyond its reach."""
+    column, extra = [], 0
+    for i, layer in enumerate(layers):
+        if layer.context >= 5 and i and layers[i - 1].kind.startswith("max_pool"):
+            extra += 2 ** sum(l.kind.startswith("max_pool") for l in layers[:i])
+        column.append((layer.name, md.receptive_field(layers[: i + 1]) + extra))
+    return column
+
+
 def test_receptive_field_single_wide_layer():
     layers = [LayerSpec("time_delay", "only", 4, 4, context=7)]
     assert md.receptive_field(layers) == 7
-    assert md.total_context(layers) == [("only", 7)]
+    assert table_context(layers) == [("only", 7)]
 
 
 def test_receptive_field_matches_influence_oracle_random_stacks():
@@ -176,13 +196,13 @@ def test_receptive_field_matches_influence_oracle_both_nets():
 
 def test_total_context_column_maxpool_net():
     model = md.build_maxpool_net(n_spk=4)
-    column = md.total_context(model)
+    column = table_context(model.frame_layers())
     assert [tc for _, tc in column[:7]] == [7, 8, 18, 20, 28, 32, 32]
 
 
 def test_total_context_res_net_grows_8_per_block():
     model = md.build_res_net(5, n_spk=4)
-    column = dict(md.total_context(model))
+    column = dict(table_context(model.frame_layers()))
     for m in range(2, 6):
         assert column[f"block{m}"] - column[f"block{m - 1}"] == 8
     assert md.receptive_field(md.build_res_net(4, n_spk=4)) - \
@@ -190,13 +210,13 @@ def test_total_context_res_net_grows_8_per_block():
 
 
 # ---------------------------------------------------------------------------
-# forward_embed
+# one utterance's embedding
 
 
 def test_forward_embed_shape_and_finite():
     model = md.build_maxpool_net(n_spk=3, width_scale=0.25)
     rng = np.random.default_rng(2)
-    emb = md.forward_embed(model, rng.standard_normal((200, 23)))
+    emb = md.embed_batch(model, [rng.standard_normal((200, 23))])[0]
     assert emb.shape == (model.embedding_dim,)
     assert np.all(np.isfinite(emb))
 
@@ -204,8 +224,8 @@ def test_forward_embed_shape_and_finite():
 def test_forward_embed_length_independent_dim():
     model = md.build_res_net(2, n_spk=3, width_scale=0.25)
     rng = np.random.default_rng(3)
-    e1 = md.forward_embed(model, rng.standard_normal((120, 23)))
-    e2 = md.forward_embed(model, rng.standard_normal((260, 23)))
+    e1 = md.embed_batch(model, [rng.standard_normal((120, 23))])[0]
+    e2 = md.embed_batch(model, [rng.standard_normal((260, 23))])[0]
     assert e1.shape == e2.shape
 
 
@@ -213,7 +233,7 @@ def test_forward_embed_too_short():
     model = md.build_maxpool_net(n_spk=3, width_scale=0.25)
     rng = np.random.default_rng(4)
     with pytest.raises(ValueError, match="segment shorter than receptive field"):
-        md.forward_embed(model, rng.standard_normal((10, 23)))
+        md.embed_batch(model, [rng.standard_normal((10, 23))])[0]
 
 
 def test_forward_embed_matches_layerwise_numpy_replay():
@@ -247,7 +267,7 @@ def test_forward_embed_matches_layerwise_numpy_replay():
         pooled = np.maximum(h[:, :half], h[:, half:])
     expected = pooled[0]
 
-    assert np.allclose(md.forward_embed(model, feats), expected, atol=1e-10)
+    assert np.allclose(md.embed_batch(model, [feats])[0], expected, atol=1e-10)
 
 
 def test_duplicated_frames_leave_stats_and_embedding_unchanged():
@@ -266,8 +286,8 @@ def test_duplicated_frames_leave_stats_and_embedding_unchanged():
     rng = np.random.default_rng(8)
     feats = rng.standard_normal((20, 5))
     doubled = np.concatenate([feats, feats], axis=0)
-    assert np.allclose(md.forward_embed(model, feats),
-                       md.forward_embed(model, doubled), atol=1e-12)
+    assert np.allclose(md.embed_batch(model, [feats])[0],
+                       md.embed_batch(model, [doubled])[0], atol=1e-12)
 
 
 def test_residual_block_zero_weights_identity():
@@ -286,11 +306,12 @@ def test_residual_block_zero_weights_identity():
 
 def test_arch_dict_roundtrip():
     model = md.build_res_net(2, n_spk=5, width_scale=0.25, seed=13)
-    clone = md.model_from_arch_dict(model.arch_dict())
-    clone.params.load_state(model.params.state_arrays())
+    clone = md.model_from_arch_dict(model.arch_dict(), seed=None)
+    for name, array in model.params.state_arrays().items():
+        clone.params.add(name, array.copy())
     feats = np.random.default_rng(14).standard_normal((120, 23))
-    assert np.array_equal(md.forward_embed(model, feats),
-                          md.forward_embed(clone, feats))
+    assert np.array_equal(md.embed_batch(model, [feats])[0],
+                          md.embed_batch(clone, [feats])[0])
 
 
 RES1_ARCH = (

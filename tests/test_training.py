@@ -366,7 +366,7 @@ def test_extract_matches_direct_forward():
     model = md.build_res_net(2, n_spk=2, width_scale=0.125, seed=2)
     emb, _ = tr.extract_embeddings(model, features)
     for utt, vec in emb.items():
-        direct = md.forward_embed(model, features[utt]).astype(np.float32).astype(float)
+        direct = md.embed_batch(model, [features[utt]])[0].astype(np.float32).astype(float)
         assert np.array_equal(vec, direct)
 
 
@@ -395,17 +395,10 @@ def test_embedding_does_not_depend_on_its_batch(monkeypatch):
         for utt, row in zip(subset, rows):
             assert np.array_equal(row, whole[utt]), (subset, utt)
     for utt in utts:
-        assert np.array_equal(md.forward_embed(model, features[utt]), whole[utt])
+        assert np.array_equal(md.embed_batch(model, [features[utt]])[0], whole[utt])
     threaded, _ = tr.extract_embeddings(model, features, threads=3)
     for utt in utts:
         assert np.array_equal(threaded[utt], whole[utt].astype(np.float32))
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("SPKVER_THREADS", "3")
-    assert tr.default_thread_count() == 3
-    monkeypatch.setenv("SPKVER_THREADS", "junk")
-    assert tr.default_thread_count() == 1
 
 
 def test_zero_norm_validation_embedding_raises(monkeypatch):
