@@ -1,37 +1,40 @@
 """Reverse-mode automatic differentiation over the op set the extractors need.
 
-Tensors wrap float64 numpy arrays and remember the op that produced them, so
-a scalar loss can be backpropagated through the graph.  ``backward`` frees
-the graph as it walks it: each node drops its closure, its parents and its
-``.grad`` as soon as its own backward has run, so activations are released
-one by one and only tensors with ``requires_grad`` (parameters, marked
-inputs) keep a gradient.  A graph can therefore be backpropagated once; a
-second ``backward`` on it raises.  Only the layouts the
-networks use are supported: frame sequences are (T, C) matrices, segment
-activations are (B, D) matrices, pooled statistics are 1-D vectors.  There is
-no general broadcasting.
+A ``Tensor`` is two parts: its value, a float64 numpy array in ``.data``,
+and a graph ``Node`` that holds its gradient, whether it keeps one
+(``requires_grad``), its parents' nodes and the backward closure of the op
+that produced it.  The graph links nodes, never values, so an activation
+lives only while Python code or a backward closure holds it: holding the
+scalar loss holds the graph, not the forward's outputs.  Only the layouts
+the networks use are supported: frame sequences are (T, C) matrices,
+segment activations are (B, D) matrices, pooled statistics are 1-D
+vectors.  There is no general broadcasting.
 
-The graph holds only what a backward reads.  Every node keeps its ``.data``;
-beyond that, an op's closure keeps
-- ``affine``, ``time_delay``: the input's and weight's ``.data`` (the graph
-  holds them already); ``time_delay`` rebuilds its K * C_in-wide splice in
-  backward for the weight gradient instead of keeping it;
-- ``max_pool_2x2``: its two bool masks (channel pair, then frame pair) and
-  the shape of the channel-pooled rows; ``max_pool_time``, ``mfm``: one
-  bool mask;
+A backward closure takes the node's gradient and returns one gradient per
+parent, in parent order, or None for a parent that needs none.  It
+captures only the arrays it reads:
+- ``affine``, ``time_delay``: the input's and weight's ``.data``;
+  ``time_delay`` rebuilds its K * C_in-wide splice in backward for the
+  weight gradient instead of keeping it;
+- ``max_pool_2x2``: its two bool masks (channel pair, then frame pair), the
+  shape of the channel-pooled rows and the input's shape;
+  ``max_pool_time``, ``mfm``: one bool mask and the input's shape;
 - ``prelu``: the input's and slope's ``.data``;
 - ``stats_pool``: the input's ``.data`` and its C-entry mean and std; the
   centered input is recomputed in backward;
-- ``add``, ``slice_time``, ``stack_rows``: their parents (``slice_time``
-  also its input's ``.data``) and nothing else.
+- ``add``, ``stack_rows``: nothing; ``slice_time``: its input's shape.
 
-Gradient ownership: a backward hands each parent a float64 array that no
-other tensor holds, and ``accumulate_grad`` adopts the first one a tensor
-receives instead of copying it; later ones are added into it.  Every op
-builds a fresh gradient array; ``stack_rows`` hands each row a disjoint
-view of its own gradient, which is dropped once its backward has run.
-``add`` is the only op that passes one array to two parents, so its
-second parent gets a copy.
+``backward`` walks the graph once and frees it as it goes: each node drops
+its closure, its parents and its ``.grad`` as soon as its own backward has
+run, so only nodes with ``requires_grad`` (parameters, marked inputs) keep
+a gradient.  A second ``backward`` on the same graph raises.
+
+Gradient ownership: a closure returns float64 arrays that no other node
+holds, and a node adopts the first gradient it receives instead of copying
+it; later ones are added into it.  Every op builds fresh gradient arrays;
+``stack_rows`` returns disjoint views of its own gradient, which is dropped
+once its backward has run.  ``add`` is the only op that passes one array to
+two parents, so its second parent gets a copy.
 
 Selections (max pooling, max-feature-map, PReLU) are written as comparisons
 plus ``np.maximum``/``np.minimum`` and mask multiplies rather than
@@ -44,24 +47,18 @@ from __future__ import annotations
 import numpy as np
 
 
-class Tensor:
-    """Node in a computation graph holding a float64 array."""
+class Node:
+    """Graph side of a tensor: gradient, parents' nodes and backward closure."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("grad", "requires_grad", "parents", "backward")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward=None, name=None):
-        self.data = np.asarray(data, dtype=np.float64)
+    def __init__(self, requires_grad=False, parents=(), backward=None):
         self.grad = None
         self.requires_grad = requires_grad
-        self.name = name
-        self._parents = tuple(parents)
-        self._backward = backward
+        self.parents = parents
+        self.backward = backward
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def accumulate_grad(self, g):
+    def accumulate(self, g):
         """Add ``g`` to ``.grad``; the first float64 array is adopted, not
         copied (see the ownership rule in the module docstring)."""
         if self.grad is None:
@@ -69,24 +66,61 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self):
-        """Backpropagate from a scalar output to every reachable tensor.
 
-        Frees the graph on the way: after a node's backward has run, its
-        closure and parents are dropped, and so is its ``.grad`` unless it
-        has ``requires_grad``.  Runs once per graph; calling it again on the
+class Tensor:
+    """A float64 array and the graph node of the op that produced it."""
+
+    __slots__ = ("data", "node", "name")
+
+    def __init__(self, data, requires_grad=False, parents=(), backward=None, name=None):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.node = Node(requires_grad, tuple(p.node for p in parents), backward)
+        self.name = name
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @property
+    def grad(self):
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.node.grad = g
+
+    @property
+    def _backward(self):
+        """The node's backward closure; assigning replaces it."""
+        return self.node.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self.node.backward = fn
+
+    def backward(self):
+        """Backpropagate from a scalar output to every reachable node.
+
+        Each closure's gradients go to its parents in parent order.  Frees
+        the graph on the way: after a node's backward has run, its closure
+        and parents are dropped, and so is its ``.grad`` unless it has
+        ``requires_grad``.  Runs once per graph; calling it again on the
         same graph raises a RuntimeError.
         """
         if self.data.size != 1:
             raise ValueError("loss must be scalar")
-        order = topo_order(self)
-        self.grad = np.ones_like(self.data)
+        order = topo_order(self.node)
+        self.node.grad = np.ones_like(self.data)
         while order:
             node = order.pop()
-            if node._backward is not None:
-                node._backward(node.grad)
-                node._backward = _released
-                node._parents = ()
+            if node.backward is not None:
+                grads = node.backward(node.grad)
+                for parent, g in zip(node.parents, grads, strict=True):
+                    if g is not None:
+                        parent.accumulate(g)
+                grads = g = None            # a gradient added into another is freed now
+                node.backward = _released
+                node.parents = ()
             if not node.requires_grad:
                 node.grad = None
 
@@ -101,11 +135,11 @@ def _released(g):
                        "backpropagate again")
 
 
-def topo_order(root: Tensor) -> list[Tensor]:
+def topo_order(root: Node) -> list[Node]:
     """Topological order of the graph below ``root`` (iterative, acyclic)."""
-    order: list[Tensor] = []
+    order: list[Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -115,7 +149,7 @@ def topo_order(root: Tensor) -> list[Tensor]:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
+        for parent in node.parents:
             if id(parent) not in visited:
                 stack.append((parent, False))
     return order
@@ -140,13 +174,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if b.data.shape != (wv.shape[1],):
             raise ValueError("dimension error: bias shape mismatch")
         out = out + b.data
-    parents = (x, w) if b is None else (x, w, b)
+    has_bias = b is not None
+    parents = (x, w, b) if has_bias else (x, w)
 
     def backward(g):
-        x.accumulate_grad(g @ wv.T)
-        w.accumulate_grad(xv.T @ g)
-        if b is not None:
-            b.accumulate_grad(g.sum(axis=0))
+        grads = (g @ wv.T, xv.T @ g)
+        return grads + (g.sum(axis=0),) if has_bias else grads
 
     return Tensor(out, parents=parents, backward=backward)
 
@@ -179,20 +212,21 @@ def time_delay(x: Tensor, w: Tensor, b: Tensor | None, context: int, dilation: i
     out = splice() @ wv
     if b is not None:
         out += b.data
-    parents = (x, w) if b is None else (x, w, b)
+    has_bias = b is not None
+    parents = (x, w, b) if has_bias else (x, w)
     # a leaf that needs no gradient (the feature matrix) skips g @ w.T
-    need_gx = x.requires_grad or bool(x._parents)
+    need_gx = x.node.requires_grad or bool(x.node.parents)
 
     def backward(g):
+        gx = None
         if need_gx:
             gs = g @ wv.T
             gx = np.zeros_like(xv)
             for k in range(context):
                 gx[k * dilation : k * dilation + t_out] += gs[:, k * c_in : (k + 1) * c_in]
-            x.accumulate_grad(gx)
-        w.accumulate_grad(splice().T @ g)
-        if b is not None:
-            b.accumulate_grad(g.sum(axis=0))
+            del gs
+        grads = (gx, splice().T @ g)
+        return grads + (g.sum(axis=0),) if has_bias else grads
 
     return Tensor(out, parents=parents, backward=backward)
 
@@ -235,10 +269,10 @@ def max_pool_2x2(x: Tensor) -> Tensor:
     def backward(g):
         g_rows = np.empty(rows_shape)
         _route(g, frame_mask, g_rows[0::2], g_rows[1::2])
-        gx = np.empty_like(xv)
+        gx = np.empty((t_in, c_in))
         gx[2 * t2 :] = 0.0                  # a dropped odd frame
         _route(g_rows, channel_mask, gx[: 2 * t2, 0::2], gx[: 2 * t2, 1::2])
-        x.accumulate_grad(gx)
+        return (gx,)
 
     return Tensor(out, parents=(x,), backward=backward)
 
@@ -257,10 +291,10 @@ def max_pool_time(x: Tensor) -> Tensor:
     out, take_first = _pair_max(xv[0 : 2 * t2 : 2], xv[1 : 2 * t2 : 2])
 
     def backward(g):
-        gx = np.empty_like(xv)
+        gx = np.empty((t_in, c_in))
         gx[2 * t2 :] = 0.0
         _route(g, take_first, gx[0 : 2 * t2 : 2], gx[1 : 2 * t2 : 2])
-        x.accumulate_grad(gx)
+        return (gx,)
 
     return Tensor(out, parents=(x,), backward=backward)
 
@@ -287,10 +321,9 @@ def prelu(x: Tensor, slope: Tensor) -> Tensor:
         gx = np.multiply(~pos, av)          # a where x < 0 (or NaN), else 0
         gx += pos                           # 1 where x >= 0
         gx *= g
-        x.accumulate_grad(gx)
         gslope = np.minimum(xv, 0.0)        # x where x < 0, else +0
         gslope *= g
-        slope.accumulate_grad(gslope.sum(axis=0))
+        return gx, gslope.sum(axis=0)
 
     return Tensor(out, parents=(x, slope), backward=backward)
 
@@ -302,16 +335,16 @@ def mfm(x: Tensor) -> Tensor:
     the first half.
     """
     xv = _as2d(x, "mfm")
-    n = xv.shape[1]
+    rows, n = xv.shape
     if n % 2 != 0:
         raise ValueError("channel count must be even")
     c = n // 2
     out, take_first = _pair_max(xv[:, :c], xv[:, c:])
 
     def backward(g):
-        gx = np.empty_like(xv)
+        gx = np.empty((rows, n))
         _route(g, take_first, gx[:, :c], gx[:, c:])
-        x.accumulate_grad(gx)
+        return (gx,)
 
     return Tensor(out, parents=(x,), backward=backward)
 
@@ -337,7 +370,7 @@ def stats_pool(x: Tensor, eps: float = 1e-8) -> Tensor:
         gx *= gs
         gx /= t_in * std
         gx += gm / t_in
-        x.accumulate_grad(gx)
+        return (gx,)
 
     return Tensor(out, parents=(x,), backward=backward)
 
@@ -348,8 +381,7 @@ def add(x: Tensor, y: Tensor) -> Tensor:
         raise ValueError(f"dimension error: add {x.data.shape} vs {y.data.shape}")
 
     def backward(g):
-        x.accumulate_grad(g)
-        y.accumulate_grad(g.copy())         # ``g`` now belongs to x
+        return g, g.copy()                  # ``g`` goes to x, so y gets a copy
 
     return Tensor(x.data + y.data, parents=(x, y), backward=backward)
 
@@ -359,11 +391,12 @@ def slice_time(x: Tensor, start: int, length: int) -> Tensor:
     xv = _as2d(x, "slice_time")
     if start < 0 or start + length > xv.shape[0]:
         raise ValueError("dimension error: slice outside frame range")
+    x_shape = xv.shape
 
     def backward(g):
-        gx = np.zeros_like(xv)
+        gx = np.zeros(x_shape)
         gx[start : start + length] = g
-        x.accumulate_grad(gx)
+        return (gx,)
 
     return Tensor(xv[start : start + length], parents=(x,), backward=backward)
 
@@ -378,8 +411,7 @@ def stack_rows(rows: list[Tensor]) -> Tensor:
     out = np.stack([r.data for r in rows])
 
     def backward(g):
-        for i, r in enumerate(rows):
-            r.accumulate_grad(g[i])
+        return tuple(g)                     # one row view per parent
 
     return Tensor(out, parents=tuple(rows), backward=backward)
 

@@ -93,7 +93,8 @@ def _cmd_train(args) -> int:
             raise CliError("checkpoint was produced by a different configuration")
         resume = {"model": model, "meta": ck_meta}
     result = tr.train_extractor(features, utt2spk, cfg, log=print, resume=resume,
-                                frame_shift_ms=meta["frame_shift_ms"])
+                                frame_shift_ms=meta["frame_shift_ms"],
+                                keep_best=bool(args.best_out))
     tr.save_train_checkpoint(args.out, result, cfg)
     print(f"wrote checkpoint to {args.out}")
     if args.best_out:

@@ -22,14 +22,15 @@ TOLERANCE = 1e-4
 def _quadratic(out: Tensor) -> Tensor:
     flat = out.data.reshape(-1)
     coeffs = np.linspace(0.3, 1.1, flat.size)
+    shape = out.data.shape
 
     def backward(g):
-        out.accumulate_grad(float(g) * (coeffs * flat).reshape(out.data.shape))
+        return (float(g) * (coeffs * flat).reshape(shape),)
 
     return Tensor(0.5 * float(coeffs @ (flat ** 2)), parents=(out,), backward=backward)
 
 
-def op_checks(seed: int = 0, samples: int | None = None):
+def op_checks(seed: int = 0):
     """(name, loss_fn, params) triples covering each primitive op; ``params``
     maps each probed tensor's name to it."""
     rng = np.random.default_rng(seed)

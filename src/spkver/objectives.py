@@ -120,7 +120,7 @@ def softmax_ce(logits: Tensor, labels) -> Tensor:
     def backward(g):
         p = np.exp(z - lse[:, None])
         p[np.arange(b), labels] -= 1.0
-        logits.accumulate_grad(float(g) * p / b)
+        return (float(g) * p / b,)
 
     return Tensor(loss, parents=(logits,), backward=backward)
 
@@ -186,7 +186,6 @@ def asoftmax_loss(x: Tensor, w: Tensor, labels, cfg: MarginConfig) -> Tensor:
         # Through the column normalization back to the raw weights.
         proj = (w_hat * g_what).sum(axis=0)
         gw = (g_what - w_hat * proj[None, :]) / w_norms[None, :]
-        x.accumulate_grad(gx)
-        w.accumulate_grad(gw)
+        return gx, gw
 
     return Tensor(loss, parents=(x, w), backward=backward)

@@ -180,10 +180,13 @@ def _diverged(step: int, epoch: int, lr: float, what: str) -> RuntimeError:
 
 def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
                     cfg: ExperimentConfig, log=None, resume: dict | None = None,
-                    frame_shift_ms: float = 10.0) -> TrainResult:
+                    frame_shift_ms: float = 10.0, keep_best: bool = False) -> TrainResult:
     """Train an extractor on labeled feature matrices.
 
     ``resume`` takes a checkpoint meta dict plus model to continue a run.
+    With ``keep_best`` the parameters of the epoch with the lowest
+    validation EER are copied into ``best_state``; without it only the EER
+    is tracked, so no second copy of the model is held between epochs.
     Aborts with a "training diverged" RuntimeError naming the step, epoch,
     lr, offending value and bound when a batch loss is non-finite or above
     ``DIVERGENCE_FACTOR * ln(C)`` for C training speakers (checked before
@@ -267,8 +270,9 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
             record["val_eer"] = all_pairs_eer(None, embs, val_labels, val_rng, max_trials=2000)
             if result.best_val_eer is None or record["val_eer"] < result.best_val_eer:
                 result.best_val_eer = record["val_eer"]
-                result.best_state = {k: v.copy() for k, v in
-                                     model.params.state_arrays().items()}
+                if keep_best:
+                    result.best_state = {k: v.copy() for k, v in
+                                         model.params.state_arrays().items()}
         result.history.append(record)
         if log is not None:
             msg = f"epoch {epoch}: loss {record['loss']:.4f} lr {lr:.4g}"

@@ -160,10 +160,25 @@ def test_validation_tracking_keeps_best_state():
     features, utt2spk = tiny_corpus(n_speakers=4, utts=8)
     cfg = tiny_config(epochs=3, steps_per_epoch=4, val_fraction=0.25,
                       learning_rate=0.1)
-    result = tr.train_extractor(features, utt2spk, cfg)
+    result = tr.train_extractor(features, utt2spk, cfg, keep_best=True)
     assert result.best_val_eer is not None
     assert result.best_state is not None
     assert result.best_val_eer == min(h["val_eer"] for h in result.history)
+
+
+def test_best_state_is_copied_only_when_kept():
+    # the copy of every parameter is made only for --best-out; the run
+    # itself, and the best EER it tracks, do not depend on it
+    features, utt2spk = tiny_corpus(n_speakers=4, utts=8)
+    cfg = tiny_config(epochs=3, steps_per_epoch=4, val_fraction=0.25,
+                      learning_rate=0.1)
+    plain = tr.train_extractor(features, utt2spk, cfg)
+    kept = tr.train_extractor(features, utt2spk, cfg, keep_best=True)
+    assert plain.best_state is None
+    assert plain.best_val_eer == kept.best_val_eer is not None
+    assert plain.history == kept.history
+    for name, arr in plain.model.params.state_arrays().items():
+        assert arr.tobytes() == kept.model.params.state_arrays()[name].tobytes(), name
 
 
 def test_asoftmax_training_runs_and_descends():
