@@ -105,10 +105,8 @@ def _cmd_train(args) -> int:
         best_model = md.model_from_arch_dict(result.model.arch_dict(), seed=None)
         for name, _, _ in md.parameter_table(best_model.layers):
             best_model.params.add(name, result.best_state[name])
-        fm.save_checkpoint(args.best_out, best_model, step=result.final_step,
-                           epoch=cfg.epochs, config_hash=cfg.config_hash(),
-                           rng_state=result.rng_state,
-                           extra={"best_val_eer": result.best_val_eer})
+        fm.save_checkpoint(args.best_out, best_model, config_hash=cfg.config_hash(),
+                           extra={"best_val_eer": result.best_val_eer}, **result.best_meta)
     return 0
 
 

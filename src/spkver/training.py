@@ -144,6 +144,7 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
     best_val_eer: float | None = None
     best_state: dict | None = None
+    best_meta: dict | None = None     # epoch, step and rng_state that go with best_state
     final_step: int = 0
     rng_state: dict | None = None
 
@@ -185,8 +186,10 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
 
     ``resume`` takes a checkpoint meta dict plus model to continue a run.
     With ``keep_best`` the parameters of the epoch with the lowest
-    validation EER are copied into ``best_state``; without it only the EER
-    is tracked, so no second copy of the model is held between epochs.
+    validation EER are copied into ``best_state``, and ``best_meta`` holds
+    the checkpoint ``epoch``, ``step`` and ``rng_state`` of the run at the
+    end of that epoch; without it only the EER is tracked, so no second
+    copy of the model is held between epochs.
     Aborts with a "training diverged" RuntimeError naming the step, epoch,
     lr, offending value and bound when a batch loss is non-finite or above
     ``DIVERGENCE_FACTOR * ln(C)`` for C training speakers (checked before
@@ -273,6 +276,8 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
                 if keep_best:
                     result.best_state = {k: v.copy() for k, v in
                                          model.params.state_arrays().items()}
+                    result.best_meta = {"epoch": epoch + 1, "step": step,
+                                        "rng_state": rng.bit_generator.state}
         result.history.append(record)
         if log is not None:
             msg = f"epoch {epoch}: loss {record['loss']:.4f} lr {lr:.4g}"

@@ -239,11 +239,39 @@ def test_train_best_out_builds_no_second_random_model(capsys, toy_dir, tmp_path,
     reference = build_model(cfg, 3)
     for name, tensor in reference.params.items():
         tensor.data = result.best_state[name].copy()
-    fm.save_checkpoint(tmp_path / "ref.ckpt", reference, step=result.final_step,
-                       epoch=cfg.epochs, config_hash=cfg.config_hash(),
-                       rng_state=result.rng_state,
+    fm.save_checkpoint(tmp_path / "ref.ckpt", reference, step=result.best_meta["step"],
+                       epoch=result.best_meta["epoch"], config_hash=cfg.config_hash(),
+                       rng_state=result.best_meta["rng_state"],
                        extra={"best_val_eer": result.best_val_eer})
     assert best.read_bytes() == (tmp_path / "ref.ckpt").read_bytes()
+
+
+def test_train_best_out_is_labelled_with_the_best_epoch(capsys, toy_dir, tmp_path):
+    """The best checkpoint's epoch, step and rng_state are those at the end
+    of the epoch whose parameters it holds: the state of a run that stopped
+    after that epoch, so a --resume from it continues from there."""
+    corpus = toy_dir / "corpus"
+    cfg = write_toy_config(tmp_path / "exp.ini", epochs=3, val_fraction=0.34)
+    last, best = tmp_path / "last.ckpt", tmp_path / "best.ckpt"
+    code, _, err = run(capsys, "train", "--config", str(tmp_path / "exp.ini"),
+                       "--features", str(corpus / "feats.bin"),
+                       "--utt2spk", str(corpus / "utt2spk.txt"),
+                       "--out", str(last), "--best-out", str(best))
+    assert code == 0, err
+    history = fm.load_checkpoint(last)[1]["extra"]["history"]
+    best_epoch = min(range(len(history)), key=lambda e: history[e]["val_eer"])
+    assert best_epoch < cfg.epochs - 1          # the best epoch is not the last
+
+    cfg.epochs = best_epoch + 1
+    features, feats_meta = fm.read_features(corpus / "feats.bin")
+    stopped = tr.train_extractor(features, fm.read_utt2spk(corpus / "utt2spk.txt"), cfg,
+                                 frame_shift_ms=feats_meta["frame_shift_ms"])
+    model, meta = fm.load_checkpoint(best)
+    assert meta["epoch"] == best_epoch + 1
+    assert meta["step"] == stopped.final_step == history[best_epoch]["step"]
+    assert meta["rng_state"] == stopped.rng_state
+    for name, arr in stopped.model.params.state_arrays().items():
+        assert arr.tobytes() == model.params[name].data.tobytes(), name
 
 
 def test_train_best_out_without_validation_split_exits_2(capsys, toy_dir, tmp_path):
