@@ -52,7 +52,7 @@ class Node:
 
     __slots__ = ("grad", "requires_grad", "parents", "backward")
 
-    def __init__(self, requires_grad=False, parents=(), backward=None):
+    def __init__(self, requires_grad, parents, backward):
         self.grad = None
         self.requires_grad = requires_grad
         self.parents = parents

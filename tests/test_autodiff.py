@@ -405,8 +405,8 @@ def test_released_graph_gives_keep_graph_gradients(arch, loss):
 @pytest.mark.parametrize("arch,loss", [("maxpool", "asoftmax"), ("resnet", "softmax")])
 def test_backward_memory_peak_stays_near_forward_level(arch, loss):
     # tracemalloc counts numpy buffers exactly; with the graph freed as it is
-    # walked, backward adds the parameter gradients it produces and a small
-    # share of what forward left held on top of that share
+    # walked, backward adds the parameter gradients it produces plus a small
+    # share of what forward left held
     build, params = step_setup(arch, loss, n_segments=8, frames=300)
     tracemalloc.start()
     try:
