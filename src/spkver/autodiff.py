@@ -449,9 +449,6 @@ class ParameterSet:
         for t in self._params.values():
             t.grad = None
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data for name, t in self._params.items()}
-
 
 def grad_check(loss_fn, params, eps: float = 1e-5, n_samples: int | None = None, rng=None) -> float:
     """Compare reverse-mode gradients against central finite differences.

@@ -63,8 +63,9 @@ class CsmlTransform:
 
 
 def _transformed_unit_rows(a, embeddings):
+    """(embeddings, norms, unit rows) of the embeddings under the matrix ``a``."""
     e = np.asarray(embeddings, dtype=np.float64)
-    u = e @ (a.matrix if isinstance(a, CsmlTransform) else np.asarray(a, dtype=np.float64)).T
+    u = e @ a.T
     norms = np.linalg.norm(u, axis=1)
     if np.any(norms < 1e-12):
         raise ValueError("degenerate embedding: zero norm after transform")
@@ -72,7 +73,7 @@ def _transformed_unit_rows(a, embeddings):
 
 
 def _csml_rows(a, embeddings):
-    """(embeddings, norms, unit rows U, Gram matrix S = U Uᵀ) under transform ``a``."""
+    """(embeddings, norms, unit rows U, Gram matrix S = U Uᵀ) under the matrix ``a``."""
     e, norms, u_hat = _transformed_unit_rows(a, embeddings)
     return e, norms, u_hat, u_hat @ u_hat.T
 
@@ -187,8 +188,10 @@ def _project_upper(matrix: np.ndarray) -> np.ndarray:
 
 
 def csml_validation_eer(embeddings, labels, indices, a, seed: int = 0) -> float:
-    return all_pairs_eer(a, np.asarray(embeddings)[indices], np.asarray(labels)[indices],
-                         np.random.default_rng(seed), CSML_VAL_TRIALS)
+    """EER of the ``indices`` rows' pairs under the transform matrix ``a``."""
+    return all_pairs_eer(CsmlTransform(a), np.asarray(embeddings)[indices],
+                         np.asarray(labels)[indices], np.random.default_rng(seed),
+                         CSML_VAL_TRIALS)
 
 
 def train_csml(embeddings, labels, opts: CsmlTrainConfig | None = None) -> CsmlTransform:
@@ -485,14 +488,17 @@ def scoring_rows(model, embeddings) -> np.ndarray:
     e = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     if model is None:
         return length_normalize(e)
-    if isinstance(model, PldaModel):
+    if isinstance(model, CsmlTransform):
+        width = model.dim
+    elif isinstance(model, PldaModel):
         width = model.mean.size if model.lda is None else model.lda.matrix.shape[1]
     else:
-        width = np.shape(model.matrix if isinstance(model, CsmlTransform) else model)[1]
+        raise TypeError(f"scoring model must be None, a CsmlTransform or a PldaModel, "
+                        f"not {type(model).__name__}")
     if e.shape[1] != width:
         raise ValueError(f"model input width {width} differs from embedding width {e.shape[1]}")
-    if not isinstance(model, PldaModel):
-        return _transformed_unit_rows(model, e)[2]
+    if isinstance(model, CsmlTransform):
+        return _transformed_unit_rows(model.matrix, e)[2]
     psi, v = _generalized_eigh(model.between, np.linalg.cholesky(model.within))
     if np.any(psi < 0):
         raise ValueError("PLDA between covariance has a negative generalized eigenvalue")

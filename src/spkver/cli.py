@@ -16,7 +16,6 @@ import numpy as np
 from . import backend as bk
 from . import formats as fm
 from . import metrics as mt
-from . import models as md
 from . import training as tr
 from .corpus import SyntheticCorpusSpec, generate_synthetic_corpus
 from .frontend import FrontendConfig, read_wav, voiced_features
@@ -83,30 +82,14 @@ def _cmd_train(args) -> int:
     cfg = fm.load_config(args.config) if args.config else fm.ExperimentConfig()
     features, meta = fm.read_features(args.features)
     utt2spk = fm.read_utt2spk(args.utt2spk)
-    resume = None
-    if args.resume:
-        model, ck_meta = fm.load_checkpoint(args.resume)
-        for key in ("config_hash", "step", "epoch", "rng_state"):
-            if ck_meta.get(key) is None:
-                raise CliError(f"{args.resume}: checkpoint lacks metadata key {key}")
-        if ck_meta["config_hash"] != cfg.config_hash():
-            raise CliError("checkpoint was produced by a different configuration")
-        resume = {"model": model, "meta": ck_meta}
-    result = tr.train_extractor(features, utt2spk, cfg, log=print, resume=resume,
-                                frame_shift_ms=meta["frame_shift_ms"],
-                                keep_best=bool(args.best_out))
+    result = tr.train_extractor(features, utt2spk, cfg, log=print, resume=args.resume,
+                                best_out=args.best_out, frame_shift_ms=meta["frame_shift_ms"])
     tr.save_train_checkpoint(args.out, result, cfg)
     print(f"wrote checkpoint to {args.out}")
-    if args.best_out:
-        if result.best_state is None:
-            raise CliError(f"--best-out {args.best_out} not written: no epoch was scored on a "
-                           f"validation split (val_fraction = {cfg.val_fraction:g}, or too few "
-                           f"speakers with two usable utterances)")
-        best_model = md.model_from_arch_dict(result.model.arch_dict(), seed=None)
-        for name, _, _ in md.parameter_table(best_model.layers):
-            best_model.params.add(name, result.best_state[name])
-        fm.save_checkpoint(args.best_out, best_model, config_hash=cfg.config_hash(),
-                           extra={"best_val_eer": result.best_val_eer}, **result.best_meta)
+    if args.best_out and result.best_val_eer is None:
+        raise CliError(f"--best-out {args.best_out} not written: no epoch was scored on a "
+                       f"validation split (val_fraction = {cfg.val_fraction:g}, or too few "
+                       f"speakers with two usable utterances)")
     return 0
 
 

@@ -85,19 +85,12 @@ def _interval_index(c: np.ndarray, m: int) -> np.ndarray:
 
 
 def psi_of_cos(c, m: int):
-    """Margin profile psi evaluated from cos(theta); continuous and
-    non-increasing in theta on [0, pi]."""
+    """Margin profile psi and its derivative dpsi/dc, both evaluated from
+    c = cos(theta); psi is continuous and non-increasing in theta on [0, pi]."""
     c = np.clip(np.asarray(c, dtype=np.float64), -1.0, 1.0)
     k = _interval_index(c, m)
     sign = np.where(k % 2 == 0, 1.0, -1.0)
-    return sign * _cos_multiple(c, m) - 2.0 * k
-
-
-def _psi_grad_of_cos(c, m: int):
-    c = np.clip(np.asarray(c, dtype=np.float64), -1.0, 1.0)
-    k = _interval_index(c, m)
-    sign = np.where(k % 2 == 0, 1.0, -1.0)
-    return sign * _dcos_multiple(c, m)
+    return sign * _cos_multiple(c, m) - 2.0 * k, sign * _dcos_multiple(c, m)
 
 
 def _check_labels(labels: np.ndarray, n_classes: int):
@@ -154,8 +147,7 @@ def asoftmax_loss(x: Tensor, w: Tensor, labels, cfg: MarginConfig) -> Tensor:
     plain = xv @ w_hat                       # ||x|| cos(theta), all classes
     ct = np.clip(plain[rows, labels] / x_norms, -1.0, 1.0)
     lam = cfg.anneal_lambda
-    psi = psi_of_cos(ct, cfg.m)
-    dpsi = _psi_grad_of_cos(ct, cfg.m)
+    psi, dpsi = psi_of_cos(ct, cfg.m)
     logits = plain.copy()
     logits[rows, labels] = x_norms * (psi + lam * ct) / (1.0 + lam)
 

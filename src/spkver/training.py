@@ -1,10 +1,12 @@
 """Minibatch SGD training of the extractors and embedding extraction.
 
 Every stochastic choice flows from one seeded generator, so a run is fully
-reproducible from (config, seed) in single-worker mode; resuming from a
-checkpoint restores the generator state and bit-matches an uninterrupted
-run.  All segments within a batch share one sampled duration, so frame
-counts agree without padding.
+reproducible from (config, seed) in single-worker mode.  A checkpoint holds
+the live run: parameters, momentum, generator state, step, epoch, history
+and best validation EER; resuming from it bit-matches an uninterrupted run.
+That holds for the ``--best-out`` checkpoint too, the run as it stood at
+the end of its best epoch.  All segments within a batch share one sampled
+duration, so frame counts agree without padding.
 
 A diverging run stops with a "training diverged" RuntimeError instead of
 producing finite garbage: the loss must stay finite and at most
@@ -35,7 +37,7 @@ from . import autodiff as ad
 from . import models as m
 from .backend import all_pairs_eer
 from .corpus import sample_segments, segment_frame_bounds
-from .formats import ExperimentConfig, save_checkpoint
+from .formats import ExperimentConfig, load_checkpoint, save_checkpoint
 from .objectives import LambdaSchedule, MarginConfig, asoftmax_loss, softmax_ce
 
 # A batch loss above this multiple of ln(C), the chance-level loss for C
@@ -143,8 +145,7 @@ class TrainResult:
     model: m.ExtractorModel
     history: list[dict] = field(default_factory=list)
     best_val_eer: float | None = None
-    best_state: dict | None = None
-    best_meta: dict | None = None     # epoch, step and rng_state that go with best_state
+    epoch: int = 0                    # epochs completed: the checkpoint's ``epoch``
     final_step: int = 0
     rng_state: dict | None = None
 
@@ -180,16 +181,16 @@ def _diverged(step: int, epoch: int, lr: float, what: str) -> RuntimeError:
 
 
 def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
-                    cfg: ExperimentConfig, log=None, resume: dict | None = None,
-                    frame_shift_ms: float = 10.0, keep_best: bool = False) -> TrainResult:
+                    cfg: ExperimentConfig, log=None, resume=None, best_out=None,
+                    frame_shift_ms: float = 10.0) -> TrainResult:
     """Train an extractor on labeled feature matrices.
 
-    ``resume`` takes a checkpoint meta dict plus model to continue a run.
-    With ``keep_best`` the parameters of the epoch with the lowest
-    validation EER are copied into ``best_state``, and ``best_meta`` holds
-    the checkpoint ``epoch``, ``step`` and ``rng_state`` of the run at the
-    end of that epoch; without it only the EER is tracked, so no second
-    copy of the model is held between epochs.
+    ``resume`` names a checkpoint of a run of this configuration to
+    continue; its metadata must hold ``config_hash``, ``step``, ``epoch``
+    and ``rng_state``, else ValueError.  ``best_out`` names the checkpoint
+    the live run is written to at the end of each epoch whose validation
+    EER is the lowest so far (after a resume, lower than the restored
+    one); it is written as ``save_train_checkpoint`` writes the final state.
     Aborts with a "training diverged" RuntimeError naming the step, epoch,
     lr, offending value and bound when a batch loss is non-finite or above
     ``DIVERGENCE_FACTOR * ln(C)`` for C training speakers (checked before
@@ -204,17 +205,23 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
     min_frames, max_frames = segment_frame_bounds(
         (cfg.segment_min_s, cfg.segment_max_s), frame_shift_ms)
 
-    if resume is not None:
-        model = resume["model"]
-        rng = np.random.default_rng()
-        rng.bit_generator.state = resume["meta"]["rng_state"]
-        start_step = int(resume["meta"]["step"])
-        start_epoch = int(resume["meta"]["epoch"])
+    if resume is None:
+        model, rng = build_model(cfg, len(speakers)), np.random.default_rng(cfg.seed)
+        result = TrainResult(model=model, rng_state=rng.bit_generator.state)
     else:
-        model = build_model(cfg, len(speakers))
-        rng = np.random.default_rng(cfg.seed)
-        start_step = 0
-        start_epoch = 0
+        model, meta = load_checkpoint(resume)
+        for key in ("config_hash", "step", "epoch", "rng_state"):
+            if meta.get(key) is None:
+                raise ValueError(f"{resume}: checkpoint lacks metadata key {key}")
+        if meta["config_hash"] != cfg.config_hash():
+            raise ValueError("checkpoint was produced by a different configuration")
+        rng = np.random.default_rng()
+        rng.bit_generator.state = meta["rng_state"]
+        extra = meta.get("extra") or {}
+        result = TrainResult(model=model, history=extra.get("history", []),
+                             best_val_eer=extra.get("best_val_eer"),
+                             epoch=int(meta["epoch"]), final_step=int(meta["step"]),
+                             rng_state=meta["rng_state"])
 
     need = m.receptive_field(model)
     seg_lo = max(min_frames, need)
@@ -236,9 +243,8 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
 
     loss_bound = DIVERGENCE_FACTOR * np.log(len(speakers))
     schedule = LambdaSchedule(cfg.lambda_start, cfg.lambda_decay, cfg.lambda_floor)
-    result = TrainResult(model=model)
-    step = start_step
-    for epoch in range(start_epoch, cfg.epochs):
+    step = result.final_step
+    for epoch in range(result.epoch, cfg.epochs):
         lr = cfg.learning_rate * cfg.lr_decay ** epoch
         epoch_losses = []
         for _ in range(cfg.steps_per_epoch):
@@ -267,25 +273,22 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
 
         record = {"epoch": epoch, "loss": float(np.mean(epoch_losses)), "lr": lr,
                   "step": step}
+        result.history.append(record)
+        result.epoch, result.final_step, result.rng_state = \
+            epoch + 1, step, rng.bit_generator.state
         if val_utts:
             val_rng = np.random.default_rng(cfg.seed + 7919 + epoch)
             embs = m.embed_batch(model, [features[u] for u in val_utts])
             record["val_eer"] = all_pairs_eer(None, embs, val_labels, val_rng, max_trials=2000)
             if result.best_val_eer is None or record["val_eer"] < result.best_val_eer:
                 result.best_val_eer = record["val_eer"]
-                if keep_best:
-                    result.best_state = {k: v.copy() for k, v in
-                                         model.params.state_arrays().items()}
-                    result.best_meta = {"epoch": epoch + 1, "step": step,
-                                        "rng_state": rng.bit_generator.state}
-        result.history.append(record)
+                if best_out is not None:
+                    save_train_checkpoint(best_out, result, cfg)
         if log is not None:
             msg = f"epoch {epoch}: loss {record['loss']:.4f} lr {lr:.4g}"
             if "val_eer" in record:
                 msg += f" val_eer {record['val_eer']:.4f}"
             log(msg)
-    result.final_step = step
-    result.rng_state = rng.bit_generator.state
     return result
 
 
@@ -315,11 +318,9 @@ def extract_embeddings(model: m.ExtractorModel, features: dict[str, np.ndarray],
     return dict(zip(kept, rows.astype(np.float32).astype(np.float64))), skipped
 
 
-def save_train_checkpoint(path, result: TrainResult, cfg: ExperimentConfig,
-                          epoch: int | None = None):
-    save_checkpoint(path, result.model, step=result.final_step,
-                    epoch=epoch if epoch is not None else cfg.epochs,
-                    config_hash=cfg.config_hash(),
-                    rng_state=result.rng_state,
-                    extra={"history": result.history,
-                           "best_val_eer": result.best_val_eer})
+def save_train_checkpoint(path, result: TrainResult, cfg: ExperimentConfig):
+    """Write the run state ``result`` holds; ``train_extractor(resume=path)``
+    continues from it."""
+    save_checkpoint(path, result.model, step=result.final_step, epoch=result.epoch,
+                    config_hash=cfg.config_hash(), rng_state=result.rng_state,
+                    extra={"history": result.history, "best_val_eer": result.best_val_eer})

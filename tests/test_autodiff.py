@@ -787,7 +787,7 @@ def test_training_checkpoint_bytes_match_reference_ops(arch, loss, tmp_path, mon
     def checkpoint_bytes(tag):
         path = tmp_path / f"{tag}.ckpt"
         result = tr.train_extractor(features, utt2spk, cfg)
-        tr.save_train_checkpoint(path, result, cfg, epoch=cfg.epochs)
+        tr.save_train_checkpoint(path, result, cfg)
         return path.read_bytes()
 
     new = checkpoint_bytes("new")

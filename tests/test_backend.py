@@ -122,7 +122,7 @@ def test_triplet_loss_matches_direct_summation_oracle():
         d = (score(transform, emb[anc], emb[pos])
              - score(transform, emb[anc], emb[neg]))
         direct += np.log(1 + np.exp(-d))
-    loss = triplet_loss_and_grad(bk._csml_rows(transform, emb), triplets, need_grad=False)[0]
+    loss = triplet_loss_and_grad(bk._csml_rows(a, emb), triplets, need_grad=False)[0]
     assert loss == pytest.approx(direct, abs=1e-12)
 
 
@@ -199,7 +199,7 @@ def test_triplet_loss_and_grad_match_gathered_reference(seed):
 
 def test_triplet_loss_strictly_decreasing_in_margin():
     emb = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.3, 0.9]])
-    eye = CsmlTransform(np.eye(2))
+    eye = np.eye(2)
     closer_neg = triplet_loss_and_grad(bk._csml_rows(eye, emb), [(0, 1, 3)], need_grad=False)[0]
     farther_neg = triplet_loss_and_grad(bk._csml_rows(eye, emb), [(0, 1, 2)], need_grad=False)[0]
     assert farther_neg < closer_neg
@@ -282,7 +282,7 @@ def test_mine_triplets_equals_per_anchor_loop_on_ties(seed, n_hard, max_triplets
 
 def test_mine_triplets_in_blocks_equals_one_block(monkeypatch):
     emb, labels = quantised_embeddings(3)
-    eye = CsmlTransform(np.eye(3))
+    eye = np.eye(3)
     whole = mine(emb, labels, eye, n_hard=6)
     monkeypatch.setattr(bk, "MINE_BLOCK", 7)          # 40 anchors: 5 full blocks and 5
     assert np.array_equal(mine(emb, labels, eye, n_hard=6), whole)
@@ -291,15 +291,15 @@ def test_mine_triplets_in_blocks_equals_one_block(monkeypatch):
 def test_mine_triplets_subsample_needs_a_generator():
     emb, labels = quantised_embeddings(4)
     with pytest.raises(ValueError, match=r"max_triplets=10 of \d+ needs a generator \(rng\)"):
-        mine(emb, labels, CsmlTransform(np.eye(3)), n_hard=5, max_triplets=10)
+        mine(emb, labels, np.eye(3), n_hard=5, max_triplets=10)
     # no draw is needed when every row fits
-    assert len(mine(emb, labels, CsmlTransform(np.eye(3)), n_hard=1, max_triplets=10**6)) > 0
+    assert len(mine(emb, labels, np.eye(3), n_hard=1, max_triplets=10**6)) > 0
 
 
 def test_mine_triplets_small_exhaustive():
     emb = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]])
     labels = np.array(["a", "a", "b", "b"])
-    got = set(map(tuple, mine(emb, labels, CsmlTransform(np.eye(2)), n_hard=2).tolist()))
+    got = set(map(tuple, mine(emb, labels, np.eye(2), n_hard=2).tolist()))
     expected = set()
     for i in range(4):
         for p in range(4):
@@ -314,7 +314,7 @@ def test_mine_triplets_hardest_is_argmax():
     rng = np.random.default_rng(6)
     emb = rng.standard_normal((10, 4))
     labels = np.array([0] * 5 + [1] * 5)
-    eye = CsmlTransform(np.eye(4))
+    eye = np.eye(4)
     triplets = mine(emb, labels, eye, n_hard=1)
     u = emb / np.linalg.norm(emb, axis=1, keepdims=True)
     s = u @ u.T
@@ -334,7 +334,7 @@ def test_mine_triplets_matches_full_sort_oracle():
     np.fill_diagonal(a, np.abs(np.diag(a)) + 0.5)
     transform = CsmlTransform(a)
     n_hard = 7
-    triplets = mine(emb, labels, transform, n_hard=n_hard)
+    triplets = mine(emb, labels, a, n_hard=n_hard)
     for anchor in range(30):
         mined = sorted({n for aa, _, n in triplets if aa == anchor})
         if not mined:
@@ -350,7 +350,7 @@ def test_mine_triplets_permutation_invariant_as_set():
     rng = np.random.default_rng(8)
     emb = rng.standard_normal((8, 3))
     labels = np.array([0, 0, 0, 1, 1, 2, 2, 2])
-    eye = CsmlTransform(np.eye(3))
+    eye = np.eye(3)
     base = {(tuple(emb[a]), tuple(emb[p]), tuple(emb[n]))
             for a, p, n in mine(emb, labels, eye, n_hard=4)}
     perm = rng.permutation(8)
@@ -366,7 +366,7 @@ def test_mine_triplets_rows_in_loop_order():
     rng = np.random.default_rng(24)
     emb = rng.standard_normal((14, 3))
     labels = np.array([2, 0, 1, 0, 2, 3, 0, 1, 4, 2, 0, 1, 3, 0])   # speaker 4 has no partner
-    got = mine(emb, labels, CsmlTransform(np.eye(3)), n_hard=4)
+    got = mine(emb, labels, np.eye(3), n_hard=4)
     u = emb / np.linalg.norm(emb, axis=1, keepdims=True)
     expected = []
     for i in range(14):
@@ -390,14 +390,14 @@ def test_mine_triplets_subsample_builds_only_the_drawn_rows(max_triplets):
     labels = np.array([0] * 9 + [1] * 6 + [2] * 4 + [3] * 3 + [4])
     a = np.triu(rng.standard_normal((4, 4)))
     np.fill_diagonal(a, np.abs(np.diag(a)) + 0.5)
-    transform, n_hard = CsmlTransform(a), 15
-    full = mine(emb, labels, transform, n_hard=n_hard)
+    n_hard = 15
+    full = mine(emb, labels, a, n_hard=n_hard)
     reference, drawing = np.random.default_rng(9), np.random.default_rng(9)
     if len(full) > max_triplets:
         expected = full[np.sort(reference.choice(len(full), size=max_triplets, replace=False))]
     else:
         expected = full
-    got = mine(emb, labels, transform, n_hard=n_hard, max_triplets=max_triplets, rng=drawing)
+    got = mine(emb, labels, a, n_hard=n_hard, max_triplets=max_triplets, rng=drawing)
     assert got.dtype == full.dtype
     assert np.array_equal(got, expected)
     assert drawing.bit_generator.state == reference.bit_generator.state
@@ -406,7 +406,7 @@ def test_mine_triplets_subsample_builds_only_the_drawn_rows(max_triplets):
 def test_mine_triplets_insufficient_positives():
     emb = np.eye(3)
     with pytest.raises(ValueError, match="insufficient positives"):
-        mine(emb, np.array([0, 1, 2]), CsmlTransform(np.eye(3)))
+        mine(emb, np.array([0, 1, 2]), np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +435,9 @@ def test_train_csml_descends_on_separable_data():
     opts = CsmlTrainConfig(epochs=5, steps_per_epoch=3, n_hard=10, seed=2,
                            val_fraction=0.3)
     trained = train_csml(emb, labels, opts)
-    triplets = mine(emb, labels, CsmlTransform(np.eye(4)), n_hard=10)
+    triplets = mine(emb, labels, np.eye(4), n_hard=10)
     before = triplet_loss_and_grad(bk._csml_rows(np.eye(4), emb), triplets, need_grad=False)[0]
-    after = triplet_loss_and_grad(bk._csml_rows(trained, emb), triplets, need_grad=False)[0]
+    after = triplet_loss_and_grad(bk._csml_rows(trained.matrix, emb), triplets, need_grad=False)[0]
     assert after < before
     assert np.all(np.diag(trained.matrix) >= 1e-4)
     assert np.all(np.tril(trained.matrix, -1) == 0.0)
@@ -450,9 +450,9 @@ def test_train_csml_validation_eer_never_worse_than_identity():
         opts = CsmlTrainConfig(epochs=4, steps_per_epoch=2, n_hard=30, seed=seed)
         trained = train_csml(emb, labels, opts)
         idx = np.arange(len(labels))
-        eer_eye = bk.csml_validation_eer(emb, labels, idx, CsmlTransform(np.eye(8)),
+        eer_eye = bk.csml_validation_eer(emb, labels, idx, np.eye(8),
                                          seed=seed)
-        eer_fit = bk.csml_validation_eer(emb, labels, idx, trained, seed=seed)
+        eer_fit = bk.csml_validation_eer(emb, labels, idx, trained.matrix, seed=seed)
         assert eer_fit <= eer_eye + 1e-9
 
 

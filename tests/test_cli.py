@@ -211,45 +211,44 @@ def test_extract_all_short_writes_empty_archive(capsys, tmp_path):
 
 def test_train_best_out_builds_no_second_random_model(capsys, toy_dir, tmp_path,
                                                       monkeypatch):
-    """The best checkpoint holds the best state with zero momentum, byte for
-    byte what loading that state over a freshly built model wrote."""
+    """The best checkpoint holds the live run at the end of its best epoch,
+    momentum included, and no second model is built to write it."""
     corpus = toy_dir / "corpus"
-    cfg = write_toy_config(tmp_path / "exp.ini", epochs=2, val_fraction=0.34)
-    builds, results = [], []
-    build_model, train_extractor = tr.build_model, tr.train_extractor
+    write_toy_config(tmp_path / "exp.ini", epochs=2, val_fraction=0.34)
+    builds, live = [], []
+    build_model, all_pairs_eer = tr.build_model, tr.all_pairs_eer
 
     def counted_build(*args):
-        builds.append(args)
-        return build_model(*args)
+        builds.append(build_model(*args))
+        return builds[-1]
 
-    def kept_train(*args, **kwargs):
-        results.append(train_extractor(*args, **kwargs))
-        return results[-1]
+    def snapshot_then_score(*args, **kwargs):     # validation ends each epoch
+        params = builds[0].params
+        live.append({name: (t.data.copy(), params.velocity[name].copy())
+                     for name, t in params.items()})
+        return all_pairs_eer(*args, **kwargs)
     monkeypatch.setattr(tr, "build_model", counted_build)
-    monkeypatch.setattr(tr, "train_extractor", kept_train)
+    monkeypatch.setattr(tr, "all_pairs_eer", snapshot_then_score)
     best = tmp_path / "best.ckpt"
     code, _, err = run(capsys, "train", "--config", str(tmp_path / "exp.ini"),
                        "--features", str(corpus / "feats.bin"),
                        "--utt2spk", str(corpus / "utt2spk.txt"),
                        "--out", str(tmp_path / "last.ckpt"), "--best-out", str(best))
     assert code == 0, err
-    assert len(builds) == 1
-    result = results[0]
-    assert result.best_state is not None
-    reference = build_model(cfg, 3)
-    for name, tensor in reference.params.items():
-        tensor.data = result.best_state[name].copy()
-    fm.save_checkpoint(tmp_path / "ref.ckpt", reference, step=result.best_meta["step"],
-                       epoch=result.best_meta["epoch"], config_hash=cfg.config_hash(),
-                       rng_state=result.best_meta["rng_state"],
-                       extra={"best_val_eer": result.best_val_eer})
-    assert best.read_bytes() == (tmp_path / "ref.ckpt").read_bytes()
+    assert len(builds) == 1 and len(live) == 2
+    model, meta = fm.load_checkpoint(best)
+    state = live[meta["epoch"] - 1]
+    assert any(np.any(velocity != 0.0) for _, velocity in state.values())
+    for name, (data, velocity) in state.items():
+        assert model.params[name].data.tobytes() == data.tobytes(), name
+        assert model.params.velocity[name].tobytes() == velocity.tobytes(), name
 
 
 def test_train_best_out_is_labelled_with_the_best_epoch(capsys, toy_dir, tmp_path):
-    """The best checkpoint's epoch, step and rng_state are those at the end
-    of the epoch whose parameters it holds: the state of a run that stopped
-    after that epoch, so a --resume from it continues from there."""
+    """The best checkpoint's epoch, step, rng_state, momentum and history are
+    those at the end of the epoch whose parameters it holds: the state of a
+    run that stopped after that epoch, so a --resume from it continues from
+    there."""
     corpus = toy_dir / "corpus"
     cfg = write_toy_config(tmp_path / "exp.ini", epochs=3, val_fraction=0.34)
     last, best = tmp_path / "last.ckpt", tmp_path / "best.ckpt"
@@ -270,8 +269,72 @@ def test_train_best_out_is_labelled_with_the_best_epoch(capsys, toy_dir, tmp_pat
     assert meta["epoch"] == best_epoch + 1
     assert meta["step"] == stopped.final_step == history[best_epoch]["step"]
     assert meta["rng_state"] == stopped.rng_state
-    for name, arr in stopped.model.params.state_arrays().items():
-        assert arr.tobytes() == model.params[name].data.tobytes(), name
+    assert meta["extra"] == {"history": history[:best_epoch + 1],
+                             "best_val_eer": history[best_epoch]["val_eer"]}
+    for name, tensor in stopped.model.params.items():
+        assert tensor.data.tobytes() == model.params[name].data.tobytes(), name
+        assert stopped.model.params.velocity[name].tobytes() == \
+            model.params.velocity[name].tobytes(), name
+
+
+def train_argv(corpus, config):
+    return ["train", "--config", str(config), "--features", str(corpus / "feats.bin"),
+            "--utt2spk", str(corpus / "utt2spk.txt")]
+
+
+def test_resume_from_best_out_writes_the_uninterrupted_checkpoint(capsys, toy_dir, tmp_path):
+    """Resuming from the best checkpoint continues the run bit for bit: the
+    resumed ``--out`` is byte for byte the uninterrupted run's."""
+    write_toy_config(tmp_path / "exp.ini", epochs=3, val_fraction=0.34)
+    train = train_argv(toy_dir / "corpus", tmp_path / "exp.ini")
+    full, best, resumed = (tmp_path / f"{n}.ckpt" for n in ("full", "best", "resumed"))
+    code, _, err = run(capsys, *train, "--out", str(full), "--best-out", str(best))
+    assert code == 0, err
+    assert fm.load_checkpoint(best)[1]["epoch"] == 1        # two epochs left to resume
+    code, _, err = run(capsys, *train, "--resume", str(best), "--out", str(resumed))
+    assert code == 0, err
+    assert resumed.read_bytes() == full.read_bytes()
+
+
+def test_resume_from_another_configuration_exits_2(capsys, toy_dir, tmp_path):
+    corpus = toy_dir / "corpus"
+    write_toy_config(tmp_path / "one.ini", epochs=1)
+    write_toy_config(tmp_path / "two.ini", epochs=2)
+    first, second = tmp_path / "one.ckpt", tmp_path / "two.ckpt"
+    code, _, err = run(capsys, *train_argv(corpus, tmp_path / "one.ini"), "--out", str(first))
+    assert code == 0, err
+    code, _, err = run(capsys, *train_argv(corpus, tmp_path / "two.ini"),
+                       "--resume", str(first), "--out", str(second))
+    assert code == 2
+    assert "spkver: checkpoint was produced by a different configuration" in err
+    assert not second.exists()
+
+
+def test_best_out_survives_divergence_after_the_best_epoch(capsys, toy_dir, tmp_path,
+                                                           monkeypatch):
+    """A run that diverges after its best epoch exits 2 without ``--out``,
+    but the best checkpoint was written when that epoch ended, and resuming
+    from it (without the fault) finishes the run as an uninterrupted one."""
+    write_toy_config(tmp_path / "exp.ini", epochs=3, val_fraction=0.34)
+    train = train_argv(toy_dir / "corpus", tmp_path / "exp.ini")
+    full, last, best, resumed = (tmp_path / f"{n}.ckpt"
+                                 for n in ("full", "last", "best", "resumed"))
+    assert run(capsys, *train, "--out", str(full))[0] == 0
+    clip, calls = tr.clip_gradients, []
+
+    def nan_from_step_6(params, max_norm):         # step 6 opens epoch 2
+        calls.append(len(calls))
+        return clip(params, max_norm) * (np.nan if calls[-1] >= 6 else 1.0)
+    monkeypatch.setattr(tr, "clip_gradients", nan_from_step_6)
+    code, _, err = run(capsys, *train, "--out", str(last), "--best-out", str(best))
+    assert code == 2
+    assert "spkver: training diverged at step 6 (epoch 2," in err
+    assert not last.exists()
+    assert fm.load_checkpoint(best)[1]["epoch"] == 1
+    monkeypatch.undo()
+    code, _, err = run(capsys, *train, "--resume", str(best), "--out", str(resumed))
+    assert code == 0, err
+    assert resumed.read_bytes() == full.read_bytes()
 
 
 def test_train_best_out_without_validation_split_exits_2(capsys, toy_dir, tmp_path):

@@ -307,8 +307,8 @@ def test_residual_block_zero_weights_identity():
 def test_arch_dict_roundtrip():
     model = md.build_res_net(2, n_spk=5, width_scale=0.25, seed=13)
     clone = md.model_from_arch_dict(model.arch_dict(), seed=None)
-    for name, array in model.params.state_arrays().items():
-        clone.params.add(name, array.copy())
+    for name, tensor in model.params.items():
+        clone.params.add(name, tensor.data.copy())
     feats = np.random.default_rng(14).standard_normal((120, 23))
     assert np.array_equal(md.embed_batch(model, [feats])[0],
                           md.embed_batch(clone, [feats])[0])

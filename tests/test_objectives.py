@@ -58,8 +58,8 @@ def test_softmax_gradient():
 
 
 def test_psi_m2_quarter_pi():
-    assert psi_of_cos(np.cos(np.pi / 4), 2) == pytest.approx(0.0, abs=1e-12)
-    assert psi_of_cos(1.0, 2) == pytest.approx(1.0)
+    assert psi_of_cos(np.cos(np.pi / 4), 2)[0] == pytest.approx(0.0, abs=1e-12)
+    assert psi_of_cos(1.0, 2)[0] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -67,14 +67,14 @@ def test_psi_matches_piecewise_formula_on_grid(m):
     theta = np.linspace(0, np.pi, 10_000)
     k = np.minimum(np.floor(theta * m / np.pi), m - 1)
     direct = (-1.0) ** k * np.cos(m * theta) - 2.0 * k
-    ours = psi_of_cos(np.cos(theta), m)
+    ours = psi_of_cos(np.cos(theta), m)[0]
     assert np.allclose(ours, direct, atol=1e-9)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_psi_continuous_and_nonincreasing(m):
     theta = np.linspace(0, np.pi, 10_000)
-    values = psi_of_cos(np.cos(theta), m)
+    values = psi_of_cos(np.cos(theta), m)[0]
     diffs = np.diff(values)
     assert np.all(diffs <= 1e-12)                       # non-increasing in theta
     assert np.max(np.abs(diffs)) < 5e-3                 # no jumps on a fine grid
@@ -136,7 +136,7 @@ def test_asoftmax_annealed_target_logit():
     for i in range(b):
         xn = np.linalg.norm(x[i])
         cos = x[i] @ w_hat / xn
-        psi = psi_of_cos(cos[labels[i]], 2)
+        psi = psi_of_cos(cos[labels[i]], 2)[0]
         logits = xn * cos
         logits[labels[i]] = xn * (psi + lam * cos[labels[i]]) / (1 + lam)
         direct += -np.log(np.exp(logits[labels[i]]) / np.exp(logits).sum())

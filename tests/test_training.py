@@ -32,12 +32,24 @@ def tiny_config(**kw):
     return ExperimentConfig(**defaults)
 
 
+def arrays(model):
+    return {name: t.data for name, t in model.params.items()}
+
+
+def save_mid_run(path, result, cfg):
+    """The checkpoint of a run cut short, under the hash of ``cfg``, the
+    configuration that resumes it."""
+    fm.save_checkpoint(path, result.model, step=result.final_step, epoch=result.epoch,
+                       config_hash=cfg.config_hash(), rng_state=result.rng_state,
+                       extra={"history": result.history, "best_val_eer": result.best_val_eer})
+
+
 def test_zero_learning_rate_leaves_parameters_unchanged():
     features, utt2spk = tiny_corpus()
     cfg = tiny_config(learning_rate=0.0)
-    before = tr.build_model(cfg, 2).params.state_arrays()
+    before = arrays(tr.build_model(cfg, 2))
     result = tr.train_extractor(features, utt2spk, cfg)
-    after = result.model.params.state_arrays()
+    after = arrays(result.model)
     for name in before:
         assert np.array_equal(before[name], after[name]), name
 
@@ -81,11 +93,9 @@ def test_divergence_abort_same_step_after_resume(tmp_path):
     head_cfg = tiny_config(learning_rate=1e9, epochs=1, steps_per_epoch=2)
     head = tr.train_extractor(features, utt2spk, head_cfg)
     path = tmp_path / "head.ckpt"
-    tr.save_train_checkpoint(path, head, head_cfg, epoch=1)
-    model, meta = fm.load_checkpoint(path)
+    save_mid_run(path, head, cfg)
     with pytest.raises(RuntimeError, match="diverged") as resumed:
-        tr.train_extractor(features, utt2spk, cfg,
-                           resume={"model": model, "meta": meta})
+        tr.train_extractor(features, utt2spk, cfg, resume=path)
     assert str(resumed.value) == str(full.value)
     assert "at step 2 (epoch 1," in str(full.value)
 
@@ -135,8 +145,8 @@ def test_fixed_seed_replay_identical():
     cfg = tiny_config(epochs=2, steps_per_epoch=3)
     r1 = tr.train_extractor(features, utt2spk, cfg)
     r2 = tr.train_extractor(features, utt2spk, cfg)
-    for name, arr in r1.model.params.state_arrays().items():
-        assert np.array_equal(arr, r2.model.params.state_arrays()[name])
+    for name, arr in arrays(r1.model).items():
+        assert np.array_equal(arr, r2.model.params[name].data)
     assert r1.history == r2.history
 
 
@@ -148,37 +158,49 @@ def test_resume_bit_matches_uninterrupted_run(tmp_path):
     half_cfg = tiny_config(epochs=2, steps_per_epoch=3)
     half = tr.train_extractor(features, utt2spk, half_cfg)
     path = tmp_path / "half.ckpt"
-    tr.save_train_checkpoint(path, half, half_cfg, epoch=2)
-    model, meta = fm.load_checkpoint(path)
-    resumed = tr.train_extractor(features, utt2spk, full_cfg,
-                                 resume={"model": model, "meta": meta})
-    for name, arr in full.model.params.state_arrays().items():
-        assert np.array_equal(arr, resumed.model.params.state_arrays()[name]), name
+    save_mid_run(path, half, full_cfg)
+    resumed = tr.train_extractor(features, utt2spk, full_cfg, resume=path)
+    assert resumed.history == full.history
+    for name, arr in arrays(full.model).items():
+        assert np.array_equal(arr, resumed.model.params[name].data), name
+        assert np.array_equal(full.model.params.velocity[name],
+                              resumed.model.params.velocity[name]), name
+    tr.save_train_checkpoint(tmp_path / "full.ckpt", full, full_cfg)
+    tr.save_train_checkpoint(tmp_path / "resumed.ckpt", resumed, full_cfg)
+    assert (tmp_path / "full.ckpt").read_bytes() == (tmp_path / "resumed.ckpt").read_bytes()
 
 
-def test_validation_tracking_keeps_best_state():
+def test_validation_tracking_keeps_best_state(tmp_path):
+    """``best_out`` holds the run as it stood after its best epoch: that
+    epoch, and the history and best EER up to it."""
     features, utt2spk = tiny_corpus(n_speakers=4, utts=8)
     cfg = tiny_config(epochs=3, steps_per_epoch=4, val_fraction=0.25,
                       learning_rate=0.1)
-    result = tr.train_extractor(features, utt2spk, cfg, keep_best=True)
+    result = tr.train_extractor(features, utt2spk, cfg, best_out=tmp_path / "best.ckpt")
     assert result.best_val_eer is not None
-    assert result.best_state is not None
     assert result.best_val_eer == min(h["val_eer"] for h in result.history)
+    best_epoch = min(range(cfg.epochs), key=lambda e: result.history[e]["val_eer"])
+    _, meta = fm.load_checkpoint(tmp_path / "best.ckpt")
+    assert meta["epoch"] == best_epoch + 1
+    assert meta["step"] == result.history[best_epoch]["step"]
+    assert meta["extra"] == {"history": result.history[:best_epoch + 1],
+                             "best_val_eer": result.best_val_eer}
 
 
-def test_best_state_is_copied_only_when_kept():
-    # the copy of every parameter is made only for --best-out; the run
-    # itself, and the best EER it tracks, do not depend on it
+def test_best_out_is_a_side_channel(tmp_path):
+    """Writing ``best_out`` leaves the run itself unchanged: the same
+    history, best EER, parameters, momentum, step and generator state."""
     features, utt2spk = tiny_corpus(n_speakers=4, utts=8)
     cfg = tiny_config(epochs=3, steps_per_epoch=4, val_fraction=0.25,
                       learning_rate=0.1)
     plain = tr.train_extractor(features, utt2spk, cfg)
-    kept = tr.train_extractor(features, utt2spk, cfg, keep_best=True)
-    assert plain.best_state is None
+    kept = tr.train_extractor(features, utt2spk, cfg, best_out=tmp_path / "best.ckpt")
+    assert (tmp_path / "best.ckpt").exists()
     assert plain.best_val_eer == kept.best_val_eer is not None
     assert plain.history == kept.history
-    for name, arr in plain.model.params.state_arrays().items():
-        assert arr.tobytes() == kept.model.params.state_arrays()[name].tobytes(), name
+    tr.save_train_checkpoint(tmp_path / "plain.ckpt", plain, cfg)
+    tr.save_train_checkpoint(tmp_path / "kept.ckpt", kept, cfg)
+    assert (tmp_path / "plain.ckpt").read_bytes() == (tmp_path / "kept.ckpt").read_bytes()
 
 
 def test_asoftmax_training_runs_and_descends():
