@@ -184,36 +184,29 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return Tensor(out, parents=parents, backward=backward)
 
 
-def time_delay(x: Tensor, w: Tensor, b: Tensor | None, context: int, dilation: int = 1) -> Tensor:
+def time_delay(x: Tensor, w: Tensor, b: Tensor, context: int) -> Tensor:
     """Valid 1-D convolution along frames, expressed as splice + affine.
 
-    Output frame t is an affine map of the concatenation of input frames
-    {t, t+d, ..., t+(K-1)d}, so the affine input width is context * C_in.
+    Output frame t is ``b`` plus an affine map ``w`` of the concatenation of
+    input frames t, t+1, ..., t+K-1 (K = ``context``), so the affine input
+    width is K * C_in and T_in - K + 1 frames come out.
     """
     xv = _as2d(x, "time_delay")
     t_in, c_in = xv.shape
-    span = (context - 1) * dilation + 1
-    if t_in < span:
-        raise ValueError(f"segment too short: {t_in} frames < receptive span {span}")
-    t_out = t_in - (context - 1) * dilation
+    if t_in < context:
+        raise ValueError(f"segment too short: {t_in} frames < receptive span {context}")
+    t_out = t_in - context + 1
     wv = w.data
     if wv.shape[0] != context * c_in:
-        raise ValueError(
-            f"dimension error: spliced width {context * c_in} vs weight {wv.shape}"
-        )
+        raise ValueError(f"dimension error: spliced width {context * c_in} vs weight {wv.shape}")
 
     def splice():
         if context == 1:
             return xv
-        return np.concatenate(
-            [xv[k * dilation : k * dilation + t_out] for k in range(context)], axis=1
-        )
+        return np.concatenate([xv[k : k + t_out] for k in range(context)], axis=1)
 
     out = splice() @ wv
-    if b is not None:
-        out += b.data
-    has_bias = b is not None
-    parents = (x, w, b) if has_bias else (x, w)
+    out += b.data
     # a leaf that needs no gradient (the feature matrix) skips g @ w.T
     need_gx = x.node.requires_grad or bool(x.node.parents)
 
@@ -223,12 +216,11 @@ def time_delay(x: Tensor, w: Tensor, b: Tensor | None, context: int, dilation: i
             gs = g @ wv.T
             gx = np.zeros_like(xv)
             for k in range(context):
-                gx[k * dilation : k * dilation + t_out] += gs[:, k * c_in : (k + 1) * c_in]
+                gx[k : k + t_out] += gs[:, k * c_in : (k + 1) * c_in]
             del gs
-        grads = (gx, splice().T @ g)
-        return grads + (g.sum(axis=0),) if has_bias else grads
+        return gx, splice().T @ g, g.sum(axis=0)
 
-    return Tensor(out, parents=parents, backward=backward)
+    return Tensor(out, parents=(x, w, b), backward=backward)
 
 
 def _pair_max(first, second):

@@ -86,10 +86,13 @@ def _cmd_train(args) -> int:
                                 best_out=args.best_out, frame_shift_ms=meta["frame_shift_ms"])
     tr.save_train_checkpoint(args.out, result, cfg)
     print(f"wrote checkpoint to {args.out}")
-    if args.best_out and result.best_val_eer is None:
-        raise CliError(f"--best-out {args.best_out} not written: no epoch was scored on a "
-                       f"validation split (val_fraction = {cfg.val_fraction:g}, or too few "
-                       f"speakers with two usable utterances)")
+    if args.best_out and not result.best_out_written:
+        why = (f"no epoch was scored on a validation split (val_fraction = "
+               f"{cfg.val_fraction:g}, or too few speakers with two usable utterances)")
+        if result.best_val_eer is not None:         # restored by --resume, never beaten
+            why = (f"no resumed epoch beat the restored best_val_eer "
+                   f"{result.best_val_eer:g} of {args.resume}")
+        raise CliError(f"--best-out {args.best_out} not written: {why}")
     return 0
 
 

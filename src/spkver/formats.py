@@ -232,9 +232,11 @@ def save_checkpoint(path, model, *, step: int, epoch: int, config_hash: str,
 def load_checkpoint(path, momentum: bool = True):
     """Rebuild the model and return (model, meta).
 
-    The file must hold exactly a ``param.<name>`` and a ``momentum.<name>``
-    array of the parameter's shape for every parameter its architecture
-    implies; anything else raises ValueError naming the file and the array.
+    An architecture record that ``model_from_arch_dict`` rejects raises its
+    ValueError with the file's path in front.  The file must hold exactly a
+    ``param.<name>`` and a ``momentum.<name>`` array of the parameter's shape
+    for every parameter its architecture implies; anything else raises
+    ValueError naming the file and the array.
     The model adopts the file's arrays: nothing is drawn or allocated for it.
     With ``momentum=False`` the momentum payloads are checked but not read,
     and the model's momentum buffers are read-only NaN placeholders: it can
@@ -247,7 +249,10 @@ def load_checkpoint(path, momentum: bool = True):
         raise ValueError(f"{path}: not a checkpoint")
     if "arch" not in meta:
         raise ValueError(f"{path}: checkpoint lacks metadata key arch")
-    model = model_from_arch_dict(meta["arch"], seed=None)
+    try:
+        model = model_from_arch_dict(meta["arch"], seed=None)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     table = parameter_table(model.layers)
     shapes = {f"{prefix}.{name}": shape for name, shape, _ in table
               for prefix in ("param", "momentum")}

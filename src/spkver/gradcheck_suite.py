@@ -45,7 +45,7 @@ def op_checks(seed: int = 0):
     wt = Tensor(rng.standard_normal((9, 5)) * 0.4, requires_grad=True, name="wt")
     bt = Tensor(rng.standard_normal(5) * 0.1, requires_grad=True, name="bt")
     checks.append(("time_delay",
-                   lambda: _quadratic(ad.time_delay(xt, wt, bt, context=3, dilation=2)),
+                   lambda: _quadratic(ad.time_delay(xt, wt, bt, context=3)),
                    {"xt": xt, "wt": wt, "bt": bt}))
 
     xp = Tensor(rng.standard_normal((10, 8)), requires_grad=True, name="xp")

@@ -20,12 +20,17 @@ Residual extractor: frame1 (K=3, 69 x 128), a 2x2 pool down to 64 channels,
 M residual blocks of two K=3 time-delay layers at width 64 (identity skip,
 trimmed in time), a K=1 expansion to 2048, a final 2x2 pool, then the shared
 tail.  Each block widens the input context by 8 frames.
+
+Both stacks are one list of ``LayerSpec`` records, and each width is stored
+once: the model's input width, embedding width and speaker count are read
+from its first layer and its classifier.  A checkpoint's architecture
+record is that list plus the stack's name, depth label and width scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
-from typing import Callable, ClassVar, NamedTuple
+from dataclasses import dataclass, asdict, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,10 +42,15 @@ from .autodiff import ParameterSet, Tensor
 class LayerSpec:
     """One layer of a network stack.
 
-    ``kind`` is one of time_delay, max_pool, max_pool_time, stats_pool,
-    affine_mfm, classifier.  For affine_mfm the affine maps to twice
-    ``out_dim`` and the feature map halves it back, so in/out describe the
-    layer's net effect.
+    ``kind`` is one of time_delay, residual_block, max_pool, max_pool_time,
+    stats_pool, affine_mfm, classifier.  A time_delay layer splices
+    ``context`` consecutive frames.  A residual_block is two such layers of
+    width ``out_dim`` with an identity skip, trimmed to the main branch's
+    valid frames, whose sum passes through the block's final activation; it
+    keeps its width, so ``in_dim`` must equal ``out_dim``.  For affine_mfm the
+    affine maps to twice ``out_dim`` and the feature map halves it back, so
+    in/out describe the layer's net effect.  ``has_bias`` is read by the
+    classifier only.
     """
 
     kind: str
@@ -48,47 +58,26 @@ class LayerSpec:
     in_dim: int
     out_dim: int
     context: int = 1
-    dilation: int = 1
     has_bias: bool = True
 
     def __post_init__(self):
-        if self.kind not in _KINDS or self.kind == ResidualBlockSpec.kind:
+        if self.kind not in _KINDS:
             raise ValueError(f"layer {self.name}: unknown kind {self.kind!r}")
-        if self.in_dim <= 0 or self.out_dim <= 0:
-            raise ValueError(f"layer {self.name}: dims must be positive")
-
-
-@dataclass
-class ResidualBlockSpec:
-    """Two context-3 time-delay sub-layers with an identity skip.
-
-    The skip is trimmed to the main branch's valid frame range; the sum
-    passes through the block's final activation.  The block keeps its
-    width, so its input must be exactly ``width`` channels wide.
-    """
-
-    kind: ClassVar[str] = "residual_block"   # a class constant: not in asdict()
-    name: str
-    in_dim: int
-    width: int
-    context: int = 3
-
-    def __post_init__(self):
-        if self.in_dim != self.width:
+        if min(self.in_dim, self.out_dim, self.context) <= 0:
+            raise ValueError(f"layer {self.name}: dims and context must be positive")
+        if self.kind == "residual_block" and self.in_dim != self.out_dim:
             raise ValueError(f"block {self.name}: input width {self.in_dim} "
-                             f"differs from block width {self.width}")
+                             f"differs from block width {self.out_dim}")
 
 
 @dataclass
 class ExtractorModel:
-    """A layer stack plus its learned parameters."""
+    """A layer stack plus its learned parameters.  The input width, embedding
+    width and speaker count are read from the first layer and the classifier."""
 
     arch: str
-    layers: list
+    layers: list[LayerSpec]
     params: ParameterSet
-    in_dim: int
-    embedding_dim: int
-    n_spk: int
     width_scale: float = 1.0
     depth_name: str = ""
 
@@ -102,7 +91,11 @@ class ExtractorModel:
         if self.layers[-1].kind != "classifier":
             raise ValueError(f"last layer {self.layers[-1].name} is not a classifier")
 
-    def frame_layers(self) -> list:
+    in_dim = property(lambda self: self.layers[0].in_dim)
+    embedding_dim = property(lambda self: self.layers[-1].in_dim)
+    n_spk = property(lambda self: self.layers[-1].out_dim)
+
+    def frame_layers(self) -> list[LayerSpec]:
         idx = next(i for i, l in enumerate(self.layers) if l.kind == "stats_pool")
         return self.layers[:idx]
 
@@ -112,19 +105,8 @@ class ExtractorModel:
 
     def arch_dict(self) -> dict:
         """JSON-serializable architecture description for checkpoints."""
-        return {
-            "arch": self.arch,
-            "in_dim": self.in_dim,
-            "embedding_dim": self.embedding_dim,
-            "n_spk": self.n_spk,
-            "width_scale": self.width_scale,
-            "depth_name": self.depth_name,
-            "layers": [
-                {"block": True, **asdict(l)} if isinstance(l, ResidualBlockSpec)
-                else asdict(l)
-                for l in self.layers
-            ],
-        }
+        return {"arch": self.arch, "width_scale": self.width_scale,
+                "depth_name": self.depth_name, "layers": [asdict(l) for l in self.layers]}
 
 
 def _even(x: float) -> int:
@@ -155,18 +137,17 @@ def _tdnn_params(name: str, fan_in: int, width: int) -> list[ParamSpec]:
     return _affine_params(name, fan_in, width) + [ParamSpec(f"{name}.slope", (width,), None)]
 
 
-def _tdnn(params: ParameterSet, name: str, x: Tensor, context: int,
-          dilation: int = 1) -> Tensor:
-    h = ad.time_delay(x, params[f"{name}.w"], params[f"{name}.b"], context, dilation)
+def _tdnn(params: ParameterSet, name: str, x: Tensor, context: int) -> Tensor:
+    h = ad.time_delay(x, params[f"{name}.w"], params[f"{name}.b"], context)
     return ad.prelu(h, params[f"{name}.slope"])
 
 
-def _block_params(block: ResidualBlockSpec) -> list[ParamSpec]:
-    return (_tdnn_params(f"{block.name}.td1", block.context * block.in_dim, block.width)
-            + _tdnn_params(f"{block.name}.td2", block.context * block.width, block.width))
+def _block_params(block: LayerSpec) -> list[ParamSpec]:
+    return (_tdnn_params(f"{block.name}.td1", block.context * block.in_dim, block.out_dim)
+            + _tdnn_params(f"{block.name}.td2", block.context * block.out_dim, block.out_dim))
 
 
-def _apply_block(params: ParameterSet, block: ResidualBlockSpec, x: Tensor) -> Tensor:
+def _apply_block(params: ParameterSet, block: LayerSpec, x: Tensor) -> Tensor:
     h = _tdnn(params, f"{block.name}.td1", x, block.context)
     h = ad.time_delay(h, params[f"{block.name}.td2.w"], params[f"{block.name}.td2.b"],
                       block.context)
@@ -193,15 +174,12 @@ class _Kind(NamedTuple):
 
 _KINDS: dict[str, _Kind] = {
     "time_delay": _Kind(
-        forward=lambda params, layer, x: _tdnn(params, layer.name, x, layer.context,
-                                               layer.dilation),
+        forward=lambda params, layer, x: _tdnn(params, layer.name, x, layer.context),
         params=lambda layer: _tdnn_params(layer.name, layer.context * layer.in_dim,
                                           layer.out_dim),
-        reach=lambda layer: (layer.context - 1) * layer.dilation),
-    ResidualBlockSpec.kind: _Kind(
-        forward=_apply_block,
-        params=_block_params,
-        reach=lambda block: 2 * (block.context - 1)),
+        reach=lambda layer: layer.context - 1),
+    "residual_block": _Kind(forward=_apply_block, params=_block_params,
+                            reach=lambda block: 2 * (block.context - 1)),
     "max_pool": _Kind(
         forward=lambda params, layer, x: ad.max_pool_2x2(x),
         reach=lambda layer: 1, stride=2),
@@ -219,7 +197,7 @@ _KINDS: dict[str, _Kind] = {
 }
 
 
-def parameter_table(layers: list) -> list[ParamSpec]:
+def parameter_table(layers: list[LayerSpec]) -> list[ParamSpec]:
     """Every parameter of a layer list, in the order it is initialised.
 
     The random builders draw from it and ``formats.load_checkpoint`` checks
@@ -227,7 +205,7 @@ def parameter_table(layers: list) -> list[ParamSpec]:
     return [spec for layer in layers for spec in _KINDS[layer.kind].params(layer)]
 
 
-def _allocate(layers: list, params: ParameterSet, rng: np.random.Generator):
+def _allocate(layers: list[LayerSpec], params: ParameterSet, rng: np.random.Generator):
     for name, shape, bound in parameter_table(layers):
         params.add(name, np.full(shape, 0.25) if bound is None
                    else rng.uniform(-bound, bound, size=shape))
@@ -245,13 +223,13 @@ def build_maxpool_net(n_spk: int, in_dim: int = 23, width_scale: float = 1.0,
     seg7_out = _even(1024 * s) // 2
     layers = [
         LayerSpec("time_delay", "frame1", in_dim, c1, context=7),
-        LayerSpec("max_pool", "maxpool1", c1, c1 // 2, context=2),
+        LayerSpec("max_pool", "maxpool1", c1, c1 // 2),
         LayerSpec("time_delay", "frame2", c1 // 2, c2, context=5),
-        LayerSpec("max_pool", "maxpool2", c2, c2 // 2, context=2),
+        LayerSpec("max_pool", "maxpool2", c2, c2 // 2),
         LayerSpec("time_delay", "frame3", c2 // 2, c3, context=3),
-        LayerSpec("max_pool_time", "maxpool3", c3, c3, context=2),
+        LayerSpec("max_pool_time", "maxpool3", c3, c3),
         LayerSpec("time_delay", "frame4", c3, c4, context=1),
-        LayerSpec("max_pool", "maxpool4", c4, c4 // 2, context=2),
+        LayerSpec("max_pool", "maxpool4", c4, c4 // 2),
         LayerSpec("stats_pool", "stats", c4 // 2, c4),
         LayerSpec("affine_mfm", "segment6", c4, seg6_out),
         LayerSpec("affine_mfm", "segment7", seg6_out, seg7_out),
@@ -259,8 +237,8 @@ def build_maxpool_net(n_spk: int, in_dim: int = 23, width_scale: float = 1.0,
     ]
     params = ParameterSet()
     _allocate(layers, params, np.random.default_rng(seed))
-    return ExtractorModel("maxpool", layers, params, in_dim, seg7_out, n_spk,
-                          width_scale=s, depth_name="maxpool-net-7")
+    return ExtractorModel("maxpool", layers, params, width_scale=s,
+                          depth_name="maxpool-net-7")
 
 
 def build_res_net(n_blocks: int, n_spk: int, in_dim: int = 23, width_scale: float = 1.0,
@@ -276,15 +254,13 @@ def build_res_net(n_blocks: int, n_spk: int, in_dim: int = 23, width_scale: floa
     c_exp = _even(2048 * s)
     seg6_out = _even(2048 * s) // 2
     seg7_out = _even(1024 * s) // 2
-    layers: list = [
+    layers = [
         LayerSpec("time_delay", "frame1", in_dim, c1, context=3),
-        LayerSpec("max_pool", "maxpool1", c1, width, context=2),
-    ]
-    for m in range(1, n_blocks + 1):
-        layers.append(ResidualBlockSpec(f"block{m}", width, width))
-    layers += [
+        LayerSpec("max_pool", "maxpool1", c1, width),
+        *(LayerSpec("residual_block", f"block{m}", width, width, context=3)
+          for m in range(1, n_blocks + 1)),
         LayerSpec("time_delay", f"frame{n_blocks + 2}", width, c_exp, context=1),
-        LayerSpec("max_pool", f"maxpool{n_blocks + 2}", c_exp, c_exp // 2, context=2),
+        LayerSpec("max_pool", f"maxpool{n_blocks + 2}", c_exp, c_exp // 2),
         LayerSpec("stats_pool", "stats", c_exp // 2, c_exp),
         LayerSpec("affine_mfm", "segment6", c_exp, seg6_out),
         LayerSpec("affine_mfm", "segment7", seg6_out, seg7_out),
@@ -292,29 +268,45 @@ def build_res_net(n_blocks: int, n_spk: int, in_dim: int = 23, width_scale: floa
     ]
     params = ParameterSet()
     _allocate(layers, params, np.random.default_rng(seed))
-    depth = 2 * n_blocks + 4
-    return ExtractorModel("resnet", layers, params, in_dim, seg7_out, n_spk,
-                          width_scale=s, depth_name=f"res-tdnn-{depth}")
+    return ExtractorModel("resnet", layers, params, width_scale=s,
+                          depth_name=f"res-tdnn-{2 * n_blocks + 4}")
+
+
+_ARCH_TYPES = {"arch": str, "width_scale": (int, float), "depth_name": str, "layers": list}
+_LAYER_TYPES = {f.name: {"str": str, "int": int, "bool": bool}[f.type] for f in fields(LayerSpec)}
+
+
+def _check_record(where: str, record, types: dict):
+    """Raise ValueError unless ``record`` is a dict with exactly the keys of
+    ``types``, each holding a value of its type (a bool is not a number)."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where} is not an object")
+    for what, keys in (("unknown", record.keys() - types.keys()),
+                       ("missing", types.keys() - record.keys())):
+        if keys:
+            raise ValueError(f"{where}: {what} key(s) {', '.join(sorted(keys))}")
+    for key, kind in types.items():
+        value = record[key]
+        if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+            raise ValueError(f"{where}: key {key} holds {value!r}, not "
+                             f"{getattr(kind, '__name__', 'a number')}")
 
 
 def model_from_arch_dict(arch: dict, seed: int | None = 0) -> ExtractorModel:
-    """Rebuild a model from an architecture description.
+    """Rebuild a model from an architecture description, as ``arch_dict``
+    writes it; a key that is missing, unknown or of the wrong type raises
+    ValueError naming it.
 
     Its parameters are drawn from ``seed``.  With ``seed=None`` the model
     has none yet and nothing is drawn or allocated: the caller adds one per
     ``parameter_table(model.layers)`` entry.
     """
-    layers = []
-    for entry in arch["layers"]:
-        entry = dict(entry)
-        if entry.pop("block", False):
-            layers.append(ResidualBlockSpec(**entry))
-        else:
-            layers.append(LayerSpec(**entry))
-    model = ExtractorModel(arch["arch"], layers, ParameterSet(), arch["in_dim"],
-                           arch["embedding_dim"], arch["n_spk"],
-                           width_scale=arch.get("width_scale", 1.0),
-                           depth_name=arch.get("depth_name", ""))
+    _check_record("architecture record", arch, _ARCH_TYPES)
+    for i, entry in enumerate(arch["layers"]):
+        _check_record(f"architecture layer {i}", entry, _LAYER_TYPES)
+    layers = [LayerSpec(**entry) for entry in arch["layers"]]
+    model = ExtractorModel(arch["arch"], layers, ParameterSet(),
+                           width_scale=arch["width_scale"], depth_name=arch["depth_name"])
     if seed is not None:
         _allocate(layers, model.params, np.random.default_rng(seed))
     return model
@@ -388,8 +380,8 @@ def receptive_field(model_or_layers) -> int:
     or a layer list (up to its first layer that is not frame-level).
 
     Exact influence-span recursion over the frame-level stack: a context-K
-    layer at input step j widens the span by (K-1)*d*j, a stride-2 pool by
-    j and doubles the step.
+    layer at input step j widens the span by (K-1)*j, a residual block by
+    2*(K-1)*j, a stride-2 pool by j and doubles the step.
     """
     layers = (model_or_layers.frame_layers()
               if isinstance(model_or_layers, ExtractorModel) else model_or_layers)

@@ -148,6 +148,7 @@ class TrainResult:
     epoch: int = 0                    # epochs completed: the checkpoint's ``epoch``
     final_step: int = 0
     rng_state: dict | None = None
+    best_out_written: bool = False    # an epoch of this run wrote ``best_out``
 
 
 def _speaker_table(utt2spk: dict[str, str]):
@@ -187,10 +188,11 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
 
     ``resume`` names a checkpoint of a run of this configuration to
     continue; its metadata must hold ``config_hash``, ``step``, ``epoch``
-    and ``rng_state``, else ValueError.  ``best_out`` names the checkpoint
-    the live run is written to at the end of each epoch whose validation
-    EER is the lowest so far (after a resume, lower than the restored
-    one); it is written as ``save_train_checkpoint`` writes the final state.
+    and ``rng_state``, and its classifier must have one output per speaker
+    of ``utt2spk``, else ValueError.  ``best_out`` names the checkpoint the
+    live run is written to at the end of each epoch whose validation EER is
+    the lowest so far (after a resume, lower than the restored one); it is
+    written as ``save_train_checkpoint`` writes the final state.
     Aborts with a "training diverged" RuntimeError naming the step, epoch,
     lr, offending value and bound when a batch loss is non-finite or above
     ``DIVERGENCE_FACTOR * ln(C)`` for C training speakers (checked before
@@ -215,6 +217,9 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
                 raise ValueError(f"{resume}: checkpoint lacks metadata key {key}")
         if meta["config_hash"] != cfg.config_hash():
             raise ValueError("checkpoint was produced by a different configuration")
+        if model.n_spk != len(speakers):
+            raise ValueError(f"{resume}: checkpoint classifies {model.n_spk} speakers, "
+                             f"the corpus has {len(speakers)}")
         rng = np.random.default_rng()
         rng.bit_generator.state = meta["rng_state"]
         extra = meta.get("extra") or {}
@@ -284,6 +289,7 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
                 result.best_val_eer = record["val_eer"]
                 if best_out is not None:
                     save_train_checkpoint(best_out, result, cfg)
+                    result.best_out_written = True
         if log is not None:
             msg = f"epoch {epoch}: loss {record['loss']:.4f} lr {lr:.4g}"
             if "val_eer" in record:

@@ -89,27 +89,29 @@ def test_time_delay_spliced_width(c_in, context, width):
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((context + 3, c_in)))
     w = Tensor(rng.standard_normal((width, 2)) * 0.1)
-    out = ad.time_delay(x, w, None, context=context)
+    b = Tensor(np.zeros(2))
+    out = ad.time_delay(x, w, b, context=context)
     assert out.data.shape == (4, 2)
     with pytest.raises(ValueError, match="dimension error"):
-        ad.time_delay(x, Tensor(np.zeros((width - 1, 2))), None, context=context)
+        ad.time_delay(x, Tensor(np.zeros((width - 1, 2))), b, context=context)
 
 
 def test_time_delay_matches_manual_splice():
     rng = np.random.default_rng(4)
     xv = rng.standard_normal((9, 3))
-    w = rng.standard_normal((6, 2))
-    out = ad.time_delay(Tensor(xv), Tensor(w), None, context=2, dilation=2).data
+    w = rng.standard_normal((9, 2))
+    b = rng.standard_normal(2)
+    out = ad.time_delay(Tensor(xv), Tensor(w), Tensor(b), context=3).data
     expected = np.stack([
-        np.concatenate([xv[t], xv[t + 2]]) @ w for t in range(7)
+        np.concatenate([xv[t], xv[t + 1], xv[t + 2]]) @ w + b for t in range(7)
     ])
     assert np.allclose(out, expected)
 
 
 def test_time_delay_too_short():
     with pytest.raises(ValueError, match="segment too short"):
-        ad.time_delay(Tensor(np.zeros((4, 2))), Tensor(np.zeros((6, 2))), None,
-                      context=3, dilation=2)
+        ad.time_delay(Tensor(np.zeros((2, 2))), Tensor(np.zeros((6, 2))),
+                      Tensor(np.zeros(2)), context=3)
 
 
 def test_time_delay_gradient():
@@ -117,7 +119,7 @@ def test_time_delay_gradient():
     x = Tensor(rng.standard_normal((11, 3)), requires_grad=True)
     w = Tensor(rng.standard_normal((9, 4)), requires_grad=True)
     b = Tensor(rng.standard_normal(4), requires_grad=True)
-    err = grad_check(lambda: quadratic(ad.time_delay(x, w, b, context=3, dilation=2)),
+    err = grad_check(lambda: quadratic(ad.time_delay(x, w, b, context=3)),
                      {"x": x, "w": w, "b": b})
     assert err < 1e-4
 
@@ -131,7 +133,7 @@ def test_time_delay_skips_input_gradient_of_plain_leaf():
     for needs in (False, True):
         x = Tensor(xv, requires_grad=needs)
         w, b = Tensor(wv, requires_grad=True), Tensor(bv, requires_grad=True)
-        quadratic(ad.time_delay(x, w, b, context=3, dilation=2)).backward()
+        quadratic(ad.time_delay(x, w, b, context=3)).backward()
         assert (x.grad is not None) == needs
         grads[needs] = (w.grad, b.grad)
     assert np.array_equal(grads[False][0], grads[True][0])
@@ -616,10 +618,11 @@ def test_primitive_gradients_random_trials(seed):
         return v
 
     x = Tensor(away_from_kinks((4, 4)), requires_grad=True)
-    w = Tensor(rng.standard_normal((8, 3)), requires_grad=True)
+    w = Tensor(rng.standard_normal((12, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
     a = Tensor(np.abs(rng.standard_normal(4)) + 0.1, requires_grad=True)
     ops = {
-        "time_delay": lambda: quadratic(ad.time_delay(x, w, None, context=2)),
+        "time_delay": lambda: quadratic(ad.time_delay(x, w, b, context=3)),
         "max_pool": lambda: quadratic(ad.max_pool_2x2(x)),
         "prelu": lambda: quadratic(ad.prelu(x, a)),
         "mfm": lambda: quadratic(ad.mfm(x)),
@@ -628,7 +631,7 @@ def test_primitive_gradients_random_trials(seed):
     for name, fn in ops.items():
         params = {"x": x} if name != "prelu" else {"x": x, "a": a}
         if name == "time_delay":
-            params["w"] = w
+            params.update(w=w, b=b)
         assert grad_check(fn, params) < 1e-4, name
 
 

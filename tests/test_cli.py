@@ -740,3 +740,70 @@ def test_resume_checkpoint_missing_metadata_key_exits_2(capsys, toy_dir, tmp_pat
     code, _, err = run(capsys, *resume)
     assert code == 2
     assert f"spkver: {ckpt}: checkpoint lacks metadata key {key}" in err
+
+
+def test_resume_with_best_out_that_no_epoch_beats_exits_2(capsys, toy_dir, tmp_path):
+    """A resumed run none of whose epochs beats the restored best validation
+    EER writes ``--out``, then fails naming ``--best-out`` and that EER."""
+    write_toy_config(tmp_path / "exp.ini", epochs=3, val_fraction=0.34)
+    train = train_argv(toy_dir / "corpus", tmp_path / "exp.ini")
+    full, best, resumed, unwritten = (tmp_path / f"{n}.ckpt"
+                                      for n in ("full", "best", "resumed", "unwritten"))
+    assert run(capsys, *train, "--out", str(full), "--best-out", str(best))[0] == 0
+    meta = fm.load_checkpoint(best)[1]
+    assert meta["epoch"] == 1                   # epochs 2 and 3 did not beat epoch 1
+    code, out, err = run(capsys, *train, "--resume", str(best), "--out", str(resumed),
+                         "--best-out", str(unwritten))
+    assert code == 2
+    assert f"spkver: --best-out {unwritten} not written" in err
+    assert f"best_val_eer {meta['extra']['best_val_eer']:g} of {best}" in err
+    assert resumed.read_bytes() == full.read_bytes()
+    assert not unwritten.exists()
+
+
+def _parent_format_block(arch):
+    """Layer 2 of a one-block res-net as the previous format wrote it."""
+    block = arch["layers"][2]
+    arch["layers"][2] = {"block": True, "context": 3, "in_dim": block["in_dim"],
+                         "name": block["name"], "width": block["out_dim"]}
+
+
+ARCH_EDITS = {
+    "extra-layer-key": (lambda arch: arch["layers"][0].update(stride=2),
+                        "architecture layer 0: unknown key(s) stride"),
+    "layer-without-name": (lambda arch: arch["layers"][0].pop("name"),
+                           "architecture layer 0: missing key(s) name"),
+    "no-layers": (lambda arch: arch.pop("layers"), "architecture record: missing key(s) layers"),
+    "string-in_dim": (lambda arch: arch["layers"][0].update(in_dim="23"),
+                      "architecture layer 0: key in_dim holds '23', not int"),
+    "parent-dilation": (lambda arch: [layer.update(dilation=1) for layer in arch["layers"]
+                                      if layer["kind"] != "residual_block"],
+                        "architecture layer 0: unknown key(s) dilation"),
+    "parent-block": (_parent_format_block, "architecture layer 2: unknown key(s) block, width"),
+    "parent-n_spk": (lambda arch: arch.update(n_spk=3),
+                     "architecture record: unknown key(s) n_spk"),
+}
+
+
+@pytest.mark.parametrize("command", ["extract", "resume"])
+@pytest.mark.parametrize("edit", ARCH_EDITS)
+def test_malformed_architecture_record_exits_2_naming_the_key(capsys, toy_dir, tmp_path,
+                                                               edit, command):
+    """``load_checkpoint`` checks the architecture record's keys and types, so
+    every command that reads a checkpoint exits 2 naming the file and the
+    key; records in the previous format are rejected the same way."""
+    corpus = toy_dir / "corpus"
+    write_toy_config(tmp_path / "exp.ini", arch="resnet", resnet_blocks=1, epochs=0)
+    train = train_argv(corpus, tmp_path / "exp.ini")
+    ckpt, out = tmp_path / "init.ckpt", tmp_path / "out.bin"
+    assert run(capsys, *train, "--out", str(ckpt))[0] == 0
+    arrays, meta = fm.read_archive(ckpt)
+    apply_edit, message = ARCH_EDITS[edit]
+    apply_edit(meta["arch"])
+    fm.write_archive(ckpt, arrays, meta, dtype="f8")
+    argv = (["extract", "--checkpoint", str(ckpt), "--features", str(corpus / "feats.bin")]
+            if command == "extract" else [*train, "--resume", str(ckpt)])
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert f"spkver: {ckpt}: {message}" in err
+    assert not out.exists()

@@ -10,7 +10,7 @@ import pytest
 from spkver import formats as fm
 from spkver import models as md
 from spkver.autodiff import Tensor
-from spkver.models import LayerSpec, ResidualBlockSpec
+from spkver.models import LayerSpec
 
 CANONICAL_PAIRS = {
     "frame1": (161, 256),
@@ -25,9 +25,8 @@ CANONICAL_PAIRS = {
 
 def widths(model):
     """Each layer's (input, output) width as its spec gives it: a time-delay
-    layer reads ``context`` spliced frames, a residual block keeps ``width``."""
-    return {l.name: (l.in_dim, l.width) if isinstance(l, ResidualBlockSpec) else
-            (l.context * l.in_dim if l.kind == "time_delay" else l.in_dim, l.out_dim)
+    layer reads ``context`` spliced frames, a residual block keeps its width."""
+    return {l.name: (l.context * l.in_dim if l.kind == "time_delay" else l.in_dim, l.out_dim)
             for l in model.layers}
 
 
@@ -37,7 +36,7 @@ def test_maxpool_net_canonical_widths():
     for name, expected in CANONICAL_PAIRS.items():
         assert pairs[name] == expected, name
     assert pairs["classifier"] == (512, 11)
-    assert model.embedding_dim == 512
+    assert (model.in_dim, model.embedding_dim, model.n_spk) == (23, 512, 11)
 
 
 def test_maxpool_net_two_speakers():
@@ -58,11 +57,12 @@ def test_res_net_canonical_widths():
     assert pairs["segment6"] == (2048, 1024)
     assert pairs["segment7"] == (1024, 512)
     assert pairs["classifier"] == (512, 7)
+    assert (model.in_dim, model.embedding_dim, model.n_spk) == (23, 512, 7)
 
 
 def test_res_net_single_block():
     model = md.build_res_net(1, n_spk=3)
-    blocks = [l for l in model.layers if isinstance(l, ResidualBlockSpec)]
+    blocks = [l for l in model.layers if l.kind == "residual_block"]
     assert len(blocks) == 1
     names = [l.name for l in model.layers]
     assert names.index("block1") == names.index("maxpool1") + 1
@@ -83,10 +83,10 @@ def shape_recursion_oracle(model, t_in):
     t, c = t_in, model.in_dim
     shapes = []
     for layer in model.frame_layers():
-        if isinstance(layer, ResidualBlockSpec):
-            t, c = t - 4, layer.width
+        if layer.kind == "residual_block":
+            t, c = t - 4, layer.out_dim
         elif layer.kind == "time_delay":
-            t, c = t - (layer.context - 1) * layer.dilation, layer.out_dim
+            t, c = t - (layer.context - 1), layer.out_dim
         elif layer.kind == "max_pool":
             t, c = t // 2, layer.in_dim // 2
         elif layer.kind == "max_pool_time":
@@ -122,7 +122,7 @@ def influence_oracle(layers):
         deps = [set([i]) for i in range(t)]
         ok = True
         for layer in layers:
-            if isinstance(layer, ResidualBlockSpec):
+            if layer.kind == "residual_block":
                 for _ in range(2):
                     new = [set.union(*(deps[i + k] for k in range(layer.context)))
                            for i in range(len(deps) - layer.context + 1)]
@@ -133,10 +133,8 @@ def influence_oracle(layers):
                 if not ok:
                     break
             elif layer.kind == "time_delay":
-                step = layer.dilation
-                span = (layer.context - 1) * step
-                new = [set.union(*(deps[i + k * step] for k in range(layer.context)))
-                       for i in range(len(deps) - span)]
+                new = [set.union(*(deps[i + k] for k in range(layer.context)))
+                       for i in range(len(deps) - layer.context + 1)]
                 if not new:
                     ok = False
                     break
@@ -177,14 +175,16 @@ def test_receptive_field_matches_influence_oracle_random_stacks():
         layers = []
         n = rng.integers(1, 5)
         for i in range(n):
-            if rng.random() < 0.5:
+            draw = rng.random()
+            if draw < 0.4:
                 layers.append(LayerSpec("time_delay", f"td{i}", 4, 4,
-                                        context=int(rng.integers(1, 6)),
-                                        dilation=int(rng.integers(1, 3))))
+                                        context=int(rng.integers(1, 6))))
+            elif draw < 0.6:
+                layers.append(LayerSpec("residual_block", f"block{i}", 4, 4,
+                                        context=int(rng.integers(1, 4))))
             else:
                 kind = "max_pool" if rng.random() < 0.5 else "max_pool_time"
-                layers.append(LayerSpec(kind, f"pool{i}", 4, 4 if kind == "max_pool_time" else 2,
-                                        context=2))
+                layers.append(LayerSpec(kind, f"pool{i}", 4, 4 if kind == "max_pool_time" else 2))
         assert md.receptive_field(layers) == influence_oracle(layers), layers
 
 
@@ -249,9 +249,9 @@ def test_forward_embed_matches_layerwise_numpy_replay():
     p = model.params
     for layer in model.frame_layers():
         if layer.kind == "time_delay":
-            k, d = layer.context, layer.dilation
-            t_out = x.shape[0] - (k - 1) * d
-            spliced = np.concatenate([x[i * d : i * d + t_out] for i in range(k)], axis=1)
+            k = layer.context
+            t_out = x.shape[0] - k + 1
+            spliced = np.concatenate([x[i : i + t_out] for i in range(k)], axis=1)
             x = np_prelu(spliced @ p[f"{layer.name}.w"].data + p[f"{layer.name}.b"].data,
                          p[f"{layer.name}.slope"].data)
         elif layer.kind == "max_pool":
@@ -282,7 +282,7 @@ def test_duplicated_frames_leave_stats_and_embedding_unchanged():
     ]
     params = md.ParameterSet()
     md._allocate(layers, params, np.random.default_rng(7))
-    model = md.ExtractorModel("maxpool", layers, params, 5, 2, 2)
+    model = md.ExtractorModel("maxpool", layers, params)
     rng = np.random.default_rng(8)
     feats = rng.standard_normal((20, 5))
     doubled = np.concatenate([feats, feats], axis=0)
@@ -291,7 +291,7 @@ def test_duplicated_frames_leave_stats_and_embedding_unchanged():
 
 
 def test_residual_block_zero_weights_identity():
-    block = ResidualBlockSpec("block1", 6, 6)
+    block = LayerSpec("residual_block", "block1", 6, 6, context=3)
     params = md.ParameterSet()
     md._allocate([block], params, np.random.default_rng(9))
     for name in ("td1.w", "td1.b", "td2.w", "td2.b"):
@@ -315,54 +315,48 @@ def test_arch_dict_roundtrip():
 
 
 RES1_ARCH = (
-    '{"arch": "resnet", "depth_name": "res-tdnn-6", "embedding_dim": 64, "in_dim": 23, '
-    '"layers": [{"context": 3, "dilation": 1, "has_bias": true, "in_dim": 23, '
-    '"kind": "time_delay", "name": "frame1", "out_dim": 16}, {"context": 2, '
-    '"dilation": 1, "has_bias": true, "in_dim": 16, "kind": "max_pool", '
-    '"name": "maxpool1", "out_dim": 8}, {"block": true, "context": 3, "in_dim": 8, '
-    '"name": "block1", "width": 8}, {"context": 1, "dilation": 1, "has_bias": true, '
-    '"in_dim": 8, "kind": "time_delay", "name": "frame3", "out_dim": 256}, '
-    '{"context": 2, "dilation": 1, "has_bias": true, "in_dim": 256, '
-    '"kind": "max_pool", "name": "maxpool3", "out_dim": 128}, {"context": 1, '
-    '"dilation": 1, "has_bias": true, "in_dim": 128, "kind": "stats_pool", '
-    '"name": "stats", "out_dim": 256}, {"context": 1, "dilation": 1, '
-    '"has_bias": true, "in_dim": 256, "kind": "affine_mfm", "name": "segment6", '
-    '"out_dim": 128}, {"context": 1, "dilation": 1, "has_bias": true, '
-    '"in_dim": 128, "kind": "affine_mfm", "name": "segment7", "out_dim": 64}, '
-    '{"context": 1, "dilation": 1, "has_bias": true, "in_dim": 64, '
-    '"kind": "classifier", "name": "classifier", "out_dim": 3}], "n_spk": 3, '
+    '{"arch": "resnet", "depth_name": "res-tdnn-6", "layers": [{"context": 3, '
+    '"has_bias": true, "in_dim": 23, "kind": "time_delay", "name": "frame1", '
+    '"out_dim": 16}, {"context": 1, "has_bias": true, "in_dim": 16, "kind": '
+    '"max_pool", "name": "maxpool1", "out_dim": 8}, {"context": 3, "has_bias": '
+    'true, "in_dim": 8, "kind": "residual_block", "name": "block1", "out_dim": '
+    '8}, {"context": 1, "has_bias": true, "in_dim": 8, "kind": "time_delay", '
+    '"name": "frame3", "out_dim": 256}, {"context": 1, "has_bias": true, '
+    '"in_dim": 256, "kind": "max_pool", "name": "maxpool3", "out_dim": 128}, '
+    '{"context": 1, "has_bias": true, "in_dim": 128, "kind": "stats_pool", '
+    '"name": "stats", "out_dim": 256}, {"context": 1, "has_bias": true, '
+    '"in_dim": 256, "kind": "affine_mfm", "name": "segment6", "out_dim": 128}, '
+    '{"context": 1, "has_bias": true, "in_dim": 128, "kind": "affine_mfm", '
+    '"name": "segment7", "out_dim": 64}, {"context": 1, "has_bias": true, '
+    '"in_dim": 64, "kind": "classifier", "name": "classifier", "out_dim": 3}], '
     '"width_scale": 0.125}')
 
 MAXPOOL_ARCH = (
-    '{"arch": "maxpool", "depth_name": "maxpool-net-7", "embedding_dim": 64, '
-    '"in_dim": 23, "layers": [{"context": 7, "dilation": 1, "has_bias": true, '
-    '"in_dim": 23, "kind": "time_delay", "name": "frame1", "out_dim": 32}, '
-    '{"context": 2, "dilation": 1, "has_bias": true, "in_dim": 32, '
-    '"kind": "max_pool", "name": "maxpool1", "out_dim": 16}, {"context": 5, '
-    '"dilation": 1, "has_bias": true, "in_dim": 16, "kind": "time_delay", '
-    '"name": "frame2", "out_dim": 32}, {"context": 2, "dilation": 1, '
-    '"has_bias": true, "in_dim": 32, "kind": "max_pool", "name": "maxpool2", '
-    '"out_dim": 16}, {"context": 3, "dilation": 1, "has_bias": true, "in_dim": 16, '
-    '"kind": "time_delay", "name": "frame3", "out_dim": 32}, {"context": 2, '
-    '"dilation": 1, "has_bias": true, "in_dim": 32, "kind": "max_pool_time", '
-    '"name": "maxpool3", "out_dim": 32}, {"context": 1, "dilation": 1, '
-    '"has_bias": true, "in_dim": 32, "kind": "time_delay", "name": "frame4", '
-    '"out_dim": 256}, {"context": 2, "dilation": 1, "has_bias": true, '
-    '"in_dim": 256, "kind": "max_pool", "name": "maxpool4", "out_dim": 128}, '
-    '{"context": 1, "dilation": 1, "has_bias": true, "in_dim": 128, '
-    '"kind": "stats_pool", "name": "stats", "out_dim": 256}, {"context": 1, '
-    '"dilation": 1, "has_bias": true, "in_dim": 256, "kind": "affine_mfm", '
-    '"name": "segment6", "out_dim": 128}, {"context": 1, "dilation": 1, '
-    '"has_bias": true, "in_dim": 128, "kind": "affine_mfm", "name": "segment7", '
-    '"out_dim": 64}, {"context": 1, "dilation": 1, "has_bias": true, "in_dim": 64, '
-    '"kind": "classifier", "name": "classifier", "out_dim": 3}], "n_spk": 3, '
+    '{"arch": "maxpool", "depth_name": "maxpool-net-7", "layers": [{"context": '
+    '7, "has_bias": true, "in_dim": 23, "kind": "time_delay", "name": "frame1", '
+    '"out_dim": 32}, {"context": 1, "has_bias": true, "in_dim": 32, "kind": '
+    '"max_pool", "name": "maxpool1", "out_dim": 16}, {"context": 5, "has_bias": '
+    'true, "in_dim": 16, "kind": "time_delay", "name": "frame2", "out_dim": 32}, '
+    '{"context": 1, "has_bias": true, "in_dim": 32, "kind": "max_pool", "name": '
+    '"maxpool2", "out_dim": 16}, {"context": 3, "has_bias": true, "in_dim": 16, '
+    '"kind": "time_delay", "name": "frame3", "out_dim": 32}, {"context": 1, '
+    '"has_bias": true, "in_dim": 32, "kind": "max_pool_time", "name": '
+    '"maxpool3", "out_dim": 32}, {"context": 1, "has_bias": true, "in_dim": 32, '
+    '"kind": "time_delay", "name": "frame4", "out_dim": 256}, {"context": 1, '
+    '"has_bias": true, "in_dim": 256, "kind": "max_pool", "name": "maxpool4", '
+    '"out_dim": 128}, {"context": 1, "has_bias": true, "in_dim": 128, "kind": '
+    '"stats_pool", "name": "stats", "out_dim": 256}, {"context": 1, "has_bias": '
+    'true, "in_dim": 256, "kind": "affine_mfm", "name": "segment6", "out_dim": '
+    '128}, {"context": 1, "has_bias": true, "in_dim": 128, "kind": "affine_mfm", '
+    '"name": "segment7", "out_dim": 64}, {"context": 1, "has_bias": true, '
+    '"in_dim": 64, "kind": "classifier", "name": "classifier", "out_dim": 3}], '
     '"width_scale": 0.125}')
 
 
 @pytest.mark.parametrize("build,expected", [
     (lambda: md.build_res_net(1, n_spk=3, width_scale=0.125), RES1_ARCH),
     (lambda: md.build_maxpool_net(n_spk=3, width_scale=0.125), MAXPOOL_ARCH),
-])
+], ids=["resnet", "maxpool"])
 def test_arch_dict_golden(build, expected):
     """The checkpoint's architecture record, byte for byte."""
     assert json.dumps(build().arch_dict(), sort_keys=True) == expected
@@ -389,8 +383,10 @@ def test_checkpoint_with_mismatched_block_width_names_block(tmp_path):
     (lambda layers: layers.pop(), "last layer segment7 is not a classifier"),
     (lambda layers: layers.pop(8), "architecture has 0 stats_pool layers"),
     (lambda layers: layers.insert(8, dict(layers[8])), "architecture has 2 stats_pool layers"),
+    (lambda layers: layers[0].update(in_dim=True), "layer 0: key in_dim holds True, not int"),
+    (lambda layers: layers[2].update(context=0), "layer frame2: dims and context must be"),
 ], ids=["unknown-kind", "segment-layer-on-frames", "no-classifier", "no-stats-pool",
-        "two-stats-pools"])
+        "two-stats-pools", "bool-width", "zero-context"])
 def test_malformed_architecture_rejected_at_load(edit, message):
     arch = md.build_maxpool_net(n_spk=3, width_scale=0.125).arch_dict()
     edit(arch["layers"])

@@ -5,6 +5,7 @@ scan, the blocked optimizer (clip norm and SGD sweep) against the
 whole-array forms, zero-norm validation embeddings, extraction bookkeeping
 and batch-invariant embeddings."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -168,6 +169,21 @@ def test_resume_bit_matches_uninterrupted_run(tmp_path):
     tr.save_train_checkpoint(tmp_path / "full.ckpt", full, full_cfg)
     tr.save_train_checkpoint(tmp_path / "resumed.ckpt", resumed, full_cfg)
     assert (tmp_path / "full.ckpt").read_bytes() == (tmp_path / "resumed.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("saved,corpus", [(4, 3), (3, 4)])
+def test_resume_on_another_speaker_count_names_both(tmp_path, saved, corpus):
+    """The checkpoint's classifier must fit the corpus it resumes on: a
+    4-speaker one used to train on 3 speakers, and a 3-speaker one to fail
+    on 4 with an out-of-range label."""
+    cfg = tiny_config(epochs=2, steps_per_epoch=2)
+    path = tmp_path / "half.ckpt"
+    save_mid_run(path, tr.train_extractor(*tiny_corpus(n_speakers=saved, utts=4),
+                                          tiny_config(epochs=1, steps_per_epoch=2)), cfg)
+    features, utt2spk = tiny_corpus(n_speakers=corpus, utts=4)
+    message = f"{path}: checkpoint classifies {saved} speakers, the corpus has {corpus}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tr.train_extractor(features, utt2spk, cfg, resume=path)
 
 
 def test_validation_tracking_keeps_best_state(tmp_path):
