@@ -37,6 +37,8 @@ from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
+from .models import ARCHS, check_width_scale, model_from_arch_dict, parameter_table
+
 MAGIC = b"SPKVTAR\x00"
 FORMAT_VERSION = 1
 
@@ -232,23 +234,26 @@ def save_checkpoint(path, model, *, step: int, epoch: int, config_hash: str,
 def load_checkpoint(path, momentum: bool = True):
     """Rebuild the model and return (model, meta).
 
-    An architecture record that ``model_from_arch_dict`` rejects raises its
-    ValueError with the file's path in front.  The file must hold exactly a
-    ``param.<name>`` and a ``momentum.<name>`` array of the parameter's shape
-    for every parameter its architecture implies; anything else raises
-    ValueError naming the file and the array.
+    The ``arch`` record holds a builder's arguments, and the layers are
+    rebuilt by ``model_from_arch_dict``.  A record it rejects, or whose
+    ``n_blocks`` needs more arrays than the file holds (checked before any
+    layer is built), raises ValueError with the file's path in front.  The
+    file must hold exactly a ``param.<name>`` and a ``momentum.<name>``
+    array of the parameter's shape for every parameter its architecture
+    implies; anything else raises ValueError naming the file and the array.
     The model adopts the file's arrays: nothing is drawn or allocated for it.
     With ``momentum=False`` the momentum payloads are checked but not read,
     and the model's momentum buffers are read-only NaN placeholders: it can
     embed, but not train.
     """
-    from .models import model_from_arch_dict, parameter_table
-
     arrays, meta = read_archive(path, skip_prefix=None if momentum else "momentum.")
     if meta is None or meta.get("kind") != "checkpoint":
         raise ValueError(f"{path}: not a checkpoint")
     if "arch" not in meta:
         raise ValueError(f"{path}: checkpoint lacks metadata key arch")
+    blocks = meta["arch"].get("n_blocks") if isinstance(meta["arch"], dict) else None
+    if isinstance(blocks, int) and 12 * blocks > len(arrays):    # 6 params, 6 momenta each
+        raise ValueError(f"{path}: n_blocks is {blocks}, more than {len(arrays)} arrays hold")
     try:
         model = model_from_arch_dict(meta["arch"], seed=None)
     except ValueError as exc:
@@ -312,12 +317,16 @@ class ExperimentConfig:
     }
 
     def __post_init__(self):
-        if self.arch not in ("maxpool", "resnet"):
+        if self.arch not in ARCHS:
             raise ValueError(f"unknown architecture {self.arch!r}")
         if self.loss not in ("softmax", "asoftmax"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if not 0 < self.segment_min_s <= self.segment_max_s:
-            raise ValueError("segment range must satisfy 0 < min <= max")
+        check_width_scale(self.width_scale)
+        for key in ("resnet_blocks", "in_dim", "batch_size", "steps_per_epoch"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} is {getattr(self, key)}, needs at least 1")
+        if not 0 < self.segment_min_s <= self.segment_max_s < math.inf:
+            raise ValueError("segment range needs 0 < segment_min_s <= segment_max_s < inf")
 
     def config_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True).encode("utf-8")
@@ -345,7 +354,10 @@ def load_config(path) -> ExperimentConfig:
                 kwargs[key] = convert[key](parser[section][key])
             except (configparser.Error, ValueError) as exc:   # bad '%' syntax or number
                 raise ValueError(f"{path}: [{section}] {key}: {exc}") from exc
-    return ExperimentConfig(**kwargs)
+    try:
+        return ExperimentConfig(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def dump_config(cfg: ExperimentConfig) -> str:

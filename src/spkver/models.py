@@ -21,15 +21,20 @@ M residual blocks of two K=3 time-delay layers at width 64 (identity skip,
 trimmed in time), a K=1 expansion to 2048, a final 2x2 pool, then the shared
 tail.  Each block widens the input context by 8 frames.
 
-Both stacks are one list of ``LayerSpec`` records, and each width is stored
-once: the model's input width, embedding width and speaker count are read
-from its first layer and its classifier.  A checkpoint's architecture
-record is that list plus the stack's name, depth label and width scale.
+Both stacks are one list of ``LayerSpec`` records, built by
+``build_maxpool_net`` or ``build_res_net`` around one shared tail.  A
+checkpoint's architecture record is not that list but the builder's
+arguments: the stack's name (``arch``), ``n_spk``, ``in_dim``,
+``width_scale``, ``classifier_bias`` and, for the residual stack,
+``n_blocks``.  ``model_from_arch_dict`` rebuilds the list by calling the
+same builder, so no width is stored twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, fields
+import inspect
+import math
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,7 +52,7 @@ class LayerSpec:
     ``context`` consecutive frames.  A residual_block is two such layers of
     width ``out_dim`` with an identity skip, trimmed to the main branch's
     valid frames, whose sum passes through the block's final activation; it
-    keeps its width, so ``in_dim`` must equal ``out_dim``.  For affine_mfm the
+    keeps its width, so ``in_dim`` equals ``out_dim``.  For affine_mfm the
     affine maps to twice ``out_dim`` and the feature map halves it back, so
     in/out describe the layer's net effect.  ``has_bias`` is read by the
     classifier only.
@@ -60,53 +65,33 @@ class LayerSpec:
     context: int = 1
     has_bias: bool = True
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"layer {self.name}: unknown kind {self.kind!r}")
-        if min(self.in_dim, self.out_dim, self.context) <= 0:
-            raise ValueError(f"layer {self.name}: dims and context must be positive")
-        if self.kind == "residual_block" and self.in_dim != self.out_dim:
-            raise ValueError(f"block {self.name}: input width {self.in_dim} "
-                             f"differs from block width {self.out_dim}")
-
 
 @dataclass
 class ExtractorModel:
-    """A layer stack plus its learned parameters.  The input width, embedding
-    width and speaker count are read from the first layer and the classifier."""
+    """A layer stack plus its learned parameters.  ``args`` are the keyword
+    arguments, bar ``seed``, that the stack's builder in ``ARCHS[arch]`` took;
+    the input width, embedding width and speaker count are read from the
+    first layer and the classifier."""
 
     arch: str
     layers: list[LayerSpec]
     params: ParameterSet
-    width_scale: float = 1.0
-    depth_name: str = ""
-
-    def __post_init__(self):
-        n_pool = sum(layer.kind == "stats_pool" for layer in self.layers)
-        if n_pool != 1:
-            raise ValueError(f"architecture has {n_pool} stats_pool layers, needs exactly one")
-        for layer in self.frame_layers():
-            if _KINDS[layer.kind].reach is None:
-                raise ValueError(f"layer {layer.name}: {layer.kind} cannot run on frames")
-        if self.layers[-1].kind != "classifier":
-            raise ValueError(f"last layer {self.layers[-1].name} is not a classifier")
+    args: dict
 
     in_dim = property(lambda self: self.layers[0].in_dim)
     embedding_dim = property(lambda self: self.layers[-1].in_dim)
     n_spk = property(lambda self: self.layers[-1].out_dim)
 
     def frame_layers(self) -> list[LayerSpec]:
-        idx = next(i for i, l in enumerate(self.layers) if l.kind == "stats_pool")
-        return self.layers[:idx]
+        return self.layers[:-4]         # the shared tail: stats, segment6, segment7, classifier
 
     def segment_layers(self) -> list[LayerSpec]:
-        idx = next(i for i, l in enumerate(self.layers) if l.kind == "stats_pool")
-        return [l for l in self.layers[idx + 1 :] if l.kind == "affine_mfm"]
+        return self.layers[-3:-1]
 
     def arch_dict(self) -> dict:
-        """JSON-serializable architecture description for checkpoints."""
-        return {"arch": self.arch, "width_scale": self.width_scale,
-                "depth_name": self.depth_name, "layers": [asdict(l) for l in self.layers]}
+        """JSON-serializable architecture record for checkpoints: the stack's
+        name and its builder's arguments."""
+        return {"arch": self.arch, **self.args}
 
 
 def _even(x: float) -> int:
@@ -211,105 +196,110 @@ def _allocate(layers: list[LayerSpec], params: ParameterSet, rng: np.random.Gene
                    else rng.uniform(-bound, bound, size=shape))
 
 
-def build_maxpool_net(n_spk: int, in_dim: int = 23, width_scale: float = 1.0,
-                      classifier_bias: bool = True, seed: int = 0) -> ExtractorModel:
-    """Build the max-pooling extractor; widths scale by ``width_scale``."""
-    if n_spk < 2:
-        raise ValueError("need at least 2 speakers")
-    s = width_scale
-    c1, c2, c3 = _even(256 * s), _even(256 * s), _even(256 * s)
-    c4 = _even(2048 * s)
-    seg6_out = _even(2048 * s) // 2
-    seg7_out = _even(1024 * s) // 2
-    layers = [
-        LayerSpec("time_delay", "frame1", in_dim, c1, context=7),
-        LayerSpec("max_pool", "maxpool1", c1, c1 // 2),
-        LayerSpec("time_delay", "frame2", c1 // 2, c2, context=5),
-        LayerSpec("max_pool", "maxpool2", c2, c2 // 2),
-        LayerSpec("time_delay", "frame3", c2 // 2, c3, context=3),
-        LayerSpec("max_pool_time", "maxpool3", c3, c3),
-        LayerSpec("time_delay", "frame4", c3, c4, context=1),
-        LayerSpec("max_pool", "maxpool4", c4, c4 // 2),
-        LayerSpec("stats_pool", "stats", c4 // 2, c4),
-        LayerSpec("affine_mfm", "segment6", c4, seg6_out),
+def check_width_scale(width_scale: float) -> None:
+    """Raise ValueError unless ``width_scale`` is finite and positive: the
+    builders round every layer width from it."""
+    if not 0 < width_scale < math.inf:          # false for NaN too
+        raise ValueError(f"width_scale is {width_scale!r}, not a finite positive number")
+
+
+def _checked_args(**args) -> dict:
+    """A builder's arguments bar ``seed``, once each is in range; ValueError
+    names the first that is not."""
+    check_width_scale(args["width_scale"])
+    for key, low in (("n_spk", 2), ("in_dim", 1), ("n_blocks", 1)):
+        if key in args and args[key] < low:
+            raise ValueError(f"{key} is {args[key]}, needs at least {low}")
+    return args
+
+
+def _with_tail(arch: str, frames: list[LayerSpec], args: dict,
+               seed: int | None) -> ExtractorModel:
+    """``frames`` plus the shared tail (statistics pooling, segment6,
+    segment7, classifier) as a model whose parameters are drawn from
+    ``seed``; ``seed=None`` allocates none, for the caller to add."""
+    s, pooled = args["width_scale"], frames[-1].out_dim
+    seg6_out, seg7_out = _even(2048 * s) // 2, _even(1024 * s) // 2
+    layers = frames + [
+        LayerSpec("stats_pool", "stats", pooled, 2 * pooled),
+        LayerSpec("affine_mfm", "segment6", 2 * pooled, seg6_out),
         LayerSpec("affine_mfm", "segment7", seg6_out, seg7_out),
-        LayerSpec("classifier", "classifier", seg7_out, n_spk, has_bias=classifier_bias),
+        LayerSpec("classifier", "classifier", seg7_out, args["n_spk"],
+                  has_bias=args["classifier_bias"]),
     ]
-    params = ParameterSet()
-    _allocate(layers, params, np.random.default_rng(seed))
-    return ExtractorModel("maxpool", layers, params, width_scale=s,
-                          depth_name="maxpool-net-7")
+    model = ExtractorModel(arch, layers, ParameterSet(), args)
+    if seed is not None:
+        _allocate(layers, model.params, np.random.default_rng(seed))
+    return model
+
+
+def build_maxpool_net(n_spk: int, in_dim: int = 23, width_scale: float = 1.0,
+                      classifier_bias: bool = True, seed: int | None = 0) -> ExtractorModel:
+    """Build the max-pooling extractor; widths scale by ``width_scale``."""
+    args = _checked_args(n_spk=n_spk, in_dim=in_dim, width_scale=width_scale,
+                         classifier_bias=classifier_bias)
+    c, c4 = _even(256 * width_scale), _even(2048 * width_scale)
+    frames = [
+        LayerSpec("time_delay", "frame1", in_dim, c, context=7),
+        LayerSpec("max_pool", "maxpool1", c, c // 2),
+        LayerSpec("time_delay", "frame2", c // 2, c, context=5),
+        LayerSpec("max_pool", "maxpool2", c, c // 2),
+        LayerSpec("time_delay", "frame3", c // 2, c, context=3),
+        LayerSpec("max_pool_time", "maxpool3", c, c),
+        LayerSpec("time_delay", "frame4", c, c4, context=1),
+        LayerSpec("max_pool", "maxpool4", c4, c4 // 2),
+    ]
+    return _with_tail("maxpool", frames, args, seed)
 
 
 def build_res_net(n_blocks: int, n_spk: int, in_dim: int = 23, width_scale: float = 1.0,
-                  classifier_bias: bool = True, seed: int = 0) -> ExtractorModel:
+                  classifier_bias: bool = True, seed: int | None = 0) -> ExtractorModel:
     """Build the residual extractor with ``n_blocks`` residual blocks."""
-    if n_blocks < 1:
-        raise ValueError("need at least 1 residual block")
-    if n_spk < 2:
-        raise ValueError("need at least 2 speakers")
-    s = width_scale
-    c1 = _even(128 * s)
-    width = c1 // 2
-    c_exp = _even(2048 * s)
-    seg6_out = _even(2048 * s) // 2
-    seg7_out = _even(1024 * s) // 2
-    layers = [
-        LayerSpec("time_delay", "frame1", in_dim, c1, context=3),
-        LayerSpec("max_pool", "maxpool1", c1, width),
+    args = _checked_args(n_blocks=n_blocks, n_spk=n_spk, in_dim=in_dim,
+                         width_scale=width_scale, classifier_bias=classifier_bias)
+    width, c_exp = _even(128 * width_scale) // 2, _even(2048 * width_scale)
+    frames = [
+        LayerSpec("time_delay", "frame1", in_dim, 2 * width, context=3),
+        LayerSpec("max_pool", "maxpool1", 2 * width, width),
         *(LayerSpec("residual_block", f"block{m}", width, width, context=3)
           for m in range(1, n_blocks + 1)),
         LayerSpec("time_delay", f"frame{n_blocks + 2}", width, c_exp, context=1),
         LayerSpec("max_pool", f"maxpool{n_blocks + 2}", c_exp, c_exp // 2),
-        LayerSpec("stats_pool", "stats", c_exp // 2, c_exp),
-        LayerSpec("affine_mfm", "segment6", c_exp, seg6_out),
-        LayerSpec("affine_mfm", "segment7", seg6_out, seg7_out),
-        LayerSpec("classifier", "classifier", seg7_out, n_spk, has_bias=classifier_bias),
     ]
-    params = ParameterSet()
-    _allocate(layers, params, np.random.default_rng(seed))
-    return ExtractorModel("resnet", layers, params, width_scale=s,
-                          depth_name=f"res-tdnn-{2 * n_blocks + 4}")
+    return _with_tail("resnet", frames, args, seed)
 
 
-_ARCH_TYPES = {"arch": str, "width_scale": (int, float), "depth_name": str, "layers": list}
-_LAYER_TYPES = {f.name: {"str": str, "int": int, "bool": bool}[f.type] for f in fields(LayerSpec)}
-
-
-def _check_record(where: str, record, types: dict):
-    """Raise ValueError unless ``record`` is a dict with exactly the keys of
-    ``types``, each holding a value of its type (a bool is not a number)."""
-    if not isinstance(record, dict):
-        raise ValueError(f"{where} is not an object")
-    for what, keys in (("unknown", record.keys() - types.keys()),
-                       ("missing", types.keys() - record.keys())):
-        if keys:
-            raise ValueError(f"{where}: {what} key(s) {', '.join(sorted(keys))}")
-    for key, kind in types.items():
-        value = record[key]
-        if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-            raise ValueError(f"{where}: key {key} holds {value!r}, not "
-                             f"{getattr(kind, '__name__', 'a number')}")
+ARCHS: dict[str, Callable[..., ExtractorModel]] = {   # builder of each ``arch``
+    "maxpool": build_maxpool_net, "resnet": build_res_net}
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool}  # by annotation string
 
 
 def model_from_arch_dict(arch: dict, seed: int | None = 0) -> ExtractorModel:
-    """Rebuild a model from an architecture description, as ``arch_dict``
-    writes it; a key that is missing, unknown or of the wrong type raises
-    ValueError naming it.
+    """Rebuild a model from an architecture record, as ``arch_dict`` writes
+    it, by calling the builder ``ARCHS`` names with the record's arguments.
 
-    Its parameters are drawn from ``seed``.  With ``seed=None`` the model
-    has none yet and nothing is drawn or allocated: the caller adds one per
-    ``parameter_table(model.layers)`` entry.
+    The record holds ``arch`` and exactly the builder's parameters bar
+    ``seed``; a key that is missing, unknown, of the wrong type (a bool is
+    not a number) or out of range raises ValueError naming it.  The
+    parameters are drawn from ``seed``; ``seed=None`` allocates none.
     """
-    _check_record("architecture record", arch, _ARCH_TYPES)
-    for i, entry in enumerate(arch["layers"]):
-        _check_record(f"architecture layer {i}", entry, _LAYER_TYPES)
-    layers = [LayerSpec(**entry) for entry in arch["layers"]]
-    model = ExtractorModel(arch["arch"], layers, ParameterSet(),
-                           width_scale=arch["width_scale"], depth_name=arch["depth_name"])
-    if seed is not None:
-        _allocate(layers, model.params, np.random.default_rng(seed))
-    return model
+    if not isinstance(arch, dict):
+        raise ValueError("architecture record is not an object")
+    if arch.get("arch") not in list(ARCHS):     # a list: the value may be unhashable
+        raise ValueError(f"architecture record: key arch holds {arch.get('arch')!r}, "
+                         f"not one of {', '.join(ARCHS)}")
+    build = ARCHS[arch["arch"]]
+    types = {key: _JSON_TYPES[param.annotation]
+             for key, param in inspect.signature(build).parameters.items() if key != "seed"}
+    for what, keys in (("unknown", arch.keys() - types.keys() - {"arch"}),
+                       ("missing", types.keys() - arch.keys())):
+        if keys:
+            raise ValueError(f"architecture record: {what} key(s) {', '.join(sorted(keys))}")
+    for key, kind in types.items():
+        if not isinstance(arch[key], kind) or isinstance(arch[key], bool) and kind is not bool:
+            raise ValueError(f"architecture record: key {key} holds {arch[key]!r}, not "
+                             f"{getattr(kind, '__name__', 'a number')}")
+    return build(**{key: arch[key] for key in types}, seed=seed)
 
 
 # Rows of every segment-layer product at inference.  Padding each block to
@@ -332,8 +322,7 @@ def frame_stats_graph(model: ExtractorModel, features: np.ndarray) -> Tensor:
     if x.data.shape[0] < need:
         raise ValueError(
             f"segment shorter than receptive field: {x.data.shape[0]} < {need} frames")
-    n_frame = len(model.frame_layers())
-    for layer in model.layers[: n_frame + 1]:       # frame layers, then stats pooling
+    for layer in model.layers[:-3]:                 # frame layers, then stats pooling
         x = _KINDS[layer.kind].forward(model.params, layer, x)
     return x
 

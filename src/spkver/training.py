@@ -121,13 +121,10 @@ def sgd_step(params: ad.ParameterSet, lr: float, momentum: float):
 
 
 def build_model(cfg: ExperimentConfig, n_spk: int) -> m.ExtractorModel:
-    classifier_bias = cfg.loss == "softmax"
-    if cfg.arch == "maxpool":
-        return m.build_maxpool_net(n_spk, in_dim=cfg.in_dim, width_scale=cfg.width_scale,
-                                   classifier_bias=classifier_bias, seed=cfg.seed)
-    return m.build_res_net(cfg.resnet_blocks, n_spk, in_dim=cfg.in_dim,
-                           width_scale=cfg.width_scale,
-                           classifier_bias=classifier_bias, seed=cfg.seed)
+    depth = {"n_blocks": cfg.resnet_blocks} if cfg.arch == "resnet" else {}
+    return m.ARCHS[cfg.arch](**depth, n_spk=n_spk, in_dim=cfg.in_dim,
+                             width_scale=cfg.width_scale,
+                             classifier_bias=cfg.loss == "softmax", seed=cfg.seed)
 
 
 def batch_loss(model: m.ExtractorModel, segments: list[np.ndarray], labels: np.ndarray,

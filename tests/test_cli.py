@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommand plumbing, exit codes, and
 equality with the library-level results."""
 
+import math
 import os
 import struct
 import subprocess
@@ -761,27 +762,38 @@ def test_resume_with_best_out_that_no_epoch_beats_exits_2(capsys, toy_dir, tmp_p
     assert not unwritten.exists()
 
 
-def _parent_format_block(arch):
-    """Layer 2 of a one-block res-net as the previous format wrote it."""
-    block = arch["layers"][2]
-    arch["layers"][2] = {"block": True, "context": 3, "in_dim": block["in_dim"],
-                         "name": block["name"], "width": block["out_dim"]}
+def _previous_format(arch):
+    """The one-block res-net's record as the previous format wrote it: stack
+    name, depth label, width scale and the expanded layer list."""
+    arch.clear()
+    arch.update(arch="resnet", depth_name="res-tdnn-6", width_scale=0.125, layers=[
+        {"kind": "time_delay", "name": "frame1", "in_dim": 23, "out_dim": 16, "context": 3,
+         "has_bias": True}])
 
 
 ARCH_EDITS = {
-    "extra-layer-key": (lambda arch: arch["layers"][0].update(stride=2),
-                        "architecture layer 0: unknown key(s) stride"),
-    "layer-without-name": (lambda arch: arch["layers"][0].pop("name"),
-                           "architecture layer 0: missing key(s) name"),
-    "no-layers": (lambda arch: arch.pop("layers"), "architecture record: missing key(s) layers"),
-    "string-in_dim": (lambda arch: arch["layers"][0].update(in_dim="23"),
-                      "architecture layer 0: key in_dim holds '23', not int"),
-    "parent-dilation": (lambda arch: [layer.update(dilation=1) for layer in arch["layers"]
-                                      if layer["kind"] != "residual_block"],
-                        "architecture layer 0: unknown key(s) dilation"),
-    "parent-block": (_parent_format_block, "architecture layer 2: unknown key(s) block, width"),
-    "parent-n_spk": (lambda arch: arch.update(n_spk=3),
-                     "architecture record: unknown key(s) n_spk"),
+    "unknown-arch": (lambda arch: arch.update(arch="tdnn"),
+                     "architecture record: key arch holds 'tdnn', not one of maxpool, resnet"),
+    "resnet-without-n_blocks": (lambda arch: arch.pop("n_blocks"),
+                                "architecture record: missing key(s) n_blocks"),
+    "maxpool-with-n_blocks": (lambda arch: arch.update(arch="maxpool"),
+                              "architecture record: unknown key(s) n_blocks"),
+    "zero-n_blocks": (lambda arch: arch.update(n_blocks=0), "n_blocks is 0, needs at least 1"),
+    "bool-n_spk": (lambda arch: arch.update(n_spk=True),
+                   "architecture record: key n_spk holds True, not int"),
+    "one-speaker": (lambda arch: arch.update(n_spk=1), "n_spk is 1, needs at least 2"),
+    "string-in_dim": (lambda arch: arch.update(in_dim="23"),
+                      "architecture record: key in_dim holds '23', not int"),
+    "string-width_scale": (lambda arch: arch.update(width_scale="0.125"),
+                           "architecture record: key width_scale holds '0.125', not a number"),
+    "inf-width_scale": (lambda arch: arch.update(width_scale=math.inf),
+                        "width_scale is inf, not a finite positive number"),
+    "nan-width_scale": (lambda arch: arch.update(width_scale=math.nan),
+                        "width_scale is nan, not a finite positive number"),
+    "zero-width_scale": (lambda arch: arch.update(width_scale=0),
+                         "width_scale is 0, not a finite positive number"),
+    "previous-format": (_previous_format,
+                        "architecture record: unknown key(s) depth_name, layers"),
 }
 
 
@@ -789,9 +801,9 @@ ARCH_EDITS = {
 @pytest.mark.parametrize("edit", ARCH_EDITS)
 def test_malformed_architecture_record_exits_2_naming_the_key(capsys, toy_dir, tmp_path,
                                                                edit, command):
-    """``load_checkpoint`` checks the architecture record's keys and types, so
-    every command that reads a checkpoint exits 2 naming the file and the
-    key; records in the previous format are rejected the same way."""
+    """``load_checkpoint`` checks the architecture record's keys, types and
+    ranges, so every command that reads a checkpoint exits 2 naming the file
+    and the key; records in the previous format are rejected the same way."""
     corpus = toy_dir / "corpus"
     write_toy_config(tmp_path / "exp.ini", arch="resnet", resnet_blocks=1, epochs=0)
     train = train_argv(corpus, tmp_path / "exp.ini")

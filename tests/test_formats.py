@@ -402,6 +402,31 @@ def test_malformed_config_names_path_and_exits_2(tmp_path, capsys, text):
     assert f"spkver: {path}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[model]\nwidth_scale = inf\n", "width_scale is inf, not a finite positive number"),
+    ("[model]\nwidth_scale = nan\n", "width_scale is nan, not a finite positive number"),
+    ("[model]\nwidth_scale = -1\n", "width_scale is -1.0, not a finite positive number"),
+    ("[model]\nresnet_blocks = 0\n", "resnet_blocks is 0, needs at least 1"),
+    ("[model]\nin_dim = 0\n", "in_dim is 0, needs at least 1"),
+    ("[optimizer]\nbatch_size = 0\n", "batch_size is 0, needs at least 1"),
+    ("[optimizer]\nsteps_per_epoch = 0\n", "steps_per_epoch is 0, needs at least 1"),
+    ("[data]\nsegment_min_s = inf\nsegment_max_s = inf\n",
+     "segment range needs 0 < segment_min_s <= segment_max_s < inf"),
+], ids=["inf-width_scale", "nan-width_scale", "negative-width_scale", "zero-resnet_blocks",
+        "zero-in_dim", "zero-batch_size", "zero-steps_per_epoch", "infinite-segments"])
+def test_config_value_out_of_range_names_path_and_key(tmp_path, capsys, text, message):
+    """Each value would end training in a traceback, a NaN loss or a net of
+    width-2 layers; it is rejected when the file is read."""
+    path = tmp_path / "range.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        fm.load_config(path)
+    missing = str(tmp_path / "missing")
+    assert main(["train", "--config", str(path), "--features", missing,
+                 "--utt2spk", missing, "--out", missing]) == 2
+    assert f"spkver: {path}: {message}" in capsys.readouterr().err
+
+
 def test_config_dump_reparses(tmp_path):
     cfg = fm.ExperimentConfig(arch="resnet", margin=4, epochs=7)
     path = tmp_path / "round.ini"

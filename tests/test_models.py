@@ -2,7 +2,9 @@
 against an influence-propagation oracle, and a layerwise replay oracle
 for the embedding forward pass."""
 
+import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -67,11 +69,6 @@ def test_res_net_single_block():
     names = [l.name for l in model.layers]
     assert names.index("block1") == names.index("maxpool1") + 1
     assert names.index("frame3") == names.index("block1") + 1
-
-
-def test_res_net_depth_naming():
-    assert md.build_res_net(10, n_spk=4).depth_name == "res-tdnn-24"
-    assert md.build_res_net(20, n_spk=4).depth_name == "res-tdnn-44"
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +279,7 @@ def test_duplicated_frames_leave_stats_and_embedding_unchanged():
     ]
     params = md.ParameterSet()
     md._allocate(layers, params, np.random.default_rng(7))
-    model = md.ExtractorModel("maxpool", layers, params)
+    model = md.ExtractorModel("maxpool", layers, params, {})
     rng = np.random.default_rng(8)
     feats = rng.standard_normal((20, 5))
     doubled = np.concatenate([feats, feats], axis=0)
@@ -304,9 +301,15 @@ def test_residual_block_zero_weights_identity():
     assert np.allclose(out.data, xv[2:10], atol=1e-12)
 
 
-def test_arch_dict_roundtrip():
-    model = md.build_res_net(2, n_spk=5, width_scale=0.25, seed=13)
+STACKS = {"maxpool": lambda **kw: md.build_maxpool_net(n_spk=3, width_scale=0.125, **kw),
+          "resnet": lambda **kw: md.build_res_net(1, n_spk=3, width_scale=0.125, **kw)}
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_arch_dict_roundtrip(stack):
+    model = STACKS[stack](seed=13)
     clone = md.model_from_arch_dict(model.arch_dict(), seed=None)
+    assert clone.layers == model.layers and len(clone.params) == 0
     for name, tensor in model.params.items():
         clone.params.add(name, tensor.data.copy())
     feats = np.random.default_rng(14).standard_normal((120, 23))
@@ -314,81 +317,51 @@ def test_arch_dict_roundtrip():
                           md.embed_batch(clone, [feats])[0])
 
 
-RES1_ARCH = (
-    '{"arch": "resnet", "depth_name": "res-tdnn-6", "layers": [{"context": 3, '
-    '"has_bias": true, "in_dim": 23, "kind": "time_delay", "name": "frame1", '
-    '"out_dim": 16}, {"context": 1, "has_bias": true, "in_dim": 16, "kind": '
-    '"max_pool", "name": "maxpool1", "out_dim": 8}, {"context": 3, "has_bias": '
-    'true, "in_dim": 8, "kind": "residual_block", "name": "block1", "out_dim": '
-    '8}, {"context": 1, "has_bias": true, "in_dim": 8, "kind": "time_delay", '
-    '"name": "frame3", "out_dim": 256}, {"context": 1, "has_bias": true, '
-    '"in_dim": 256, "kind": "max_pool", "name": "maxpool3", "out_dim": 128}, '
-    '{"context": 1, "has_bias": true, "in_dim": 128, "kind": "stats_pool", '
-    '"name": "stats", "out_dim": 256}, {"context": 1, "has_bias": true, '
-    '"in_dim": 256, "kind": "affine_mfm", "name": "segment6", "out_dim": 128}, '
-    '{"context": 1, "has_bias": true, "in_dim": 128, "kind": "affine_mfm", '
-    '"name": "segment7", "out_dim": 64}, {"context": 1, "has_bias": true, '
-    '"in_dim": 64, "kind": "classifier", "name": "classifier", "out_dim": 3}], '
-    '"width_scale": 0.125}')
-
-MAXPOOL_ARCH = (
-    '{"arch": "maxpool", "depth_name": "maxpool-net-7", "layers": [{"context": '
-    '7, "has_bias": true, "in_dim": 23, "kind": "time_delay", "name": "frame1", '
-    '"out_dim": 32}, {"context": 1, "has_bias": true, "in_dim": 32, "kind": '
-    '"max_pool", "name": "maxpool1", "out_dim": 16}, {"context": 5, "has_bias": '
-    'true, "in_dim": 16, "kind": "time_delay", "name": "frame2", "out_dim": 32}, '
-    '{"context": 1, "has_bias": true, "in_dim": 32, "kind": "max_pool", "name": '
-    '"maxpool2", "out_dim": 16}, {"context": 3, "has_bias": true, "in_dim": 16, '
-    '"kind": "time_delay", "name": "frame3", "out_dim": 32}, {"context": 1, '
-    '"has_bias": true, "in_dim": 32, "kind": "max_pool_time", "name": '
-    '"maxpool3", "out_dim": 32}, {"context": 1, "has_bias": true, "in_dim": 32, '
-    '"kind": "time_delay", "name": "frame4", "out_dim": 256}, {"context": 1, '
-    '"has_bias": true, "in_dim": 256, "kind": "max_pool", "name": "maxpool4", '
-    '"out_dim": 128}, {"context": 1, "has_bias": true, "in_dim": 128, "kind": '
-    '"stats_pool", "name": "stats", "out_dim": 256}, {"context": 1, "has_bias": '
-    'true, "in_dim": 256, "kind": "affine_mfm", "name": "segment6", "out_dim": '
-    '128}, {"context": 1, "has_bias": true, "in_dim": 128, "kind": "affine_mfm", '
-    '"name": "segment7", "out_dim": 64}, {"context": 1, "has_bias": true, '
-    '"in_dim": 64, "kind": "classifier", "name": "classifier", "out_dim": 3}], '
-    '"width_scale": 0.125}')
-
-
-@pytest.mark.parametrize("build,expected", [
-    (lambda: md.build_res_net(1, n_spk=3, width_scale=0.125), RES1_ARCH),
-    (lambda: md.build_maxpool_net(n_spk=3, width_scale=0.125), MAXPOOL_ARCH),
+@pytest.mark.parametrize("stack,expected", [
+    ("resnet", '{"arch": "resnet", "classifier_bias": true, "in_dim": 23, "n_blocks": 1, '
+               '"n_spk": 3, "width_scale": 0.125}'),
+    ("maxpool", '{"arch": "maxpool", "classifier_bias": true, "in_dim": 23, "n_spk": 3, '
+                '"width_scale": 0.125}'),
 ], ids=["resnet", "maxpool"])
-def test_arch_dict_golden(build, expected):
-    """The checkpoint's architecture record, byte for byte."""
-    assert json.dumps(build().arch_dict(), sort_keys=True) == expected
+def test_arch_dict_golden(stack, expected):
+    """The checkpoint's architecture record, byte for byte: the builder's
+    arguments and nothing else."""
+    assert json.dumps(STACKS[stack]().arch_dict(), sort_keys=True) == expected
 
 
-def test_checkpoint_with_mismatched_block_width_names_block(tmp_path):
-    model = md.build_res_net(1, n_spk=3, width_scale=0.125)
-    path = tmp_path / "narrow.ckpt"
-    fm.save_checkpoint(path, model, step=0, epoch=0, config_hash="")
+def test_checkpoint_n_blocks_beyond_its_arrays_rejected_before_building(tmp_path, monkeypatch):
+    """An ``n_blocks`` the file's arrays cannot hold is rejected before the
+    builder runs, so a few bytes cannot ask for 10^9 layers."""
+    path = tmp_path / "huge.ckpt"
+    fm.save_checkpoint(path, STACKS["resnet"](), step=0, epoch=0, config_hash="")
     arrays, meta = fm.read_archive(path)
-    # block1 reads 6 of its 8 channels; its first weight is sized to match
-    meta["arch"]["layers"][2]["in_dim"] = 6
-    for prefix in ("param", "momentum"):
-        arrays[f"{prefix}.block1.td1.w"] = arrays[f"{prefix}.block1.td1.w"][: 3 * 6]
+    meta["arch"]["n_blocks"] = 10 ** 9
     fm.write_archive(path, arrays, meta, dtype="f8")
-    with pytest.raises(ValueError, match="block block1: input width 6"):
+
+    @functools.wraps(md.build_res_net)     # keeps the signature the record is checked by
+    def refuse(*args, **kwargs):
+        raise AssertionError("builder called for an n_blocks the file cannot hold")
+
+    monkeypatch.setitem(md.ARCHS, "resnet", refuse)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: n_blocks is 1000000000, more than {len(arrays)} arrays hold")):
         fm.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("edit,message", [
-    (lambda layers: layers[0].update(kind="conv"), "layer frame1: unknown kind 'conv'"),
-    (lambda layers: layers.insert(0, layers.pop(-3)),
-     "layer segment6: affine_mfm cannot run on frames"),
-    (lambda layers: layers.pop(), "last layer segment7 is not a classifier"),
-    (lambda layers: layers.pop(8), "architecture has 0 stats_pool layers"),
-    (lambda layers: layers.insert(8, dict(layers[8])), "architecture has 2 stats_pool layers"),
-    (lambda layers: layers[0].update(in_dim=True), "layer 0: key in_dim holds True, not int"),
-    (lambda layers: layers[2].update(context=0), "layer frame2: dims and context must be"),
-], ids=["unknown-kind", "segment-layer-on-frames", "no-classifier", "no-stats-pool",
-        "two-stats-pools", "bool-width", "zero-context"])
+    (lambda arch: arch.update(n_blocks=2), "architecture record: unknown key(s) n_blocks"),
+    (lambda arch: arch.pop("classifier_bias"),
+     "architecture record: missing key(s) classifier_bias"),
+    (lambda arch: arch.update(in_dim=True), "architecture record: key in_dim holds True, not int"),
+    (lambda arch: arch.update(in_dim=0), "in_dim is 0, needs at least 1"),
+    (lambda arch: arch.update(width_scale=-0.5), "width_scale is -0.5, not a finite"),
+], ids=["n_blocks-on-maxpool", "no-classifier_bias", "bool-width", "zero-in_dim",
+        "negative-width_scale"])
 def test_malformed_architecture_rejected_at_load(edit, message):
-    arch = md.build_maxpool_net(n_spk=3, width_scale=0.125).arch_dict()
-    edit(arch["layers"])
-    with pytest.raises(ValueError, match=message):
+    """Direct calls; ``tests/test_cli.py``'s ``ARCH_EDITS`` run the other
+    recipe keys through every command that reads a checkpoint."""
+    arch = STACKS["maxpool"]().arch_dict()
+    edit(arch)
+    with pytest.raises(ValueError, match=re.escape(message)):
         md.model_from_arch_dict(arch)
+
