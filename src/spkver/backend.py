@@ -16,6 +16,10 @@ zero-norm embedding raises "degenerate embedding: zero norm".
 CSML fitting builds each transform's rows (``_csml_rows``: the unit rows U and their
 Gram matrix S = U Uᵀ) once: mining and the step's loss and gradient read them, and a
 line-search probe that ``train_csml`` accepts hands its rows on to the next step.
+
+Rows are grouped by speaker once, in ``_groups``.  ``held_out_split`` is the one
+per-speaker held-out split: ``train_csml`` and ``training.train_extractor`` choose
+what they return by the EER of its held-out rows.
 """
 
 from __future__ import annotations
@@ -31,9 +35,48 @@ from .metrics import ScoreSet, compute_eer
 # cache and reuse heap pages; at 4096 trials they were 16 MB, mapped and faulted in afresh.
 SCORE_BLOCK = 256
 CSML_VAL_TRIALS = 5000     # validation pairs per held-out EER of ``train_csml``
+CSML_VAL_FRACTION = 0.25   # share of each speaker's rows ``train_csml`` holds out
+CSML_STEPS = 4             # descent steps per mining epoch of ``train_csml``
 CSML_DIAG_FLOOR = 1e-4     # smallest diagonal entry of a CSML descent step
 MINE_BLOCK = 256           # anchors per block of ``mine_triplets``' hard-negative search
 TRI_BLOCK = 64             # ``_tri_inv`` hands triangles of at most this many rows to LAPACK
+
+
+# ---------------------------------------------------------------------------
+# speaker grouping and the held-out split
+
+
+def _groups(labels):
+    """Each row's speaker index (speakers in ``np.unique`` order), the speaker
+    sizes, the rows in speaker order (a stable sort, so each speaker's rows keep
+    index order) and each speaker's start in that order."""
+    _, index, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    return index, sizes, np.argsort(index, kind="stable"), np.cumsum(sizes) - sizes
+
+
+def has_both_trial_kinds(labels) -> bool:
+    """Whether the rows' pairs hold target and non-target trials: at least two
+    speakers, one of them with two rows or more."""
+    sizes = _groups(labels)[1]
+    return sizes.size >= 2 and sizes.max() >= 2
+
+
+def held_out_split(labels, fraction: float, rng=None):
+    """Per-speaker held-out split: each speaker with n >= 2 rows holds out
+    ``max(1, round(fraction * n))`` (none if ``fraction <= 0``), its first rows in
+    index order or, with ``rng``, in the order of an ``rng.permutation(n)`` drawn for
+    every speaker, in ``np.unique`` order.  Returns (training rows in index order,
+    held-out rows speaker by speaker)."""
+    _, sizes, order, starts = _groups(labels)
+    held = [np.empty(0, dtype=np.intp)]
+    for start, n in zip(starts, sizes):
+        rows = order[start:start + n]
+        if rng is not None:
+            rows = rows[rng.permutation(n)]
+        if n > 1 and fraction > 0:
+            held.append(rows[:max(1, int(round(fraction * n)))])
+    held = np.concatenate(held)
+    return np.setdiff1d(np.arange(order.size), held), held
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +160,7 @@ def triplet_loss_and_grad(rows, triplets, need_grad: bool = True):
     return loss, np.triu(gu.T @ e)
 
 
-def mine_triplets(rows, labels, n_hard: int = 1500,
-                  max_triplets: int | None = None, rng=None) -> np.ndarray:
+def mine_triplets(rows, labels, n_hard: int, max_triplets: int | None, rng) -> np.ndarray:
     """Build (anchor, positive, negative) index triplets as an (n, 3) array.
 
     ``rows`` are the current transform's ``_csml_rows``.  Every embedding with
@@ -127,11 +169,11 @@ def mine_triplets(rows, labels, n_hard: int = 1500,
     embeddings under the transform (ties broken by index).  Rows run anchor by
     anchor, positive-major, with each positive's negatives in score order.
 
-    With ``max_triplets`` set and more rows than that, ``rng`` draws which
+    With ``max_triplets`` not None and more rows than that, ``rng`` draws which
     rows to keep (``rng.choice(total, max_triplets, replace=False)``) and
     only those are built, in row order.
     """
-    _, group, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    group, sizes, members, starts = _groups(labels)
     n = group.size
     n_pos = sizes[group] - 1
     n_neg = np.minimum(n - sizes[group], n_hard)
@@ -162,107 +204,74 @@ def mine_triplets(rows, labels, n_hard: int = 1500,
     ends = np.cumsum(counts)
     anchors = np.searchsorted(ends, kept, side="right")
     positive, negative = np.divmod(kept - (ends - counts)[anchors], n_neg[anchors])
-    members = np.argsort(group, kind="stable")               # speaker by speaker, by index
-    start = (np.cumsum(sizes) - sizes)[group[anchors]]       # the anchor's speaker in members
+    start = starts[group[anchors]]                           # the anchor's speaker in members
     positive += positive >= np.argsort(members)[anchors] - start   # skip the anchor itself
     return np.column_stack([anchors, members[start + positive], hard[anchors, negative]])
 
 
-@dataclass
-class CsmlTrainConfig:
-    """Options for fitting the cosine transform."""
-
-    epochs: int = 20
-    steps_per_epoch: int = 4
-    n_hard: int = 1500
-    max_triplets: int | None = 100_000
-    val_fraction: float = 0.25
-    seed: int = 0
-
-
 def _project_upper(matrix: np.ndarray) -> np.ndarray:
     out = np.triu(matrix)
-    d = np.diag(out).copy()
-    np.fill_diagonal(out, np.maximum(d, CSML_DIAG_FLOOR))
+    np.fill_diagonal(out, np.maximum(np.diag(out), CSML_DIAG_FLOOR))
     return out
 
 
-def csml_validation_eer(embeddings, labels, indices, a, seed: int = 0) -> float:
-    """EER of the ``indices`` rows' pairs under the transform matrix ``a``."""
-    return all_pairs_eer(CsmlTransform(a), np.asarray(embeddings)[indices],
-                         np.asarray(labels)[indices], np.random.default_rng(seed),
-                         CSML_VAL_TRIALS)
-
-
-def train_csml(embeddings, labels, opts: CsmlTrainConfig | None = None) -> CsmlTransform:
+def train_csml(embeddings, labels, *, epochs: int, n_hard: int, max_triplets: int,
+               seed: int) -> CsmlTransform:
     """Fit the upper-triangular cosine transform by triplet-loss descent.
 
-    Starts from the identity, remines triplets every epoch, takes
-    backtracking full-batch gradient steps with the diagonal floored, and
-    returns the candidate with the best held-out EER (the identity start
-    is always a candidate).
+    Starts from the identity; each of ``epochs`` epochs mines at most ``max_triplets``
+    triplets with ``n_hard`` negatives each, then takes up to ``CSML_STEPS``
+    backtracking full-batch gradient steps with the diagonal floored.  Returns the
+    candidate (the identity start included) with the best EER on the rows that
+    ``held_out_split`` draws from ``seed``'s generator, ``CSML_VAL_FRACTION`` of each
+    speaker's; held-out or training rows that lack a trial kind fall back to all rows.
     """
-    if opts is None:
-        opts = CsmlTrainConfig()
+    for name, value, least in (("epochs", epochs, 0), ("n_hard", n_hard, 1),
+                               ("max_triplets", max_triplets, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
-    dim = embeddings.shape[1]
-    rng = np.random.default_rng(opts.seed)
-
-    # Per-speaker split so validation has target trials; speakers in sorted
-    # order, each one's rows in index order, one permutation draw each.
-    _, spk_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    by_speaker = np.argsort(spk_of, kind="stable")
-    is_val = np.zeros(len(labels), dtype=bool)
-    for start, n in zip(np.cumsum(counts) - counts, counts):
-        members = by_speaker[start : start + n][rng.permutation(n)]
-        if n > 1:
-            is_val[members[: max(1, int(round(opts.val_fraction * n)))]] = True
-    train_idx, val_idx = np.flatnonzero(~is_val), np.flatnonzero(is_val)
-
-    def has_both_trial_kinds(idx):
-        counts = np.bincount(spk_of[idx])
-        return np.count_nonzero(counts) >= 2 and counts.max() >= 2
-    if not has_both_trial_kinds(val_idx):
-        val_idx = np.arange(len(labels))
-    if not has_both_trial_kinds(train_idx):
+    rng = np.random.default_rng(seed)
+    train_idx, val_idx = held_out_split(labels, CSML_VAL_FRACTION, rng)
+    val_idx = np.sort(val_idx) if has_both_trial_kinds(labels[val_idx]) \
+        else np.arange(len(labels))
+    if not has_both_trial_kinds(labels[train_idx]):
         train_idx = np.arange(len(labels))
 
-    a = np.eye(dim)
-    best = CsmlTransform(a.copy())
-    best_eer = csml_validation_eer(embeddings, labels, val_idx, a, seed=opts.seed + 1)
+    def held_out_eer(a):
+        return all_pairs_eer(CsmlTransform(a), embeddings[val_idx], labels[val_idx],
+                             np.random.default_rng(seed + 1), CSML_VAL_TRIALS)
 
-    train_emb = embeddings[train_idx]
-    train_lab = labels[train_idx]
-    n_impostors = train_idx.size - np.bincount(spk_of[train_idx]).max()
-    n_hard = min(opts.n_hard, int(n_impostors))
+    a = np.eye(embeddings.shape[1])
+    best = CsmlTransform(a.copy())
+    best_eer = held_out_eer(a)
+
+    train_emb, train_lab = embeddings[train_idx], labels[train_idx]
+    n_hard = min(n_hard, train_idx.size - int(_groups(train_lab)[1].max()))
     rows = None                            # ``_csml_rows`` of ``a``, built once per transform
-    for _ in range(opts.epochs):
+    for _ in range(epochs):
         rows = rows or _csml_rows(a, train_emb)
-        triplets = mine_triplets(rows, train_lab, n_hard=n_hard,
-                                 max_triplets=opts.max_triplets, rng=rng)
-        for _ in range(opts.steps_per_epoch):
+        triplets = mine_triplets(rows, train_lab, n_hard, max_triplets, rng)
+        for _ in range(CSML_STEPS):
             loss, grad = triplet_loss_and_grad(rows, triplets)
             gnorm2 = float((grad ** 2).sum())
             if gnorm2 < 1e-18:
                 break
             step = 1.0 / max(1.0, np.sqrt(gnorm2))
-            accepted = False
             for _ in range(30):
                 cand = _project_upper(a - step * grad)
                 cand_rows = _csml_rows(cand, train_emb)
                 cand_loss, _ = triplet_loss_and_grad(cand_rows, triplets, need_grad=False)
                 if cand_loss <= loss - 1e-4 * step * gnorm2:
                     a, rows = cand, cand_rows
-                    accepted = True
                     break
                 step *= 0.5
-            if not accepted:
+            else:
                 break
-        eer = csml_validation_eer(embeddings, labels, val_idx, a, seed=opts.seed + 1)
+        eer = held_out_eer(a)
         if eer <= best_eer:                # ties keep the most-trained candidate
-            best_eer = eer
-            best = CsmlTransform(a.copy())
+            best_eer, best = eer, CsmlTransform(a.copy())
     return best
 
 
@@ -291,9 +300,8 @@ def _class_stats(e: np.ndarray, labels: np.ndarray):
     """Each row's class index, the class sizes and the class means (classes in
     ``np.unique`` order), from one stable sort of the rows by class and one
     ``np.add.reduceat`` over the resulting runs."""
-    _, index, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    sums = np.add.reduceat(e[np.argsort(index, kind="stable")], np.cumsum(counts) - counts,
-                           axis=0)
+    index, counts, order, starts = _groups(labels)
+    sums = np.add.reduceat(e[order], starts, axis=0)
     return index, counts, sums / counts[:, None]
 
 
@@ -407,10 +415,11 @@ def plda_fit(embeddings, labels, n_iter: int = 15, lda_dim: int | None = None,
     are matrix products over those rows plus the within-class scatter of the
     data, which EM leaves unchanged.
     """
+    if n_iter < 0:
+        raise ValueError(f"n_iter must be at least 0, got {n_iter}")
     e = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
-    counts = np.unique(labels, return_counts=True)[1]
-    if counts.size < 2 or counts.max() < 2:
+    if not has_both_trial_kinds(labels):
         raise ValueError("need at least 2 classes with 2 samples each")
 
     lda = None
@@ -423,7 +432,8 @@ def plda_fit(embeddings, labels, n_iter: int = 15, lda_dim: int | None = None,
     n_total, d = e.shape
     s_w, s_b, mean, counts, means = _scatter_matrices(e, labels)
     scatter = n_total * s_w                        # sum of the per-class scatters
-    sizes, size_index, n_of_size = np.unique(counts, return_inverse=True, return_counts=True)
+    size_index, n_of_size, by_size, size_starts = _groups(counts)
+    sizes = counts[by_size[size_starts]]           # the distinct class sizes, ascending
     between = _ridge(s_b)
     within = _ridge(s_w)
 

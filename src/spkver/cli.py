@@ -126,9 +126,8 @@ def _load_labeled_embeddings(emb_path, utt2spk_path):
 def _cmd_backend_train(args) -> int:
     utts, matrix, labels = _load_labeled_embeddings(args.embeddings, args.utt2spk)
     if args.kind == "csml":
-        opts = bk.CsmlTrainConfig(epochs=args.epochs, n_hard=args.n_hard,
-                                  max_triplets=args.max_triplets, seed=args.seed)
-        model = bk.train_csml(matrix, labels, opts)
+        model = bk.train_csml(matrix, labels, epochs=args.epochs, n_hard=args.n_hard,
+                              max_triplets=args.max_triplets, seed=args.seed)
         what = f"cosine transform ({model.dim}x{model.dim})"
     else:
         model = bk.plda_fit(matrix, labels, n_iter=args.em_iters,

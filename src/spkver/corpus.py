@@ -9,6 +9,7 @@ speakers identically distributed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,15 @@ class SyntheticCorpusSpec:
             raise ValueError("need at least 2 speakers")
         if self.utts_per_speaker < 1 or self.mixture_components < 1:
             raise ValueError("need at least one utterance and mixture component")
+        if self.feature_dim < 1:
+            raise ValueError(f"feature_dim must be at least 1, got {self.feature_dim}")
+        if not 0 < self.frame_shift_ms < math.inf:
+            raise ValueError(f"frame_shift_ms must be finite and > 0, got {self.frame_shift_ms}")
+        if not 0 <= self.utterance_s < math.inf:
+            raise ValueError(f"utterance_s must be finite and >= 0, got {self.utterance_s}")
+        for name in ("separation", "mixture_spread", "channel_scale", "noise_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def generate_synthetic_corpus(spec: SyntheticCorpusSpec):

@@ -327,6 +327,8 @@ class ExperimentConfig:
                 raise ValueError(f"{key} is {getattr(self, key)}, needs at least 1")
         if not 0 < self.segment_min_s <= self.segment_max_s < math.inf:
             raise ValueError("segment range needs 0 < segment_min_s <= segment_max_s < inf")
+        if not 0 <= self.val_fraction <= 1:
+            raise ValueError(f"val_fraction is {self.val_fraction}, needs 0 to 1")
 
     def config_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True).encode("utf-8")

@@ -16,6 +16,7 @@ the per-frame loops kept as an oracle in ``tests/test_frontend.py``.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -55,10 +56,15 @@ class FrontendConfig:
     vad_energy_offset: float = 0.0
 
     def __post_init__(self):
+        for name in ("frame_length_ms", "frame_shift_ms", "preemphasis", "cmn_window_s",
+                     "vad_energy_offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.frame_length_ms > self.frame_shift_ms > 0):
             raise ValueError("frame_length_ms must exceed frame_shift_ms, both positive")
-        if self.n_cepstra > self.n_mel_filters:
-            raise ValueError("n_cepstra must not exceed n_mel_filters")
+        if not 1 <= self.n_cepstra <= self.n_mel_filters:
+            raise ValueError(f"n_cepstra is {self.n_cepstra}, needs 1 to n_mel_filters "
+                             f"= {self.n_mel_filters}")
         if self.cmn_window_s <= 0:
             raise ValueError("cmn_window_s must be positive")
 

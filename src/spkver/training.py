@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import models as m
-from .backend import all_pairs_eer
+from .backend import all_pairs_eer, has_both_trial_kinds, held_out_split
 from .corpus import sample_segments, segment_frame_bounds
 from .formats import ExperimentConfig, load_checkpoint, save_checkpoint
 from .objectives import LambdaSchedule, MarginConfig, asoftmax_loss, softmax_ce
@@ -148,31 +148,6 @@ class TrainResult:
     best_out_written: bool = False    # an epoch of this run wrote ``best_out``
 
 
-def _speaker_table(utt2spk: dict[str, str]):
-    utts = sorted(utt2spk)
-    speakers = sorted(set(utt2spk.values()))
-    spk_index = {s: i for i, s in enumerate(speakers)}
-    labels = np.array([spk_index[utt2spk[u]] for u in utts], dtype=np.intp)
-    return utts, speakers, labels
-
-
-def _validation_split(utts: list[str], labels: np.ndarray, fraction: float) -> list[str]:
-    """Per-speaker validation split, so held-out trials include both kinds:
-    speakers in label order, each one's first ``round(fraction * n)`` (at
-    least 1) of its n utterances in ``utts`` order; speakers with one
-    utterance stay in training.  One pass over the labels."""
-    if fraction <= 0:
-        return []
-    _, spk_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    by_speaker = np.argsort(spk_of, kind="stable")
-    val_utts: list[str] = []
-    for start, n in zip(np.cumsum(counts) - counts, counts):
-        if n > 1:
-            n_val = max(1, int(round(fraction * n)))
-            val_utts += [utts[i] for i in by_speaker[start : start + n_val]]
-    return val_utts
-
-
 def _diverged(step: int, epoch: int, lr: float, what: str) -> RuntimeError:
     return RuntimeError(f"training diverged at step {step} (epoch {epoch}, "
                         f"lr={lr:g}): {what}")
@@ -190,6 +165,10 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
     live run is written to at the end of each epoch whose validation EER is
     the lowest so far (after a resume, lower than the restored one); it is
     written as ``save_train_checkpoint`` writes the final state.
+    The validation utterances come from ``backend.held_out_split``: of each
+    speaker's utterances long enough for a segment, the first
+    ``cfg.val_fraction`` by id, scored speaker by speaker.  Without both
+    trial kinds among them, no epoch is validated and all of them train.
     Aborts with a "training diverged" RuntimeError naming the step, epoch,
     lr, offending value and bound when a batch loss is non-finite or above
     ``DIVERGENCE_FACTOR * ln(C)`` for C training speakers (checked before
@@ -198,7 +177,8 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
     ln(C) is the chance-level loss; anchoring on it rather than on the
     first step's loss makes the abort step the same for a resumed run.
     """
-    utts, speakers, labels = _speaker_table(utt2spk)
+    utts, speakers = sorted(utt2spk), sorted(set(utt2spk.values()))
+    labels = np.searchsorted(speakers, [utt2spk[u] for u in utts])  # speaker of each utt
     if len(speakers) < 2:
         raise ValueError("need at least 2 speakers to train")
     min_frames, max_frames = segment_frame_bounds(
@@ -227,21 +207,13 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
 
     need = m.receptive_field(model)
     seg_lo = max(min_frames, need)
-    usable = [u for u in utts if features[u].shape[0] >= seg_lo]
-    if not usable:
+    usable = np.flatnonzero([features[u].shape[0] >= seg_lo for u in utts])
+    if not usable.size:
         raise ValueError("no utterance long enough for the minimum segment")
-    label_of = dict(zip(utts, labels))
-    usable_labels = np.array([label_of[u] for u in usable], dtype=np.intp)
-
-    val_utts = _validation_split(usable, usable_labels, cfg.val_fraction)
-    val_set = set(val_utts)
-    val_labels = np.array([label_of[u] for u in val_utts], dtype=np.intp)
-    if len(val_utts) < 2 or len(np.unique(val_labels)) < 2 \
-            or np.max(np.bincount(val_labels)) < 2:
-        val_utts, val_set = [], set()
-        val_labels = np.empty(0, dtype=np.intp)
-    train_utts = [u for u in usable if u not in val_set]
-    train_labels = np.array([label_of[u] for u in train_utts], dtype=np.intp)
+    train_rows, val_rows = held_out_split(labels[usable], cfg.val_fraction)
+    train_rows, val_rows = usable[train_rows], usable[val_rows]
+    if not has_both_trial_kinds(labels[val_rows]):
+        train_rows, val_rows = usable, usable[:0]
 
     loss_bound = DIVERGENCE_FACTOR * np.log(len(speakers))
     schedule = LambdaSchedule(cfg.lambda_start, cfg.lambda_decay, cfg.lambda_floor)
@@ -250,14 +222,13 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
         lr = cfg.learning_rate * cfg.lr_decay ** epoch
         epoch_losses = []
         for _ in range(cfg.steps_per_epoch):
-            picks = rng.integers(0, len(train_utts), size=cfg.batch_size)
-            segments = sample_segments([features[train_utts[i]] for i in picks],
+            picks = train_rows[rng.integers(0, train_rows.size, size=cfg.batch_size)]
+            segments = sample_segments([features[utts[i]] for i in picks],
                                        (seg_lo, max_frames), rng)
-            batch_labels = train_labels[picks]
 
             lam = schedule.value(step) if cfg.loss == "asoftmax" else 0.0
             model.params.zero_grad()
-            loss = batch_loss(model, segments, batch_labels, cfg, lam)
+            loss = batch_loss(model, segments, labels[picks], cfg, lam)
             value = float(loss.data)
             if not np.isfinite(value) or value > loss_bound:
                 raise _diverged(step, epoch, lr,
@@ -278,10 +249,11 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
         result.history.append(record)
         result.epoch, result.final_step, result.rng_state = \
             epoch + 1, step, rng.bit_generator.state
-        if val_utts:
+        if val_rows.size:
             val_rng = np.random.default_rng(cfg.seed + 7919 + epoch)
-            embs = m.embed_batch(model, [features[u] for u in val_utts])
-            record["val_eer"] = all_pairs_eer(None, embs, val_labels, val_rng, max_trials=2000)
+            embs = m.embed_batch(model, [features[utts[i]] for i in val_rows])
+            record["val_eer"] = all_pairs_eer(None, embs, labels[val_rows], val_rng,
+                                              max_trials=2000)
             if result.best_val_eer is None or record["val_eer"] < result.best_val_eer:
                 result.best_val_eer = record["val_eer"]
                 if best_out is not None:

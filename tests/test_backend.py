@@ -15,9 +15,9 @@ from scipy.special import expit
 from scipy.stats import multivariate_normal
 
 from spkver import backend as bk
-from spkver.backend import (CsmlTrainConfig, CsmlTransform, LdaProjection,
-                            PldaModel, center, lda_fit, lda_project, mine_triplets,
-                            plda_fit, train_csml, triplet_loss_and_grad)
+from spkver.backend import (CsmlTransform, LdaProjection, PldaModel, center, lda_fit,
+                            lda_project, mine_triplets, plda_fit, train_csml,
+                            triplet_loss_and_grad)
 from spkver.metrics import ScoreSet, Trial, compute_eer
 
 
@@ -214,9 +214,9 @@ def test_triplet_loss_empty_rejected():
 # mining
 
 
-def mine(emb, labels, a, **kwargs):
+def mine(emb, labels, a, n_hard, max_triplets=None, rng=None):
     """``mine_triplets`` on the rows of transform ``a``."""
-    return mine_triplets(bk._csml_rows(a, emb), labels, **kwargs)
+    return mine_triplets(bk._csml_rows(a, emb), labels, n_hard, max_triplets, rng)
 
 
 def loop_mine_triplets(embeddings, labels, a, n_hard, max_triplets=None, rng=None):
@@ -406,7 +406,7 @@ def test_mine_triplets_subsample_builds_only_the_drawn_rows(max_triplets):
 def test_mine_triplets_insufficient_positives():
     emb = np.eye(3)
     with pytest.raises(ValueError, match="insufficient positives"):
-        mine(emb, np.array([0, 1, 2]), np.eye(3))
+        mine(emb, np.array([0, 1, 2]), np.eye(3), n_hard=1)
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +425,14 @@ def clustered_embeddings(rng, n_spk, per_spk, dim, spread=0.15, scale=2.0):
 def test_train_csml_zero_epochs_returns_identity():
     rng = np.random.default_rng(9)
     emb, labels = clustered_embeddings(rng, 4, 4, 5)
-    out = train_csml(emb, labels, CsmlTrainConfig(epochs=0, seed=1))
+    out = train_csml(emb, labels, epochs=0, n_hard=1500, max_triplets=100_000, seed=1)
     assert np.array_equal(out.matrix, np.eye(5))
 
 
 def test_train_csml_descends_on_separable_data():
     rng = np.random.default_rng(10)
     emb, labels = clustered_embeddings(rng, 2, 6, 4, spread=0.6, scale=1.0)
-    opts = CsmlTrainConfig(epochs=5, steps_per_epoch=3, n_hard=10, seed=2,
-                           val_fraction=0.3)
-    trained = train_csml(emb, labels, opts)
+    trained = train_csml(emb, labels, epochs=5, n_hard=10, max_triplets=100_000, seed=2)
     triplets = mine(emb, labels, np.eye(4), n_hard=10)
     before = triplet_loss_and_grad(bk._csml_rows(np.eye(4), emb), triplets, need_grad=False)[0]
     after = triplet_loss_and_grad(bk._csml_rows(trained.matrix, emb), triplets, need_grad=False)[0]
@@ -447,40 +445,43 @@ def test_train_csml_validation_eer_never_worse_than_identity():
     rng = np.random.default_rng(11)
     emb, labels = clustered_embeddings(rng, 10, 6, 8, spread=0.8, scale=1.0)
     for seed in (0, 1, 2):
-        opts = CsmlTrainConfig(epochs=4, steps_per_epoch=2, n_hard=30, seed=seed)
-        trained = train_csml(emb, labels, opts)
-        idx = np.arange(len(labels))
-        eer_eye = bk.csml_validation_eer(emb, labels, idx, np.eye(8),
-                                         seed=seed)
-        eer_fit = bk.csml_validation_eer(emb, labels, idx, trained.matrix, seed=seed)
+        trained = train_csml(emb, labels, epochs=4, n_hard=30, max_triplets=100_000, seed=seed)
+        eer_eye, eer_fit = (bk.all_pairs_eer(model, emb, labels, np.random.default_rng(seed),
+                                             bk.CSML_VAL_TRIALS)
+                            for model in (CsmlTransform(np.eye(8)), trained))
         assert eer_fit <= eer_eye + 1e-9
 
 
-def loop_train_csml(embeddings, labels, opts):
+def loop_train_csml(embeddings, labels, *, epochs, n_hard, max_triplets, seed):
     """``train_csml`` as a step loop that rebuilds the rows for every call and
     mines anchor by anchor; returns the transform and the rejected probes."""
     labels = np.asarray(labels)
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(seed)
     train_idx, val_idx = [], []
     for spk in np.unique(labels):
         members = np.flatnonzero(labels == spk)
         members = members[rng.permutation(members.size)]
-        n_val = max(1, int(round(opts.val_fraction * members.size))) if members.size > 1 else 0
+        n_val = (max(1, int(round(bk.CSML_VAL_FRACTION * members.size)))
+                 if members.size > 1 else 0)
         val_idx.extend(members[:n_val])
         train_idx.extend(members[n_val:])
     train_idx, val_idx = np.sort(train_idx), np.sort(val_idx)
     for idx in (val_idx, train_idx):
         counts = np.unique(labels[idx], return_counts=True)[1]
         assert counts.size >= 2 and counts.max() >= 2     # no fallback to all rows
+
+    def held_out_eer(a):
+        return bk.all_pairs_eer(CsmlTransform(a), embeddings[val_idx], labels[val_idx],
+                                np.random.default_rng(seed + 1), bk.CSML_VAL_TRIALS)
     a = np.eye(embeddings.shape[1])
     best = a.copy()
-    best_eer = bk.csml_validation_eer(embeddings, labels, val_idx, a, seed=opts.seed + 1)
+    best_eer = held_out_eer(a)
     train_emb, train_lab = embeddings[train_idx], labels[train_idx]
-    n_hard = min(opts.n_hard, min((train_lab != spk).sum() for spk in np.unique(train_lab)))
+    n_hard = min(n_hard, min((train_lab != spk).sum() for spk in np.unique(train_lab)))
     rejected = 0
-    for _ in range(opts.epochs):
-        triplets = loop_mine_triplets(train_emb, train_lab, a, n_hard, opts.max_triplets, rng)
-        for _ in range(opts.steps_per_epoch):
+    for _ in range(epochs):
+        triplets = loop_mine_triplets(train_emb, train_lab, a, n_hard, max_triplets, rng)
+        for _ in range(bk.CSML_STEPS):
             loss, grad = triplet_loss_and_grad(bk._csml_rows(a, train_emb), triplets)
             gnorm2 = float((grad ** 2).sum())
             if gnorm2 < 1e-18:
@@ -497,7 +498,7 @@ def loop_train_csml(embeddings, labels, opts):
                 step *= 0.5
             else:
                 break
-        eer = bk.csml_validation_eer(embeddings, labels, val_idx, a, seed=opts.seed + 1)
+        eer = held_out_eer(a)
         if eer <= best_eer:
             best_eer, best = eer, a.copy()
     return best, rejected
@@ -511,11 +512,10 @@ def test_train_csml_equals_step_loop_oracle(seed):
     rng = np.random.default_rng(30 + seed)
     emb, labels = clustered_embeddings(rng, 8, 8, 3, spread=0.5, scale=1.0)
     emb = np.hstack([emb, 2.0 * rng.standard_normal((len(emb), 3))])   # nuisance dims
-    opts = CsmlTrainConfig(epochs=3, steps_per_epoch=3, n_hard=6, max_triplets=150,
-                           seed=seed)
-    expected, rejected = loop_train_csml(emb, labels, opts)
+    options = dict(epochs=3, n_hard=6, max_triplets=150, seed=seed)
+    expected, rejected = loop_train_csml(emb, labels, **options)
     assert rejected >= 1 and not np.array_equal(expected, np.eye(6))
-    assert np.array_equal(train_csml(emb, labels, opts).matrix, expected)
+    assert np.array_equal(train_csml(emb, labels, **options).matrix, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -768,8 +768,7 @@ def test_plda_fit_reaches_the_true_llr_eer_on_two_covariance_data():
             model, bk.scoring_rows(model, x), enroll, test)))
 
     dev_mean = emb.mean(axis=0)
-    csml = train_csml(emb - dev_mean, labels, CsmlTrainConfig(
-        epochs=2, steps_per_epoch=2, n_hard=20, max_triplets=2000, seed=1))
+    csml = train_csml(emb - dev_mean, labels, epochs=2, n_hard=20, max_triplets=2000, seed=1)
     truth = eer(PldaModel(mu, between, within, length_norm=False), probe)
     fitted = eer(plda_fit(emb, labels, n_iter=10, length_norm=False), probe)
     cosine = eer(None, probe - dev_mean)

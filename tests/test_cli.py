@@ -77,6 +77,19 @@ def test_synth_writes_deterministic_corpus(capsys, tmp_path):
         (tmp_path / "b" / "utt2spk.txt").read_text()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--frame-shift-ms", "0"], "frame_shift_ms must be finite and > 0, got 0.0"),
+    (["--seconds", "inf"], "utterance_s must be finite and >= 0, got inf"),
+    (["--separation", "nan"], "separation must be finite, got nan"),
+    (["--dim", "0"], "feature_dim must be at least 1, got 0"),
+], ids=["zero-frame-shift", "infinite-seconds", "nan-separation", "zero-dim"])
+def test_synth_value_out_of_range_exits_2_naming_it(capsys, tmp_path, flags, message):
+    code, _, err = run(capsys, "synth", "--out-dir", str(tmp_path / "c"), "--n-speakers", "2",
+                       "--utts-per-speaker", "1", "--seconds", "0.2", *flags)
+    assert code == 2 and f"spkver: {message}" in err, err
+    assert not (tmp_path / "c").exists()
+
+
 def test_mfcc_subcommand(capsys, tmp_path):
     rate = 8000
     rng = np.random.default_rng(0)
@@ -129,6 +142,22 @@ def test_mfcc_malformed_wav_exits_2_naming_it(capsys, tmp_path, blob, message):
     path.write_bytes(blob)
     code, _, err = run(capsys, "mfcc", "--wav", str(path), "--out", str(tmp_path / "f.bin"))
     assert code == 2 and f"spkver: {path}: {message}" in err, err
+    assert not (tmp_path / "f.bin").exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--cepstra", "0"], "n_cepstra is 0, needs 1 to n_mel_filters = 23"),
+    (["--mel-filters", "0", "--cepstra", "0"], "n_cepstra is 0, needs 1 to n_mel_filters = 0"),
+    (["--cmn-window-s", "inf"], "cmn_window_s must be finite, got inf"),
+    (["--frame-length-ms", "inf"], "frame_length_ms must be finite, got inf"),
+    (["--vad-offset", "nan"], "vad_energy_offset must be finite, got nan"),
+], ids=["zero-cepstra", "zero-mel-filters", "infinite-cmn-window", "infinite-frame-length",
+        "nan-vad-offset"])
+def test_mfcc_config_out_of_range_exits_2_naming_it(capsys, tmp_path, flags, message):
+    write_wav(tmp_path / "a.wav", 0.3 * np.sin(0.3 * np.arange(8000)), 8000)
+    code, _, err = run(capsys, "mfcc", "--wav", str(tmp_path / "a.wav"),
+                       "--out", str(tmp_path / "f.bin"), *flags)
+    assert code == 2 and f"spkver: {message}" in err, err
     assert not (tmp_path / "f.bin").exists()
 
 
@@ -538,6 +567,31 @@ def test_backend_train_and_score_csml_plda(capsys, tmp_path):
     assert code == 0
     assert (tmp_path / "centered.txt").read_text() != \
         (tmp_path / "cosine_scores.txt").read_text()
+
+
+@pytest.mark.parametrize("kind,flags,message", [
+    ("csml", ["--n-hard", "0"], "n_hard must be at least 1, got 0"),
+    ("csml", ["--n-hard", "-3"], "n_hard must be at least 1, got -3"),
+    ("csml", ["--max-triplets", "-1"], "max_triplets must be at least 1, got -1"),
+    ("csml", ["--epochs", "-1"], "epochs must be at least 0, got -1"),
+    ("lda-plda", ["--em-iters", "-1"], "n_iter must be at least 0, got -1"),
+], ids=["zero-n-hard", "negative-n-hard", "negative-max-triplets", "negative-epochs",
+        "negative-em-iters"])
+def test_backend_train_option_out_of_range_exits_2_naming_it(capsys, tmp_path, kind, flags,
+                                                             message):
+    """6 speakers x 5 embeddings: enough for either backend, so only the option fails."""
+    rng = np.random.default_rng(0)
+    centers = rng.standard_normal((6, 8))
+    emb = {f"s{s}u{u}": centers[s] + 0.5 * rng.standard_normal(8)
+           for s in range(6) for u in range(5)}
+    fm.write_embeddings(tmp_path / "emb.bin", emb)
+    fm.write_utt2spk(tmp_path / "utt2spk.txt", {utt: utt.split("u")[0] for utt in emb})
+    code, _, err = run(capsys, "backend-train", "--kind", kind,
+                       "--embeddings", str(tmp_path / "emb.bin"),
+                       "--utt2spk", str(tmp_path / "utt2spk.txt"),
+                       "--out", str(tmp_path / "model.bin"), *flags)
+    assert code == 2 and f"spkver: {message}" in err, err
+    assert not (tmp_path / "model.bin").exists()
 
 
 def test_score_blocks_cross_boundaries_and_match_library(capsys, tmp_path, monkeypatch):

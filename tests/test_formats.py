@@ -412,8 +412,11 @@ def test_malformed_config_names_path_and_exits_2(tmp_path, capsys, text):
     ("[optimizer]\nsteps_per_epoch = 0\n", "steps_per_epoch is 0, needs at least 1"),
     ("[data]\nsegment_min_s = inf\nsegment_max_s = inf\n",
      "segment range needs 0 < segment_min_s <= segment_max_s < inf"),
+    ("[data]\nval_fraction = nan\n", "val_fraction is nan, needs 0 to 1"),
+    ("[data]\nval_fraction = 1.5\n", "val_fraction is 1.5, needs 0 to 1"),
 ], ids=["inf-width_scale", "nan-width_scale", "negative-width_scale", "zero-resnet_blocks",
-        "zero-in_dim", "zero-batch_size", "zero-steps_per_epoch", "infinite-segments"])
+        "zero-in_dim", "zero-batch_size", "zero-steps_per_epoch", "infinite-segments",
+        "nan-val_fraction", "above-one-val_fraction"])
 def test_config_value_out_of_range_names_path_and_key(tmp_path, capsys, text, message):
     """Each value would end training in a traceback, a NaN loss or a net of
     width-2 layers; it is rejected when the file is read."""

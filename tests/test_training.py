@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spkver import backend as bk
 from spkver import formats as fm
 from spkver import models as md
 from spkver import training as tr
@@ -228,28 +229,41 @@ def test_asoftmax_training_runs_and_descends():
     assert result.history[-1]["loss"] < result.history[0]["loss"]
 
 
-def ref_validation_split(usable, usable_labels, fraction):
-    """The per-speaker scan ``train_extractor`` used before ``_validation_split``."""
+def ref_validation_split(usable, usable_labels, fraction, rng=None):
+    """The per-speaker scan ``train_extractor`` used before ``held_out_split``;
+    with ``rng``, each speaker's members are first permuted, as ``train_csml``
+    drew them."""
     val_utts = []
-    if fraction > 0:
-        for spk in np.unique(usable_labels):
-            members = [u for u, l in zip(usable, usable_labels) if l == spk]
-            if len(members) > 1:
-                val_utts += members[: max(1, int(round(fraction * len(members))))]
+    for spk in np.unique(usable_labels):
+        members = [u for u, l in zip(usable, usable_labels) if l == spk]
+        if rng is not None:
+            members = [members[k] for k in rng.permutation(len(members))]
+        if len(members) > 1 and fraction > 0:
+            val_utts += members[: max(1, int(round(fraction * len(members))))]
     return val_utts
 
 
 @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
 def test_validation_split_matches_per_speaker_scan(fraction):
+    """``held_out_split`` against the scan, without and with a generator: the
+    held-out rows speaker by speaker, the rest in index order, and the same
+    draws."""
     rng = np.random.default_rng(31)
     counts = rng.integers(1, 10, size=60)
     counts[::4] = 1                                    # 1-member speakers
     ids = rng.choice(500, size=60, replace=False)      # labels with gaps
     labels = rng.permutation(np.repeat(ids, counts))
     utts = [f"utt{k:04d}" for k in rng.permutation(labels.size)]
-    split = tr._validation_split(utts, labels, fraction)
-    assert split == ref_validation_split(utts, labels, fraction)
-    assert fraction == 0 or len(split) > 0
+    for seed in (None, 7):
+        drawing = None if seed is None else np.random.default_rng(seed)
+        reference = None if seed is None else np.random.default_rng(seed)
+        train, held = bk.held_out_split(labels, fraction, drawing)
+        assert [utts[i] for i in held] == ref_validation_split(utts, labels, fraction,
+                                                              reference)
+        assert np.array_equal(train, np.setdiff1d(np.arange(labels.size), held))
+        assert fraction == 0 or len(held) > 0
+        if seed is not None:
+            assert drawing.bit_generator.state == reference.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
