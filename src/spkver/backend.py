@@ -405,7 +405,7 @@ def plda_preprocess(model: PldaModel, x) -> np.ndarray:
     return e
 
 
-def plda_fit(embeddings, labels, n_iter: int = 15, lda_dim: int | None = None,
+def plda_fit(embeddings, labels, n_iter: int, lda_dim: int | None = None,
              length_norm: bool = True) -> PldaModel:
     """Fit the two-covariance model by EM over per-speaker latent means.
 

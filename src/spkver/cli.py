@@ -2,6 +2,8 @@
 
 Subcommands: synth, mfcc, train, extract, backend-train, score, eval,
 gradcheck.  Exit codes: 0 success, 1 usage error, 2 runtime failure.
+The value options of synth and mfcc set fields of ``SyntheticCorpusSpec``
+and ``FrontendConfig``; an option not given keeps its field's default.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +37,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _record(cls, args):
+    """A ``cls`` from the options given, each the field its ``dest`` names;
+    a field whose option was not given keeps its default."""
+    given = {f.name: getattr(args, f.name) for f in fields(cls)}
+    return cls(**{name: value for name, value in given.items() if value is not None})
+
+
 def _cmd_synth(args) -> int:
-    spec = SyntheticCorpusSpec(
-        n_speakers=args.n_speakers, utts_per_speaker=args.utts_per_speaker,
-        utterance_s=args.seconds, feature_dim=args.dim,
-        frame_shift_ms=args.frame_shift_ms, separation=args.separation,
-        mixture_components=args.components, mixture_spread=args.mixture_spread,
-        channel_scale=args.channel_scale, noise_scale=args.noise_scale,
-        seed=args.seed, speaker_prefix=args.prefix)
+    spec = _record(SyntheticCorpusSpec, args)
     features, utt2spk = generate_synthetic_corpus(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -52,13 +56,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_mfcc(args) -> int:
-    cfg = FrontendConfig(frame_length_ms=args.frame_length_ms,
-                         frame_shift_ms=args.frame_shift_ms,
-                         preemphasis=args.preemphasis,
-                         n_mel_filters=args.mel_filters,
-                         n_cepstra=args.cepstra,
-                         cmn_window_s=args.cmn_window_s,
-                         vad_energy_offset=args.vad_offset)
+    cfg = _record(FrontendConfig, args)
     paths = [Path(p) for p in args.wav]
     if args.wav_dir:
         paths += sorted(Path(args.wav_dir).glob("*.wav"))
@@ -213,31 +211,31 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n-speakers", type=int, default=8)
-    p.add_argument("--utts-per-speaker", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=6.0)
-    p.add_argument("--dim", type=int, default=23)
-    p.add_argument("--frame-shift-ms", type=float, default=10.0)
-    p.add_argument("--separation", type=float, default=1.0)
-    p.add_argument("--components", type=int, default=4)
-    p.add_argument("--mixture-spread", type=float, default=0.5)
-    p.add_argument("--channel-scale", type=float, default=0.2)
-    p.add_argument("--noise-scale", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prefix", default="spk")
+    p.add_argument("--n-speakers", type=int)
+    p.add_argument("--utts-per-speaker", type=int)
+    p.add_argument("--seconds", type=float, dest="utterance_s")
+    p.add_argument("--dim", type=int, dest="feature_dim")
+    p.add_argument("--frame-shift-ms", type=float)
+    p.add_argument("--separation", type=float)
+    p.add_argument("--components", type=int, dest="mixture_components")
+    p.add_argument("--mixture-spread", type=float)
+    p.add_argument("--channel-scale", type=float)
+    p.add_argument("--noise-scale", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--prefix", dest="speaker_prefix")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("mfcc", help="extract voiced, normalized MFCC features")
     p.add_argument("--wav", nargs="*", default=[])
     p.add_argument("--wav-dir")
     p.add_argument("--out", required=True)
-    p.add_argument("--frame-length-ms", type=float, default=25.0)
-    p.add_argument("--frame-shift-ms", type=float, default=10.0)
-    p.add_argument("--preemphasis", type=float, default=0.97)
-    p.add_argument("--mel-filters", type=int, default=23)
-    p.add_argument("--cepstra", type=int, default=23)
-    p.add_argument("--cmn-window-s", type=float, default=3.0)
-    p.add_argument("--vad-offset", type=float, default=0.0)
+    p.add_argument("--frame-length-ms", type=float)
+    p.add_argument("--frame-shift-ms", type=float)
+    p.add_argument("--preemphasis", type=float)
+    p.add_argument("--mel-filters", type=int, dest="n_mel_filters")
+    p.add_argument("--cepstra", type=int, dest="n_cepstra")
+    p.add_argument("--cmn-window-s", type=float)
+    p.add_argument("--vad-offset", type=float, dest="vad_energy_offset")
     p.add_argument("--no-vad", action="store_true")
     p.add_argument("--no-cmn", action="store_true")
     p.set_defaults(func=_cmd_mfcc)

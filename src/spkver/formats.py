@@ -38,6 +38,7 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 
 from .models import ARCHS, check_width_scale, model_from_arch_dict, parameter_table
+from .objectives import MARGINS
 
 MAGIC = b"SPKVTAR\x00"
 FORMAT_VERSION = 1
@@ -321,10 +322,16 @@ class ExperimentConfig:
             raise ValueError(f"unknown architecture {self.arch!r}")
         if self.loss not in ("softmax", "asoftmax"):
             raise ValueError(f"unknown loss {self.loss!r}")
+        if self.margin not in MARGINS:
+            raise ValueError(f"margin is {self.margin}, needs one of {MARGINS}")
         check_width_scale(self.width_scale)
         for key in ("resnet_blocks", "in_dim", "batch_size", "steps_per_epoch"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} is {getattr(self, key)}, needs at least 1")
+        for key in ("learning_rate", "momentum", "lr_decay", "grad_clip", "lambda_start",
+                    "lambda_decay", "lambda_floor"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ValueError(f"{key} is {getattr(self, key)}, needs a finite value >= 0")
         if not 0 < self.segment_min_s <= self.segment_max_s < math.inf:
             raise ValueError("segment range needs 0 < segment_min_s <= segment_max_s < inf")
         if not 0 <= self.val_fraction <= 1:

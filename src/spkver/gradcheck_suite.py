@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from . import models as md
 from .autodiff import Tensor, grad_check
-from .objectives import MarginConfig, asoftmax_loss, softmax_ce
+from .objectives import asoftmax_loss, softmax_ce
 
 TOLERANCE = 1e-4
 
@@ -70,8 +70,7 @@ def op_checks(seed: int = 0):
     feats = Tensor(rng.standard_normal((5, 8)), requires_grad=True, name="feats")
     weights = Tensor(rng.standard_normal((8, 4)), requires_grad=True, name="weights")
     alabels = rng.integers(0, 4, size=5)
-    cfg = MarginConfig(m=2, anneal_lambda=0.5)
-    checks.append(("asoftmax", lambda: asoftmax_loss(feats, weights, alabels, cfg),
+    checks.append(("asoftmax", lambda: asoftmax_loss(feats, weights, alabels, m=2, lam=0.5),
                    {"feats": feats, "weights": weights}))
     return checks
 

@@ -166,7 +166,7 @@ def parse_scores(text: str) -> ScoreSet:
     return ScoreSet(is_target, scores, enroll, test)
 
 
-def summarize(score_set: ScoreSet, p_targets=(0.01, 0.001)) -> dict[str, float]:
+def summarize(score_set: ScoreSet, p_targets) -> dict[str, float]:
     """Metric name -> value record for reporting, from one ``detection_points`` sweep."""
     points = detection_points(*score_set.split())
     out = {"eer": _eer(*points)}

@@ -7,73 +7,29 @@ cos(m * theta):
     psi(theta) = (-1)^k cos(m theta) - 2k   for theta in [k pi/m, (k+1) pi/m]
 
 Non-target logits stay ||x|| cos(theta_j) against unit-norm classifier
-columns.  An optional annealing weight mixes the margined target logit
-with the plain cosine logit as (psi + lambda cos) / (1 + lambda), which
-stabilizes early training when lambda is large.
+columns.  An annealing weight lambda mixes the margined target logit with
+the plain cosine logit as (psi + lambda cos) / (1 + lambda), which
+stabilizes early training when lambda is large.  The margin m (one of
+``MARGINS``) and lambda are plain arguments of ``asoftmax_loss``; their
+range checks live in ``formats.ExperimentConfig``, and lambda's per-step
+decay in ``training.train_extractor``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
 
-
-@dataclass
-class MarginConfig:
-    """Integer angular margin and the current annealing weight."""
-
-    m: int = 2
-    anneal_lambda: float = 0.0
-
-    def __post_init__(self):
-        if self.m not in (1, 2, 3, 4):
-            raise ValueError("margin m must be in {1, 2, 3, 4}")
-        if self.anneal_lambda < 0:
-            raise ValueError("anneal_lambda must be non-negative")
-
-
-@dataclass
-class LambdaSchedule:
-    """Multiplicative decay of the annealing weight, floored.
-
-    value(step) = max(floor, start * decay ** step).
-    """
-
-    start: float = 1000.0
-    decay: float = 0.99
-    floor: float = 5.0
-
-    def value(self, step: int) -> float:
-        return max(self.floor, self.start * self.decay ** step)
-
-
-def _cos_multiple(c: np.ndarray, m: int) -> np.ndarray:
-    """cos(m * theta) as a polynomial in c = cos(theta)."""
-    if m == 1:
-        return c
-    if m == 2:
-        return 2.0 * c * c - 1.0
-    if m == 3:
-        return (4.0 * c * c - 3.0) * c
-    if m == 4:
-        c2 = c * c
-        return 8.0 * c2 * c2 - 8.0 * c2 + 1.0
-    raise ValueError("margin m must be in {1, 2, 3, 4}")
-
-
-def _dcos_multiple(c: np.ndarray, m: int) -> np.ndarray:
-    if m == 1:
-        return np.ones_like(c)
-    if m == 2:
-        return 4.0 * c
-    if m == 3:
-        return 12.0 * c * c - 3.0
-    if m == 4:
-        return (32.0 * c * c - 16.0) * c
-    raise ValueError("margin m must be in {1, 2, 3, 4}")
+# (cos(m theta), d cos(m theta) / dc) as polynomials in c = cos(theta), by margin m.
+_COS_MULTIPLE = {
+    1: (lambda c: c, np.ones_like),
+    2: (lambda c: 2.0 * c * c - 1.0, lambda c: 4.0 * c),
+    3: (lambda c: (4.0 * c * c - 3.0) * c, lambda c: 12.0 * c * c - 3.0),
+    4: (lambda c: 8.0 * (c * c) * (c * c) - 8.0 * (c * c) + 1.0,
+        lambda c: (32.0 * c * c - 16.0) * c),
+}
+MARGINS = tuple(_COS_MULTIPLE)
 
 
 def _interval_index(c: np.ndarray, m: int) -> np.ndarray:
@@ -90,12 +46,30 @@ def psi_of_cos(c, m: int):
     c = np.clip(np.asarray(c, dtype=np.float64), -1.0, 1.0)
     k = _interval_index(c, m)
     sign = np.where(k % 2 == 0, 1.0, -1.0)
-    return sign * _cos_multiple(c, m) - 2.0 * k, sign * _dcos_multiple(c, m)
+    cos_m, dcos_m = _COS_MULTIPLE[m]
+    return sign * cos_m(c) - 2.0 * k, sign * dcos_m(c)
 
 
 def _check_labels(labels: np.ndarray, n_classes: int):
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError("invalid label: out of range")
+
+
+def _cross_entropy(z: np.ndarray, labels: np.ndarray):
+    """Mean negative log softmax probability of ``labels`` under the rows of
+    ``z``, and the function of the upstream gradient that gives d loss / d z."""
+    b = z.shape[0]
+    rows = np.arange(b)
+    zmax = z.max(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+    loss = float(np.mean(lse - z[rows, labels]))
+
+    def grad(g):
+        p = np.exp(z - lse[:, None])
+        p[rows, labels] -= 1.0
+        return float(g) * p / b
+
+    return loss, grad
 
 
 def softmax_ce(logits: Tensor, labels) -> Tensor:
@@ -105,26 +79,18 @@ def softmax_ce(logits: Tensor, labels) -> Tensor:
     if z.ndim != 2 or labels.shape != (z.shape[0],):
         raise ValueError("dimension error: logits (B, N) and one label per row")
     _check_labels(labels, z.shape[1])
-    b = z.shape[0]
-    zmax = z.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-    loss = float(np.mean(lse - z[np.arange(b), labels]))
-
-    def backward(g):
-        p = np.exp(z - lse[:, None])
-        p[np.arange(b), labels] -= 1.0
-        return (float(g) * p / b,)
-
-    return Tensor(loss, parents=(logits,), backward=backward)
+    loss, grad = _cross_entropy(z, labels)
+    return Tensor(loss, parents=(logits,), backward=lambda g: (grad(g),))
 
 
-def asoftmax_loss(x: Tensor, w: Tensor, labels, cfg: MarginConfig) -> Tensor:
+def asoftmax_loss(x: Tensor, w: Tensor, labels, m: int, lam: float) -> Tensor:
     """Angular-margin softmax cross-entropy over a feature batch.
 
     ``x`` holds pre-classifier features (B, D); ``w`` the raw classifier
     weights (D, N), whose columns are renormalized to unit length inside
     the graph, so the loss is invariant to positive column rescaling.
-    The margin applies to the target class logit only.
+    The margin ``m`` (one of ``MARGINS``) applies to the target class logit
+    only, mixed with its plain cosine logit by the annealing weight ``lam``.
     """
     labels = np.asarray(labels, dtype=np.intp)
     xv, wv = x.data, w.data
@@ -134,8 +100,7 @@ def asoftmax_loss(x: Tensor, w: Tensor, labels, cfg: MarginConfig) -> Tensor:
         raise ValueError("dimension error: one label per feature row")
     _check_labels(labels, wv.shape[1])
 
-    b = xv.shape[0]
-    rows = np.arange(b)
+    rows = np.arange(xv.shape[0])
     w_norms = np.linalg.norm(wv, axis=0)
     if np.any(w_norms < 1e-12):
         raise ValueError("degenerate classifier column: zero norm")
@@ -146,19 +111,13 @@ def asoftmax_loss(x: Tensor, w: Tensor, labels, cfg: MarginConfig) -> Tensor:
 
     plain = xv @ w_hat                       # ||x|| cos(theta), all classes
     ct = np.clip(plain[rows, labels] / x_norms, -1.0, 1.0)
-    lam = cfg.anneal_lambda
-    psi, dpsi = psi_of_cos(ct, cfg.m)
+    psi, dpsi = psi_of_cos(ct, m)
     logits = plain.copy()
     logits[rows, labels] = x_norms * (psi + lam * ct) / (1.0 + lam)
-
-    zmax = logits.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
-    loss = float(np.mean(lse - logits[rows, labels]))
+    loss, ce_grad = _cross_entropy(logits, labels)
 
     def backward(g):
-        p = np.exp(logits - lse[:, None])
-        p[rows, labels] -= 1.0
-        grad_logits = float(g) * p / b
+        grad_logits = ce_grad(g)
 
         # Plain-logit part for every entry, then swap in the true target rule.
         gx = grad_logits @ w_hat.T

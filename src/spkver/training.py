@@ -38,7 +38,7 @@ from . import models as m
 from .backend import all_pairs_eer, has_both_trial_kinds, held_out_split
 from .corpus import sample_segments, segment_frame_bounds
 from .formats import ExperimentConfig, load_checkpoint, save_checkpoint
-from .objectives import LambdaSchedule, MarginConfig, asoftmax_loss, softmax_ce
+from .objectives import asoftmax_loss, softmax_ce
 
 # A batch loss above this multiple of ln(C), the chance-level loss for C
 # speakers, counts as divergence (see the module docstring).
@@ -134,7 +134,7 @@ def batch_loss(model: m.ExtractorModel, segments: list[np.ndarray], labels: np.n
     if cfg.loss == "softmax":
         return softmax_ce(m.classifier_graph(model, emb), labels)
     w = model.params["classifier.w"]
-    return asoftmax_loss(emb, w, labels, MarginConfig(cfg.margin, lam))
+    return asoftmax_loss(emb, w, labels, cfg.margin, lam)
 
 
 @dataclass
@@ -168,7 +168,10 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
     The validation utterances come from ``backend.held_out_split``: of each
     speaker's utterances long enough for a segment, the first
     ``cfg.val_fraction`` by id, scored speaker by speaker.  Without both
-    trial kinds among them, no epoch is validated and all of them train.
+    trial kinds among them, no epoch is validated and all of them train;
+    a split that leaves none to train raises ValueError naming val_fraction.
+    Step s of an A-softmax run has annealing weight
+    ``max(lambda_floor, lambda_start * lambda_decay ** s)``.
     Aborts with a "training diverged" RuntimeError naming the step, epoch,
     lr, offending value and bound when a batch loss is non-finite or above
     ``DIVERGENCE_FACTOR * ln(C)`` for C training speakers (checked before
@@ -214,9 +217,11 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
     train_rows, val_rows = usable[train_rows], usable[val_rows]
     if not has_both_trial_kinds(labels[val_rows]):
         train_rows, val_rows = usable, usable[:0]
+    if not train_rows.size:
+        raise ValueError(f"val_fraction = {cfg.val_fraction:g} holds out every usable "
+                         f"utterance: the training set is empty")
 
     loss_bound = DIVERGENCE_FACTOR * np.log(len(speakers))
-    schedule = LambdaSchedule(cfg.lambda_start, cfg.lambda_decay, cfg.lambda_floor)
     step = result.final_step
     for epoch in range(result.epoch, cfg.epochs):
         lr = cfg.learning_rate * cfg.lr_decay ** epoch
@@ -226,7 +231,8 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
             segments = sample_segments([features[utts[i]] for i in picks],
                                        (seg_lo, max_frames), rng)
 
-            lam = schedule.value(step) if cfg.loss == "asoftmax" else 0.0
+            lam = (max(cfg.lambda_floor, cfg.lambda_start * cfg.lambda_decay ** step)
+                   if cfg.loss == "asoftmax" else 0.0)
             model.params.zero_grad()
             loss = batch_loss(model, segments, labels[picks], cfg, lam)
             value = float(loss.data)

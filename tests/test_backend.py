@@ -805,7 +805,7 @@ def test_plda_fit_requires_multisample_classes():
     rng = np.random.default_rng(21)
     emb = rng.standard_normal((3, 4))
     with pytest.raises(ValueError, match="2 classes"):
-        plda_fit(emb, np.array([0, 1, 2]))
+        plda_fit(emb, np.array([0, 1, 2]), n_iter=15)
 
 
 def loop_scatter_matrices(e, labels):

@@ -1,11 +1,13 @@
 """End-to-end CLI behavior: subcommand plumbing, exit codes, and
 equality with the library-level results."""
 
+import argparse
 import math
 import os
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,9 @@ from spkver import formats as fm
 from spkver import metrics as mt
 from spkver import models as md
 from spkver import training as tr
-from spkver.cli import main
+from spkver.cli import build_parser, main
+from spkver.corpus import SyntheticCorpusSpec, generate_synthetic_corpus
+from spkver.frontend import FrontendConfig, read_wav, voiced_features
 
 
 def write_wav(path, samples, rate):
@@ -65,6 +69,41 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 1
 
 
+def subparsers():
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", [None, *subparsers()])
+def test_every_help_exits_0(capsys, command):
+    code, out, _ = run(capsys, *([command] if command else []), "--help")
+    assert code == 0 and "usage:" in out
+
+
+@pytest.mark.parametrize("command,record,paths", [
+    ("synth", SyntheticCorpusSpec, {"out_dir"}),
+    ("mfcc", FrontendConfig, {"wav", "wav_dir", "out"}),
+])
+def test_value_options_set_their_record_fields(command, record, paths):
+    """Every option but the paths and switches (nargs 0) is one field of the
+    record, under the field's name and without a default of its own, so an
+    option not given keeps the field's default and a misspelt ``dest`` fails."""
+    values = [a for a in subparsers()[command]._actions if a.nargs != 0 and a.dest not in paths]
+    assert sorted(a.dest for a in values) == sorted(f.name for f in fields(record))
+    assert all(a.default is None for a in values)
+
+
+def test_synth_without_options_writes_the_default_corpus(capsys, tmp_path):
+    code, _, err = run(capsys, "synth", "--out-dir", str(tmp_path / "cli"))
+    assert code == 0, err
+    spec = SyntheticCorpusSpec()
+    features, utt2spk = generate_synthetic_corpus(spec)
+    fm.write_features(tmp_path / "lib.bin", features, spec.frame_shift_ms)
+    fm.write_utt2spk(tmp_path / "lib.txt", utt2spk)
+    assert (tmp_path / "cli" / "feats.bin").read_bytes() == (tmp_path / "lib.bin").read_bytes()
+    assert (tmp_path / "cli" / "utt2spk.txt").read_bytes() == (tmp_path / "lib.txt").read_bytes()
+
+
 def test_synth_writes_deterministic_corpus(capsys, tmp_path):
     for name in ("a", "b"):
         code, _, _ = run(capsys, "synth", "--out-dir", str(tmp_path / name),
@@ -103,6 +142,10 @@ def test_mfcc_subcommand(capsys, tmp_path):
     feats, meta = fm.read_features(out)
     assert set(feats) == {"utt0", "utt1"}
     assert meta["dim"] == 23
+    cfg = FrontendConfig()
+    fm.write_features(tmp_path / "lib.bin", {f"utt{i}": voiced_features(
+        read_wav(tmp_path / f"utt{i}.wav"), cfg) for i in range(2)}, cfg.frame_shift_ms)
+    assert out.read_bytes() == (tmp_path / "lib.bin").read_bytes()
 
 
 def riff(*chunks):

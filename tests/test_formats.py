@@ -414,9 +414,21 @@ def test_malformed_config_names_path_and_exits_2(tmp_path, capsys, text):
      "segment range needs 0 < segment_min_s <= segment_max_s < inf"),
     ("[data]\nval_fraction = nan\n", "val_fraction is nan, needs 0 to 1"),
     ("[data]\nval_fraction = 1.5\n", "val_fraction is 1.5, needs 0 to 1"),
+    ("[loss]\nmargin = 5\n", "margin is 5, needs one of (1, 2, 3, 4)"),
+    ("[loss]\nloss = softmax\nmargin = 5\n", "margin is 5, needs one of (1, 2, 3, 4)"),
+    ("[loss]\nlambda_start = nan\n", "lambda_start is nan, needs a finite value >= 0"),
+    ("[loss]\nlambda_start = -1\n", "lambda_start is -1.0, needs a finite value >= 0"),
+    ("[loss]\nlambda_decay = inf\n", "lambda_decay is inf, needs a finite value >= 0"),
+    ("[loss]\nlambda_floor = nan\n", "lambda_floor is nan, needs a finite value >= 0"),
+    ("[optimizer]\nlearning_rate = nan\n", "learning_rate is nan, needs a finite value >= 0"),
+    ("[optimizer]\nmomentum = -0.5\n", "momentum is -0.5, needs a finite value >= 0"),
+    ("[optimizer]\nlr_decay = -2\n", "lr_decay is -2.0, needs a finite value >= 0"),
+    ("[optimizer]\ngrad_clip = nan\n", "grad_clip is nan, needs a finite value >= 0"),
 ], ids=["inf-width_scale", "nan-width_scale", "negative-width_scale", "zero-resnet_blocks",
         "zero-in_dim", "zero-batch_size", "zero-steps_per_epoch", "infinite-segments",
-        "nan-val_fraction", "above-one-val_fraction"])
+        "nan-val_fraction", "above-one-val_fraction", "asoftmax-margin-5", "softmax-margin-5",
+        "nan-lambda_start", "negative-lambda_start", "inf-lambda_decay", "nan-lambda_floor",
+        "nan-learning_rate", "negative-momentum", "negative-lr_decay", "nan-grad_clip"])
 def test_config_value_out_of_range_names_path_and_key(tmp_path, capsys, text, message):
     """Each value would end training in a traceback, a NaN loss or a net of
     width-2 layers; it is rejected when the file is read."""

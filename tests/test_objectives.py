@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from spkver.autodiff import Tensor, grad_check
-from spkver.objectives import (LambdaSchedule, MarginConfig, asoftmax_loss,
-                               psi_of_cos, softmax_ce)
+from spkver.objectives import asoftmax_loss, psi_of_cos, softmax_ce
 
 
 def unit_columns(w):
@@ -91,8 +90,7 @@ def test_margin_free_equals_cosine_softmax():
         x = rng.standard_normal((b, d)) * 2
         w = rng.standard_normal((d, n))
         labels = rng.integers(0, n, size=b)
-        ours = float(asoftmax_loss(Tensor(x), Tensor(w), labels,
-                                   MarginConfig(m=1, anneal_lambda=0.0)).data)
+        ours = float(asoftmax_loss(Tensor(x), Tensor(w), labels, m=1, lam=0.0).data)
         ref = float(softmax_ce(Tensor(x @ unit_columns(w)), labels).data)
         assert abs(ours - ref) < 1e-10
 
@@ -120,7 +118,7 @@ def test_asoftmax_matches_arccos_oracle():
         direct += -np.log(np.exp(logits[labels[i]]) / np.exp(logits).sum())
     direct /= b
 
-    ours = float(asoftmax_loss(Tensor(x), Tensor(w), labels, MarginConfig(m=m)).data)
+    ours = float(asoftmax_loss(Tensor(x), Tensor(w), labels, m=m, lam=0.0).data)
     assert ours == pytest.approx(direct, abs=1e-10)
 
 
@@ -140,8 +138,7 @@ def test_asoftmax_annealed_target_logit():
         logits = xn * cos
         logits[labels[i]] = xn * (psi + lam * cos[labels[i]]) / (1 + lam)
         direct += -np.log(np.exp(logits[labels[i]]) / np.exp(logits).sum())
-    ours = float(asoftmax_loss(Tensor(x), Tensor(w), labels,
-                               MarginConfig(m=2, anneal_lambda=lam)).data)
+    ours = float(asoftmax_loss(Tensor(x), Tensor(w), labels, m=2, lam=lam).data)
     assert ours == pytest.approx(direct / b, abs=1e-10)
 
 
@@ -150,10 +147,9 @@ def test_asoftmax_invariant_to_column_rescaling():
     x = rng.standard_normal((6, 8))
     w = rng.standard_normal((8, 5))
     labels = rng.integers(0, 5, size=6)
-    cfg = MarginConfig(m=2)
-    base = float(asoftmax_loss(Tensor(x), Tensor(w), labels, cfg).data)
+    base = float(asoftmax_loss(Tensor(x), Tensor(w), labels, m=2, lam=0.0).data)
     scaled = w * rng.uniform(0.1, 10.0, size=5)[None, :]
-    rescaled = float(asoftmax_loss(Tensor(x), Tensor(scaled), labels, cfg).data)
+    rescaled = float(asoftmax_loss(Tensor(x), Tensor(scaled), labels, m=2, lam=0.0).data)
     assert abs(base - rescaled) < 1e-10
 
 
@@ -170,8 +166,8 @@ def test_margin_two_never_easier_than_margin_one():
                           for i in range(3)])
         if not np.all((cos_t > 1e-6) & (cos_t < 1 - 1e-6)):
             continue
-        l1 = float(asoftmax_loss(Tensor(x), Tensor(w), labels, MarginConfig(m=1)).data)
-        l2 = float(asoftmax_loss(Tensor(x), Tensor(w), labels, MarginConfig(m=2)).data)
+        l1 = float(asoftmax_loss(Tensor(x), Tensor(w), labels, m=1, lam=0.0).data)
+        l2 = float(asoftmax_loss(Tensor(x), Tensor(w), labels, m=2, lam=0.0).data)
         assert l2 >= l1 - 1e-12
         checked += 1
 
@@ -192,8 +188,7 @@ def test_asoftmax_gradient_away_from_boundaries(m, lam):
             break
     xt = Tensor(x, requires_grad=True)
     wt = Tensor(w, requires_grad=True)
-    cfg = MarginConfig(m=m, anneal_lambda=lam)
-    err = grad_check(lambda: asoftmax_loss(xt, wt, labels, cfg), {"x": xt, "w": wt})
+    err = grad_check(lambda: asoftmax_loss(xt, wt, labels, m, lam), {"x": xt, "w": wt})
     assert err < 1e-4
 
 
@@ -201,22 +196,9 @@ def test_asoftmax_degenerate_inputs():
     x = np.ones((2, 3))
     x[1] = 0.0
     with pytest.raises(ValueError, match="degenerate feature vector"):
-        asoftmax_loss(Tensor(x), Tensor(np.ones((3, 2))), [0, 1], MarginConfig())
+        asoftmax_loss(Tensor(x), Tensor(np.ones((3, 2))), [0, 1], m=2, lam=0.0)
     w = np.ones((3, 2))
     w[:, 1] = 0.0
     with pytest.raises(ValueError, match="degenerate classifier column"):
-        asoftmax_loss(Tensor(np.ones((2, 3))), Tensor(w), [0, 1], MarginConfig())
+        asoftmax_loss(Tensor(np.ones((2, 3))), Tensor(w), [0, 1], m=2, lam=0.0)
 
-
-def test_margin_config_validation():
-    with pytest.raises(ValueError):
-        MarginConfig(m=5)
-    with pytest.raises(ValueError):
-        MarginConfig(m=2, anneal_lambda=-1.0)
-
-
-def test_lambda_schedule():
-    sched = LambdaSchedule(start=1000.0, decay=0.99, floor=5.0)
-    assert sched.value(0) == 1000.0
-    assert sched.value(1) == pytest.approx(990.0)
-    assert sched.value(10_000) == 5.0

@@ -18,6 +18,7 @@ from spkver import training as tr
 from spkver.autodiff import ParameterSet
 from spkver.corpus import SyntheticCorpusSpec, generate_synthetic_corpus
 from spkver.formats import ExperimentConfig
+from spkver.objectives import asoftmax_loss
 
 
 def tiny_corpus(seed=0, n_speakers=2, utts=10, seconds=3.0):
@@ -227,6 +228,29 @@ def test_asoftmax_training_runs_and_descends():
                       steps_per_epoch=6, learning_rate=0.1)
     result = tr.train_extractor(features, utt2spk, cfg)
     assert result.history[-1]["loss"] < result.history[0]["loss"]
+
+
+def test_asoftmax_lambda_is_the_floored_decay_of_each_step(monkeypatch):
+    seen = []
+
+    def spy(x, w, labels, m, lam):
+        seen.append(lam)
+        return asoftmax_loss(x, w, labels, m, lam)
+    monkeypatch.setattr(tr, "asoftmax_loss", spy)
+    features, utt2spk = tiny_corpus(n_speakers=3, utts=8)
+    cfg = tiny_config(loss="asoftmax", lambda_start=100.0, lambda_decay=0.5, lambda_floor=5.0)
+    tr.train_extractor(features, utt2spk, cfg)
+    assert seen == [max(5.0, 100.0 * 0.5 ** step) for step in range(8)]
+    assert seen[0] == 100.0 and seen[-1] == 5.0          # the run reaches the floor
+
+
+@pytest.mark.parametrize("fraction", [1.0, 0.9])
+def test_split_that_leaves_no_training_utterance_names_val_fraction(fraction):
+    """Each of 3 x 4 utterances is held out (round(0.9 * 4) = 4)."""
+    features, utt2spk = tiny_corpus(n_speakers=3, utts=4)
+    with pytest.raises(ValueError, match=f"val_fraction = {fraction:g} holds out every usable "
+                                         f"utterance: the training set is empty"):
+        tr.train_extractor(features, utt2spk, tiny_config(val_fraction=fraction))
 
 
 def ref_validation_split(usable, usable_labels, fraction, rng=None):
