@@ -341,10 +341,10 @@ def mfm(x: Tensor) -> Tensor:
     return Tensor(out, parents=(x,), backward=backward)
 
 
-def stats_pool(x: Tensor, eps: float = 1e-8) -> Tensor:
+def stats_pool(x: Tensor) -> Tensor:
     """Concatenate per-channel mean and standard deviation over frames.
 
-    (T, C) -> (2C,).  The epsilon inside sqrt keeps the std branch
+    (T, C) -> (2C,).  The epsilon 1e-8 inside sqrt keeps the std branch
     differentiable on constant channels.
     """
     xv = _as2d(x, "stats_pool")
@@ -352,7 +352,7 @@ def stats_pool(x: Tensor, eps: float = 1e-8) -> Tensor:
     mean = xv.mean(axis=0)
     centered = xv - mean
     var = (centered ** 2).mean(axis=0)
-    std = np.sqrt(var + eps)
+    std = np.sqrt(var + 1e-8)
     out = np.concatenate([mean, std])
 
     def backward(g):

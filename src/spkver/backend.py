@@ -1,8 +1,8 @@
 """Embedding scoring backends.
 
 Cosine scoring, a learnable upper-triangular cosine transform trained with
-a triplet ranking loss over hard-mined negatives, development-set centering,
-LDA, and a two-covariance PLDA with closed-form likelihood-ratio scoring.
+a triplet ranking loss over hard-mined negatives, LDA, and a two-covariance
+PLDA with closed-form likelihood-ratio scoring.
 
 One scoring path serves trial lists and the validation pairs of
 ``all_pairs_eer``: ``scoring_rows`` preprocesses each utterance once (unit
@@ -121,12 +121,6 @@ def _csml_rows(a, embeddings):
     return e, norms, u_hat, u_hat @ u_hat.T
 
 
-def _triplet_weights(d):
-    """dL/dd = -1 / (1 + exp(d)) per triplet; d is a difference of two cosines,
-    so it lies in [-2, 2] and exp(d) is finite."""
-    return -1.0 / (1.0 + np.exp(d))
-
-
 def triplet_loss_and_grad(rows, triplets, need_grad: bool = True):
     """Triplet ranking loss, the sum over triplets of log(1 + exp(-(s_ap - s_an)))
     under CSML scores, and its gradient w.r.t. the transform (None unless
@@ -151,7 +145,9 @@ def triplet_loss_and_grad(rows, triplets, need_grad: bool = True):
     if not need_grad:
         return loss, None
 
-    w = _triplet_weights(d)
+    # dL/dd per triplet; d is a difference of two cosines, so it lies in [-2, 2]
+    # and exp(d) is finite
+    w = -1.0 / (1.0 + np.exp(d))
     g = np.bincount(np.concatenate([ai * n + pi, ai * n + ni]), np.concatenate([w, -w]),
                     minlength=n * n).reshape(n, n)
     g += g.T
@@ -160,7 +156,7 @@ def triplet_loss_and_grad(rows, triplets, need_grad: bool = True):
     return loss, np.triu(gu.T @ e)
 
 
-def mine_triplets(rows, labels, n_hard: int, max_triplets: int | None, rng) -> np.ndarray:
+def mine_triplets(rows, labels, n_hard: int, max_triplets: int, rng) -> np.ndarray:
     """Build (anchor, positive, negative) index triplets as an (n, 3) array.
 
     ``rows`` are the current transform's ``_csml_rows``.  Every embedding with
@@ -169,9 +165,9 @@ def mine_triplets(rows, labels, n_hard: int, max_triplets: int | None, rng) -> n
     embeddings under the transform (ties broken by index).  Rows run anchor by
     anchor, positive-major, with each positive's negatives in score order.
 
-    With ``max_triplets`` not None and more rows than that, ``rng`` draws which
-    rows to keep (``rng.choice(total, max_triplets, replace=False)``) and
-    only those are built, in row order.
+    With more rows than ``max_triplets``, ``rng`` draws which rows to keep
+    (``rng.choice(total, max_triplets, replace=False)``) and only those are
+    built, in row order.
     """
     group, sizes, members, starts = _groups(labels)
     n = group.size
@@ -183,9 +179,7 @@ def mine_triplets(rows, labels, n_hard: int, max_triplets: int | None, rng) -> n
     total = int(counts.sum())
     if total == 0:
         raise ValueError("insufficient positives: need at least two speakers")
-    if max_triplets is not None and total > max_triplets:
-        if rng is None:
-            raise ValueError(f"max_triplets={max_triplets} of {total} needs a generator (rng)")
+    if total > max_triplets:
         kept = np.sort(rng.choice(total, size=max_triplets, replace=False))
     else:
         kept = np.arange(total)
@@ -276,16 +270,7 @@ def train_csml(embeddings, labels, *, epochs: int, n_hard: int, max_triplets: in
 
 
 # ---------------------------------------------------------------------------
-# centering, LDA, PLDA
-
-
-def center(embeddings, dev_mean) -> np.ndarray:
-    """Subtract an in-domain development-set mean from every embedding."""
-    e = np.asarray(embeddings, dtype=np.float64)
-    mean = np.asarray(dev_mean, dtype=np.float64)
-    if mean.shape != (e.shape[-1],):
-        raise ValueError("dimension error: mean length must match embedding dim")
-    return e - mean
+# LDA, PLDA
 
 
 def length_normalize(embeddings) -> np.ndarray:
@@ -296,20 +281,13 @@ def length_normalize(embeddings) -> np.ndarray:
     return e / norms
 
 
-def _class_stats(e: np.ndarray, labels: np.ndarray):
-    """Each row's class index, the class sizes and the class means (classes in
-    ``np.unique`` order), from one stable sort of the rows by class and one
-    ``np.add.reduceat`` over the resulting runs."""
-    index, counts, order, starts = _groups(labels)
-    sums = np.add.reduceat(e[order], starts, axis=0)
-    return index, counts, sums / counts[:, None]
-
-
 def _scatter_matrices(embeddings, labels):
     """Within- and between-class scatter divided by the row count, the global
-    mean, the class sizes and the class means."""
+    mean, the class sizes and the class means (classes in ``np.unique`` order;
+    the means from one ``np.add.reduceat`` over the rows sorted by class)."""
     e = np.asarray(embeddings, dtype=np.float64)
-    index, counts, means = _class_stats(e, np.asarray(labels))
+    index, counts, order, starts = _groups(labels)
+    means = np.add.reduceat(e[order], starts, axis=0) / counts[:, None]
     n = e.shape[0]
     mean = e.mean(axis=0)
     centered = e - means[index]

@@ -62,8 +62,12 @@ def _cmd_mfcc(args) -> int:
         paths += sorted(Path(args.wav_dir).glob("*.wav"))
     if not paths:
         raise CliError("no input WAV files")
-    features = {}
+    features, source = {}, {}
     for path in paths:
+        if path.stem in source:
+            raise CliError(f"{source[path.stem]} and {path} both give utterance id "
+                           f"{path.stem!r}")
+        source[path.stem] = path
         waveform = read_wav(path)         # its errors name the file already
         try:
             feats = voiced_features(waveform, cfg, apply_vad=not args.no_vad,
@@ -80,6 +84,9 @@ def _cmd_train(args) -> int:
     cfg = fm.load_config(args.config) if args.config else fm.ExperimentConfig()
     features, meta = fm.read_features(args.features)
     utt2spk = fm.read_utt2spk(args.utt2spk)
+    missing = sorted(utt2spk.keys() - features.keys())
+    if missing:
+        raise CliError(f"{args.features}: no features for utt2spk id {missing[0]!r}")
     result = tr.train_extractor(features, utt2spk, cfg, log=print, resume=args.resume,
                                 best_out=args.best_out, frame_shift_ms=meta["frame_shift_ms"])
     tr.save_train_checkpoint(args.out, result, cfg)
@@ -165,7 +172,7 @@ def _cmd_score(args) -> int:
         if arrays["mean"].shape != matrix.shape[1:]:
             raise CliError(f"{args.center}: mean has {arrays['mean'].size} entries, "
                            f"embeddings have {matrix.shape[1]}")
-        matrix = bk.center(matrix, arrays["mean"])
+        matrix -= arrays["mean"]
     try:
         rows = bk.scoring_rows(model, matrix)
     except ValueError as exc:

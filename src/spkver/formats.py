@@ -57,8 +57,7 @@ _FILE_BUFFER = 1 << 18
 META_KEY = "__meta__"
 
 
-def write_archive(path, arrays: dict[str, np.ndarray], meta: dict | None = None,
-                  dtype: str = "f4"):
+def write_archive(path, arrays: dict[str, np.ndarray], meta: dict | None, dtype: str):
     """Write named arrays plus an optional JSON metadata record."""
     records: dict[str, tuple[int, bytes | memoryview, tuple[int, ...]]] = {}
     np_dtype = np.dtype("<" + dtype)
@@ -334,8 +333,9 @@ class ExperimentConfig:
                 raise ValueError(f"{key} is {getattr(self, key)}, needs a finite value >= 0")
         if not 0 < self.segment_min_s <= self.segment_max_s < math.inf:
             raise ValueError("segment range needs 0 < segment_min_s <= segment_max_s < inf")
-        if not 0 <= self.val_fraction <= 1:
-            raise ValueError(f"val_fraction is {self.val_fraction}, needs 0 to 1")
+        for key in ("lambda_decay", "val_fraction"):    # lambda_decay > 1: lambda overflows
+            if not 0 <= getattr(self, key) <= 1:
+                raise ValueError(f"{key} is {getattr(self, key)}, needs 0 to 1")
 
     def config_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True).encode("utf-8")

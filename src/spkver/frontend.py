@@ -6,8 +6,8 @@ telephone-band speech (any sample rate works): 25 ms frames at a 10 ms
 shift, 23 triangular mel filters between 20 Hz and Nyquist, 23 cepstra with
 the zeroth coefficient kept as an energy proxy.
 
-Nothing loops per frame: frames are strided views windowed into one
-zero-padded FFT buffer, and sliding CMN is one indexed cumulative sum.  The
+Nothing loops per frame: frames are strided views, windowed in one product
+and zero-padded by the FFT, and sliding CMN is one indexed cumulative sum.  The
 window, filterbank and DCT tables are cached read-only per frame length,
 filter count, cepstrum count and sample rate.  Features are bit-identical to
 the per-frame loops kept as an oracle in ``tests/test_frontend.py``.
@@ -130,17 +130,15 @@ def inverse_mel_scale(mel):
     return 700.0 * (10.0 ** (np.asarray(mel) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_filters: int, n_fft: int, sample_rate: int,
-                   low_hz: float = MEL_LOW_HZ, high_hz: float | None = None) -> np.ndarray:
+def mel_filterbank(n_filters: int, n_fft: int, sample_rate: int) -> np.ndarray:
     """Triangular mel filterbank weights of shape (n_filters, n_fft//2 + 1).
 
-    Filter edges are spaced uniformly on the mel scale between ``low_hz``
-    and ``high_hz`` (Nyquist when omitted); weights are evaluated at the
-    continuous bin frequencies, so no filter collapses to zero width.
+    Filter edges are spaced uniformly on the mel scale between ``MEL_LOW_HZ``
+    and Nyquist; weights are evaluated at the continuous bin frequencies, so
+    no filter collapses to zero width.
     """
-    if high_hz is None:
-        high_hz = sample_rate / 2.0
-    mel_points = np.linspace(mel_scale(low_hz), mel_scale(high_hz), n_filters + 2)
+    mel_points = np.linspace(mel_scale(MEL_LOW_HZ), mel_scale(sample_rate / 2.0),
+                             n_filters + 2)
     hz_points = inverse_mel_scale(mel_points)
     bin_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
     weights = np.zeros((n_filters, n_fft // 2 + 1))
@@ -174,7 +172,7 @@ def _mfcc_tables(frame_len: int, n_filters: int, n_cepstra: int, sample_rate: in
     return window, fbank.T, dct
 
 
-def compute_mfcc(waveform: Waveform, cfg: FrontendConfig | None = None) -> np.ndarray:
+def compute_mfcc(waveform: Waveform, cfg: FrontendConfig) -> np.ndarray:
     """Mel-frequency cepstra of a waveform, one row per frame.
 
     Pipeline: pre-emphasis -> Hamming window -> magnitude spectrum ->
@@ -185,8 +183,6 @@ def compute_mfcc(waveform: Waveform, cfg: FrontendConfig | None = None) -> np.nd
     the frame shift to 0 samples ("invalid signal"), or for a waveform
     shorter than one frame ("input too short").
     """
-    if cfg is None:
-        cfg = FrontendConfig()
     samples = waveform.samples
     if samples.ndim != 1:
         raise ValueError("invalid signal: expected a 1-D sample sequence")
@@ -198,8 +194,7 @@ def compute_mfcc(waveform: Waveform, cfg: FrontendConfig | None = None) -> np.nd
     if frame_shift < 1:            # frame_len >= frame_shift: it rounds a longer time
         raise ValueError(f"invalid signal: at {rate} Hz the {cfg.frame_shift_ms:g} ms "
                          f"frame shift is {frame_shift} samples, under one")
-    n_frames = frame_count(samples.size, frame_len, frame_shift)
-    if n_frames < 1:
+    if frame_count(samples.size, frame_len, frame_shift) < 1:
         raise ValueError(f"input too short: {samples.size} samples < one {frame_len}-sample frame")
 
     window, fbank_t, dct = _mfcc_tables(frame_len, cfg.n_mel_filters, cfg.n_cepstra, rate)
@@ -210,23 +205,18 @@ def compute_mfcc(waveform: Waveform, cfg: FrontendConfig | None = None) -> np.nd
         np.multiply(samples[:-1], cfg.preemphasis, out=emphasized[1:])
         np.subtract(samples[1:], emphasized[1:], out=emphasized[1:])
     frames = np.lib.stride_tricks.sliding_window_view(emphasized, frame_len)[::frame_shift]
-    padded = np.zeros((n_frames, window.size))
-    np.multiply(frames, window[:frame_len], out=padded[:, :frame_len])
-
-    magnitude = np.abs(np.fft.rfft(padded, axis=1))
+    magnitude = np.abs(np.fft.rfft(frames * window[:frame_len], n=window.size, axis=1))
     log_energies = np.log(np.maximum(magnitude @ fbank_t, LOG_FLOOR))
     return log_energies @ dct
 
 
-def energy_vad(features: np.ndarray, cfg: FrontendConfig | None = None) -> np.ndarray:
+def energy_vad(features: np.ndarray, cfg: FrontendConfig) -> np.ndarray:
     """Boolean speech mask from the log-energy column.
 
     A frame counts as speech when column 0 exceeds the utterance mean plus
     ``vad_energy_offset``.  The loudest frame is always retained so that
     degenerate utterances keep at least one frame.
     """
-    if cfg is None:
-        cfg = FrontendConfig()
     energy = features[:, 0]
     threshold = energy.mean() + cfg.vad_energy_offset
     mask = energy > threshold
@@ -234,7 +224,7 @@ def energy_vad(features: np.ndarray, cfg: FrontendConfig | None = None) -> np.nd
     return mask
 
 
-def sliding_cmn(features: np.ndarray, cfg: FrontendConfig | None = None) -> np.ndarray:
+def sliding_cmn(features: np.ndarray, cfg: FrontendConfig) -> np.ndarray:
     """Subtract a sliding per-dimension mean from every frame.
 
     The window holds ``cmn_window_s`` worth of frames at ``frame_shift_ms``,
@@ -242,8 +232,6 @@ def sliding_cmn(features: np.ndarray, cfg: FrontendConfig | None = None) -> np.n
     edges; utterances shorter than the window get plain global mean
     subtraction (which makes the op idempotent there).
     """
-    if cfg is None:
-        cfg = FrontendConfig()
     t = features.shape[0]
     window = int(round(cfg.cmn_window_s * 1000.0 / cfg.frame_shift_ms))
     window = max(1, min(window, t))
@@ -254,15 +242,13 @@ def sliding_cmn(features: np.ndarray, cfg: FrontendConfig | None = None) -> np.n
     return features - (cumsum[start + window] - cumsum[start]) / window
 
 
-def voiced_features(waveform: Waveform, cfg: FrontendConfig | None = None,
+def voiced_features(waveform: Waveform, cfg: FrontendConfig,
                     apply_vad: bool = True, apply_cmn: bool = True) -> np.ndarray:
     """Full frontend: MFCC, then VAD frame selection, then sliding CMN.
 
     Selecting voiced frames before normalization keeps the surviving
     frames' values independent of any discarded silence.
     """
-    if cfg is None:
-        cfg = FrontendConfig()
     feats = compute_mfcc(waveform, cfg)
     if apply_vad:
         feats = feats[energy_vad(feats, cfg)]

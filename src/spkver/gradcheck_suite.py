@@ -3,8 +3,10 @@ full extractor architectures.
 
 Each check rebuilds a small graph ending in a scalar loss and compares the
 reverse-mode gradients of the listed parameters against central
-differences.  Inputs are drawn away from activation kinks so the
-comparison is well defined.
+differences.  The full nets are checked through the training loss itself,
+``training.batch_loss`` with the softmax objective, so the contract covers
+the graph that training builds.  Inputs are drawn away from activation
+kinks so the comparison is well defined.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import models as md
+from . import training
 from .autodiff import Tensor, grad_check
+from .formats import ExperimentConfig
 from .objectives import asoftmax_loss, softmax_ce
 
 TOLERANCE = 1e-4
@@ -30,7 +34,7 @@ def _quadratic(out: Tensor) -> Tensor:
     return Tensor(0.5 * float(coeffs @ (flat ** 2)), parents=(out,), backward=backward)
 
 
-def op_checks(seed: int = 0):
+def op_checks(seed: int):
     """(name, loss_fn, params) triples covering each primitive op; ``params``
     maps each probed tensor's name to it."""
     rng = np.random.default_rng(seed)
@@ -75,9 +79,10 @@ def op_checks(seed: int = 0):
     return checks
 
 
-def full_net_checks(frames: int = 50, seed: int = 0):
-    """Full architectures driven to a cross-entropy loss."""
+def full_net_checks(frames: int, seed: int):
+    """Full architectures driven to the softmax training loss on one segment."""
     rng = np.random.default_rng(seed)
+    cfg = ExperimentConfig(loss="softmax")
     checks = []
     for arch_name, model in (
         ("maxpool_net", md.build_maxpool_net(n_spk=4, seed=seed)),
@@ -87,14 +92,13 @@ def full_net_checks(frames: int = 50, seed: int = 0):
         labels = np.array([1])
 
         def loss_fn(model=model, feats=feats, labels=labels):
-            emb = md.embed_graph(model, feats)
-            return softmax_ce(md.classifier_graph(model, emb), labels)
+            return training.batch_loss(model, [feats], labels, cfg, 0.0)
 
         checks.append((arch_name, loss_fn, model.params))
     return checks
 
 
-def run_suite(frames: int = 50, samples: int = 4, seed: int = 0, log=None) -> int:
+def run_suite(frames: int, samples: int, seed: int, log=None) -> int:
     """Run every check; returns the number of failures."""
     failures = 0
     rng = np.random.default_rng(seed + 1)

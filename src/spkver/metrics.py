@@ -59,7 +59,7 @@ class ScoreSet:
 class DcfParams:
     """Detection-cost prior; a miss and a false alarm both cost 1."""
 
-    p_target: float = 0.01
+    p_target: float
 
     def __post_init__(self):
         if not 0.0 < self.p_target < 1.0:
@@ -97,13 +97,13 @@ def _eer(p_fa, p_miss) -> float:
     return float(p_miss[k - 1] + t * (p_miss[k] - p_miss[k - 1]))
 
 
-def compute_min_dcf(score_set: ScoreSet, params: DcfParams | None = None) -> float:
+def compute_min_dcf(score_set: ScoreSet, params: DcfParams) -> float:
     """Minimum detection cost, normalized by the best trivial decision.
 
     DCF(th) = P_miss(th) * p_target + P_fa(th) * (1 - p_target), minimized
     over the operating points and divided by min(p_target, 1 - p_target).
     """
-    return _min_dcf(*detection_points(*score_set.split()), params or DcfParams())
+    return _min_dcf(*detection_points(*score_set.split()), params)
 
 
 def _min_dcf(p_fa, p_miss, params: DcfParams) -> float:

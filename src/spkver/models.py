@@ -274,7 +274,7 @@ ARCHS: dict[str, Callable[..., ExtractorModel]] = {   # builder of each ``arch``
 _JSON_TYPES = {"int": int, "float": (int, float), "bool": bool}  # by annotation string
 
 
-def model_from_arch_dict(arch: dict, seed: int | None = 0) -> ExtractorModel:
+def model_from_arch_dict(arch: dict, seed: int | None) -> ExtractorModel:
     """Rebuild a model from an architecture record, as ``arch_dict`` writes
     it, by calling the builder ``ARCHS`` names with the record's arguments.
 
@@ -338,12 +338,6 @@ def segment_graph(model: ExtractorModel, pooled: Tensor) -> Tensor:
 def classifier_graph(model: ExtractorModel, emb: Tensor) -> Tensor:
     layer = model.layers[-1]                        # the classifier, see ExtractorModel
     return _KINDS[layer.kind].forward(model.params, layer, emb)
-
-
-def embed_graph(model: ExtractorModel, features: np.ndarray) -> Tensor:
-    """Embedding graph for one utterance; classifier layer not applied."""
-    pooled = ad.stack_rows([frame_stats_graph(model, features)])
-    return segment_graph(model, pooled)
 
 
 def embed_batch(model: ExtractorModel, features: list[np.ndarray], map_fn=map) -> np.ndarray:

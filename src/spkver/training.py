@@ -274,7 +274,7 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
 
 
 def extract_embeddings(model: m.ExtractorModel, features: dict[str, np.ndarray],
-                       threads: int = 1, log=None):
+                       threads: int, log=None):
     """Full-utterance embeddings for every feature matrix.
 
     Utterances shorter than the receptive field are skipped with a warning

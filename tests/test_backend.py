@@ -3,21 +3,18 @@ gradients, mining against a full-sort oracle, the shared validation pair
 sampler, LDA/PLDA oracles, the array scatter and PLDA EM against
 per-speaker loop oracles, PLDA scoring in diagonal form against the
 joint-Gaussian reference ``plda_score_many``, and the numpy linear algebra
-(generalized eigenproblem, triangular inverse, triplet weights) against
-scipy."""
+(generalized eigenproblem, triangular inverse) against scipy."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
-from scipy.special import expit
 from scipy.stats import multivariate_normal
 
 from spkver import backend as bk
-from spkver.backend import (CsmlTransform, LdaProjection, PldaModel, center, lda_fit,
-                            lda_project, mine_triplets, plda_fit, train_csml,
-                            triplet_loss_and_grad)
+from spkver.backend import (CsmlTransform, LdaProjection, PldaModel, lda_fit, lda_project,
+                            mine_triplets, plda_fit, train_csml, triplet_loss_and_grad)
 from spkver.metrics import ScoreSet, Trial, compute_eer
 
 
@@ -126,11 +123,6 @@ def test_triplet_loss_matches_direct_summation_oracle():
     assert loss == pytest.approx(direct, abs=1e-12)
 
 
-def test_triplet_weights_match_expit_oracle():
-    d = np.linspace(-2.0, 2.0, 200_001)
-    assert np.abs(bk._triplet_weights(d) - -expit(-d)).max() <= 4.5e-16
-
-
 def test_triplet_loss_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     emb = rng.standard_normal((8, 5))
@@ -215,8 +207,10 @@ def test_triplet_loss_empty_rejected():
 
 
 def mine(emb, labels, a, n_hard, max_triplets=None, rng=None):
-    """``mine_triplets`` on the rows of transform ``a``."""
-    return mine_triplets(bk._csml_rows(a, emb), labels, n_hard, max_triplets, rng)
+    """``mine_triplets`` on the rows of transform ``a``; ``max_triplets`` None
+    passes a cap of 10**9, above every row count here, so every row is kept."""
+    return mine_triplets(bk._csml_rows(a, emb), labels, n_hard,
+                         10**9 if max_triplets is None else max_triplets, rng)
 
 
 def loop_mine_triplets(embeddings, labels, a, n_hard, max_triplets=None, rng=None):
@@ -286,14 +280,6 @@ def test_mine_triplets_in_blocks_equals_one_block(monkeypatch):
     whole = mine(emb, labels, eye, n_hard=6)
     monkeypatch.setattr(bk, "MINE_BLOCK", 7)          # 40 anchors: 5 full blocks and 5
     assert np.array_equal(mine(emb, labels, eye, n_hard=6), whole)
-
-
-def test_mine_triplets_subsample_needs_a_generator():
-    emb, labels = quantised_embeddings(4)
-    with pytest.raises(ValueError, match=r"max_triplets=10 of \d+ needs a generator \(rng\)"):
-        mine(emb, labels, np.eye(3), n_hard=5, max_triplets=10)
-    # no draw is needed when every row fits
-    assert len(mine(emb, labels, np.eye(3), n_hard=1, max_triplets=10**6)) > 0
 
 
 def test_mine_triplets_small_exhaustive():
@@ -578,31 +564,6 @@ def test_all_pairs_eer_rejects_zero_norm_row(model):
     emb[4] = 0.0
     with pytest.raises(ValueError, match="degenerate embedding: zero norm"):
         bk.all_pairs_eer(model, emb, labels, np.random.default_rng(0), max_trials=100)
-
-
-# ---------------------------------------------------------------------------
-# centering
-
-
-def test_center_identity_and_self_mean():
-    rng = np.random.default_rng(12)
-    emb = rng.standard_normal((6, 4))
-    assert np.array_equal(center(emb, np.zeros(4)), emb)
-    centered = center(emb, emb.mean(axis=0))
-    assert np.allclose(centered.mean(axis=0), 0.0, atol=1e-12)
-    with pytest.raises(ValueError, match="dimension"):
-        center(emb, np.zeros(3))
-
-
-def test_centering_changes_cosine_scores_and_matches_recomputation():
-    rng = np.random.default_rng(13)
-    emb = rng.standard_normal((4, 5)) + 3.0
-    mean = emb.mean(axis=0)
-    shifted = center(emb, mean)
-    direct = score(None, emb[0] - mean, emb[1] - mean)
-    assert score(None, shifted[0], shifted[1]) == pytest.approx(direct, abs=1e-12)
-    assert score(None, shifted[0], shifted[1]) != pytest.approx(
-        score(None, emb[0], emb[1]), abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,23 @@ def test_mfcc_config_out_of_range_exits_2_naming_it(capsys, tmp_path, flags, mes
     assert not (tmp_path / "f.bin").exists()
 
 
+@pytest.mark.parametrize("layout", ["two-dirs", "wav-and-wav-dir"])
+def test_mfcc_inputs_sharing_a_stem_exit_2_naming_both(capsys, tmp_path, layout):
+    """Features are keyed by file stem, so a second input with a stem already
+    seen would overwrite the first; nothing is written."""
+    first, second = tmp_path / "a" / "x.wav", tmp_path / "b" / "x.wav"
+    for path in (first, second):
+        path.parent.mkdir()
+        write_wav(path, 0.3 * np.sin(0.3 * np.arange(8000)), 8000)
+    inputs = ["--wav", str(first), str(second)]
+    if layout == "wav-and-wav-dir":
+        inputs, second = ["--wav", str(first), "--wav-dir", str(first.parent)], first
+    code, _, err = run(capsys, "mfcc", *inputs, "--out", str(tmp_path / "f.bin"))
+    assert code == 2
+    assert err == f"spkver: {first} and {second} both give utterance id 'x'\n"
+    assert not (tmp_path / "f.bin").exists()
+
+
 def test_commands_never_import_scipy(tmp_path):
     """mfcc, LDA-PLDA training and PLDA scoring in a fresh interpreter leave no
     ``scipy`` module in ``sys.modules``."""
@@ -426,6 +443,21 @@ def test_train_best_out_without_validation_split_exits_2(capsys, toy_dir, tmp_pa
     assert not best.exists()
 
 
+def test_train_utt2spk_id_without_features_exits_2(capsys, toy_dir, tmp_path):
+    corpus = toy_dir / "corpus"
+    utt2spk = tmp_path / "utt2spk.txt"
+    text = (corpus / "utt2spk.txt").read_text()
+    utt2spk.write_text(f"{text}ghost-utt {text.split()[1]}\n")
+    write_toy_config(tmp_path / "exp.ini")
+    ckpt = tmp_path / "model.ckpt"
+    code, _, err = run(capsys, "train", "--config", str(tmp_path / "exp.ini"),
+                       "--features", str(corpus / "feats.bin"), "--utt2spk", str(utt2spk),
+                       "--out", str(ckpt))
+    assert code == 2
+    assert err == f"spkver: {corpus / 'feats.bin'}: no features for utt2spk id 'ghost-utt'\n"
+    assert not ckpt.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow is the point
 def test_train_divergence_exits_2_without_checkpoint(capsys, toy_dir, tmp_path):
     corpus = toy_dir / "corpus"
@@ -598,10 +630,10 @@ def test_backend_train_and_score_csml_plda(capsys, tmp_path):
         code, out, _ = run(capsys, "eval", "--scores", str(tmp_path / name))
         assert code == 0
 
-    # centering changes cosine scores
+    # centering changes cosine scores to the cosines of the centered pairs
     mean_path = tmp_path / "mean.bin"
-    stacked = np.stack([embeddings[u] for u in sorted(embeddings)])
-    fm.write_archive(mean_path, {"mean": stacked.mean(axis=0)}, None, dtype="f8")
+    mean = np.stack([embeddings[u] for u in sorted(embeddings)]).mean(axis=0)
+    fm.write_archive(mean_path, {"mean": mean}, None, dtype="f8")
     code, _, _ = run(capsys, "score", "--backend", "cosine",
                      "--embeddings", str(tmp_path / "emb.bin"),
                      "--trials", str(tmp_path / "trials.txt"),
@@ -610,6 +642,12 @@ def test_backend_train_and_score_csml_plda(capsys, tmp_path):
     assert code == 0
     assert (tmp_path / "centered.txt").read_text() != \
         (tmp_path / "cosine_scores.txt").read_text()
+    e1 = np.stack([embeddings[t.enroll] for t in trials]) - mean
+    e2 = np.stack([embeddings[t.test] for t in trials]) - mean
+    centered = mt.parse_scores((tmp_path / "centered.txt").read_text())
+    assert centered.trials == trials
+    np.testing.assert_allclose(centered.scores, (e1 * e2).sum(axis=1) / (
+        np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind,flags,message", [
@@ -648,6 +686,22 @@ def test_gradcheck_subcommand_quick(capsys):
     code, out, err = run(capsys, "gradcheck", "--frames", "46", "--samples", "1")
     assert code == 0, err
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_gradcheck_full_nets_differentiate_the_training_loss(capsys, monkeypatch):
+    """The full-net checks go through ``training.batch_loss``: one softmax
+    segment per call, for both stacks."""
+    calls, batch_loss = [], tr.batch_loss
+
+    def spy(model, segments, labels, cfg, lam):
+        calls.append((model.arch, len(segments), cfg.loss, lam))
+        return batch_loss(model, segments, labels, cfg, lam)
+    monkeypatch.setattr(tr, "batch_loss", spy)
+    code, out, err = run(capsys, "gradcheck", "--frames", "46", "--samples", "1")
+    assert code == 0, err
+    assert "PASS maxpool_net" in out and "PASS res_net" in out
+    assert {arch for arch, *_ in calls} == {"maxpool", "resnet"}
+    assert {tuple(rest) for _, *rest in calls} == {(1, "softmax", 0.0)}
 
 
 def test_score_requires_model_for_csml(capsys, tmp_path):

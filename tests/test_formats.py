@@ -313,7 +313,8 @@ def test_load_without_momentum_reads_only_the_parameters(tmp_path):
 
 def test_skipped_records_are_checked_against_the_file(tmp_path):
     path = tmp_path / "x.bin"
-    fm.write_archive(path, {"a": np.arange(4.0), "skip.b": np.ones((2, 3))}, {"kind": "x"})
+    fm.write_archive(path, {"a": np.arange(4.0), "skip.b": np.ones((2, 3))}, {"kind": "x"},
+                     dtype="f4")
     arrays, meta = fm.read_archive(path, skip_prefix="skip.")
     assert meta == {"kind": "x"} and np.array_equal(arrays["a"], np.arange(4.0))
     assert arrays["skip.b"].shape == (2, 3) and np.isnan(arrays["skip.b"]).all()
@@ -419,6 +420,7 @@ def test_malformed_config_names_path_and_exits_2(tmp_path, capsys, text):
     ("[loss]\nlambda_start = nan\n", "lambda_start is nan, needs a finite value >= 0"),
     ("[loss]\nlambda_start = -1\n", "lambda_start is -1.0, needs a finite value >= 0"),
     ("[loss]\nlambda_decay = inf\n", "lambda_decay is inf, needs a finite value >= 0"),
+    ("[loss]\nlambda_decay = 2\n", "lambda_decay is 2.0, needs 0 to 1"),
     ("[loss]\nlambda_floor = nan\n", "lambda_floor is nan, needs a finite value >= 0"),
     ("[optimizer]\nlearning_rate = nan\n", "learning_rate is nan, needs a finite value >= 0"),
     ("[optimizer]\nmomentum = -0.5\n", "momentum is -0.5, needs a finite value >= 0"),
@@ -427,8 +429,9 @@ def test_malformed_config_names_path_and_exits_2(tmp_path, capsys, text):
 ], ids=["inf-width_scale", "nan-width_scale", "negative-width_scale", "zero-resnet_blocks",
         "zero-in_dim", "zero-batch_size", "zero-steps_per_epoch", "infinite-segments",
         "nan-val_fraction", "above-one-val_fraction", "asoftmax-margin-5", "softmax-margin-5",
-        "nan-lambda_start", "negative-lambda_start", "inf-lambda_decay", "nan-lambda_floor",
-        "nan-learning_rate", "negative-momentum", "negative-lr_decay", "nan-grad_clip"])
+        "nan-lambda_start", "negative-lambda_start", "inf-lambda_decay",
+        "above-one-lambda_decay", "nan-lambda_floor", "nan-learning_rate", "negative-momentum",
+        "negative-lr_decay", "nan-grad_clip"])
 def test_config_value_out_of_range_names_path_and_key(tmp_path, capsys, text, message):
     """Each value would end training in a traceback, a NaN loss or a net of
     width-2 layers; it is rejected when the file is read."""

@@ -24,7 +24,7 @@ def sine(freq_hz, seconds, rate, amp=0.5):
 
 
 def test_frame_count_one_second_16k():
-    assert fe.compute_mfcc(sine(300, 1.0, 16000)).shape == (98, 23)
+    assert fe.compute_mfcc(sine(300, 1.0, 16000), fe.FrontendConfig()).shape == (98, 23)
 
 
 @settings(max_examples=60, deadline=None)
@@ -36,24 +36,24 @@ def test_frame_count_formula(n, frame_len, frame_shift):
 
 def test_all_zero_waveform_identical_frames():
     wave = fe.Waveform(np.zeros(8000), 8000)
-    feats = fe.compute_mfcc(wave)
+    feats = fe.compute_mfcc(wave, fe.FrontendConfig())
     assert np.all(np.isfinite(feats))
     assert np.allclose(feats, feats[0])
 
 
 def test_too_short_and_nonfinite_inputs():
     with pytest.raises(ValueError, match="input too short"):
-        fe.compute_mfcc(fe.Waveform(np.zeros(50), 8000))
+        fe.compute_mfcc(fe.Waveform(np.zeros(50), 8000), fe.FrontendConfig())
     bad = np.zeros(4000)
     bad[7] = np.nan
     with pytest.raises(ValueError, match="invalid signal"):
-        fe.compute_mfcc(fe.Waveform(bad, 8000))
+        fe.compute_mfcc(fe.Waveform(bad, 8000), fe.FrontendConfig())
 
 
 def test_mfcc_deterministic():
     wave = sine(440, 0.5, 8000)
-    a = fe.compute_mfcc(wave)
-    b = fe.compute_mfcc(wave)
+    a = fe.compute_mfcc(wave, fe.FrontendConfig())
+    b = fe.compute_mfcc(wave, fe.FrontendConfig())
     assert np.array_equal(a, b)
 
 
@@ -140,16 +140,16 @@ def test_vad_depends_only_on_column0_and_offset():
 
 def test_cmn_constant_input_zeroed():
     feats = np.full((40, 3), 7.0)
-    assert np.allclose(fe.sliding_cmn(feats), 0.0)
+    assert np.allclose(fe.sliding_cmn(feats, fe.FrontendConfig()), 0.0)
 
 
 def test_cmn_short_utterance_is_global_and_idempotent():
     rng = np.random.default_rng(2)
     feats = rng.standard_normal((120, 4))   # 1.2 s < 3 s window
-    out = fe.sliding_cmn(feats)
+    out = fe.sliding_cmn(feats, fe.FrontendConfig())
     assert np.allclose(out.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(out, feats - feats.mean(axis=0))
-    again = fe.sliding_cmn(out)
+    again = fe.sliding_cmn(out, fe.FrontendConfig())
     assert np.max(np.abs(again - out)) < 1e-10
 
 
@@ -172,7 +172,7 @@ def test_cmn_matches_windowed_mean_oracle():
 def test_cmn_output_finite_on_finite_input():
     rng = np.random.default_rng(3)
     feats = rng.standard_normal((500, 23)) * 100
-    assert np.all(np.isfinite(fe.sliding_cmn(feats)))
+    assert np.all(np.isfinite(fe.sliding_cmn(feats, fe.FrontendConfig())))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def test_voiced_features_pipeline_and_wav_roundtrip(tmp_path):
     assert loaded.sample_rate == rate
     assert np.max(np.abs(loaded.samples - wave.samples)) < 1e-3   # 16-bit quantization
 
-    feats = fe.voiced_features(loaded)
+    feats = fe.voiced_features(loaded, fe.FrontendConfig())
     assert feats.shape[0] >= 1 and feats.shape[1] == 23
     assert np.all(np.isfinite(feats))
 
@@ -291,7 +291,7 @@ def test_alternating_rates_match_fresh_tables():
     fresh = []
     for wave in waves:
         fe._mfcc_tables.cache_clear()
-        fresh.append(fe.voiced_features(wave))
+        fresh.append(fe.voiced_features(wave, fe.FrontendConfig()))
     for _ in range(2):
         for wave, expected in zip(waves, fresh):
-            assert np.array_equal(fe.voiced_features(wave), expected)
+            assert np.array_equal(fe.voiced_features(wave, fe.FrontendConfig()), expected)

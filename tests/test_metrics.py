@@ -106,9 +106,9 @@ def test_degenerate_trial_set():
 
 def test_min_dcf_perfect_and_useless():
     perfect = make_set(np.array([2.0, 3.0]), np.array([-1.0, 0.0]))
-    assert compute_min_dcf(perfect) == 0.0
+    assert compute_min_dcf(perfect, DcfParams(p_target=0.01)) == 0.0
     useless = make_set(np.full(5, 1.0), np.full(7, 1.0))
-    assert compute_min_dcf(useless) == pytest.approx(1.0, abs=1e-12)
+    assert compute_min_dcf(useless, DcfParams(p_target=0.01)) == pytest.approx(1.0, abs=1e-12)
     assert compute_min_dcf(useless, DcfParams(p_target=0.001)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -134,10 +134,10 @@ def test_min_dcf_normalized_bound_and_eer_threshold_bound():
         tgt = rng.normal(0.5, 1, size=rng.integers(2, 50))
         non = rng.normal(0.0, 1, size=rng.integers(2, 50))
         s = make_set(tgt, non)
-        mdcf = compute_min_dcf(s)
+        p = 0.01
+        mdcf = compute_min_dcf(s, DcfParams(p_target=p))
         assert mdcf <= 1.0 + 1e-12
         eer = compute_eer(s)
-        p = DcfParams().p_target
         dcf_at_eer = (eer * p + eer * (1 - p)) / min(p, 1 - p)
         assert dcf_at_eer >= mdcf - 1e-12
 
@@ -153,7 +153,9 @@ def test_metrics_invariant_under_increasing_transforms(seed, scale_f, shift):
     transformed = make_set(np.tanh(tgt) * scale_f + shift,
                            np.tanh(non) * scale_f + shift)
     assert compute_eer(s) == pytest.approx(compute_eer(transformed), abs=1e-12)
-    assert compute_min_dcf(s) == pytest.approx(compute_min_dcf(transformed), abs=1e-12)
+    params = DcfParams(p_target=0.01)
+    assert compute_min_dcf(s, params) == pytest.approx(compute_min_dcf(transformed, params),
+                                                       abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)

@@ -442,12 +442,12 @@ def test_extract_deterministic_and_counts():
     features[short_utt] = features[short_utt][:10]     # below receptive field
 
     warnings = []
-    emb1, skipped = tr.extract_embeddings(model, features, log=warnings.append)
+    emb1, skipped = tr.extract_embeddings(model, features, threads=1, log=warnings.append)
     assert skipped == [short_utt]
     assert len(emb1) == len(features) - 1
     assert any(short_utt in w for w in warnings)
 
-    emb2, _ = tr.extract_embeddings(model, features)
+    emb2, _ = tr.extract_embeddings(model, features, threads=1)
     for utt in emb1:
         assert np.array_equal(emb1[utt], emb2[utt])
 
@@ -455,7 +455,7 @@ def test_extract_deterministic_and_counts():
 def test_extract_matches_direct_forward():
     features, _ = tiny_corpus(n_speakers=2, utts=3, seconds=2.0)
     model = md.build_res_net(2, n_spk=2, width_scale=0.125, seed=2)
-    emb, _ = tr.extract_embeddings(model, features)
+    emb, _ = tr.extract_embeddings(model, features, threads=1)
     for utt, vec in emb.items():
         direct = md.embed_batch(model, [features[utt]])[0].astype(np.float32).astype(float)
         assert np.array_equal(vec, direct)
