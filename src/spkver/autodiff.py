@@ -1,6 +1,6 @@
 """Reverse-mode automatic differentiation over the op set the extractors need.
 
-A ``Tensor`` is two parts: its value, a float64 numpy array in ``.data``,
+A ``Tensor`` is two parts: its value, a float numpy array in ``.data``,
 and a graph ``Node`` that holds its gradient, whether it keeps one
 (``requires_grad``), its parents' nodes and the backward closure of the op
 that produced it.  The graph links nodes, never values, so an activation
@@ -9,6 +9,11 @@ scalar loss holds the graph, not the forward's outputs.  Only the layouts
 the networks use are supported: frame sequences are (T, C) matrices,
 segment activations are (B, D) matrices, pooled statistics are 1-D
 vectors.  There is no general broadcasting.
+
+Every op computes in its input's float dtype and allocates its output and
+its gradients in that dtype; nothing widens.  The extractors run in
+float32, the dtype their builders give the parameters; the finite-difference
+gradcheck runs the same ops in float64 on float64 inputs.
 
 A backward closure takes the node's gradient and returns one gradient per
 parent, in parent order, or None for a parent that needs none.  It
@@ -29,12 +34,13 @@ its closure, its parents and its ``.grad`` as soon as its own backward has
 run, so only nodes with ``requires_grad`` (parameters, marked inputs) keep
 a gradient.  A second ``backward`` on the same graph raises.
 
-Gradient ownership: a closure returns float64 arrays that no other node
-holds, and a node adopts the first gradient it receives instead of copying
-it; later ones are added into it.  Every op builds fresh gradient arrays;
-``stack_rows`` returns disjoint views of its own gradient, which is dropped
-once its backward has run.  ``add`` is the only op that passes one array to
-two parents, so its second parent gets a copy.
+Gradient ownership: a closure returns arrays, in the dtype of the parent
+they go to, that no other node holds, and a node adopts the first gradient
+it receives as it is, neither copied nor converted; later ones are added
+into it.  Every op builds fresh gradient arrays; ``stack_rows`` returns
+disjoint views of its own gradient, which is dropped once its backward has
+run.  ``add`` is the only op that passes one array to two parents, so its
+second parent gets a copy.
 
 Selections (max pooling, max-feature-map, PReLU) are written as comparisons
 plus ``np.maximum``/``np.minimum`` and mask multiplies rather than
@@ -59,21 +65,23 @@ class Node:
         self.backward = backward
 
     def accumulate(self, g):
-        """Add ``g`` to ``.grad``; the first float64 array is adopted, not
-        copied (see the ownership rule in the module docstring)."""
+        """Add ``g`` to ``.grad``; the first array is adopted, not copied
+        (see the ownership rule in the module docstring)."""
         if self.grad is None:
-            self.grad = np.asarray(g, dtype=np.float64)
+            self.grad = g
         else:
             self.grad += g
 
 
 class Tensor:
-    """A float64 array and the graph node of the op that produced it."""
+    """A float array and the graph node of the op that produced it.  A float
+    array is kept in its dtype; anything else becomes float64."""
 
     __slots__ = ("data", "node", "name")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None, name=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.node = Node(requires_grad, tuple(p.node for p in parents), backward)
         self.name = name
 
@@ -256,12 +264,12 @@ def max_pool_2x2(x: Tensor) -> Tensor:
     # (frame, channel) scan order wins every tie
     rows, channel_mask = _pair_max(xv[: 2 * t2, 0::2], xv[: 2 * t2, 1::2])
     out, frame_mask = _pair_max(rows[0::2], rows[1::2])
-    rows_shape = rows.shape                 # backward reads the masks, not ``rows``
+    rows_shape, dtype = rows.shape, xv.dtype    # backward reads the masks, not ``rows``
 
     def backward(g):
-        g_rows = np.empty(rows_shape)
+        g_rows = np.empty(rows_shape, dtype)
         _route(g, frame_mask, g_rows[0::2], g_rows[1::2])
-        gx = np.empty((t_in, c_in))
+        gx = np.empty((t_in, c_in), dtype)
         gx[2 * t2 :] = 0.0                  # a dropped odd frame
         _route(g_rows, channel_mask, gx[: 2 * t2, 0::2], gx[: 2 * t2, 1::2])
         return (gx,)
@@ -281,9 +289,10 @@ def max_pool_time(x: Tensor) -> Tensor:
         raise ValueError("segment too short: max pooling needs at least 2 frames")
     t2 = t_in // 2
     out, take_first = _pair_max(xv[0 : 2 * t2 : 2], xv[1 : 2 * t2 : 2])
+    dtype = xv.dtype
 
     def backward(g):
-        gx = np.empty((t_in, c_in))
+        gx = np.empty((t_in, c_in), dtype)
         gx[2 * t2 :] = 0.0
         _route(g, take_first, gx[0 : 2 * t2 : 2], gx[1 : 2 * t2 : 2])
         return (gx,)
@@ -332,9 +341,10 @@ def mfm(x: Tensor) -> Tensor:
         raise ValueError("channel count must be even")
     c = n // 2
     out, take_first = _pair_max(xv[:, :c], xv[:, c:])
+    dtype = xv.dtype
 
     def backward(g):
-        gx = np.empty((rows, n))
+        gx = np.empty((rows, n), dtype)
         _route(g, take_first, gx[:, :c], gx[:, c:])
         return (gx,)
 
@@ -383,10 +393,10 @@ def slice_time(x: Tensor, start: int, length: int) -> Tensor:
     xv = _as2d(x, "slice_time")
     if start < 0 or start + length > xv.shape[0]:
         raise ValueError("dimension error: slice outside frame range")
-    x_shape = xv.shape
+    x_shape, dtype = xv.shape, xv.dtype
 
     def backward(g):
-        gx = np.zeros(x_shape)
+        gx = np.zeros(x_shape, dtype)
         gx[start : start + length] = g
         return (gx,)
 
@@ -416,8 +426,8 @@ class ParameterSet:
         self.velocity: dict[str, np.ndarray] = {}
 
     def add(self, name: str, array, velocity=None) -> Tensor:
-        """Add a parameter holding ``array`` (not copied if it is float64)
-        with momentum buffer ``velocity``, zeros when None."""
+        """Add a parameter holding ``array`` (not copied if it is a float
+        array) with momentum buffer ``velocity``, zeros when None."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
         t = Tensor(array, requires_grad=True, name=name)
@@ -441,6 +451,13 @@ class ParameterSet:
         for t in self._params.values():
             t.grad = None
 
+    def widen(self):
+        """Replace every parameter and momentum buffer by a float64 copy, so
+        the ops run in float64: the finite-difference gradcheck needs it."""
+        for name, t in self._params.items():
+            t.data = t.data.astype(np.float64)
+            self.velocity[name] = self.velocity[name].astype(np.float64)
+
 
 def grad_check(loss_fn, params, eps: float = 1e-5, n_samples: int | None = None, rng=None) -> float:
     """Compare reverse-mode gradients against central finite differences.
@@ -449,7 +466,8 @@ def grad_check(loss_fn, params, eps: float = 1e-5, n_samples: int | None = None,
     tensor.  Every tensor of ``params``, a name -> tensor mapping (a dict or a
     ``ParameterSet``), is probed; ``n_samples`` bounds the number of randomly
     chosen entries per tensor (None probes all entries).  Returns the worst
-    relative error across probes.
+    relative error across probes.  The tensors should be float64: float32
+    rounding swamps a central difference at the default ``eps``.
     """
     named = list(params.items())
     if rng is None:

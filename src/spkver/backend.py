@@ -545,6 +545,7 @@ def load_backend(path, kind: str):
     is mis-shaped, not finite, not symmetric or not (semi)definite.
     """
     arrays, meta = fm.read_archive(path)
+    arrays = {name: a.astype(np.float64, copy=False) for name, a in arrays.items()}
     what = "cosine transform" if kind == "csml" else "PLDA model"
     if meta is None or meta.get("kind") != kind:
         raise ValueError(f"{path}: not a {what} file")

@@ -59,9 +59,11 @@ def _cmd_mfcc(args) -> int:
     cfg = _record(FrontendConfig, args)
     paths = [Path(p) for p in args.wav]
     if args.wav_dir:
+        if not Path(args.wav_dir).is_dir():
+            raise CliError(f"--wav-dir {args.wav_dir}: no such directory")
         paths += sorted(Path(args.wav_dir).glob("*.wav"))
     if not paths:
-        raise CliError("no input WAV files")
+        raise CliError("no input WAV files" + (f" in {args.wav_dir}" if args.wav_dir else ""))
     features, source = {}, {}
     for path in paths:
         if path.stem in source:
@@ -172,6 +174,8 @@ def _cmd_score(args) -> int:
         if arrays["mean"].shape != matrix.shape[1:]:
             raise CliError(f"{args.center}: mean has {arrays['mean'].size} entries, "
                            f"embeddings have {matrix.shape[1]}")
+        if not np.isfinite(arrays["mean"]).all():
+            raise CliError(f"{args.center}: array mean holds a non-finite value")
         matrix -= arrays["mean"]
     try:
         rows = bk.scoring_rows(model, matrix)

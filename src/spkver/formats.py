@@ -3,19 +3,22 @@ sidecar files, and the INI experiment config.
 
 The tensor container is deliberately simple and language-neutral: a magic
 string, a format version, then little-endian records of (name, dtype code,
-shape, payload).  Feature and embedding payloads are 32-bit floats;
-checkpoints keep 64-bit payloads so a reloaded model reproduces forward
-passes bit-for-bit.  Records are written in sorted name order so a
-write -> read -> write cycle is byte-identical.
+shape, payload).  Feature, embedding and checkpoint payloads are 32-bit
+floats: float32 is the dtype models compute in, so a reloaded model
+reproduces forward passes bit for bit.  Backend models keep 64-bit
+payloads.  Records are written in sorted name order so a write -> read ->
+write cycle is byte-identical.
 
 Container I/O copies each payload once:
 
 - ``write_archive`` hands every record's packed header and its array's own
   buffer to the file; no byte string of the whole archive is built.
-- ``read_archive`` reads each payload straight into the array it returns.
-  64-bit payloads are returned as read; 32-bit ones are widened to float64,
-  which is their one copy.  (Payloads smaller than the file buffer, like
-  the headers, pass through that buffer on the way.)
+- ``read_archive`` reads each payload straight into the array it returns,
+  in the payload's dtype: float32 for 32-bit payloads, float64 for 64-bit
+  ones.  ``read_embeddings`` widens to float64, which is then the one
+  copy; a checkpoint's float32 arrays become the model's state as read.
+  (Payloads smaller than the file buffer, like the headers, pass through
+  that buffer on the way.)
 - Before allocating a payload, ``read_archive`` checks its size against the
   bytes left in the file, so a corrupt header cannot ask for more memory
   than the file holds.
@@ -85,13 +88,14 @@ def write_archive(path, arrays: dict[str, np.ndarray], meta: dict | None, dtype:
 def read_archive(path, skip_prefix: str | None = None):
     """Read a container; returns (arrays, meta-or-None).
 
-    Every array is a fresh, writable float64 array that shares memory with
-    no other, except for array records whose name starts with
-    ``skip_prefix``: their payloads are not read, and each comes back as a
-    read-only all-NaN placeholder of its shape that holds no memory.  A file
-    that ends inside a record (or whose record claims more bytes than the
-    file holds), a metadata record that is not 1-D and an unknown dtype code
-    raise ValueError naming the path, skipped records included.
+    Every array is a fresh, writable array of its payload's dtype (float32
+    or float64) that shares memory with no other, except for array records
+    whose name starts with ``skip_prefix``: their payloads are not read, and
+    each comes back as a read-only all-NaN placeholder of its shape and
+    dtype that holds no memory.  A file that ends inside a record (or whose
+    record claims more bytes than the file holds), a metadata record that is
+    not 1-D and an unknown dtype code raise ValueError naming the path,
+    skipped records included.
     """
     with open(path, "rb", buffering=_FILE_BUFFER) as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -136,13 +140,13 @@ def read_archive(path, skip_prefix: str | None = None):
             claim(nbytes)
             if skip_prefix is not None and name.startswith(skip_prefix):
                 fh.seek(nbytes, os.SEEK_CUR)
-                arrays[name] = np.broadcast_to(np.float64(np.nan), shape)
+                arrays[name] = np.broadcast_to(np_dtype.type(np.nan), shape)
                 continue
             arr = np.empty(shape, np_dtype)
             # an empty array has no bytes to read (and memoryview cannot cast it)
             if nbytes and fh.readinto(memoryview(arr).cast("B")) != nbytes:
                 raise ValueError(f"{path}: truncated archive")
-            arrays[name] = arr.astype(np.float64, copy=False)
+            arrays[name] = arr
     return arrays, meta
 
 
@@ -156,6 +160,7 @@ def write_features(path, features: dict[str, np.ndarray], frame_shift_ms: float)
 
 
 def read_features(path):
+    """(utterance id -> float32 feature matrix as stored, metadata)."""
     arrays, meta = read_archive(path)
     if meta is None or meta.get("kind") != "features":
         raise ValueError(f"{path}: not a feature archive")
@@ -171,10 +176,11 @@ def write_embeddings(path, embeddings: dict[str, np.ndarray]):
 
 
 def read_embeddings(path):
+    """Utterance id -> float64 embedding: the backends score in float64."""
     arrays, meta = read_archive(path)
     if meta is None or meta.get("kind") != "embeddings":
         raise ValueError(f"{path}: not an embedding archive")
-    return arrays
+    return {name: a.astype(np.float64, copy=False) for name, a in arrays.items()}
 
 
 def write_utt2spk(path, utt2spk: dict[str, str]):
@@ -212,7 +218,7 @@ def read_utt2spk(path) -> dict[str, str]:
 
 def save_checkpoint(path, model, *, step: int, epoch: int, config_hash: str,
                     rng_state: dict | None = None, extra: dict | None = None):
-    """Persist parameters, momentum buffers and bookkeeping (64-bit)."""
+    """Persist parameters, momentum buffers (as float32) and bookkeeping."""
     arrays: dict[str, np.ndarray] = {}
     for name, tensor in model.params.items():
         arrays[f"param.{name}"] = tensor.data
@@ -228,7 +234,7 @@ def save_checkpoint(path, model, *, step: int, epoch: int, config_hash: str,
         "rng_state": rng_state,
         "extra": extra or {},
     }
-    write_archive(path, arrays, meta, dtype="f8")
+    write_archive(path, arrays, meta, dtype="f4")
 
 
 def load_checkpoint(path, momentum: bool = True):
@@ -240,8 +246,9 @@ def load_checkpoint(path, momentum: bool = True):
     layer is built), raises ValueError with the file's path in front.  The
     file must hold exactly a ``param.<name>`` and a ``momentum.<name>``
     array of the parameter's shape for every parameter its architecture
-    implies; anything else raises ValueError naming the file and the array.
-    The model adopts the file's arrays: nothing is drawn or allocated for it.
+    implies, each a float32 payload; anything else raises ValueError naming
+    the file and the array.  The model adopts the file's float32 arrays as
+    read: nothing is drawn, allocated, widened or narrowed for it.
     With ``momentum=False`` the momentum payloads are checked but not read,
     and the model's momentum buffers are read-only NaN placeholders: it can
     embed, but not train.
@@ -269,6 +276,9 @@ def load_checkpoint(path, momentum: bool = True):
         if arrays[name].shape != shapes[name]:
             raise ValueError(f"{path}: array {name} has shape {arrays[name].shape}, "
                              f"architecture needs {shapes[name]}")
+        if arrays[name].dtype != np.float32:
+            raise ValueError(f"{path}: array {name} is {arrays[name].dtype}, "
+                             f"checkpoints store float32")
     # read_archive's arrays are fresh and unshared: they become the state as they are
     for name, _, _ in table:
         model.params.add(name, arrays[f"param.{name}"], arrays[f"momentum.{name}"])

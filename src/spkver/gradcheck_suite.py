@@ -6,7 +6,10 @@ reverse-mode gradients of the listed parameters against central
 differences.  The full nets are checked through the training loss itself,
 ``training.batch_loss`` with the softmax objective, so the contract covers
 the graph that training builds.  Inputs are drawn away from activation
-kinks so the comparison is well defined.
+kinks so the comparison is well defined.  Every check runs in float64: the
+op checks' inputs are float64, and the two models' float32 parameters are
+widened before they are probed, since a central difference at step 1e-5
+needs more digits than float32 holds.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ def op_checks(seed: int):
 
 
 def full_net_checks(frames: int, seed: int):
-    """Full architectures driven to the softmax training loss on one segment."""
+    """Full architectures, their parameters widened to float64, driven to the
+    softmax training loss on one segment."""
     rng = np.random.default_rng(seed)
     cfg = ExperimentConfig(loss="softmax")
     checks = []
@@ -88,6 +92,7 @@ def full_net_checks(frames: int, seed: int):
         ("maxpool_net", md.build_maxpool_net(n_spk=4, seed=seed)),
         ("res_net", md.build_res_net(3, n_spk=4, seed=seed)),
     ):
+        model.params.widen()
         feats = rng.standard_normal((max(frames, md.receptive_field(model) + 8), 23))
         labels = np.array([1])
 

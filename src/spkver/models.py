@@ -79,6 +79,8 @@ class ExtractorModel:
     args: dict
 
     in_dim = property(lambda self: self.layers[0].in_dim)
+    # the compute dtype, that of the parameters: float32 as built or loaded
+    dtype = property(lambda self: self.params[f"{self.layers[0].name}.w"].data.dtype)
     embedding_dim = property(lambda self: self.layers[-1].in_dim)
     n_spk = property(lambda self: self.layers[-1].out_dim)
 
@@ -191,9 +193,10 @@ def parameter_table(layers: list[LayerSpec]) -> list[ParamSpec]:
 
 
 def _allocate(layers: list[LayerSpec], params: ParameterSet, rng: np.random.Generator):
+    """float32 parameters, drawn in float64 and rounded, and float32 momenta."""
     for name, shape, bound in parameter_table(layers):
-        params.add(name, np.full(shape, 0.25) if bound is None
-                   else rng.uniform(-bound, bound, size=shape))
+        params.add(name, np.full(shape, 0.25, np.float32) if bound is None
+                   else rng.uniform(-bound, bound, size=shape).astype(np.float32))
 
 
 def check_width_scale(width_scale: float) -> None:
@@ -305,17 +308,19 @@ def model_from_arch_dict(arch: dict, seed: int | None) -> ExtractorModel:
 # Rows of every segment-layer product at inference.  Padding each block to
 # this fixed count makes an utterance's embedding independent of the rest
 # of its batch: OpenBLAS picks its kernel, and with it the summation order,
-# from the product's shape (one row goes to gemv, two or three rows of a
-# 512-wide layer to a small-matrix kernel), and sums every row of a product
-# with an even row count alike.  At full width the two segment layers take
-# 1.9 ms for one row and 9.4 ms for 32 (0.29 ms a row; 0.25 ms at 64), on
-# one thread of a 2-vCPU x86-64 host.
+# from the product's shape.  In float32 (sgemm) one row goes to gemv, and
+# every block of 2 to 32 rows tried gave a row bit for bit alike; in float64
+# two or three rows of a 512-wide layer also went to a small-matrix kernel.
+# At full width in float32 the two segment layers take 1.1 ms for one row
+# and 5.2 ms for 32 (0.16 ms a row; 0.12 ms at 64), on one thread of a
+# 2-vCPU x86-64 host.
 EMBED_BLOCK = 32
 
 
 def frame_stats_graph(model: ExtractorModel, features: np.ndarray) -> Tensor:
-    """Frame-level stack plus statistics pooling; returns a 1-D tensor."""
-    x = Tensor(features)
+    """Frame-level stack plus statistics pooling; returns a 1-D tensor.  The
+    features are cast to the model's dtype here, once."""
+    x = Tensor(np.asarray(features, dtype=model.dtype))
     if x.data.ndim != 2 or x.data.shape[1] != model.in_dim:
         raise ValueError(f"expected (T, {model.in_dim}) features, got {x.data.shape}")
     need = receptive_field(model)
@@ -346,13 +351,13 @@ def embed_batch(model: ExtractorModel, features: list[np.ndarray], map_fn=map) -
     The frame stack and statistics pooling run per utterance, through
     ``map_fn`` (a thread pool's ``map`` runs them concurrently); the pooled
     rows then go through the segment layers ``EMBED_BLOCK`` at a time, the
-    last block padded with zero rows.
+    last block padded with zero rows.  The embeddings are in the model's dtype.
     """
-    out = np.empty((len(features), model.embedding_dim))
+    out = np.empty((len(features), model.embedding_dim), model.dtype)
     for start in range(0, len(features), EMBED_BLOCK):
         rows = list(map_fn(lambda f: frame_stats_graph(model, f).data,
                            features[start : start + EMBED_BLOCK]))
-        pooled = np.zeros((EMBED_BLOCK, rows[0].size))
+        pooled = np.zeros((EMBED_BLOCK, rows[0].size), model.dtype)
         pooled[: len(rows)] = rows
         out[start : start + len(rows)] = segment_graph(model, Tensor(pooled)).data[: len(rows)]
     return out

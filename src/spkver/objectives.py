@@ -13,6 +13,10 @@ stabilizes early training when lambda is large.  The margin m (one of
 ``MARGINS``) and lambda are plain arguments of ``asoftmax_loss``; their
 range checks live in ``formats.ExperimentConfig``, and lambda's per-step
 decay in ``training.train_extractor``.
+
+Both losses compute in float64 on their small (B, N) and (B, D) arrays,
+whatever the dtype of their inputs, and hand each input's gradient back in
+that input's dtype.
 """
 
 from __future__ import annotations
@@ -57,7 +61,9 @@ def _check_labels(labels: np.ndarray, n_classes: int):
 
 def _cross_entropy(z: np.ndarray, labels: np.ndarray):
     """Mean negative log softmax probability of ``labels`` under the rows of
-    ``z``, and the function of the upstream gradient that gives d loss / d z."""
+    ``z``, and the function of the upstream gradient that gives d loss / d z;
+    computed in float64, the gradient in ``z``'s dtype."""
+    dtype, z = z.dtype, z.astype(np.float64)
     b = z.shape[0]
     rows = np.arange(b)
     zmax = z.max(axis=1, keepdims=True)
@@ -67,7 +73,7 @@ def _cross_entropy(z: np.ndarray, labels: np.ndarray):
     def grad(g):
         p = np.exp(z - lse[:, None])
         p[rows, labels] -= 1.0
-        return float(g) * p / b
+        return (float(g) * p / b).astype(dtype, copy=False)
 
     return loss, grad
 
@@ -93,7 +99,8 @@ def asoftmax_loss(x: Tensor, w: Tensor, labels, m: int, lam: float) -> Tensor:
     only, mixed with its plain cosine logit by the annealing weight ``lam``.
     """
     labels = np.asarray(labels, dtype=np.intp)
-    xv, wv = x.data, w.data
+    xv, wv = x.data.astype(np.float64), w.data.astype(np.float64)
+    x_dtype, w_dtype = x.data.dtype, w.data.dtype
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
         raise ValueError("dimension error: features (B, D) and weights (D, N)")
     if labels.shape != (xv.shape[0],):
@@ -137,6 +144,6 @@ def asoftmax_loss(x: Tensor, w: Tensor, labels, m: int, lam: float) -> Tensor:
         # Through the column normalization back to the raw weights.
         proj = (w_hat * g_what).sum(axis=0)
         gw = (g_what - w_hat * proj[None, :]) / w_norms[None, :]
-        return gx, gw
+        return gx.astype(x_dtype, copy=False), gw.astype(w_dtype, copy=False)
 
     return Tensor(loss, parents=(x, w), backward=backward)

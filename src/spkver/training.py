@@ -19,12 +19,15 @@ of exactly 0.0 on a batch.  The factor leaves room for A-softmax, whose
 loss grows with the feature norm and with psi(theta); healthy runs have
 been seen at up to about 9 ln(C).
 
-The optimizer reads and writes every parameter each step.  ``clip_gradients``
-and ``sgd_step`` sweep each tensor through flat views in blocks of
-``OPT_BLOCK`` entries and build no temporary of a parameter's size.  The
-gradient norm follows numpy's pairwise-sum splits down to the blocks, so it
-is bit for bit the norm of per-tensor ``(g ** 2).sum()``, and checkpoints do
-not depend on the block size even where clipping fires.
+Parameters, momenta, activations and gradients are float32, the dtype the
+builders allocate and checkpoints store; the objectives and the gradient
+norm accumulate in float64.  The optimizer reads and writes every parameter
+each step.  ``clip_gradients`` and ``sgd_step`` sweep each tensor through
+flat views in blocks of ``OPT_BLOCK`` entries and build no temporary of a
+parameter's size.  The gradient norm follows numpy's pairwise-sum splits
+down to the blocks, so it is bit for bit the norm of per-tensor
+``(g.astype(np.float64) ** 2).sum()``, and checkpoints do not depend on the
+block size even where clipping fires.
 """
 
 from __future__ import annotations
@@ -44,11 +47,12 @@ from .objectives import asoftmax_loss, softmax_ce
 # speakers, counts as divergence (see the module docstring).
 DIVERGENCE_FACTOR = 1e3
 
-# Entries per block of the optimizer sweeps (256 KiB of float64): a block of
-# gradient, velocity and parameter fits a 2 MiB L2 cache.  At least 128,
-# numpy's pairwise-sum leaf, so every block is a node of that sum's tree.
+# Entries per block of the optimizer sweeps (128 KiB of float32, and 256 KiB
+# of float64 squares in the norm's scratch): a block of gradient, velocity
+# and parameter fits a 2 MiB L2 cache.  At least 128, numpy's pairwise-sum
+# leaf, so every block is a node of that sum's tree.
 OPT_BLOCK = 1 << 15
-_ZERO_BLOCK = np.zeros(OPT_BLOCK)
+_ZERO_BLOCK = np.zeros(OPT_BLOCK, np.float32)
 _ZERO_BLOCK.flags.writeable = False
 
 
@@ -59,15 +63,16 @@ def _flat(a: np.ndarray) -> np.ndarray:
 
 
 def _sum_squares(flat: np.ndarray, scratch: np.ndarray) -> float:
-    """``float((flat ** 2).sum())``, bit for bit, without a temporary of
-    ``flat``'s size.  numpy's pairwise sum splits n > 128 elements at
-    ``n // 2`` rounded down to a multiple of 8 and adds the two halves'
-    sums; this takes the same splits down to slices of at most
-    ``OPT_BLOCK``, which ``.sum()`` finishes in its own order, squared into
-    ``scratch``."""
+    """``float((flat.astype(np.float64) ** 2).sum())``, bit for bit, without
+    a temporary of ``flat``'s size.  numpy's pairwise sum splits n > 128
+    elements at ``n // 2`` rounded down to a multiple of 8 and adds the two
+    halves' sums; this takes the same splits down to slices of at most
+    ``OPT_BLOCK``, which ``.sum()`` finishes in its own order, squared in
+    float64 into the float64 ``scratch`` (the square of a float32 is exact
+    there)."""
     n = flat.size
     if n <= OPT_BLOCK:
-        return float(np.square(flat, out=scratch[:n]).sum())
+        return float(np.square(flat, out=scratch[:n], dtype=np.float64).sum())
     half = n // 2 - (n // 2) % 8
     return _sum_squares(flat[:half], scratch) + _sum_squares(flat[half:], scratch)
 
@@ -77,11 +82,12 @@ def clip_gradients(params: ad.ParameterSet, max_norm: float) -> float:
 
     Returns the pre-clip norm.  The stacks carry no normalization layers,
     so occasional loss spikes can otherwise send the per-channel slopes
-    into a feedback loop.  Each gradient's sum of squares is formed in
-    blocks of ``OPT_BLOCK`` along numpy's pairwise-sum splits, so the norm
-    equals the one ``(g ** 2).sum()`` per tensor gives bit for bit, and so
-    do the clip decision and the scaled gradients; a dot product would sum
-    in another order.
+    into a feedback loop.  Each gradient's sum of squares accumulates in
+    float64, formed in blocks of ``OPT_BLOCK`` along numpy's pairwise-sum
+    splits, so the norm equals the one
+    ``(g.astype(np.float64) ** 2).sum()`` per tensor gives bit for bit, and
+    so do the clip decision and the scaled gradients; a dot product would
+    sum in another order.
     """
     scratch = np.empty(OPT_BLOCK)
     total = 0.0
@@ -296,7 +302,7 @@ def extract_embeddings(model: m.ExtractorModel, features: dict[str, np.ndarray],
             rows = m.embed_batch(model, kept_features, pool.map)
     else:
         rows = m.embed_batch(model, kept_features)
-    return dict(zip(kept, rows.astype(np.float32).astype(np.float64))), skipped
+    return dict(zip(kept, rows.astype(np.float64))), skipped
 
 
 def save_train_checkpoint(path, result: TrainResult, cfg: ExperimentConfig):

@@ -221,6 +221,26 @@ def test_mfcc_inputs_sharing_a_stem_exit_2_naming_both(capsys, tmp_path, layout)
     assert not (tmp_path / "f.bin").exists()
 
 
+@pytest.mark.parametrize("with_wav", [True, False], ids=["with-wav", "without-wav"])
+def test_mfcc_missing_wav_dir_exits_2_naming_it(capsys, tmp_path, with_wav):
+    write_wav(tmp_path / "a.wav", 0.3 * np.sin(0.3 * np.arange(8000)), 8000)
+    missing = tmp_path / "no" / "such" / "dir"
+    inputs = ["--wav", str(tmp_path / "a.wav")] if with_wav else []
+    code, _, err = run(capsys, "mfcc", *inputs, "--wav-dir", str(missing),
+                       "--out", str(tmp_path / "f.bin"))
+    assert code == 2
+    assert err == f"spkver: --wav-dir {missing}: no such directory\n"
+    assert not (tmp_path / "f.bin").exists()
+
+
+def test_mfcc_wav_dir_without_wavs_names_it(capsys, tmp_path):
+    (tmp_path / "empty").mkdir()
+    code, _, err = run(capsys, "mfcc", "--wav-dir", str(tmp_path / "empty"),
+                       "--out", str(tmp_path / "f.bin"))
+    assert code == 2
+    assert err == f"spkver: no input WAV files in {tmp_path / 'empty'}\n"
+
+
 def test_commands_never_import_scipy(tmp_path):
     """mfcc, LDA-PLDA training and PLDA scoring in a fresh interpreter leave no
     ``scipy`` module in ``sys.modules``."""
@@ -274,12 +294,34 @@ def test_extract_checkpoint_with_extra_momentum_exits_2(capsys, toy_dir, tmp_pat
                        step=0, epoch=0, config_hash="")
     arrays, meta = fm.read_archive(ckpt)
     arrays["momentum.bogus"] = np.zeros(2)
-    fm.write_archive(ckpt, arrays, meta, dtype="f8")
+    fm.write_archive(ckpt, arrays, meta, dtype="f4")
     code, _, err = run(capsys, "extract", "--checkpoint", str(ckpt),
                        "--features", str(toy_dir / "corpus" / "feats.bin"),
                        "--out", str(tmp_path / "emb.bin"))
     assert code == 2 and "extra.ckpt: array momentum.bogus" in err
     assert not (tmp_path / "emb.bin").exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "train-resume"])
+def test_checkpoint_with_float64_payloads_exits_2_naming_file_and_array(
+        capsys, toy_dir, tmp_path, command):
+    """Checkpoints store float32.  A file with 64-bit payloads, as checkpoints
+    were once written, is refused rather than narrowed, naming the first
+    array in name order."""
+    corpus = toy_dir / "corpus"
+    write_toy_config(tmp_path / "exp.ini", epochs=0)
+    train = train_argv(corpus, tmp_path / "exp.ini")
+    ckpt, out = tmp_path / "wide.ckpt", tmp_path / "out.bin"
+    assert run(capsys, *train, "--out", str(ckpt))[0] == 0
+    arrays, meta = fm.read_archive(ckpt)
+    fm.write_archive(ckpt, arrays, meta, dtype="f8")
+    array = sorted(arrays)[0]
+    argv = (["extract", "--checkpoint", str(ckpt), "--features", str(corpus / "feats.bin")]
+            if command == "extract" else [*train, "--resume", str(ckpt)])
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err == f"spkver: {ckpt}: array {array} is float64, checkpoints store float32\n"
+    assert not out.exists()
 
 
 def test_extract_all_short_writes_empty_archive(capsys, tmp_path):
@@ -809,6 +851,19 @@ def test_score_center_mean_of_wrong_length_names_file_and_lengths(capsys, tmp_pa
     assert not (tmp_path / "s.txt").exists()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_score_center_non_finite_mean_names_file_and_array(capsys, tmp_path, bad):
+    emb_path, trials_path = _two_utterance_inputs(tmp_path)
+    center_path = tmp_path / "dev_mean.bin"
+    fm.write_archive(center_path, {"mean": np.array([bad, 0.0])}, None, dtype="f8")
+    code, _, err = run(capsys, "score", "--backend", "cosine", "--center", str(center_path),
+                       "--embeddings", str(emb_path), "--trials", str(trials_path),
+                       "--out", str(tmp_path / "s.txt"))
+    assert code == 2
+    assert err == f"spkver: {center_path}: array mean holds a non-finite value\n"
+    assert not (tmp_path / "s.txt").exists()
+
+
 @pytest.mark.parametrize("backend,arrays,missing", [
     ("csml", {"matrix": np.eye(2)}, "transform"),
     ("plda", {"mean": np.zeros(2), "between": np.eye(2)}, "within"),
@@ -888,7 +943,7 @@ def test_resume_checkpoint_missing_metadata_key_exits_2(capsys, toy_dir, tmp_pat
     assert run(capsys, *resume)[0] == 0
     arrays, meta = fm.read_archive(ckpt)
     del meta[key]
-    fm.write_archive(ckpt, arrays, meta, dtype="f8")
+    fm.write_archive(ckpt, arrays, meta, dtype="f4")
     code, _, err = run(capsys, *resume)
     assert code == 2
     assert f"spkver: {ckpt}: checkpoint lacks metadata key {key}" in err
@@ -963,7 +1018,7 @@ def test_malformed_architecture_record_exits_2_naming_the_key(capsys, toy_dir, t
     arrays, meta = fm.read_archive(ckpt)
     apply_edit, message = ARCH_EDITS[edit]
     apply_edit(meta["arch"])
-    fm.write_archive(ckpt, arrays, meta, dtype="f8")
+    fm.write_archive(ckpt, arrays, meta, dtype="f4")
     argv = (["extract", "--checkpoint", str(ckpt), "--features", str(corpus / "feats.bin")]
             if command == "extract" else [*train, "--resume", str(ckpt)])
     code, _, err = run(capsys, *argv, "--out", str(out))

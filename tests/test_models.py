@@ -234,8 +234,10 @@ def test_forward_embed_too_short():
 
 
 def test_forward_embed_matches_layerwise_numpy_replay():
-    """Re-run the stack with plain numpy layer math as an independent driver."""
+    """Re-run the stack with plain numpy layer math as an independent driver,
+    in float64 on a widened model."""
     model = md.build_maxpool_net(n_spk=3, width_scale=0.25, seed=5)
+    model.params.widen()
     rng = np.random.default_rng(6)
     feats = rng.standard_normal((150, 23))
 
@@ -336,7 +338,7 @@ def test_checkpoint_n_blocks_beyond_its_arrays_rejected_before_building(tmp_path
     fm.save_checkpoint(path, STACKS["resnet"](), step=0, epoch=0, config_hash="")
     arrays, meta = fm.read_archive(path)
     meta["arch"]["n_blocks"] = 10 ** 9
-    fm.write_archive(path, arrays, meta, dtype="f8")
+    fm.write_archive(path, arrays, meta, dtype="f4")
 
     @functools.wraps(md.build_res_net)     # keeps the signature the record is checked by
     def refuse(*args, **kwargs):
