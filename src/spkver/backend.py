@@ -544,8 +544,7 @@ def load_backend(path, kind: str):
     metadata key the kind needs is missing, and the array too when a PLDA array
     is mis-shaped, not finite, not symmetric or not (semi)definite.
     """
-    arrays, meta = fm.read_archive(path)
-    arrays = {name: a.astype(np.float64, copy=False) for name, a in arrays.items()}
+    arrays, meta = fm.read_archive(path, dtype=np.float64)
     what = "cosine transform" if kind == "csml" else "PLDA model"
     if meta is None or meta.get("kind") != kind:
         raise ValueError(f"{path}: not a {what} file")

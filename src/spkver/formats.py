@@ -15,8 +15,9 @@ Container I/O copies each payload once:
   buffer to the file; no byte string of the whole archive is built.
 - ``read_archive`` reads each payload straight into the array it returns,
   in the payload's dtype: float32 for 32-bit payloads, float64 for 64-bit
-  ones.  ``read_embeddings`` widens to float64, which is then the one
-  copy; a checkpoint's float32 arrays become the model's state as read.
+  ones.  Asked for a dtype, it converts each payload to it as it is read,
+  which is then the one copy: ``read_embeddings`` widens to float64 this
+  way.  A checkpoint's float32 arrays become the model's state as read.
   (Payloads smaller than the file buffer, like the headers, pass through
   that buffer on the way.)
 - Before allocating a payload, ``read_archive`` checks its size against the
@@ -85,17 +86,18 @@ def write_archive(path, arrays: dict[str, np.ndarray], meta: dict | None, dtype:
         fh.writelines(chunks)
 
 
-def read_archive(path, skip_prefix: str | None = None):
+def read_archive(path, skip_prefix: str | None = None, dtype=None):
     """Read a container; returns (arrays, meta-or-None).
 
     Every array is a fresh, writable array of its payload's dtype (float32
-    or float64) that shares memory with no other, except for array records
-    whose name starts with ``skip_prefix``: their payloads are not read, and
-    each comes back as a read-only all-NaN placeholder of its shape and
-    dtype that holds no memory.  A file that ends inside a record (or whose
-    record claims more bytes than the file holds), a metadata record that is
-    not 1-D and an unknown dtype code raise ValueError naming the path,
-    skipped records included.
+    or float64), or of ``dtype`` when one is given, that shares memory with
+    no other, except for array records whose name starts with
+    ``skip_prefix``: their payloads are not read, and each comes back as a
+    read-only all-NaN placeholder of its shape and dtype that holds no
+    memory.  A file that ends inside a record (or whose record claims more
+    bytes than the file holds), a metadata record that is not 1-D and an
+    unknown dtype code raise ValueError naming the path, skipped records
+    included.
     """
     with open(path, "rb", buffering=_FILE_BUFFER) as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -140,13 +142,13 @@ def read_archive(path, skip_prefix: str | None = None):
             claim(nbytes)
             if skip_prefix is not None and name.startswith(skip_prefix):
                 fh.seek(nbytes, os.SEEK_CUR)
-                arrays[name] = np.broadcast_to(np_dtype.type(np.nan), shape)
+                arrays[name] = np.broadcast_to(np.dtype(dtype or np_dtype).type(np.nan), shape)
                 continue
             arr = np.empty(shape, np_dtype)
             # an empty array has no bytes to read (and memoryview cannot cast it)
             if nbytes and fh.readinto(memoryview(arr).cast("B")) != nbytes:
                 raise ValueError(f"{path}: truncated archive")
-            arrays[name] = arr
+            arrays[name] = arr if dtype is None else arr.astype(dtype, copy=False)
     return arrays, meta
 
 
@@ -177,10 +179,10 @@ def write_embeddings(path, embeddings: dict[str, np.ndarray]):
 
 def read_embeddings(path):
     """Utterance id -> float64 embedding: the backends score in float64."""
-    arrays, meta = read_archive(path)
+    arrays, meta = read_archive(path, dtype=np.float64)
     if meta is None or meta.get("kind") != "embeddings":
         raise ValueError(f"{path}: not an embedding archive")
-    return {name: a.astype(np.float64, copy=False) for name, a in arrays.items()}
+    return arrays
 
 
 def write_utt2spk(path, utt2spk: dict[str, str]):

@@ -63,7 +63,7 @@ def _cross_entropy(z: np.ndarray, labels: np.ndarray):
     """Mean negative log softmax probability of ``labels`` under the rows of
     ``z``, and the function of the upstream gradient that gives d loss / d z;
     computed in float64, the gradient in ``z``'s dtype."""
-    dtype, z = z.dtype, z.astype(np.float64)
+    dtype, z = z.dtype, z.astype(np.float64, copy=False)
     b = z.shape[0]
     rows = np.arange(b)
     zmax = z.max(axis=1, keepdims=True)
@@ -99,7 +99,7 @@ def asoftmax_loss(x: Tensor, w: Tensor, labels, m: int, lam: float) -> Tensor:
     only, mixed with its plain cosine logit by the annealing weight ``lam``.
     """
     labels = np.asarray(labels, dtype=np.intp)
-    xv, wv = x.data.astype(np.float64), w.data.astype(np.float64)
+    xv, wv = x.data.astype(np.float64, copy=False), w.data.astype(np.float64, copy=False)
     x_dtype, w_dtype = x.data.dtype, w.data.dtype
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
         raise ValueError("dimension error: features (B, D) and weights (D, N)")

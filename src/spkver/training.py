@@ -94,7 +94,7 @@ def clip_gradients(params: ad.ParameterSet, max_norm: float) -> float:
     for _, tensor in params.items():
         if tensor.grad is not None:
             total += _sum_squares(_flat(tensor.grad), scratch)
-    norm = np.sqrt(total)
+    norm = float(np.sqrt(total))        # a Python float scales each gradient in its dtype
     if max_norm > 0 and norm > max_norm:
         factor = max_norm / norm
         for _, tensor in params.items():

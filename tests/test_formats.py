@@ -291,6 +291,8 @@ def test_archive_arrays_are_fresh_writable_in_their_payload_dtype(tmp_path):
         back, _ = fm.read_archive(tmp_path / "x.bin")
         _assert_fresh(list(back.values()), np_dtype)
         assert all(np.array_equal(back[k], arrays[k]) for k in arrays)
+        wide, _ = fm.read_archive(tmp_path / "x.bin", dtype=np.float64)
+        _assert_fresh(list(wide.values()), np.float64)
     embeddings = {"u": np.linspace(-1.0, 1.0, 5).astype(np.float32)}
     fm.write_embeddings(tmp_path / "e.bin", embeddings)
     _assert_fresh(list(fm.read_embeddings(tmp_path / "e.bin").values()), np.float64)

@@ -338,7 +338,7 @@ def ref_clip_gradients(params, max_norm):
     for _, tensor in params.items():
         if tensor.grad is not None:
             total += float((tensor.grad.astype(np.float64) ** 2).sum())
-    norm = np.sqrt(total)
+    norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         factor = max_norm / norm
         for _, tensor in params.items():
