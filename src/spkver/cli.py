@@ -137,6 +137,13 @@ def _cmd_backend_train(args) -> int:
                               max_triplets=args.max_triplets, seed=args.seed)
         what = f"cosine transform ({model.dim}x{model.dim})"
     else:
+        n_rows, dim = matrix.shape
+        n_spk = np.unique(labels).size
+        if n_rows - n_spk < dim:
+            print(f"spkver: warning: {args.embeddings}: {n_rows} embeddings of {n_spk} "
+                  f"speakers leave {n_rows - n_spk} within-class degrees of freedom for "
+                  f"{dim} dimensions, so the within-class scatter is singular",
+                  file=sys.stderr)
         model = bk.plda_fit(matrix, labels, n_iter=args.em_iters,
                             lda_dim=args.lda_dim,
                             length_norm=not args.no_length_norm)
@@ -192,8 +199,16 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    for p in args.p_target:
+        try:
+            mt.DcfParams(p_target=p)
+        except ValueError as exc:
+            raise CliError(f"--p-target {p:g}: {exc}") from exc
     score_set = _parse_text_file(args.scores, mt.parse_scores)
-    summary = mt.summarize(score_set, p_targets=tuple(args.p_target))
+    try:
+        summary = mt.summarize(score_set, p_targets=tuple(args.p_target))
+    except ValueError as exc:                 # a degenerate trial set
+        raise CliError(f"{args.scores}: {exc}") from exc
     print(f"{'metric':<18} value")
     print(f"{'EER':<18} {summary['eer'] * 100:.3f}%")
     for p in args.p_target:

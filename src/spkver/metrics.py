@@ -6,13 +6,20 @@ sweep thresholds over the distinct score values, treating tied scores
 atomically; the EER is the crossing of P_miss = P_fa, interpolated linearly
 between adjacent operating points, which makes it invariant under any
 strictly increasing transform of the scores.
+
+Trial and score files are tokenized in line-aligned chunks of about
+``_CHUNK_CHARS`` characters, so a parse holds the token strings of one chunk
+besides the columns it returns: on a 200k-line score file, under 2 MiB beyond
+the 27 MiB of ids the ``ScoreSet`` keeps, where one ``split()`` of the whole
+text held about as much again.  A bad line is named by one line-by-line walk
+over the whole text.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -119,22 +126,53 @@ _LABEL_TEXT = {True: "target", False: "nontarget"}
 _FORMATS = {3: "enroll test target|nontarget", 4: "enroll test target|nontarget score"}
 
 
+# Characters per chunk of ``_columns``: transient memory is one chunk's token
+# strings rather than the file's, and 256 KiB still holds a 4k-line score file,
+# so small trial and score files parse in one chunk at no extra cost.
+_CHUNK_CHARS = 1 << 18
+
+
 def _columns(text: str, n_fields: int) -> list:
     """Enroll ids, test ids, target mask and, in a score file (4 fields), scores of the
-    non-blank lines, from one ``text.split()``; lines are walked only to name a bad one."""
-    fields_per_line = set(map(len, map(str.split, text.splitlines())))
-    tokens = text.split()
-    if not tokens:
+    non-blank lines.  Each chunk but the last holds at least ``_CHUNK_CHARS`` characters
+    and ends just after a line feed, so no line and no CR LF pair is split; each is
+    parsed from one ``split()`` and the per-chunk masks and scores are joined once.
+    Transient memory is one chunk's tokens, not the file's.  On any bad chunk the
+    whole text is walked line by line to name the first bad line."""
+    enroll, test, arrays = [], [], []
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
+        columns = _chunk_columns(text[start:end], n_fields)
+        if columns is None:
+            _raise_bad_line(text, n_fields)
+        enroll += columns[0]
+        test += columns[1]
+        arrays.append(columns[2:])
+        start = end
+    if not enroll:
         raise ValueError("no trials")
-    if fields_per_line <= {0, n_fields}:
+    return [enroll, test, *map(np.concatenate, zip(*arrays))]
+
+
+def _chunk_columns(chunk: str, n_fields: int) -> list | None:
+    """``_columns`` of whole lines from one ``chunk.split()``; None if a line is bad."""
+    if set(map(len, map(str.split, chunk.splitlines()))) <= {0, n_fields}:
+        tokens = chunk.split()
+        n = len(tokens) // n_fields
         with contextlib.suppress(KeyError, ValueError):   # a bad label, a score float() rejects
-            n = len(tokens) // n_fields
             is_target = np.fromiter(map(_LABELS.__getitem__, tokens[2::n_fields]), bool, n)
             scores = [np.fromiter(map(float, tokens[k::n_fields]), np.float64, n)
                       for k in range(3, n_fields)]
             if all(np.isfinite(column).all() for column in scores):
                 return [tokens[0::n_fields], tokens[1::n_fields], is_target, *scores]
-    not_finite = []          # named only if no line is malformed or has a bad score
+    return None
+
+
+def _raise_bad_line(text: str, n_fields: int) -> NoReturn:
+    """Name the first malformed line or bad score of ``text`` or, failing those, the
+    first non-finite score."""
+    not_finite = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if parts and (len(parts) != n_fields or parts[2] not in _LABELS):

@@ -592,12 +592,26 @@ def test_eval_builds_no_trial_rows(capsys, tmp_path, monkeypatch):
     (b"a b target 0.5\nc d nontarget nan\n", "line 2: score 'nan' is not finite"),
     (b"", "no trials"),
     (b"a b target 0.5\n\xff\n", "'utf-8' codec can't decode"),
-], ids=["3-fields", "5-fields", "bad-label", "bad-float", "nan", "empty", "not-utf-8"])
+    (b"a b target 0.5\nc d target 0.1\n", "degenerate trial set"),
+    (b"a b nontarget 0.5\nc d nontarget 0.1\n", "degenerate trial set"),
+], ids=["3-fields", "5-fields", "bad-label", "bad-float", "nan", "empty", "not-utf-8",
+        "all-target", "all-nontarget"])
 def test_eval_malformed_score_file_exits_2_naming_it(capsys, tmp_path, text, message):
     path = tmp_path / "scores.txt"
     path.write_bytes(text)
     code, _, err = run(capsys, "eval", "--scores", str(path))
     assert code == 2 and f"spkver: {path}: {message}" in err
+
+
+@pytest.mark.parametrize("value", ["1.5", "0", "-0.2", "nan"])
+def test_eval_p_target_out_of_range_exits_2_naming_the_option(capsys, tmp_path, value):
+    path = tmp_path / "scores.txt"
+    path.write_text("a b target 0.9\na c nontarget 0.1\n")
+    code, out, err = run(capsys, "eval", "--scores", str(path), "--p-target", "0.01", value,
+                         "--json", str(tmp_path / "eval.json"))
+    assert code == 2 and out == ""
+    assert err == f"spkver: --p-target {float(value):g}: p_target must be in (0, 1)\n"
+    assert not (tmp_path / "eval.json").exists()
 
 
 def _score_all_backends(capsys, tmp_path):
@@ -715,6 +729,29 @@ def test_backend_train_option_out_of_range_exits_2_naming_it(capsys, tmp_path, k
                        "--out", str(tmp_path / "model.bin"), *flags)
     assert code == 2 and f"spkver: {message}" in err, err
     assert not (tmp_path / "model.bin").exists()
+
+
+@pytest.mark.parametrize("n_rows,warned", [(48, True), (75, True), (76, False)])
+def test_lda_plda_warns_when_within_class_scatter_is_singular(capsys, tmp_path, n_rows,
+                                                              warned):
+    """12 speakers in 64 dimensions: 48 embeddings (the fingerprint's sizes) and 75
+    leave fewer than 64 within-class degrees of freedom and a warning, 76 leave 64
+    and none.  The model is written either way."""
+    rng = np.random.default_rng(4)
+    centers = 3.0 * rng.standard_normal((12, 64))
+    emb = {f"s{i % 12:02d}u{i}": centers[i % 12] + rng.standard_normal(64)
+           for i in range(n_rows)}
+    fm.write_embeddings(tmp_path / "emb.bin", emb)
+    fm.write_utt2spk(tmp_path / "utt2spk.txt", {utt: utt[:3] for utt in emb})
+    code, _, err = run(capsys, "backend-train", "--kind", "lda-plda",
+                       "--embeddings", str(tmp_path / "emb.bin"),
+                       "--utt2spk", str(tmp_path / "utt2spk.txt"),
+                       "--out", str(tmp_path / "plda.bin"), "--lda-dim", "8",
+                       "--em-iters", "2")
+    assert code == 0 and (tmp_path / "plda.bin").exists()
+    assert err == (f"spkver: warning: {tmp_path / 'emb.bin'}: {n_rows} embeddings of 12 "
+                   f"speakers leave {n_rows - 12} within-class degrees of freedom for 64 "
+                   f"dimensions, so the within-class scatter is singular\n" if warned else "")
 
 
 def test_score_blocks_cross_boundaries_and_match_library(capsys, tmp_path, monkeypatch):

@@ -1,6 +1,9 @@
 """Metric contracts against an exhaustive-threshold oracle, plus
 invariance properties and file round-trips."""
 
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -341,21 +344,27 @@ def outcome(parse, text):
         return None, str(exc)
 
 
+# The oracle tests parse each text twice: as one chunk, and with every line feed
+# ending a chunk.  The patch is inside the test body because a @given test runs
+# its body once per example, and a function-scoped fixture only once per test.
+CHUNK_SIZES = (mt._CHUNK_CHARS, 1)
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(trial_file_texts(3))
 @example("e1 t1\ntarget e2 t2 nontarget\n")   # 2 + 4 fields: two good rows by token count
+@example("a b target\nc d\n")                  # a malformed line after the first seam
+@example("a b target\r\nc d nontarget\r\n")    # CR LF pairs are never split
+@example("\n \n\t\na b target\n\n\n")           # chunks holding only blank lines
+@example(" \n\n")                              # only blank chunks: no trials
 def test_trial_parser_matches_line_by_line_parser(text):
-    got, error = outcome(parse_trials, text)
-    expected, expected_error = outcome(loop_parse_trials, text)
-    assert error == expected_error
-    assert got == expected
+    expected = outcome(loop_parse_trials, text)
+    for chunk_chars in CHUNK_SIZES:
+        with patch.object(mt, "_CHUNK_CHARS", chunk_chars):
+            assert outcome(parse_trials, text) == expected, chunk_chars
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(trial_file_texts(4))
-@example("a b target\n0.5 c d nontarget 0.7\n")     # 3 + 5 fields: two good rows by count
-@example("a b target nan\nc d target\n")             # the malformed line is named first
-def test_score_parser_matches_line_by_line_parser(text):
+def assert_score_parse_matches_loop(text):
     got, error = outcome(parse_scores, text)
     expected, expected_error = outcome(loop_parse_scores, text)
     if expected_error is not None:
@@ -377,3 +386,48 @@ def test_score_parser_matches_line_by_line_parser(text):
         for a, b in zip(got.split(), loop_split(trials, scores)):
             assert a.tobytes() == b.tobytes()
     assert write_scores(got) == loop_write_scores(trials, scores)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(trial_file_texts(4))
+@example("a b target\n0.5 c d nontarget 0.7\n")     # 3 + 5 fields: two good rows by count
+@example("a b target nan\nc d target\n")             # the malformed line is named first
+@example("a b target 0.5\nc d nontarget\n")          # a malformed line after the first seam
+@example("a b target 0.5\nc d nontarget 0.5.1\n")    # a bad score after the first seam
+@example("a b target 0.5\nc d nontarget inf\n")      # a non-finite score after the first seam
+@example("a b target nan\nc d nontarget 1\ne f\n")   # ... named only if no line is malformed
+@example("a b target 0.5\r\nc d nontarget -0.0\r\n")  # CR LF pairs are never split
+@example("\n \n\t\na b target 1\n\n\nc d nontarget 2\n\n")  # chunks of only blank lines
+def test_score_parser_matches_line_by_line_parser(text):
+    for chunk_chars in CHUNK_SIZES:
+        with patch.object(mt, "_CHUNK_CHARS", chunk_chars):
+            assert_score_parse_matches_loop(text)
+
+
+def test_every_chunk_size_cuts_after_a_line_feed():
+    """Chunks of any size, so that a chunk's nominal end falls on every character
+    (inside an id, on a CR of a CR LF pair, on a blank line), parse alike."""
+    text = "e1 t1 target 0.5\r\n\n  \r\ne2 t2 nontarget -1e3\re3 t3 target 2\n\ne4 t4 target 7"
+    expected = parse_scores(text)
+    for chunk_chars in range(1, len(text) + 2):
+        with patch.object(mt, "_CHUNK_CHARS", chunk_chars):
+            got = parse_scores(text)
+        assert (got.enroll, got.test) == (expected.enroll, expected.test), chunk_chars
+        assert got.scores.tobytes() == expected.scores.tobytes(), chunk_chars
+        assert np.array_equal(got.is_target, expected.is_target), chunk_chars
+
+
+def test_parse_scores_transient_memory_is_a_fraction_of_what_it_keeps():
+    """Parsing 50k lines with unique ids holds, beyond the returned ``ScoreSet``,
+    under a quarter of what that set keeps; one ``split()`` of the whole text
+    held the label and score strings of every line, more than the ids kept."""
+    text = "".join(f"enr{i:06d} tst{i:06d} {LABEL_TEXT[i % 10 == 0]} {i % 997 / 7:.2f}\n"
+                   for i in range(50_000))
+    tracemalloc.start()
+    try:
+        score_set = parse_scores(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(score_set.enroll) == 50_000
+    assert peak - held < held / 4, (peak - held, held)
