@@ -10,9 +10,8 @@ strictly increasing transform of the scores.
 Trial and score files are tokenized in line-aligned chunks of about
 ``_CHUNK_CHARS`` characters, so a parse holds the token strings of one chunk
 besides the columns it returns: on a 200k-line score file, under 2 MiB beyond
-the 27 MiB of ids the ``ScoreSet`` keeps, where one ``split()`` of the whole
-text held about as much again.  A bad line is named by one line-by-line walk
-over the whole text.
+the 27 MiB of ids the ``ScoreSet`` keeps.  A bad line is named by one
+line-by-line walk over the whole text.
 """
 
 from __future__ import annotations
@@ -126,19 +125,19 @@ _LABEL_TEXT = {True: "target", False: "nontarget"}
 _FORMATS = {3: "enroll test target|nontarget", 4: "enroll test target|nontarget score"}
 
 
-# Characters per chunk of ``_columns``: transient memory is one chunk's token
-# strings rather than the file's, and 256 KiB still holds a 4k-line score file,
-# so small trial and score files parse in one chunk at no extra cost.
+# Characters per chunk of ``_columns``: small enough that one chunk's transient
+# token strings stay near 1 MiB, large enough (a 4k-line score file is about
+# 240 KB) that small trial and score files parse in one chunk at no extra cost.
 _CHUNK_CHARS = 1 << 18
 
 
 def _columns(text: str, n_fields: int) -> list:
     """Enroll ids, test ids, target mask and, in a score file (4 fields), scores of the
     non-blank lines.  Each chunk but the last holds at least ``_CHUNK_CHARS`` characters
-    and ends just after a line feed, so no line and no CR LF pair is split; each is
-    parsed from one ``split()`` and the per-chunk masks and scores are joined once.
-    Transient memory is one chunk's tokens, not the file's.  On any bad chunk the
-    whole text is walked line by line to name the first bad line."""
+    and ends just after a line feed, so no line and no CR LF pair is split; a chunk is
+    tokenized by one ``split()``, so only its label and score strings are transient, and
+    the per-chunk masks and scores are joined once.  A bad chunk sends the whole text to
+    ``_raise_bad_line``, so an error names the line's number in the file."""
     enroll, test, arrays = [], [], []
     start = 0
     while start < len(text):

@@ -419,8 +419,8 @@ def test_every_chunk_size_cuts_after_a_line_feed():
 
 def test_parse_scores_transient_memory_is_a_fraction_of_what_it_keeps():
     """Parsing 50k lines with unique ids holds, beyond the returned ``ScoreSet``,
-    under a quarter of what that set keeps; one ``split()`` of the whole text
-    held the label and score strings of every line, more than the ids kept."""
+    under a quarter of what that set keeps: the label and score strings of one
+    chunk, not of every line."""
     text = "".join(f"enr{i:06d} tst{i:06d} {LABEL_TEXT[i % 10 == 0]} {i % 997 / 7:.2f}\n"
                    for i in range(50_000))
     tracemalloc.start()
