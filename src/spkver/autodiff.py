@@ -418,54 +418,13 @@ def stack_rows(rows: list[Tensor]) -> Tensor:
     return Tensor(out, parents=tuple(rows), backward=backward)
 
 
-class ParameterSet:
-    """Named trainable tensors plus their per-tensor momentum buffers."""
-
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-        self.velocity: dict[str, np.ndarray] = {}
-
-    def add(self, name: str, array, velocity=None) -> Tensor:
-        """Add a parameter holding ``array`` (not copied if it is a float
-        array) with momentum buffer ``velocity``, zeros when None."""
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name: {name}")
-        t = Tensor(array, requires_grad=True, name=name)
-        self._params[name] = t
-        self.velocity[name] = np.zeros_like(t.data) if velocity is None else velocity
-        return t
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def items(self):
-        return self._params.items()
-
-    def zero_grad(self):
-        for t in self._params.values():
-            t.grad = None
-
-    def widen(self):
-        """Replace every parameter and momentum buffer by a float64 copy, so
-        the ops run in float64: the finite-difference gradcheck needs it."""
-        for name, t in self._params.items():
-            t.data = t.data.astype(np.float64)
-            self.velocity[name] = self.velocity[name].astype(np.float64)
-
-
 def grad_check(loss_fn, params, eps: float = 1e-5, n_samples: int | None = None, rng=None) -> float:
     """Compare reverse-mode gradients against central finite differences.
 
     ``loss_fn`` rebuilds the graph from scratch and returns the scalar loss
-    tensor.  Every tensor of ``params``, a name -> tensor mapping (a dict or a
-    ``ParameterSet``), is probed; ``n_samples`` bounds the number of randomly
-    chosen entries per tensor (None probes all entries).  Returns the worst
+    tensor.  Every tensor of ``params``, a dict from name to tensor, is
+    probed; ``n_samples`` bounds the number of randomly chosen entries per
+    tensor (None probes all entries).  Returns the worst
     relative error across probes.  The tensors should be float64: float32
     rounding swamps a central difference at the default ``eps``.
     """

@@ -555,7 +555,12 @@ def load_backend(path, kind: str):
     if missing:
         raise ValueError(f"{path}: {what} file lacks array(s) {', '.join(missing)}")
     if kind == "csml":
-        return CsmlTransform(arrays["transform"])
+        if not np.isfinite(arrays["transform"]).all():
+            raise ValueError(f"{path}: array transform must be finite")
+        try:
+            return CsmlTransform(arrays["transform"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if "length_norm" not in meta:
         raise ValueError(f"{path}: {what} file lacks metadata key length_norm")
     d = (arrays["within"].shape or (0,))[0]

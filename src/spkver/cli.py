@@ -119,13 +119,22 @@ def _cmd_extract(args) -> int:
     return 0
 
 
+def _stack_embeddings(path, embeddings, utts) -> np.ndarray:
+    """Rows of ``embeddings`` for ``utts``; a NaN or inf names ``path`` and its utterance."""
+    matrix = np.stack([embeddings[u] for u in utts])
+    if not np.isfinite(matrix).all():
+        bad = utts[np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0]]
+        raise CliError(f"{path}: embedding of {bad!r} holds a non-finite value")
+    return matrix
+
+
 def _load_labeled_embeddings(emb_path, utt2spk_path):
     embeddings = fm.read_embeddings(emb_path)
     utt2spk = fm.read_utt2spk(utt2spk_path)
     utts = sorted(u for u in embeddings if u in utt2spk)
     if not utts:
         raise CliError("no labeled embeddings found")
-    matrix = np.stack([embeddings[u] for u in utts])
+    matrix = _stack_embeddings(emb_path, embeddings, utts)
     labels = np.array([utt2spk[u] for u in utts])
     return utts, matrix, labels
 
@@ -173,7 +182,7 @@ def _cmd_score(args) -> int:
         if utt not in embeddings:
             raise CliError(f"trial references unknown utterance {utt!r}")
         index.setdefault(utt, len(index))
-    matrix = np.stack([embeddings[u] for u in index])
+    matrix = _stack_embeddings(args.embeddings, embeddings, list(index))
     if args.center:
         arrays, _ = fm.read_archive(args.center)
         if "mean" not in arrays:

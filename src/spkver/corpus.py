@@ -47,7 +47,7 @@ class SyntheticCorpusSpec:
 
 
 def generate_synthetic_corpus(spec: SyntheticCorpusSpec):
-    """Deterministic labeled corpus: (features by utterance id, utt2spk)."""
+    """Deterministic labeled corpus: (float32 features by utterance id, utt2spk)."""
     rng = np.random.default_rng(spec.seed)
     n_frames = int(round(spec.utterance_s * 1000.0 / spec.frame_shift_ms))
     d = spec.feature_dim
@@ -67,7 +67,7 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec):
             comps = rng.integers(spec.mixture_components, size=n_frames)
             frames = (comp_means[comps] + channel
                       + spec.noise_scale * rng.standard_normal((n_frames, d)))
-            features[utt] = frames.astype(np.float32).astype(np.float64)
+            features[utt] = frames.astype(np.float32)
             utt2spk[utt] = spk
     return features, utt2spk
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
-from .models import ARCHS, check_width_scale, model_from_arch_dict, parameter_table
+from .models import ARCHS, adopt, check_width_scale, model_from_arch_dict, parameter_table
 from .objectives import MARGINS
 
 MAGIC = b"SPKVTAR\x00"
@@ -166,6 +166,9 @@ def read_features(path):
     arrays, meta = read_archive(path)
     if meta is None or meta.get("kind") != "features":
         raise ValueError(f"{path}: not a feature archive")
+    for utt, feats in arrays.items():
+        if not np.isfinite(feats).all():
+            raise ValueError(f"{path}: features of {utt!r} hold a non-finite value")
     return arrays, meta
 
 
@@ -221,11 +224,8 @@ def read_utt2spk(path) -> dict[str, str]:
 def save_checkpoint(path, model, *, step: int, epoch: int, config_hash: str,
                     rng_state: dict | None = None, extra: dict | None = None):
     """Persist parameters, momentum buffers (as float32) and bookkeeping."""
-    arrays: dict[str, np.ndarray] = {}
-    for name, tensor in model.params.items():
-        arrays[f"param.{name}"] = tensor.data
-    for name, vel in model.params.velocity.items():
-        arrays[f"momentum.{name}"] = vel
+    arrays = {f"param.{name}": tensor.data for name, tensor in model.params.items()}
+    arrays |= {f"momentum.{name}": vel for name, vel in model.velocity.items()}
     meta = {
         "kind": "checkpoint",
         "format_version": FORMAT_VERSION,
@@ -283,7 +283,7 @@ def load_checkpoint(path, momentum: bool = True):
                              f"checkpoints store float32")
     # read_archive's arrays are fresh and unshared: they become the state as they are
     for name, _, _ in table:
-        model.params.add(name, arrays[f"param.{name}"], arrays[f"momentum.{name}"])
+        adopt(model, name, arrays[f"param.{name}"], arrays[f"momentum.{name}"])
     return model, meta
 
 

@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParameterSet, Tensor
+from .autodiff import Tensor
 
 
 @dataclass
@@ -68,14 +68,15 @@ class LayerSpec:
 
 @dataclass
 class ExtractorModel:
-    """A layer stack plus its learned parameters.  ``args`` are the keyword
-    arguments, bar ``seed``, that the stack's builder in ``ARCHS[arch]`` took;
-    the input width, embedding width and speaker count are read from the
-    first layer and the classifier."""
+    """A layer stack, its ``params`` and their momenta ``velocity`` (dicts by
+    name, in ``parameter_table`` order).  ``args`` are the keyword arguments,
+    bar ``seed``, of the builder ``ARCHS[arch]``; input width, embedding width
+    and speaker count are read from the first layer and the classifier."""
 
     arch: str
     layers: list[LayerSpec]
-    params: ParameterSet
+    params: dict[str, Tensor]
+    velocity: dict[str, np.ndarray]
     args: dict
 
     in_dim = property(lambda self: self.layers[0].in_dim)
@@ -124,7 +125,7 @@ def _tdnn_params(name: str, fan_in: int, width: int) -> list[ParamSpec]:
     return _affine_params(name, fan_in, width) + [ParamSpec(f"{name}.slope", (width,), None)]
 
 
-def _tdnn(params: ParameterSet, name: str, x: Tensor, context: int) -> Tensor:
+def _tdnn(params: dict[str, Tensor], name: str, x: Tensor, context: int) -> Tensor:
     h = ad.time_delay(x, params[f"{name}.w"], params[f"{name}.b"], context)
     return ad.prelu(h, params[f"{name}.slope"])
 
@@ -134,7 +135,7 @@ def _block_params(block: LayerSpec) -> list[ParamSpec]:
             + _tdnn_params(f"{block.name}.td2", block.context * block.out_dim, block.out_dim))
 
 
-def _apply_block(params: ParameterSet, block: LayerSpec, x: Tensor) -> Tensor:
+def _apply_block(params: dict[str, Tensor], block: LayerSpec, x: Tensor) -> Tensor:
     h = _tdnn(params, f"{block.name}.td1", x, block.context)
     h = ad.time_delay(h, params[f"{block.name}.td2.w"], params[f"{block.name}.td2.b"],
                       block.context)
@@ -143,7 +144,7 @@ def _apply_block(params: ParameterSet, block: LayerSpec, x: Tensor) -> Tensor:
     return ad.prelu(ad.add(h, skip), params[f"{block.name}.td2.slope"])
 
 
-def _affine(params: ParameterSet, layer: LayerSpec, x: Tensor) -> Tensor:
+def _affine(params: dict[str, Tensor], layer: LayerSpec, x: Tensor) -> Tensor:
     bias = f"{layer.name}.b"
     return ad.affine(x, params[f"{layer.name}.w"], params[bias] if bias in params else None)
 
@@ -192,11 +193,19 @@ def parameter_table(layers: list[LayerSpec]) -> list[ParamSpec]:
     return [spec for layer in layers for spec in _KINDS[layer.kind].params(layer)]
 
 
-def _allocate(layers: list[LayerSpec], params: ParameterSet, rng: np.random.Generator):
-    """float32 parameters, drawn in float64 and rounded, and float32 momenta."""
-    for name, shape, bound in parameter_table(layers):
-        params.add(name, np.full(shape, 0.25, np.float32) if bound is None
-                   else rng.uniform(-bound, bound, size=shape).astype(np.float32))
+def adopt(model: ExtractorModel, name: str, data: np.ndarray, velocity: np.ndarray) -> None:
+    """Give ``model`` the parameter ``name`` holding ``data`` (a float array is
+    not copied) and its momentum buffer ``velocity``."""
+    model.params[name] = Tensor(data, requires_grad=True, name=name)
+    model.velocity[name] = velocity
+
+
+def _allocate(model: ExtractorModel, rng: np.random.Generator):
+    """float32 parameters, drawn in float64 and rounded, and zero float32 momenta."""
+    for name, shape, bound in parameter_table(model.layers):
+        data = (np.full(shape, 0.25, np.float32) if bound is None
+                else rng.uniform(-bound, bound, size=shape).astype(np.float32))
+        adopt(model, name, data, np.zeros_like(data))
 
 
 def check_width_scale(width_scale: float) -> None:
@@ -220,7 +229,7 @@ def _with_tail(arch: str, frames: list[LayerSpec], args: dict,
                seed: int | None) -> ExtractorModel:
     """``frames`` plus the shared tail (statistics pooling, segment6,
     segment7, classifier) as a model whose parameters are drawn from
-    ``seed``; ``seed=None`` allocates none, for the caller to add."""
+    ``seed``; ``seed=None`` allocates none, for the caller to ``adopt``."""
     s, pooled = args["width_scale"], frames[-1].out_dim
     seg6_out, seg7_out = _even(2048 * s) // 2, _even(1024 * s) // 2
     layers = frames + [
@@ -230,9 +239,9 @@ def _with_tail(arch: str, frames: list[LayerSpec], args: dict,
         LayerSpec("classifier", "classifier", seg7_out, args["n_spk"],
                   has_bias=args["classifier_bias"]),
     ]
-    model = ExtractorModel(arch, layers, ParameterSet(), args)
+    model = ExtractorModel(arch, layers, {}, {}, args)
     if seed is not None:
-        _allocate(layers, model.params, np.random.default_rng(seed))
+        _allocate(model, np.random.default_rng(seed))
     return model
 
 

@@ -22,10 +22,11 @@ been seen at up to about 9 ln(C).
 Parameters, momenta, activations and gradients are float32, the dtype the
 builders allocate and checkpoints store; the objectives and the gradient
 norm accumulate in float64.  The optimizer reads and writes every parameter
-each step.  ``clip_gradients`` and ``sgd_step`` sweep each tensor through
-flat views in blocks of ``OPT_BLOCK`` entries and build no temporary of a
-parameter's size.  The gradient norm follows numpy's pairwise-sum splits
-down to the blocks, so it is bit for bit the norm of per-tensor
+of the model's ``params`` and ``velocity`` dicts each step.
+``clip_gradients`` and ``sgd_step`` sweep each tensor through flat views in
+blocks of ``OPT_BLOCK`` entries and build no temporary of a parameter's
+size.  The gradient norm follows numpy's pairwise-sum splits down to the
+blocks, so it is bit for bit the norm of per-tensor
 ``(g.astype(np.float64) ** 2).sum()``, and checkpoints do not depend on the
 block size even where clipping fires.
 """
@@ -77,7 +78,7 @@ def _sum_squares(flat: np.ndarray, scratch: np.ndarray) -> float:
     return _sum_squares(flat[:half], scratch) + _sum_squares(flat[half:], scratch)
 
 
-def clip_gradients(params: ad.ParameterSet, max_norm: float) -> float:
+def clip_gradients(params: dict, max_norm: float) -> float:
     """Scale all gradients so their global norm is at most ``max_norm``.
 
     Returns the pre-clip norm.  The stacks carry no normalization layers,
@@ -91,20 +92,20 @@ def clip_gradients(params: ad.ParameterSet, max_norm: float) -> float:
     """
     scratch = np.empty(OPT_BLOCK)
     total = 0.0
-    for _, tensor in params.items():
+    for tensor in params.values():
         if tensor.grad is not None:
             total += _sum_squares(_flat(tensor.grad), scratch)
     norm = float(np.sqrt(total))        # a Python float scales each gradient in its dtype
     if max_norm > 0 and norm > max_norm:
         factor = max_norm / norm
-        for _, tensor in params.items():
+        for tensor in params.values():
             if tensor.grad is not None:
                 tensor.grad *= factor
     return norm
 
 
-def sgd_step(params: ad.ParameterSet, lr: float, momentum: float):
-    """Momentum SGD: v <- momentum v + g; p <- p - lr v.
+def sgd_step(params: dict, velocity: dict, lr: float, momentum: float):
+    """Momentum SGD: v <- momentum v + g; p <- p - lr v, v in ``velocity``.
 
     Consumes ``.grad``: lr v is written into the gradient array once it has
     been added to v, so afterwards ``.grad`` holds the step, not g.  Each
@@ -116,7 +117,7 @@ def sgd_step(params: ad.ParameterSet, lr: float, momentum: float):
     its lr v goes to a block-sized temporary.
     """
     for name, tensor in params.items():
-        param, vel = _flat(tensor.data), _flat(params.velocity[name])
+        param, vel = _flat(tensor.data), _flat(velocity[name])
         grad = None if tensor.grad is None else _flat(tensor.grad)
         for lo in range(0, param.size, OPT_BLOCK):
             p, v = param[lo:lo + OPT_BLOCK], vel[lo:lo + OPT_BLOCK]
@@ -239,7 +240,8 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
 
             lam = (max(cfg.lambda_floor, cfg.lambda_start * cfg.lambda_decay ** step)
                    if cfg.loss == "asoftmax" else 0.0)
-            model.params.zero_grad()
+            for tensor in model.params.values():
+                tensor.grad = None
             loss = batch_loss(model, segments, labels[picks], cfg, lam)
             value = float(loss.data)
             if not np.isfinite(value) or value > loss_bound:
@@ -252,7 +254,7 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
             if not np.isfinite(norm):
                 raise _diverged(step, epoch, lr,
                                 f"pre-clip gradient norm {norm:.4g} is non-finite")
-            sgd_step(model.params, lr, cfg.momentum)
+            sgd_step(model.params, model.velocity, lr, cfg.momentum)
             epoch_losses.append(value)
             step += 1
 
@@ -281,7 +283,7 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
 
 def extract_embeddings(model: m.ExtractorModel, features: dict[str, np.ndarray],
                        threads: int, log=None):
-    """Full-utterance embeddings for every feature matrix.
+    """Full-utterance embeddings, in the model's dtype, for every feature matrix.
 
     Utterances shorter than the receptive field are skipped with a warning
     and reported in the returned manifest list.
@@ -302,7 +304,7 @@ def extract_embeddings(model: m.ExtractorModel, features: dict[str, np.ndarray],
             rows = m.embed_batch(model, kept_features, pool.map)
     else:
         rows = m.embed_batch(model, kept_features)
-    return dict(zip(kept, rows.astype(np.float64))), skipped
+    return dict(zip(kept, rows)), skipped
 
 
 def save_train_checkpoint(path, result: TrainResult, cfg: ExperimentConfig):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from spkver import autodiff as ad
 from spkver import models as md
 from spkver import training as tr
-from spkver.autodiff import ParameterSet, Tensor, grad_check
+from spkver.autodiff import Tensor, grad_check
 from spkver.corpus import SyntheticCorpusSpec, generate_synthetic_corpus
 from spkver.formats import ExperimentConfig
 
@@ -390,11 +390,13 @@ def keep_graph_backward(loss):
 @pytest.mark.parametrize("arch,loss", [("maxpool", "asoftmax"), ("resnet", "softmax")])
 def test_released_graph_gives_keep_graph_gradients(arch, loss):
     build, params = step_setup(arch, loss, n_segments=4, frames=120)
-    params.zero_grad()
+    for t in params.values():
+        t.grad = None
     keep_graph_backward(build())
     expected = {name: t.grad for name, t in params.items()}
 
-    params.zero_grad()
+    for t in params.values():
+        t.grad = None
     out = build()
     inner = [node for node in ad.topo_order(out.node) if node.parents]
     out.backward()
@@ -537,9 +539,9 @@ def test_float32_step_and_extraction_make_no_float64_array(arch, loss, monkeypat
     tr.clip_gradients(model.params, cfg.grad_clip)
     for name, t in model.params.items():
         assert t.grad.dtype == np.float32, name
-    tr.sgd_step(model.params, 0.01, 0.9)
+    tr.sgd_step(model.params, model.velocity, 0.01, 0.9)
     for name, t in model.params.items():
-        assert t.data.dtype == model.params.velocity[name].dtype == np.float32, name
+        assert t.data.dtype == model.velocity[name].dtype == np.float32, name
 
     made.clear()
     emb = md.embed_batch(model, segments)
@@ -645,13 +647,6 @@ def test_backward_hands_over_gradients_without_aliasing(setup, monkeypatch):
         assert grad.tobytes() == expected[name].tobytes(), name
         for other in names[i + 1:]:
             assert not np.shares_memory(grad, params[other].grad), (name, other)
-
-
-def test_parameter_set_unique_names():
-    params = ParameterSet()
-    params.add("w", np.zeros(3))
-    with pytest.raises(ValueError, match="duplicate parameter name"):
-        params.add("w", np.zeros(3))
 
 
 @settings(max_examples=100, deadline=None)

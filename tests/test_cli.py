@@ -324,6 +324,34 @@ def test_checkpoint_with_float64_payloads_exits_2_naming_file_and_array(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+@pytest.mark.parametrize("command", ["extract", "train"])
+def test_non_finite_features_exit_2_naming_file_and_utterance(capsys, toy_dir, tmp_path,
+                                                              command, bad):
+    """A NaN or inf in a feature archive stops the command as the file is read,
+    naming the file and the utterance, instead of writing a non-finite
+    embedding or failing later as a diverged run."""
+    corpus = toy_dir / "corpus"
+    features, meta = fm.read_features(corpus / "feats.bin")
+    utt = sorted(features)[4]
+    features[utt][7, 3] = bad
+    bad_path, out = tmp_path / "bad_feats.bin", tmp_path / "out.bin"
+    fm.write_features(bad_path, features, meta["frame_shift_ms"])
+    if command == "extract":
+        ckpt = tmp_path / "m.ckpt"
+        fm.save_checkpoint(ckpt, md.build_maxpool_net(n_spk=3, width_scale=0.125),
+                           step=0, epoch=0, config_hash="")
+        argv = ["extract", "--checkpoint", str(ckpt), "--features", str(bad_path)]
+    else:
+        write_toy_config(tmp_path / "exp.ini")
+        argv = train_argv(corpus, tmp_path / "exp.ini")
+        argv[argv.index("--features") + 1] = str(bad_path)
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err == f"spkver: {bad_path}: features of {utt!r} hold a non-finite value\n"
+    assert not out.exists()
+
+
 def test_extract_all_short_writes_empty_archive(capsys, tmp_path):
     feats = {f"u{i}": np.random.default_rng(i).standard_normal((10 + i, 23))
              for i in range(3)}
@@ -355,9 +383,9 @@ def test_train_best_out_builds_no_second_random_model(capsys, toy_dir, tmp_path,
         return builds[-1]
 
     def snapshot_then_score(*args, **kwargs):     # validation ends each epoch
-        params = builds[0].params
-        live.append({name: (t.data.copy(), params.velocity[name].copy())
-                     for name, t in params.items()})
+        model = builds[0]
+        live.append({name: (t.data.copy(), model.velocity[name].copy())
+                     for name, t in model.params.items()})
         return all_pairs_eer(*args, **kwargs)
     monkeypatch.setattr(tr, "build_model", counted_build)
     monkeypatch.setattr(tr, "all_pairs_eer", snapshot_then_score)
@@ -373,7 +401,7 @@ def test_train_best_out_builds_no_second_random_model(capsys, toy_dir, tmp_path,
     assert any(np.any(velocity != 0.0) for _, velocity in state.values())
     for name, (data, velocity) in state.items():
         assert model.params[name].data.tobytes() == data.tobytes(), name
-        assert model.params.velocity[name].tobytes() == velocity.tobytes(), name
+        assert model.velocity[name].tobytes() == velocity.tobytes(), name
 
 
 def test_train_best_out_is_labelled_with_the_best_epoch(capsys, toy_dir, tmp_path):
@@ -405,8 +433,8 @@ def test_train_best_out_is_labelled_with_the_best_epoch(capsys, toy_dir, tmp_pat
                              "best_val_eer": history[best_epoch]["val_eer"]}
     for name, tensor in stopped.model.params.items():
         assert tensor.data.tobytes() == model.params[name].data.tobytes(), name
-        assert stopped.model.params.velocity[name].tobytes() == \
-            model.params.velocity[name].tobytes(), name
+        assert stopped.model.velocity[name].tobytes() == \
+            model.velocity[name].tobytes(), name
 
 
 def train_argv(corpus, config):
@@ -754,6 +782,38 @@ def test_lda_plda_warns_when_within_class_scatter_is_singular(capsys, tmp_path, 
                    f"dimensions, so the within-class scatter is singular\n" if warned else "")
 
 
+@pytest.mark.parametrize("argv", [
+    ["backend-train", "--kind", "lda-plda"], ["backend-train", "--kind", "csml"],
+    ["score", "--backend", "cosine"], ["score", "--backend", "csml"],
+    ["score", "--backend", "plda"],
+], ids=["lda-plda", "csml", "score-cosine", "score-csml", "score-plda"])
+def test_non_finite_embedding_exits_2_naming_file_and_utterance(capsys, tmp_path, argv):
+    """Backend training and scoring stack embeddings through one check, which
+    names the archive and the utterance: no model is fitted on a NaN and no
+    score is left to fail as merely non-finite."""
+    rng = np.random.default_rng(3)
+    emb = {f"s{s}u{u}": rng.standard_normal(8) for s in range(6) for u in range(5)}
+    emb["s2u3"][5] = np.nan
+    emb_path, out = tmp_path / "emb.bin", tmp_path / "out.bin"
+    fm.write_embeddings(emb_path, emb)
+    if argv[0] == "backend-train":
+        fm.write_utt2spk(tmp_path / "utt2spk.txt", {utt: utt.split("u")[0] for utt in emb})
+        extra = ["--utt2spk", str(tmp_path / "utt2spk.txt")]
+    else:
+        (tmp_path / "t.txt").write_text("s0u0 s1u1 target\ns0u0 s2u3 nontarget\n")
+        extra = ["--trials", str(tmp_path / "t.txt")]
+        models = {"csml": bk.CsmlTransform(np.eye(8)),
+                  "plda": bk.PldaModel(np.zeros(8), np.eye(8), np.eye(8))}
+        if argv[-1] in models:
+            bk.save_backend(tmp_path / "model.bin", models[argv[-1]])
+            extra += ["--model", str(tmp_path / "model.bin")]
+    code, _, err = run(capsys, *argv, "--embeddings", str(emb_path), *extra,
+                       "--out", str(out))
+    assert code == 2
+    assert err == f"spkver: {emb_path}: embedding of 's2u3' holds a non-finite value\n"
+    assert not out.exists()
+
+
 def test_score_blocks_cross_boundaries_and_match_library(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(bk, "SCORE_BLOCK", 7)      # 277 trials: 39 full blocks and 4
     embeddings, trials, models = _score_all_backends(capsys, tmp_path)
@@ -964,6 +1024,27 @@ def test_score_malformed_plda_model_exits_2(capsys, tmp_path, name, edit):
     code, _, err = run(capsys, *argv)
     assert code == 2 and f"spkver: {model_path}: array {name} " in err
     assert not (tmp_path / "s.txt").exists()
+
+
+@pytest.mark.parametrize("transform,message", [
+    (np.diag([1.0, np.nan]), "array transform must be finite"),
+    (np.array([[1.0, np.inf], [0.0, 1.0]]), "array transform must be finite"),
+    (np.ones((2, 3)), "transform must be square"),
+    (np.array([[1.0, 0.0], [0.5, 1.0]]), "transform must be upper triangular"),
+    (np.diag([1.0, 0.0]), "transform diagonal must be positive"),
+], ids=["nan-diagonal", "inf-above-diagonal", "not-square", "lower-entry", "zero-diagonal"])
+def test_score_malformed_csml_model_exits_2(capsys, tmp_path, transform, message):
+    emb_path, trials_path = _two_utterance_inputs(tmp_path)
+    model_path, out = tmp_path / "csml.bin", tmp_path / "s.txt"
+    argv = ["score", "--backend", "csml", "--model", str(model_path),
+            "--embeddings", str(emb_path), "--trials", str(trials_path), "--out", str(out)]
+    fm.write_archive(model_path, {"transform": np.eye(2)}, {"kind": "csml"}, dtype="f8")
+    assert run(capsys, *argv)[0] == 0
+    out.unlink()
+    fm.write_archive(model_path, {"transform": transform}, {"kind": "csml"}, dtype="f8")
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err == f"spkver: {model_path}: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["config_hash", "step", "epoch", "rng_state"])

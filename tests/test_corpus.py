@@ -58,7 +58,7 @@ def test_corpus_shapes_and_labels():
     assert len(features) == 12
     assert len(set(utt2spk.values())) == 4
     for utt, mat in features.items():
-        assert mat.shape == (150, 10)
+        assert mat.shape == (150, 10) and mat.dtype == np.float32
         assert utt2spk[utt] in utt
 
     with pytest.raises(ValueError, match="2 speakers"):

@@ -126,7 +126,7 @@ def test_utt2spk_repeated_utterance_is_rejected(tmp_path):
 
 def test_checkpoint_roundtrip_bit_identical_forward(tmp_path):
     model = md.build_res_net(2, n_spk=4, width_scale=0.25, seed=3)
-    model.params.velocity["frame1.w"][...] = 0.125
+    model.velocity["frame1.w"][...] = 0.125
     path = tmp_path / "model.ckpt"
     fm.save_checkpoint(path, model, step=17, epoch=2, config_hash="abc",
                        rng_state={"bit_generator": "PCG64", "state": {"state": 1, "inc": 2},
@@ -136,8 +136,8 @@ def test_checkpoint_roundtrip_bit_identical_forward(tmp_path):
     feats = np.random.default_rng(4).standard_normal((150, 23))
     assert np.array_equal(md.embed_batch(model, [feats])[0],
                           md.embed_batch(clone, [feats])[0])
-    assert np.array_equal(clone.params.velocity["frame1.w"],
-                          model.params.velocity["frame1.w"])
+    assert np.array_equal(clone.velocity["frame1.w"],
+                          model.velocity["frame1.w"])
     # float32 payloads, adopted as read: 4 bytes an entry, parameter and momentum
     entries = sum(t.data.size for _, t in clone.params.items())
     assert all(t.data.dtype == np.float32 for _, t in clone.params.items())
@@ -177,7 +177,7 @@ def test_load_checkpoint_adopts_the_archive_arrays(tmp_path, monkeypatch):
     model = md.build_res_net(3, n_spk=4, width_scale=0.25, seed=6)
     path = tmp_path / "m.ckpt"
     fm.save_checkpoint(path, model, step=0, epoch=0, config_hash="")
-    payload = sum(t.data.nbytes + model.params.velocity[n].nbytes
+    payload = sum(t.data.nbytes + model.velocity[n].nbytes
                   for n, t in model.params.items())
 
     def no_draw(*args, **kwargs):
@@ -193,7 +193,7 @@ def test_load_checkpoint_adopts_the_archive_arrays(tmp_path, monkeypatch):
     assert [n for n, _ in clone.params.items()] == [n for n, _ in model.params.items()]
     for name, tensor in model.params.items():
         assert np.array_equal(clone.params[name].data, tensor.data)
-        assert np.array_equal(clone.params.velocity[name], model.params.velocity[name])
+        assert np.array_equal(clone.velocity[name], model.velocity[name])
 
 
 def test_checkpoint_write_is_deterministic(tmp_path):
@@ -316,11 +316,11 @@ def test_load_without_momentum_reads_only_the_parameters(tmp_path):
     assert peak <= 1.15 * payload, (peak, payload)
     feats = np.random.default_rng(5).standard_normal((120, 23))
     assert np.array_equal(md.embed_batch(clone, [feats])[0], md.embed_batch(model, [feats])[0])
-    for name, vel in clone.params.velocity.items():
-        assert vel.shape == model.params.velocity[name].shape and not vel.flags.writeable
+    for name, vel in clone.velocity.items():
+        assert vel.shape == model.velocity[name].shape and not vel.flags.writeable
         clone.params[name].grad = np.zeros(vel.shape)
     with pytest.raises(ValueError, match="read-only"):
-        tr.sgd_step(clone.params, lr=0.1, momentum=0.9)
+        tr.sgd_step(clone.params, clone.velocity, lr=0.1, momentum=0.9)
 
 
 def test_skipped_records_are_checked_against_the_file(tmp_path):
@@ -342,21 +342,21 @@ def test_skipped_records_are_checked_against_the_file(tmp_path):
 
 def test_loaded_checkpoint_trains_in_place(tmp_path):
     model = md.build_res_net(1, n_spk=3, width_scale=0.125, seed=2)
-    for i, vel in enumerate(model.params.velocity.values()):
+    for i, vel in enumerate(model.velocity.values()):
         vel[...] = 0.01 * i
     path = tmp_path / "m.ckpt"
     fm.save_checkpoint(path, model, step=0, epoch=0, config_hash="")
     clone, _ = fm.load_checkpoint(path)
     names = [n for n, _ in clone.params.items()]
     params = {n: clone.params[n].data for n in names}
-    velocity = dict(clone.params.velocity)
+    velocity = dict(clone.velocity)
     _assert_fresh(list(params.values()) + list(velocity.values()), np.float32)
     for n in names:
         clone.params[n].grad = np.full(params[n].shape, 0.5, np.float32)
-    tr.sgd_step(clone.params, lr=0.1, momentum=0.9)
+    tr.sgd_step(clone.params, clone.velocity, lr=0.1, momentum=0.9)
     for n in names:
-        assert clone.params[n].data is params[n] and clone.params.velocity[n] is velocity[n]
-        expected_vel = 0.9 * model.params.velocity[n] + 0.5
+        assert clone.params[n].data is params[n] and clone.velocity[n] is velocity[n]
+        expected_vel = 0.9 * model.velocity[n] + 0.5
         assert np.array_equal(velocity[n], expected_vel)
         assert np.array_equal(params[n], model.params[n].data - 0.1 * expected_vel)
 

@@ -237,7 +237,8 @@ def test_forward_embed_matches_layerwise_numpy_replay():
     """Re-run the stack with plain numpy layer math as an independent driver,
     in float64 on a widened model."""
     model = md.build_maxpool_net(n_spk=3, width_scale=0.25, seed=5)
-    model.params.widen()
+    for t in model.params.values():
+        t.data = t.data.astype(np.float64)
     rng = np.random.default_rng(6)
     feats = rng.standard_normal((150, 23))
 
@@ -279,9 +280,8 @@ def test_duplicated_frames_leave_stats_and_embedding_unchanged():
         LayerSpec("affine_mfm", "segment7", 4, 2),
         LayerSpec("classifier", "classifier", 2, 2),
     ]
-    params = md.ParameterSet()
-    md._allocate(layers, params, np.random.default_rng(7))
-    model = md.ExtractorModel("maxpool", layers, params, {})
+    model = md.ExtractorModel("maxpool", layers, {}, {}, {})
+    md._allocate(model, np.random.default_rng(7))
     rng = np.random.default_rng(8)
     feats = rng.standard_normal((20, 5))
     doubled = np.concatenate([feats, feats], axis=0)
@@ -291,8 +291,9 @@ def test_duplicated_frames_leave_stats_and_embedding_unchanged():
 
 def test_residual_block_zero_weights_identity():
     block = LayerSpec("residual_block", "block1", 6, 6, context=3)
-    params = md.ParameterSet()
-    md._allocate([block], params, np.random.default_rng(9))
+    model = md.ExtractorModel("resnet", [block], {}, {}, {})
+    md._allocate(model, np.random.default_rng(9))
+    params = model.params
     for name in ("td1.w", "td1.b", "td2.w", "td2.b"):
         params[f"block1.{name}"].data[...] = 0.0
     for name in ("td1.slope", "td2.slope"):
@@ -301,6 +302,18 @@ def test_residual_block_zero_weights_identity():
     xv = rng.standard_normal((12, 6))
     out = md._apply_block(params, block, Tensor(xv))
     assert np.allclose(out.data, xv[2:10], atol=1e-12)
+
+
+def test_parameter_table_names_are_unique():
+    """A model's two dicts are keyed by parameter name, so a name listed twice
+    would silently leave one parameter out of training and checkpoints."""
+    for width_scale in (0.125, 1.0):
+        models = [md.build_maxpool_net(n_spk=3, width_scale=width_scale, seed=None)]
+        models += [md.build_res_net(n_blocks, n_spk=3, width_scale=width_scale, seed=None)
+                   for n_blocks in range(1, 5)]
+        for model in models:
+            names = [spec.name for spec in md.parameter_table(model.layers)]
+            assert len(names) == len(set(names)), model.arch_dict()
 
 
 STACKS = {"maxpool": lambda **kw: md.build_maxpool_net(n_spk=3, width_scale=0.125, **kw),
@@ -313,7 +326,7 @@ def test_arch_dict_roundtrip(stack):
     clone = md.model_from_arch_dict(model.arch_dict(), seed=None)
     assert clone.layers == model.layers and len(clone.params) == 0
     for name, tensor in model.params.items():
-        clone.params.add(name, tensor.data.copy())
+        md.adopt(clone, name, tensor.data.copy(), model.velocity[name].copy())
     feats = np.random.default_rng(14).standard_normal((120, 23))
     assert np.array_equal(md.embed_batch(model, [feats])[0],
                           md.embed_batch(clone, [feats])[0])

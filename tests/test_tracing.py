@@ -35,7 +35,8 @@ def declared_spans(prefix):
 
 
 def gradients_of_one_step(model, segments, labels, cfg):
-    model.params.zero_grad()
+    for t in model.params.values():
+        t.grad = None
     tr.batch_loss(model, segments, labels, cfg, 0.5).backward()
     return {name: t.grad.copy() for name, t in model.params.items()}
 

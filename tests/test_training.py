@@ -15,7 +15,7 @@ from spkver import backend as bk
 from spkver import formats as fm
 from spkver import models as md
 from spkver import training as tr
-from spkver.autodiff import ParameterSet
+from spkver.autodiff import Tensor
 from spkver.corpus import SyntheticCorpusSpec, generate_synthetic_corpus
 from spkver.formats import ExperimentConfig
 from spkver.objectives import asoftmax_loss
@@ -122,11 +122,10 @@ def test_non_finite_gradient_norm_aborts_before_update(monkeypatch):
 def test_non_finite_entry_in_a_late_block_aborts_before_update(bad, monkeypatch):
     """The guard sees a non-finite norm through the blocked sum: a bad last
     entry of a tensor spanning several blocks makes the norm non-finite."""
-    params = ParameterSet()
-    t = params.add("w", np.zeros(3 * tr.OPT_BLOCK + 5))
+    t = Tensor(np.zeros(3 * tr.OPT_BLOCK + 5), requires_grad=True, name="w")
     t.grad = np.ones(t.data.size)
     t.grad[-1] = bad
-    assert not np.isfinite(tr.clip_gradients(params, 5.0))
+    assert not np.isfinite(tr.clip_gradients({"w": t}, 5.0))
 
     features, utt2spk = tiny_corpus()
     clip = tr.clip_gradients
@@ -168,8 +167,7 @@ def test_resume_bit_matches_uninterrupted_run(tmp_path):
     assert resumed.history == full.history
     for name, arr in arrays(full.model).items():
         assert np.array_equal(arr, resumed.model.params[name].data), name
-        assert np.array_equal(full.model.params.velocity[name],
-                              resumed.model.params.velocity[name]), name
+        assert np.array_equal(full.model.velocity[name], resumed.model.velocity[name]), name
     tr.save_train_checkpoint(tmp_path / "full.ckpt", full, full_cfg)
     tr.save_train_checkpoint(tmp_path / "resumed.ckpt", resumed, full_cfg)
     assert (tmp_path / "full.ckpt").read_bytes() == (tmp_path / "resumed.ckpt").read_bytes()
@@ -192,7 +190,9 @@ def test_float32_run_tracks_its_float64_twin_step_by_step(arch, loss, monkeypatc
         def built(cfg, n_spk):
             model = build(cfg, n_spk)
             if widen:
-                model.params.widen()
+                for name, t in model.params.items():
+                    t.data = t.data.astype(np.float64)
+                    model.velocity[name] = model.velocity[name].astype(np.float64)
             return model
 
         def recorded(*args):
@@ -347,11 +347,11 @@ def ref_clip_gradients(params, max_norm):
     return norm
 
 
-def ref_sgd_step(params, lr, momentum):
+def ref_sgd_step(params, velocity, lr, momentum):
     """Whole-array ``sgd_step``: a zeros array stands in for a missing gradient."""
     for name, tensor in params.items():
         grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        vel = params.velocity[name]
+        vel = velocity[name]
         vel *= momentum
         vel += grad
         tensor.data -= np.multiply(vel, lr, out=grad)
@@ -374,17 +374,19 @@ def test_sum_squares_equals_numpy_sum_bit_for_bit(shape):
 
 
 def _copies(arrays):
-    params = ParameterSet()
+    """(params, velocity) dicts holding copies of each (data, velocity, grad)."""
+    params, velocity = {}, {}
     for name, (data, vel, grad) in arrays.items():
-        t = params.add(name, data.copy(), vel.copy())
-        t.grad = None if grad is None else grad.copy()
-    return params
+        params[name] = Tensor(data.copy(), requires_grad=True, name=name)
+        params[name].grad = None if grad is None else grad.copy()
+        velocity[name] = vel.copy()
+    return params, velocity
 
 
-def _assert_same_bytes(a, b):
+def _assert_same_bytes(a, a_vel, b, b_vel):
     for name, t in a.items():
         assert t.data.tobytes() == b[name].data.tobytes(), name
-        assert a.velocity[name].tobytes() == b.velocity[name].tobytes(), name
+        assert a_vel[name].tobytes() == b_vel[name].tobytes(), name
         assert (t.grad is None) == (b[name].grad is None), name
         assert t.grad is None or t.grad.tobytes() == b[name].grad.tobytes(), name
 
@@ -401,26 +403,26 @@ def test_blocked_optimizer_matches_whole_array_forms(max_norm):
         vel.flat[::5] = -0.0
         grad = None if k % 2 else rng.standard_normal(shape)
         arrays[f"p{k}"] = (rng.standard_normal(shape), vel, grad)
-    new, ref = _copies(arrays), _copies(arrays)
+    (new, new_vel), (ref, ref_vel) = _copies(arrays), _copies(arrays)
     assert tr.clip_gradients(new, max_norm) == ref_clip_gradients(ref, max_norm)
-    tr.sgd_step(new, lr=0.05, momentum=0.9)
-    ref_sgd_step(ref, lr=0.05, momentum=0.9)
-    _assert_same_bytes(new, ref)
+    tr.sgd_step(new, new_vel, lr=0.05, momentum=0.9)
+    ref_sgd_step(ref, ref_vel, lr=0.05, momentum=0.9)
+    _assert_same_bytes(new, new_vel, ref, ref_vel)
     for name, (_, _, grad) in arrays.items():
         if grad is None:
-            assert not np.signbit(new.velocity[name].flat[::5]).any(), name
+            assert not np.signbit(new_vel[name].flat[::5]).any(), name
 
 
 def test_optimizer_builds_no_parameter_sized_temporary():
     n = 8 * B + 11
-    params = ParameterSet()
-    for name in ("with_grad", "without_grad"):
-        params.add(name, np.ones(n))
+    params = {name: Tensor(np.ones(n), requires_grad=True, name=name)
+              for name in ("with_grad", "without_grad")}
+    velocity = {name: np.zeros(n) for name in params}
     params["with_grad"].grad = np.full(n, 0.5)
     tracemalloc.start()
     try:
         tr.clip_gradients(params, 1.0)
-        tr.sgd_step(params, lr=0.1, momentum=0.9)
+        tr.sgd_step(params, velocity, lr=0.1, momentum=0.9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -428,11 +430,10 @@ def test_optimizer_builds_no_parameter_sized_temporary():
 
 
 def test_sgd_step_refuses_a_parameter_it_cannot_update_through_a_flat_view():
-    params = ParameterSet()
-    t = params.add("w", np.zeros((4, 3)).T)            # a C-order flat view would be a copy
+    t = Tensor(np.zeros((4, 3)).T, requires_grad=True, name="w")  # a flat view would copy
     t.grad = np.ones((3, 4))
     with pytest.raises(ValueError, match="copy"):
-        tr.sgd_step(params, lr=0.1, momentum=0.9)
+        tr.sgd_step({"w": t}, {"w": np.zeros_like(t.data)}, lr=0.1, momentum=0.9)
     assert not t.data.any()
 
 
@@ -490,6 +491,7 @@ def test_extract_deterministic_and_counts():
 
     emb2, _ = tr.extract_embeddings(model, features, threads=1)
     for utt in emb1:
+        assert emb1[utt].dtype == model.dtype == np.float32, utt
         assert np.array_equal(emb1[utt], emb2[utt])
 
 
