@@ -18,12 +18,11 @@ gradcheck runs the same ops in float64 on float64 inputs.
 A backward closure takes the node's gradient and returns one gradient per
 parent, in parent order, or None for a parent that needs none.  It
 captures only the arrays it reads:
-- ``affine``, ``time_delay``: the input's and weight's ``.data``;
-  ``time_delay`` rebuilds its K * C_in-wide splice in backward for the
-  weight gradient instead of keeping it;
-- ``max_pool_2x2``: its two bool masks (channel pair, then frame pair), the
-  shape of the channel-pooled rows and the input's shape;
-  ``max_pool_time``, ``mfm``: one bool mask and the input's shape;
+- ``affine``, ``time_delay`` (one kernel; ``affine`` is context 1): the
+  input's and weight's ``.data``; the K * C_in-wide splice is rebuilt in
+  backward for the weight gradient instead of kept;
+- ``max_pool_2x2``, ``max_pool_time``, ``mfm`` (one pairwise max, in two
+  stages or one): a bool mask and an input shape per stage;
 - ``prelu``: the input's and slope's ``.data``;
 - ``stats_pool``: the input's ``.data`` and its C-entry mean and std; the
   centered input is recomputed in backward;
@@ -51,6 +50,9 @@ element and runs several times slower than the SIMD min/max loops.
 from __future__ import annotations
 
 import numpy as np
+
+# (first, second) index pairs for ``_pair_max``: even and odd frames, even and odd channels
+_FRAME_PAIR, _CHANNEL_PAIR = (np.s_[0::2], np.s_[1::2]), (np.s_[:, 0::2], np.s_[:, 1::2])
 
 
 class Node:
@@ -169,27 +171,45 @@ def _as2d(x: Tensor, op: str) -> np.ndarray:
     return x.data
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Row-wise x @ w + b."""
-    xv = _as2d(x, "affine")
-    wv = w.data
-    if wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
-        raise ValueError(
-            f"dimension error: affine input width {xv.shape[1]} vs weight {wv.shape}"
-        )
-    out = xv @ wv
-    if b is not None:
-        if b.data.shape != (wv.shape[1],):
-            raise ValueError("dimension error: bias shape mismatch")
-        out = out + b.data
-    has_bias = b is not None
-    parents = (x, w, b) if has_bias else (x, w)
+def _spliced_affine(x: Tensor, w: Tensor, b: Tensor, context: int, op: str) -> Tensor:
+    """The matrix-product kernel of ``affine`` and ``time_delay``: frame t is
+    ``b`` plus ``w`` applied to frames t, ..., t+K-1 side by side (K = ``context``).
+    The splice is rebuilt in backward; a leaf that needs no gradient (the feature
+    matrix) skips ``g @ w.T``, which is scattered onto the frames only for K > 1."""
+    xv = _as2d(x, op)
+    t_in, c_in = xv.shape
+    if t_in < context:
+        raise ValueError(f"segment too short: {t_in} frames < receptive span {context}")
+    t_out = t_in - context + 1
+    wv, bv = w.data, b.data
+    if wv.ndim != 2 or wv.shape[0] != context * c_in or bv.shape != wv.shape[1:]:
+        raise ValueError(f"dimension error: {op} input width {context * c_in} vs weight "
+                         f"{wv.shape} and bias {bv.shape}")
+
+    def splice():
+        if context == 1:
+            return xv
+        return np.concatenate([xv[k : k + t_out] for k in range(context)], axis=1)
+
+    out = splice() @ wv
+    out += bv
+    need_gx = x.node.requires_grad or bool(x.node.parents)
 
     def backward(g):
-        grads = (g @ wv.T, xv.T @ g)
-        return grads + (g.sum(axis=0),) if has_bias else grads
+        gx = g @ wv.T if need_gx else None
+        if need_gx and context > 1:         # scatter the spliced columns onto their frames
+            gs, gx = gx, np.zeros_like(xv)
+            for k in range(context):
+                gx[k : k + t_out] += gs[:, k * c_in : (k + 1) * c_in]
+            del gs
+        return gx, splice().T @ g, g.sum(axis=0)
 
-    return Tensor(out, parents=parents, backward=backward)
+    return Tensor(out, parents=(x, w, b), backward=backward)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Row-wise x @ w + b."""
+    return _spliced_affine(x, w, b, 1, "affine")
 
 
 def time_delay(x: Tensor, w: Tensor, b: Tensor, context: int) -> Tensor:
@@ -199,52 +219,36 @@ def time_delay(x: Tensor, w: Tensor, b: Tensor, context: int) -> Tensor:
     input frames t, t+1, ..., t+K-1 (K = ``context``), so the affine input
     width is K * C_in and T_in - K + 1 frames come out.
     """
-    xv = _as2d(x, "time_delay")
-    t_in, c_in = xv.shape
-    if t_in < context:
-        raise ValueError(f"segment too short: {t_in} frames < receptive span {context}")
-    t_out = t_in - context + 1
-    wv = w.data
-    if wv.shape[0] != context * c_in:
-        raise ValueError(f"dimension error: spliced width {context * c_in} vs weight {wv.shape}")
+    return _spliced_affine(x, w, b, context, "time_delay")
 
-    def splice():
-        if context == 1:
-            return xv
-        return np.concatenate([xv[k : k + t_out] for k in range(context)], axis=1)
 
-    out = splice() @ wv
-    out += b.data
-    # a leaf that needs no gradient (the feature matrix) skips g @ w.T
-    need_gx = x.node.requires_grad or bool(x.node.parents)
+def _pair_max(x: Tensor, rows: int, stages) -> Tensor:
+    """The pairwise max of the selections, stage after stage, as one node.
+
+    Each stage is a (first, second) pair of indices into the leading ``rows``
+    rows of the previous stage's output (``x`` for the first).  Ties take
+    ``first``, as ``np.maximum`` returns its second argument on equal inputs
+    (+0 against -0 included); a NaN in either slot gives NaN.  Each stage keeps
+    its input's shape and the mask ``first >= second`` that routes the gradient.
+    Backward runs the stages in reverse into ``np.empty`` arrays and zeroes only
+    the rows past ``rows``, which no pair reads (a dropped odd frame).
+    """
+    out, dtype, saved = x.data, x.data.dtype, []
+    for first, second in stages:
+        shape, a, b = out.shape, out[:rows][first], out[:rows][second]
+        saved.append((first, second, a >= b, shape))
+        out = np.maximum(b, a)
 
     def backward(g):
-        gx = None
-        if need_gx:
-            gs = g @ wv.T
-            gx = np.zeros_like(xv)
-            for k in range(context):
-                gx[k : k + t_out] += gs[:, k * c_in : (k + 1) * c_in]
-            del gs
-        return gx, splice().T @ g, g.sum(axis=0)
+        for first, second, mask, shape in reversed(saved):
+            g_in = np.empty(shape, dtype)
+            g_in[rows:] = 0.0
+            np.multiply(g, mask, out=g_in[:rows][first])
+            np.multiply(g, ~mask, out=g_in[:rows][second])
+            g = g_in
+        return (g,)
 
-    return Tensor(out, parents=(x, w, b), backward=backward)
-
-
-def _pair_max(first, second):
-    """Elementwise max of two same-shape arrays, and the mask ``first >= second``.
-
-    ``np.maximum`` returns its second argument when the inputs compare equal,
-    so ties (+0 against -0 included) take ``first``; a NaN in either slot
-    gives NaN.  The mask routes the gradient: to ``first`` where it is set.
-    """
-    return np.maximum(second, first), first >= second
-
-
-def _route(g, mask, g_first, g_second):
-    """Backward of ``_pair_max``: write g * mask and g * ~mask into two views."""
-    np.multiply(g, mask, out=g_first)
-    np.multiply(g, ~mask, out=g_second)
+    return Tensor(out, parents=(x,), backward=backward)
 
 
 def max_pool_2x2(x: Tensor) -> Tensor:
@@ -253,28 +257,13 @@ def max_pool_2x2(x: Tensor) -> Tensor:
     A trailing odd frame is dropped.  The gradient is routed to the argmax of
     each block; ties go to the first entry in (frame, channel) scan order.
     """
-    xv = _as2d(x, "max_pool_2x2")
-    t_in, c_in = xv.shape
+    t_in, c_in = _as2d(x, "max_pool_2x2").shape
     if c_in % 2 != 0:
         raise ValueError("channel count must be even")
     if t_in < 2:
         raise ValueError("segment too short: max pooling needs at least 2 frames")
-    t2 = t_in // 2
-    # channel pair within each frame, then frame pair: the first maximum in
-    # (frame, channel) scan order wins every tie
-    rows, channel_mask = _pair_max(xv[: 2 * t2, 0::2], xv[: 2 * t2, 1::2])
-    out, frame_mask = _pair_max(rows[0::2], rows[1::2])
-    rows_shape, dtype = rows.shape, xv.dtype    # backward reads the masks, not ``rows``
-
-    def backward(g):
-        g_rows = np.empty(rows_shape, dtype)
-        _route(g, frame_mask, g_rows[0::2], g_rows[1::2])
-        gx = np.empty((t_in, c_in), dtype)
-        gx[2 * t2 :] = 0.0                  # a dropped odd frame
-        _route(g_rows, channel_mask, gx[: 2 * t2, 0::2], gx[: 2 * t2, 1::2])
-        return (gx,)
-
-    return Tensor(out, parents=(x,), backward=backward)
+    # channel pair, then frame pair: the first maximum in (frame, channel) order wins ties
+    return _pair_max(x, t_in - t_in % 2, (_CHANNEL_PAIR, _FRAME_PAIR))
 
 
 def max_pool_time(x: Tensor) -> Tensor:
@@ -283,21 +272,10 @@ def max_pool_time(x: Tensor) -> Tensor:
     Used where a stack needs time decimation without channel halving.  Ties
     route the gradient to the earlier frame.
     """
-    xv = _as2d(x, "max_pool_time")
-    t_in, c_in = xv.shape
+    t_in = _as2d(x, "max_pool_time").shape[0]
     if t_in < 2:
         raise ValueError("segment too short: max pooling needs at least 2 frames")
-    t2 = t_in // 2
-    out, take_first = _pair_max(xv[0 : 2 * t2 : 2], xv[1 : 2 * t2 : 2])
-    dtype = xv.dtype
-
-    def backward(g):
-        gx = np.empty((t_in, c_in), dtype)
-        gx[2 * t2 :] = 0.0
-        _route(g, take_first, gx[0 : 2 * t2 : 2], gx[1 : 2 * t2 : 2])
-        return (gx,)
-
-    return Tensor(out, parents=(x,), backward=backward)
+    return _pair_max(x, t_in - t_in % 2, (_FRAME_PAIR,))
 
 
 def prelu(x: Tensor, slope: Tensor) -> Tensor:
@@ -335,20 +313,10 @@ def mfm(x: Tensor) -> Tensor:
     (., 2C) -> (., C); the gradient goes to the winning half only, ties to
     the first half.
     """
-    xv = _as2d(x, "mfm")
-    rows, n = xv.shape
+    rows, n = _as2d(x, "mfm").shape
     if n % 2 != 0:
         raise ValueError("channel count must be even")
-    c = n // 2
-    out, take_first = _pair_max(xv[:, :c], xv[:, c:])
-    dtype = xv.dtype
-
-    def backward(g):
-        gx = np.empty((rows, n), dtype)
-        _route(g, take_first, gx[:, :c], gx[:, c:])
-        return (gx,)
-
-    return Tensor(out, parents=(x,), backward=backward)
+    return _pair_max(x, rows, ((np.s_[:, : n // 2], np.s_[:, n // 2 :]),))
 
 
 def stats_pool(x: Tensor) -> Tensor:

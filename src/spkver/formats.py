@@ -162,10 +162,13 @@ def write_features(path, features: dict[str, np.ndarray], frame_shift_ms: float)
 
 
 def read_features(path):
-    """(utterance id -> float32 feature matrix as stored, metadata)."""
+    """(utterance id -> float32 matrix as stored, metadata); frame_shift_ms is finite, > 0."""
     arrays, meta = read_archive(path)
     if meta is None or meta.get("kind") != "features":
         raise ValueError(f"{path}: not a feature archive")
+    shift = meta.get("frame_shift_ms")
+    if isinstance(shift, bool) or not isinstance(shift, (int, float)) or not 0 < shift < math.inf:
+        raise ValueError(f"{path}: key frame_shift_ms holds {shift!r}, not a finite number > 0")
     for utt, feats in arrays.items():
         if not np.isfinite(feats).all():
             raise ValueError(f"{path}: features of {utt!r} hold a non-finite value")
@@ -248,8 +251,8 @@ def load_checkpoint(path, momentum: bool = True):
     layer is built), raises ValueError with the file's path in front.  The
     file must hold exactly a ``param.<name>`` and a ``momentum.<name>``
     array of the parameter's shape for every parameter its architecture
-    implies, each a float32 payload; anything else raises ValueError naming
-    the file and the array.  The model adopts the file's float32 arrays as
+    implies, each float32 and, where read, finite; anything else raises
+    ValueError naming the file and the array.  The model adopts the arrays as
     read: nothing is drawn, allocated, widened or narrowed for it.
     With ``momentum=False`` the momentum payloads are checked but not read,
     and the model's momentum buffers are read-only NaN placeholders: it can
@@ -281,6 +284,11 @@ def load_checkpoint(path, momentum: bool = True):
         if arrays[name].dtype != np.float32:
             raise ValueError(f"{path}: array {name} is {arrays[name].dtype}, "
                              f"checkpoints store float32")
+        a = arrays[name].reshape(-1)        # a view: a @ a is one pass and needs no mask
+        with np.errstate(over="ignore"):        # a @ a is finite only if every a[i] is
+            bad = (momentum or name.startswith("param.")) and not np.isfinite(a @ a)
+        if bad and not np.isfinite(a).all():    # rather than a @ a overflowing
+            raise ValueError(f"{path}: array {name} holds a non-finite value")
     # read_archive's arrays are fresh and unshared: they become the state as they are
     for name, _, _ in table:
         adopt(model, name, arrays[f"param.{name}"], arrays[f"momentum.{name}"])

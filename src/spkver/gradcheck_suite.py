@@ -38,8 +38,8 @@ def _quadratic(out: Tensor) -> Tensor:
 
 
 def op_checks(seed: int):
-    """(name, loss_fn, params) triples covering each primitive op; ``params``
-    maps each probed tensor's name to it."""
+    """(name, loss_fn, params) triples, one per public op of ``autodiff`` and
+    ``objectives``, named after it; ``params`` maps each probed tensor's name to it."""
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -79,6 +79,12 @@ def op_checks(seed: int):
     alabels = rng.integers(0, 4, size=5)
     checks.append(("asoftmax", lambda: asoftmax_loss(feats, weights, alabels, m=2, lam=0.5),
                    {"feats": feats, "weights": weights}))
+
+    xa, ya = (Tensor(rng.standard_normal((4, 3)), requires_grad=True, name=n) for n in ("xa", "ya"))
+    checks.append(("add", lambda: _quadratic(ad.add(xa, ya)), {"xa": xa, "ya": ya}))
+    checks.append(("slice_time", lambda: _quadratic(ad.slice_time(xa, 1, 2)), {"xa": xa}))
+    rows = {n: Tensor(rng.standard_normal(3), requires_grad=True, name=n) for n in ("r0", "r1")}
+    checks.append(("stack_rows", lambda: _quadratic(ad.stack_rows(list(rows.values()))), rows))
     return checks
 
 

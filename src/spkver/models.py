@@ -55,7 +55,8 @@ class LayerSpec:
     keeps its width, so ``in_dim`` equals ``out_dim``.  For affine_mfm the
     affine maps to twice ``out_dim`` and the feature map halves it back, so
     in/out describe the layer's net effect.  ``has_bias`` is read by the
-    classifier only.
+    classifier only; it is False for the A-softmax classifier, which never
+    runs through the layer table (``asoftmax_loss`` reads its weight).
     """
 
     kind: str
@@ -145,8 +146,7 @@ def _apply_block(params: dict[str, Tensor], block: LayerSpec, x: Tensor) -> Tens
 
 
 def _affine(params: dict[str, Tensor], layer: LayerSpec, x: Tensor) -> Tensor:
-    bias = f"{layer.name}.b"
-    return ad.affine(x, params[f"{layer.name}.w"], params[bias] if bias in params else None)
+    return ad.affine(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"])
 
 
 class _Kind(NamedTuple):

@@ -160,6 +160,10 @@ def _diverged(step: int, epoch: int, lr: float, what: str) -> RuntimeError:
                         f"lr={lr:g}): {what}")
 
 
+def _bad_meta(path, key: str, value, want: str) -> ValueError:
+    return ValueError(f"{path}: metadata key {key} holds {value!r}, not {want}")
+
+
 def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
                     cfg: ExperimentConfig, log=None, resume=None, best_out=None,
                     frame_shift_ms: float = 10.0) -> TrainResult:
@@ -167,11 +171,12 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
 
     ``resume`` names a checkpoint of a run of this configuration to
     continue; its metadata must hold ``config_hash``, ``step``, ``epoch``
-    and ``rng_state``, and its classifier must have one output per speaker
-    of ``utt2spk``, else ValueError.  ``best_out`` names the checkpoint the
-    live run is written to at the end of each epoch whose validation EER is
-    the lowest so far (after a resume, lower than the restored one); it is
-    written as ``save_train_checkpoint`` writes the final state.
+    and ``rng_state`` of the types it was saved with, and its classifier
+    must have one output per speaker of ``utt2spk``, else ValueError.
+    ``best_out`` names the checkpoint the live run is written to at the end
+    of each epoch whose validation EER is the lowest so far (after a resume,
+    lower than the restored one), as ``save_train_checkpoint`` writes the
+    final state.
     The validation utterances come from ``backend.held_out_split``: of each
     speaker's utterances long enough for a segment, the first
     ``cfg.val_fraction`` by id, scored speaker by speaker.  Without both
@@ -207,12 +212,25 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
         if model.n_spk != len(speakers):
             raise ValueError(f"{resume}: checkpoint classifies {model.n_spk} speakers, "
                              f"the corpus has {len(speakers)}")
+        for key in ("step", "epoch"):            # type(): a bool is not a count
+            if type(meta[key]) is not int or meta[key] < 0:
+                raise _bad_meta(resume, key, meta[key], "an int >= 0")
+        extra = meta.get("extra", {})
+        if not isinstance(extra, dict):
+            raise _bad_meta(resume, "extra", extra, "an object")
+        history, best = extra.get("history", []), extra.get("best_val_eer")
+        if not isinstance(history, list):
+            raise _bad_meta(resume, "extra.history", history, "a list")
+        if best is not None and (isinstance(best, bool) or not isinstance(best, (int, float))):
+            raise _bad_meta(resume, "extra.best_val_eer", best, "a number or null")
         rng = np.random.default_rng()
-        rng.bit_generator.state = meta["rng_state"]
-        extra = meta.get("extra") or {}
-        result = TrainResult(model=model, history=extra.get("history", []),
-                             best_val_eer=extra.get("best_val_eer"),
-                             epoch=int(meta["epoch"]), final_step=int(meta["step"]),
+        try:
+            rng.bit_generator.state = meta["rng_state"]
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ValueError(f"{resume}: metadata key rng_state is not a generator state: "
+                             f"{exc}") from exc
+        result = TrainResult(model=model, history=history, best_val_eer=best,
+                             epoch=meta["epoch"], final_step=meta["step"],
                              rng_state=meta["rng_state"])
 
     need = m.receptive_field(model)

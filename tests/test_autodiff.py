@@ -12,6 +12,7 @@ each backward closure keeps is audited against the tensors' values, what the
 graph holds after forward against what its closures reach, and gradients
 handed over without a copy are checked never to alias."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from spkver import training as tr
 from spkver.autodiff import Tensor, grad_check
 from spkver.corpus import SyntheticCorpusSpec, generate_synthetic_corpus
 from spkver.formats import ExperimentConfig
+from spkver.gradcheck_suite import op_checks
 
 
 def quadratic(out):
@@ -59,7 +61,7 @@ def test_affine_hand_case():
 
 def test_affine_shape_mismatch():
     with pytest.raises(ValueError, match="dimension error"):
-        ad.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+        ad.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
 
 
 def test_affine_gradient():
@@ -77,12 +79,18 @@ def test_affine_gradient():
 
 
 def test_time_delay_context1_equals_affine():
+    # output and every gradient bit for bit, on an input that needs a gradient
     rng = np.random.default_rng(2)
-    x = Tensor(rng.standard_normal((6, 4)))
-    w = Tensor(rng.standard_normal((4, 5)))
-    b = Tensor(rng.standard_normal(5))
-    assert np.allclose(ad.time_delay(x, w, b, context=1).data,
-                       ad.affine(x, w, b).data)
+    xv, wv, bv = rng.standard_normal((6, 4)), rng.standard_normal((4, 5)), rng.standard_normal(5)
+    g = rng.standard_normal((6, 5))
+    runs = []
+    for op in (lambda x, w, b: ad.time_delay(x, w, b, context=1), ad.affine):
+        out = op(Tensor(xv, requires_grad=True), Tensor(wv, requires_grad=True),
+                 Tensor(bv, requires_grad=True))
+        runs.append([out.data] + list(out._backward(g)))
+    assert len(runs[0]) == 4
+    for got, want in zip(*runs):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("c_in,context,width", [(23, 7, 161), (128, 5, 640)])
@@ -95,6 +103,8 @@ def test_time_delay_spliced_width(c_in, context, width):
     assert out.data.shape == (4, 2)
     with pytest.raises(ValueError, match="dimension error"):
         ad.time_delay(x, Tensor(np.zeros((width - 1, 2))), b, context=context)
+    with pytest.raises(ValueError, match="dimension error"):
+        ad.time_delay(x, w, Tensor(np.zeros(3)), context=context)
 
 
 def test_time_delay_matches_manual_splice():
@@ -322,8 +332,8 @@ def test_forward_deterministic():
     rng = np.random.default_rng(18)
     xv = rng.standard_normal((6, 4))
     w = rng.standard_normal((4, 4))
-    a = ad.affine(Tensor(xv), Tensor(w), None).data
-    b = ad.affine(Tensor(xv), Tensor(w), None).data
+    a = ad.affine(Tensor(xv), Tensor(w), Tensor(np.zeros(4))).data
+    b = ad.affine(Tensor(xv), Tensor(w), Tensor(np.zeros(4))).data
     assert np.array_equal(a, b)
 
 
@@ -349,14 +359,44 @@ def test_grad_check_detects_corrupt_backward():
 def test_grad_check_rejects_nonscalar_loss():
     x = Tensor(np.zeros((2, 2)), requires_grad=True)
     with pytest.raises(ValueError, match="loss must be scalar"):
-        grad_check(lambda: ad.affine(x, Tensor(np.eye(2)), None), {"x": x})
+        grad_check(lambda: ad.affine(x, Tensor(np.eye(2)), Tensor(np.zeros(2))), {"x": x})
+
+
+def public_ops():
+    """Names of ``autodiff``'s public functions annotated to return a Tensor."""
+    return sorted(name for name, fn in vars(ad).items()
+                  if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+                  and not name.startswith("_") and fn.__annotations__.get("return") == "Tensor")
+
+
+def test_every_public_op_has_its_own_gradcheck(monkeypatch):
+    # ``spkver gradcheck`` probes every entry of each op on its own; the full
+    # nets reach an op only through a few sampled entries per tensor
+    ops = public_ops()
+    assert {"affine", "time_delay", "mfm", "add", "stack_rows"} <= set(ops)
+    assert "grad_check" not in ops and "topo_order" not in ops
+    checks = {name: loss_fn for name, loss_fn, _ in op_checks(0)}
+    assert not set(ops) - checks.keys(), sorted(set(ops) - checks.keys())
+    called = []
+
+    def recorded(name, op):
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return op(*args, **kwargs)
+        return wrapper
+    for name in ops:
+        monkeypatch.setattr(ad, name, recorded(name, getattr(ad, name)))
+    for name in ops:
+        called.clear()
+        checks[name]()
+        assert name in called, f"the {name} check does not call {name}"
 
 
 def test_second_backward_on_one_graph_raises():
     rng = np.random.default_rng(20)
     x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-    loss = quadratic(ad.affine(x, w, None))
+    loss = quadratic(ad.affine(x, w, Tensor(np.zeros(2))))
     loss.backward()
     first = w.grad.copy()
     with pytest.raises(RuntimeError, match="already released by backward"):

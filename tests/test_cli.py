@@ -1067,6 +1067,90 @@ def test_resume_checkpoint_missing_metadata_key_exits_2(capsys, toy_dir, tmp_pat
     assert f"spkver: {ckpt}: checkpoint lacks metadata key {key}" in err
 
 
+RESUME_META_EDITS = {
+    "list-rng_state": ("rng_state", lambda meta: meta.update(rng_state=[1, 2])),
+    "list-extra": ("extra", lambda meta: meta.update(extra=[1])),
+    "string-history": ("extra.history", lambda meta: meta["extra"].update(history="epoch 0")),
+    "string-best_val_eer": ("extra.best_val_eer",
+                            lambda meta: meta["extra"].update(best_val_eer="0.2")),
+    "string-step": ("step", lambda meta: meta.update(step="x")),
+    "fraction-step": ("step", lambda meta: meta.update(step=0.5)),
+    "bool-step": ("step", lambda meta: meta.update(step=True)),
+    "negative-epoch": ("epoch", lambda meta: meta.update(epoch=-3)),
+}
+
+
+@pytest.mark.parametrize("edit", RESUME_META_EDITS)
+def test_resume_checkpoint_metadata_of_wrong_type_exits_2(capsys, toy_dir, tmp_path, edit):
+    """``train --resume`` checks the types of the bookkeeping it restores, so a
+    bad value exits 2 naming the file and the key instead of a traceback or a
+    run that silently trains a different number of epochs."""
+    write_toy_config(tmp_path / "exp.ini", epochs=2)
+    train = train_argv(toy_dir / "corpus", tmp_path / "exp.ini")
+    ckpt, out = tmp_path / "init.ckpt", tmp_path / "next.ckpt"
+    assert run(capsys, *train, "--out", str(ckpt))[0] == 0
+    arrays, meta = fm.read_archive(ckpt)
+    meta["epoch"] = 1                           # one epoch left to resume
+    key, apply_edit = RESUME_META_EDITS[edit]
+    apply_edit(meta)
+    fm.write_archive(ckpt, arrays, meta, dtype="f4")
+    code, _, err = run(capsys, *train, "--resume", str(ckpt), "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"spkver: {ckpt}: metadata key {key} "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("array", ["param.segment7.w", "momentum.frame1.b"])
+@pytest.mark.parametrize("command", ["extract", "train-resume"])
+def test_checkpoint_with_non_finite_array_exits_2_naming_file_and_array(
+        capsys, toy_dir, tmp_path, command, array):
+    """A NaN in an array a command reads stops it as the checkpoint loads,
+    instead of writing NaN embeddings.  ``extract`` does not read the
+    momenta, so a NaN there does not stop it."""
+    corpus = toy_dir / "corpus"
+    write_toy_config(tmp_path / "exp.ini", epochs=0)
+    train = train_argv(corpus, tmp_path / "exp.ini")
+    ckpt, out = tmp_path / "nan.ckpt", tmp_path / "out.bin"
+    assert run(capsys, *train, "--out", str(ckpt))[0] == 0
+    arrays, meta = fm.read_archive(ckpt)
+    arrays[array].reshape(-1)[0] = np.nan
+    fm.write_archive(ckpt, arrays, meta, dtype="f4")
+    argv = (["extract", "--checkpoint", str(ckpt), "--features", str(corpus / "feats.bin")]
+            if command == "extract" else [*train, "--resume", str(ckpt)])
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    if command == "extract" and array.startswith("momentum."):
+        assert code == 0, err
+        assert np.isfinite(np.stack(list(fm.read_embeddings(out).values()))).all()
+        return
+    assert code == 2
+    assert err == f"spkver: {ckpt}: array {array} holds a non-finite value\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shift", ["missing", 0, "10", math.nan, True])
+def test_feature_archive_with_bad_frame_shift_exits_2_naming_file_and_key(
+        capsys, toy_dir, tmp_path, shift):
+    """``frame_shift_ms`` sets the segment lengths in frames: a feature archive
+    whose value is missing, not a number or not > 0 is refused as it is read."""
+    corpus = toy_dir / "corpus"
+    arrays, meta = fm.read_archive(corpus / "feats.bin")
+    if shift == "missing":
+        del meta["frame_shift_ms"]
+    else:
+        meta["frame_shift_ms"] = shift
+    bad_path, out = tmp_path / "bad_feats.bin", tmp_path / "out.ckpt"
+    fm.write_archive(bad_path, arrays, meta, dtype="f4")
+    write_toy_config(tmp_path / "exp.ini")
+    argv = train_argv(corpus, tmp_path / "exp.ini")
+    argv[argv.index("--features") + 1] = str(bad_path)
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    value = None if shift == "missing" else shift
+    assert code == 2
+    assert err == (f"spkver: {bad_path}: key frame_shift_ms holds {value!r}, "
+                   f"not a finite number > 0\n")
+    assert not out.exists()
+
+
 def test_resume_with_best_out_that_no_epoch_beats_exits_2(capsys, toy_dir, tmp_path):
     """A resumed run none of whose epochs beats the restored best validation
     EER writes ``--out``, then fails naming ``--best-out`` and that EER."""

@@ -6,6 +6,7 @@ import itertools
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +322,19 @@ def test_load_without_momentum_reads_only_the_parameters(tmp_path):
         clone.params[name].grad = np.zeros(vel.shape)
     with pytest.raises(ValueError, match="read-only"):
         tr.sgd_step(clone.params, clone.velocity, lr=0.1, momentum=0.9)
+
+
+def test_checkpoint_of_huge_finite_values_loads_without_a_warning(tmp_path):
+    """The finite check's one-pass sum of squares overflows on these values,
+    which are finite: the load neither refuses them nor warns."""
+    model = md.build_maxpool_net(n_spk=3, width_scale=0.125, seed=2)
+    model.params["segment7.w"].data[:] = 1e20
+    path = tmp_path / "huge.ckpt"
+    fm.save_checkpoint(path, model, step=0, epoch=0, config_hash="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clone, _ = fm.load_checkpoint(path)
+    assert (clone.params["segment7.w"].data == np.float32(1e20)).all()
 
 
 def test_skipped_records_are_checked_against_the_file(tmp_path):
