@@ -20,6 +20,10 @@ line-search probe that ``train_csml`` accepts hands its rows on to the next step
 Rows are grouped by speaker once, in ``_groups``.  ``held_out_split`` is the one
 per-speaker held-out split: ``train_csml`` and ``training.train_extractor`` choose
 what they return by the EER of its held-out rows.
+
+``_sample_positions`` is the one sampler: the pairs of ``all_pairs_eer`` and the
+triplets of ``mine_triplets`` are positions in rows of given lengths, all kept or a
+sorted random choice of them, and only the kept ones are built.
 """
 
 from __future__ import annotations
@@ -77,6 +81,17 @@ def held_out_split(labels, fraction: float, rng=None):
             held.append(rows[:max(1, int(round(fraction * n)))])
     held = np.concatenate(held)
     return np.setdiff1d(np.arange(order.size), held), held
+
+
+def _sample_positions(counts, limit: int, rng):
+    """(row, offset in row) of the positions that rows of ``counts`` entries enumerate:
+    all of them or, past ``limit``, a sorted ``rng.choice(total, limit, replace=False)``."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    kept = (np.sort(rng.choice(total, size=limit, replace=False)) if total > limit
+            else np.arange(total))
+    row = np.searchsorted(ends, kept, side="right")
+    return row, kept - (ends - counts)[row]
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +180,8 @@ def mine_triplets(rows, labels, n_hard: int, max_triplets: int, rng) -> np.ndarr
     embeddings under the transform (ties broken by index).  Rows run anchor by
     anchor, positive-major, with each positive's negatives in score order.
 
-    With more rows than ``max_triplets``, ``rng`` draws which rows to keep
-    (``rng.choice(total, max_triplets, replace=False)``) and only those are
-    built, in row order.
+    With more rows than ``max_triplets``, ``_sample_positions`` draws the rows
+    to keep from ``rng``, and only those are built, in row order.
     """
     group, sizes, members, starts = _groups(labels)
     n = group.size
@@ -176,13 +190,9 @@ def mine_triplets(rows, labels, n_hard: int, max_triplets: int, rng) -> np.ndarr
     counts = n_pos * n_neg
     if not n_pos.any():
         raise ValueError("insufficient positives: no speaker has two embeddings")
-    total = int(counts.sum())
-    if total == 0:
+    if not counts.any():
         raise ValueError("insufficient positives: need at least two speakers")
-    if total > max_triplets:
-        kept = np.sort(rng.choice(total, size=max_triplets, replace=False))
-    else:
-        kept = np.arange(total)
+    anchors, offset = _sample_positions(counts, max_triplets, rng)
 
     # Each anchor's k hardest negatives in score order, ties to the lower index:
     # the entries at or above the row's k-th largest impostor score, sorted stably.
@@ -195,9 +205,7 @@ def mine_triplets(rows, labels, n_hard: int, max_triplets: int, rng) -> np.ndarr
         c = c[np.lexsort((neg[r, c], r))]                 # r stays sorted, ties keep c order
         hard[lo:lo + len(neg)] = c[np.arange(r.size) - np.searchsorted(r, r) < k].reshape(-1, k)
 
-    ends = np.cumsum(counts)
-    anchors = np.searchsorted(ends, kept, side="right")
-    positive, negative = np.divmod(kept - (ends - counts)[anchors], n_neg[anchors])
+    positive, negative = np.divmod(offset, n_neg[anchors])
     start = starts[group[anchors]]                           # the anchor's speaker in members
     positive += positive >= np.argsort(members)[anchors] - start   # skip the anchor itself
     return np.column_stack([anchors, members[start + positive], hard[anchors, negative]])
@@ -511,15 +519,11 @@ def score_pairs(model, rows, enroll_idx, test_idx) -> np.ndarray:
 
 def all_pairs_eer(model, embeddings, labels, rng, max_trials: int) -> float:
     """EER over the row pairs i < j (row-major), at most ``max_trials`` of them
-    kept by a sorted ``rng.choice`` of pair positions.  A position maps to its
-    pair through the row ends, so only the kept pairs are ever built."""
+    kept by ``_sample_positions``: row i holds the pairs (i, i + 1), ..., so only
+    the kept pairs are ever built."""
     labels = np.asarray(labels)
-    ends = np.cumsum(np.arange(labels.size - 1, 0, -1))   # pairs (i, j) with i <= row
-    total = int(ends[-1]) if ends.size else 0
-    keep = (np.sort(rng.choice(total, size=max_trials, replace=False))
-            if total > max_trials else np.arange(total))
-    i = np.searchsorted(ends, keep, side="right")
-    j = keep - ends[i] + labels.size
+    i, offset = _sample_positions(np.arange(labels.size - 1, 0, -1), max_trials, rng)
+    j = i + 1 + offset
     scores = score_pairs(model, scoring_rows(model, embeddings), i, j)
     return compute_eer(ScoreSet(labels[i] == labels[j], scores))
 

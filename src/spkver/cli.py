@@ -82,9 +82,17 @@ def _cmd_mfcc(args) -> int:
     return 0
 
 
+def _check_width(path, features, in_dim: int, owner: str) -> None:
+    """CliError naming ``path`` if a feature matrix is not ``in_dim`` wide."""
+    for feats in features.values():
+        if feats.ndim == 2 and feats.shape[1] != in_dim:
+            raise CliError(f"{path}: features of width {feats.shape[1]}, {owner} in_dim {in_dim}")
+
+
 def _cmd_train(args) -> int:
     cfg = fm.load_config(args.config) if args.config else fm.ExperimentConfig()
     features, meta = fm.read_features(args.features)
+    _check_width(args.features, features, cfg.in_dim, "but the config sets")
     utt2spk = fm.read_utt2spk(args.utt2spk)
     missing = sorted(utt2spk.keys() - features.keys())
     if missing:
@@ -104,8 +112,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    if args.threads < 1:
+        raise CliError(f"--threads {args.threads}: needs at least 1")
     model, _ = fm.load_checkpoint(args.checkpoint, momentum=False)
     features, _ = fm.read_features(args.features)
+    _check_width(args.features, features, model.in_dim, f"but checkpoint {args.checkpoint} has")
     embeddings, skipped = tr.extract_embeddings(
         model, features, threads=args.threads,
         log=lambda msg: print(msg, file=sys.stderr))
@@ -147,6 +158,9 @@ def _cmd_backend_train(args) -> int:
         what = f"cosine transform ({model.dim}x{model.dim})"
     else:
         n_rows, dim = matrix.shape
+        if args.lda_dim is not None and not 0 < args.lda_dim <= dim:
+            raise CliError(f"--lda-dim {args.lda_dim}: not in [1, {dim}], the dimension of "
+                           f"the embeddings in {args.embeddings}")
         n_spk = np.unique(labels).size
         if n_rows - n_spk < dim:
             print(f"spkver: warning: {args.embeddings}: {n_rows} embeddings of {n_spk} "
@@ -232,6 +246,8 @@ def _cmd_eval(args) -> int:
 def _cmd_gradcheck(args) -> int:
     from .gradcheck_suite import run_suite
 
+    if args.samples < 1:
+        raise CliError(f"--samples {args.samples}: needs at least 1")
     failures = run_suite(frames=args.frames, samples=args.samples, seed=args.seed,
                          log=print)
     if failures:

@@ -55,8 +55,8 @@ class LayerSpec:
     keeps its width, so ``in_dim`` equals ``out_dim``.  For affine_mfm the
     affine maps to twice ``out_dim`` and the feature map halves it back, so
     in/out describe the layer's net effect.  ``has_bias`` is read by the
-    classifier only; it is False for the A-softmax classifier, which never
-    runs through the layer table (``asoftmax_loss`` reads its weight).
+    classifier only, which has no forward in the layer table: the objective
+    reads its parameters (``training.batch_loss``); A-softmax uses no bias.
     """
 
     kind: str
@@ -145,16 +145,12 @@ def _apply_block(params: dict[str, Tensor], block: LayerSpec, x: Tensor) -> Tens
     return ad.prelu(ad.add(h, skip), params[f"{block.name}.td2.slope"])
 
 
-def _affine(params: dict[str, Tensor], layer: LayerSpec, x: Tensor) -> Tensor:
-    return ad.affine(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"])
-
-
 class _Kind(NamedTuple):
     """How one layer kind is built and run, and how far it reaches in time.  Ops
     are looked up on ``ad`` when a layer runs, so a wrapper installed on one
     sees every call."""
 
-    forward: Callable                  # (params, layer, x) -> Tensor
+    forward: Callable | None = None    # (params, layer, x) -> Tensor; None: the objective runs it
     params: Callable = lambda layer: []   # the layer's ParamSpecs, in initialisation order
     reach: Callable | None = None      # frames added per input step; None: not frame-level
     stride: int = 1                    # time decimation; multiplies the step
@@ -176,10 +172,10 @@ _KINDS: dict[str, _Kind] = {
         reach=lambda layer: 1, stride=2),
     "stats_pool": _Kind(forward=lambda params, layer, x: ad.stats_pool(x)),
     "affine_mfm": _Kind(
-        forward=lambda params, layer, x: ad.mfm(_affine(params, layer, x)),
+        forward=lambda params, layer, x: ad.mfm(
+            ad.affine(x, params[f"{layer.name}.w"], params[f"{layer.name}.b"])),
         params=lambda layer: _affine_params(layer.name, layer.in_dim, 2 * layer.out_dim)),
     "classifier": _Kind(
-        forward=_affine,
         params=lambda layer: _affine_params(layer.name, layer.in_dim, layer.out_dim,
                                             bias=layer.has_bias)),
 }
@@ -347,11 +343,6 @@ def segment_graph(model: ExtractorModel, pooled: Tensor) -> Tensor:
     for layer in model.segment_layers():
         x = _KINDS[layer.kind].forward(model.params, layer, x)
     return x
-
-
-def classifier_graph(model: ExtractorModel, emb: Tensor) -> Tensor:
-    layer = model.layers[-1]                        # the classifier, see ExtractorModel
-    return _KINDS[layer.kind].forward(model.params, layer, emb)
 
 
 def embed_batch(model: ExtractorModel, features: list[np.ndarray], map_fn=map) -> np.ndarray:

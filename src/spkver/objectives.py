@@ -14,6 +14,13 @@ stabilizes early training when lambda is large.  The margin m (one of
 range checks live in ``formats.ExperimentConfig``, and lambda's per-step
 decay in ``training.train_extractor``.
 
+The A-softmax backward is one chain rule.  For a row's target cosine c, let
+q = (dpsi/dc + lambda) / (1 + lambda) and r = (psi + lambda c) / (1 + lambda) - c q.
+The cross-entropy gradient with each row's target entry g_t scaled by q is
+G = d loss / d(||x|| cos theta_j); then d loss / dx = G W^T + (g_t r / ||x||) x and
+d loss / dW = x^T G for the unit columns W, which the column normalisation
+takes back to the raw weights.
+
 Both losses compute in float64 on their small (B, N) and (B, D) arrays,
 whatever the dtype of their inputs, and hand each input's gradient back in
 that input's dtype.
@@ -36,19 +43,12 @@ _COS_MULTIPLE = {
 MARGINS = tuple(_COS_MULTIPLE)
 
 
-def _interval_index(c: np.ndarray, m: int) -> np.ndarray:
-    """k such that theta = arccos(c) lies in [k pi/m, (k+1) pi/m]."""
-    k = np.zeros_like(c)
-    for i in range(1, m):
-        k += (c < np.cos(i * np.pi / m))
-    return k
-
-
 def psi_of_cos(c, m: int):
     """Margin profile psi and its derivative dpsi/dc, both evaluated from
     c = cos(theta); psi is continuous and non-increasing in theta on [0, pi]."""
     c = np.clip(np.asarray(c, dtype=np.float64), -1.0, 1.0)
-    k = _interval_index(c, m)
+    # theta lies in [k pi/m, (k+1) pi/m] for k, the number of bounds cos(i pi/m) above c
+    k = np.searchsorted(-np.cos(np.arange(1, m) * np.pi / m), -c)
     sign = np.where(k % 2 == 0, 1.0, -1.0)
     cos_m, dcos_m = _COS_MULTIPLE[m]
     return sign * cos_m(c) - 2.0 * k, sign * dcos_m(c)
@@ -119,29 +119,17 @@ def asoftmax_loss(x: Tensor, w: Tensor, labels, m: int, lam: float) -> Tensor:
     plain = xv @ w_hat                       # ||x|| cos(theta), all classes
     ct = np.clip(plain[rows, labels] / x_norms, -1.0, 1.0)
     psi, dpsi = psi_of_cos(ct, m)
-    logits = plain.copy()
-    logits[rows, labels] = x_norms * (psi + lam * ct) / (1.0 + lam)
-    loss, ce_grad = _cross_entropy(logits, labels)
+    q = (dpsi + lam) / (1.0 + lam)           # d target logit / d (||x|| cos)
+    r = (psi + lam * ct) / (1.0 + lam) - ct * q
+    plain[rows, labels] = x_norms * (psi + lam * ct) / (1.0 + lam)
+    loss, ce_grad = _cross_entropy(plain, labels)
 
     def backward(g):
-        grad_logits = ce_grad(g)
-
-        # Plain-logit part for every entry, then swap in the true target rule.
-        gx = grad_logits @ w_hat.T
-        g_what = xv.T @ grad_logits
-        gt = grad_logits[rows, labels]
-        w_y = w_hat[:, labels].T             # (B, D)
-        x_hat = xv / x_norms[:, None]
-
-        gx -= gt[:, None] * w_y
-        np.add.at(g_what.T, labels, -gt[:, None] * xv)
-
-        q = (dpsi + lam) / (1.0 + lam)       # d logit / d (||x|| cos)
-        r = (psi + lam * ct) / (1.0 + lam) - ct * q
-        gx += gt[:, None] * (q[:, None] * w_y + r[:, None] * x_hat)
-        np.add.at(g_what.T, labels, (gt * q)[:, None] * xv)
-
-        # Through the column normalization back to the raw weights.
+        grad = ce_grad(g)                    # G, once its target entries are scaled by q
+        gt = grad[rows, labels]
+        grad[rows, labels] = gt * q
+        gx = grad @ w_hat.T + (gt * r / x_norms)[:, None] * xv
+        g_what = xv.T @ grad
         proj = (w_hat * g_what).sum(axis=0)
         gw = (g_what - w_hat * proj[None, :]) / w_norms[None, :]
         return gx.astype(x_dtype, copy=False), gw.astype(w_dtype, copy=False)

@@ -138,9 +138,9 @@ def batch_loss(model: m.ExtractorModel, segments: list[np.ndarray], labels: np.n
                cfg: ExperimentConfig, lam: float) -> ad.Tensor:
     pooled = ad.stack_rows([m.frame_stats_graph(model, seg) for seg in segments])
     emb = m.segment_graph(model, pooled)
-    if cfg.loss == "softmax":
-        return softmax_ce(m.classifier_graph(model, emb), labels)
     w = model.params["classifier.w"]
+    if cfg.loss == "softmax":
+        return softmax_ce(ad.affine(emb, w, model.params["classifier.b"]), labels)
     return asoftmax_loss(emb, w, labels, cfg.margin, lam)
 
 
@@ -208,7 +208,8 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
             if meta.get(key) is None:
                 raise ValueError(f"{resume}: checkpoint lacks metadata key {key}")
         if meta["config_hash"] != cfg.config_hash():
-            raise ValueError("checkpoint was produced by a different configuration")
+            raise ValueError(f"{resume}: checkpoint was produced by a different configuration "
+                             f"(config hash {meta['config_hash']}, this run's {cfg.config_hash()})")
         if model.n_spk != len(speakers):
             raise ValueError(f"{resume}: checkpoint classifies {model.n_spk} speakers, "
                              f"the corpus has {len(speakers)}")

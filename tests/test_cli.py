@@ -466,8 +466,35 @@ def test_resume_from_another_configuration_exits_2(capsys, toy_dir, tmp_path):
     code, _, err = run(capsys, *train_argv(corpus, tmp_path / "two.ini"),
                        "--resume", str(first), "--out", str(second))
     assert code == 2
-    assert "spkver: checkpoint was produced by a different configuration" in err
+    one, two = (fm.load_config(tmp_path / f"{n}.ini").config_hash() for n in ("one", "two"))
+    assert err.splitlines()[-1] == (f"spkver: {first}: checkpoint was produced by a different "
+                                    f"configuration (config hash {one}, this run's {two})")
     assert not second.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "extract"])
+def test_features_of_another_width_exit_2_naming_archive_and_in_dim(capsys, tmp_path, command):
+    """20-dim features against a 23-dim model stop before any training or
+    forward pass, naming the archive, its width, in_dim and, for extract, the
+    checkpoint."""
+    corpus, out = tmp_path / "corpus", tmp_path / "out.bin"
+    code, _, err = run(capsys, "synth", "--out-dir", str(corpus), "--n-speakers", "3",
+                       "--utts-per-speaker", "2", "--seconds", "2.0", "--dim", "20")
+    assert code == 0, err
+    feats = corpus / "feats.bin"
+    if command == "train":
+        write_toy_config(tmp_path / "exp.ini")
+        argv, owner = train_argv(corpus, tmp_path / "exp.ini"), "the config sets"
+    else:
+        ckpt = tmp_path / "m.ckpt"
+        fm.save_checkpoint(ckpt, md.build_maxpool_net(n_spk=3, width_scale=0.125),
+                           step=0, epoch=0, config_hash="")
+        argv = ["extract", "--checkpoint", str(ckpt), "--features", str(feats)]
+        owner = f"checkpoint {ckpt} has"
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err == f"spkver: {feats}: features of width 20, but {owner} in_dim 23\n"
+    assert not out.exists()
 
 
 def test_best_out_survives_divergence_after_the_best_epoch(capsys, toy_dir, tmp_path,
@@ -759,6 +786,38 @@ def test_backend_train_option_out_of_range_exits_2_naming_it(capsys, tmp_path, k
     assert not (tmp_path / "model.bin").exists()
 
 
+@pytest.mark.parametrize("command,flags,message", [
+    ("backend-train", ["--lda-dim", "0"], "--lda-dim 0: not in [1, 16], the dimension of the "
+                                          "embeddings in {emb}"),
+    ("backend-train", ["--lda-dim", "99"], "--lda-dim 99: not in [1, 16], the dimension of "
+                                           "the embeddings in {emb}"),
+    ("extract", ["--threads", "-3"], "--threads -3: needs at least 1"),
+    ("extract", ["--threads", "0"], "--threads 0: needs at least 1"),
+], ids=["zero-lda-dim", "lda-dim-over-width", "negative-threads", "zero-threads"])
+def test_option_out_of_range_exits_2_naming_the_option(capsys, tmp_path, command, flags,
+                                                       message):
+    """16-dim embeddings of 4 speakers; a 23-dim corpus and checkpoint for extract."""
+    emb, out = tmp_path / "emb.bin", tmp_path / "out.bin"
+    if command == "backend-train":
+        rng = np.random.default_rng(1)
+        fm.write_embeddings(emb, {f"s{i % 4}u{i}": rng.standard_normal(16) for i in range(24)})
+        fm.write_utt2spk(tmp_path / "utt2spk.txt", {f"s{i % 4}u{i}": f"s{i % 4}"
+                                                    for i in range(24)})
+        argv = ["backend-train", "--kind", "lda-plda", "--embeddings", str(emb),
+                "--utt2spk", str(tmp_path / "utt2spk.txt")]
+    else:
+        feats = {f"u{i}": np.random.default_rng(i).standard_normal((200, 23)) for i in range(2)}
+        fm.write_features(tmp_path / "feats.bin", feats, 10.0)
+        fm.save_checkpoint(tmp_path / "m.ckpt", md.build_maxpool_net(n_spk=3, width_scale=0.125),
+                           step=0, epoch=0, config_hash="")
+        argv = ["extract", "--checkpoint", str(tmp_path / "m.ckpt"),
+                "--features", str(tmp_path / "feats.bin")]
+    code, _, err = run(capsys, *argv, "--out", str(out), *flags)
+    assert code == 2
+    assert err == f"spkver: {message.format(emb=emb)}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n_rows,warned", [(48, True), (75, True), (76, False)])
 def test_lda_plda_warns_when_within_class_scatter_is_singular(capsys, tmp_path, n_rows,
                                                               warned):
@@ -825,6 +884,14 @@ def test_gradcheck_subcommand_quick(capsys):
     code, out, err = run(capsys, "gradcheck", "--frames", "46", "--samples", "1")
     assert code == 0, err
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_gradcheck_without_a_sample_exits_2_naming_the_option(capsys, samples):
+    """A check that probes no entry would pass vacuously."""
+    code, out, err = run(capsys, "gradcheck", "--frames", "46", "--samples", samples)
+    assert code == 2 and out == ""
+    assert err == f"spkver: --samples {samples}: needs at least 1\n"
 
 
 def test_gradcheck_full_nets_differentiate_the_training_loss(capsys, monkeypatch):

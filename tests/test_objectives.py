@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spkver.autodiff import Tensor, grad_check
-from spkver.objectives import asoftmax_loss, psi_of_cos, softmax_ce
+from spkver.objectives import _COS_MULTIPLE, asoftmax_loss, psi_of_cos, softmax_ce
 
 
 def unit_columns(w):
@@ -61,6 +61,14 @@ def test_psi_m2_quarter_pi():
     assert psi_of_cos(1.0, 2)[0] == pytest.approx(1.0)
 
 
+def loop_interval_index(c, m):
+    """k with arccos(c) in [k pi/m, (k+1) pi/m], counted bound by bound."""
+    k = np.zeros_like(c)
+    for i in range(1, m):
+        k += (c < np.cos(i * np.pi / m))
+    return k
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_psi_matches_piecewise_formula_on_grid(m):
     theta = np.linspace(0, np.pi, 10_000)
@@ -68,6 +76,18 @@ def test_psi_matches_piecewise_formula_on_grid(m):
     direct = (-1.0) ** k * np.cos(m * theta) - 2.0 * k
     ours = psi_of_cos(np.cos(theta), m)[0]
     assert np.allclose(ours, direct, atol=1e-9)
+
+    # bit for bit against the bound-by-bound count, on the grid, the exact
+    # bounds cos(i pi/m) and their neighbours, +-1 and +-0
+    bounds = np.array([np.cos(i * np.pi / m) for i in range(1, m)])
+    c = np.concatenate([np.cos(theta), bounds, np.nextafter(bounds, 2), np.nextafter(bounds, -2),
+                        [1.0, -1.0, 0.0, -0.0]])
+    k = loop_interval_index(c, m)
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    cos_m, dcos_m = _COS_MULTIPLE[m]
+    psi, dpsi = psi_of_cos(c, m)
+    assert psi.tobytes() == (sign * cos_m(c) - 2.0 * k).tobytes()
+    assert dpsi.tobytes() == (sign * dcos_m(c)).tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -172,10 +192,42 @@ def test_margin_two_never_easier_than_margin_one():
         checked += 1
 
 
-@pytest.mark.parametrize("m,lam", [(1, 0.0), (2, 0.0), (3, 0.5), (4, 2.0)])
-def test_asoftmax_gradient_away_from_boundaries(m, lam):
+def two_phase_asoftmax_gradients(x, w, labels, m, lam):
+    """The A-softmax gradients by two phases: the plain-logit rule on every
+    entry, then the target entries' share swapped for the margin rule."""
+    rows, b = np.arange(len(x)), len(x)
+    w_norms, x_norms = np.linalg.norm(w, axis=0), np.linalg.norm(x, axis=1)
+    w_hat = w / w_norms
+    plain = x @ w_hat
+    ct = np.clip(plain[rows, labels] / x_norms, -1.0, 1.0)
+    psi, dpsi = psi_of_cos(ct, m)
+    logits = plain.copy()
+    logits[rows, labels] = x_norms * (psi + lam * ct) / (1.0 + lam)
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    p[rows, labels] -= 1.0
+    grad_logits = p / b
+
+    gx, g_what = grad_logits @ w_hat.T, x.T @ grad_logits
+    gt, w_y, x_hat = grad_logits[rows, labels], w_hat[:, labels].T, x / x_norms[:, None]
+    gx -= gt[:, None] * w_y
+    np.add.at(g_what.T, labels, -gt[:, None] * x)
+    q = (dpsi + lam) / (1.0 + lam)
+    r = (psi + lam * ct) / (1.0 + lam) - ct * q
+    gx += gt[:, None] * (q[:, None] * w_y + r[:, None] * x_hat)
+    np.add.at(g_what.T, labels, (gt * q)[:, None] * x)
+    proj = (w_hat * g_what).sum(axis=0)
+    return gx, (g_what - w_hat * proj[None, :]) / w_norms[None, :]
+
+
+@pytest.mark.parametrize("m,lam,b", [(1, 0.0, 4), (2, 0.0, 4), (3, 0.5, 4), (4, 2.0, 4),
+                                     (2, 1000.0, 16)],
+                         ids=["1-0.0", "2-0.0", "3-0.5", "4-2.0", "2-1000.0-16rows"])
+def test_asoftmax_gradient_away_from_boundaries(m, lam, b):
+    """Against finite differences and, within 1e-12 relative to the largest
+    entry, the two-phase formula; 16 rows of 3 classes repeat labels."""
     rng = np.random.default_rng(7 + m)
-    b, d, n = 4, 6, 3
+    d, n = 6, 3
     while True:
         x = rng.standard_normal((b, d))
         w = rng.standard_normal((d, n))
@@ -190,6 +242,11 @@ def test_asoftmax_gradient_away_from_boundaries(m, lam):
     wt = Tensor(w, requires_grad=True)
     err = grad_check(lambda: asoftmax_loss(xt, wt, labels, m, lam), {"x": xt, "w": wt})
     assert err < 1e-4
+
+    xt.grad = wt.grad = None
+    asoftmax_loss(xt, wt, labels, m, lam).backward()
+    for got, want in zip((xt.grad, wt.grad), two_phase_asoftmax_gradients(x, w, labels, m, lam)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_asoftmax_degenerate_inputs():
