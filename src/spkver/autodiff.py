@@ -402,10 +402,7 @@ def grad_check(loss_fn, params, eps: float = 1e-5, n_samples: int | None = None,
 
     for _, t in named:
         t.grad = None
-    loss = loss_fn()
-    if loss.data.size != 1:
-        raise ValueError("loss must be scalar")
-    loss.backward()
+    loss_fn().backward()
     analytic = {
         name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
         for name, t in named

@@ -44,6 +44,7 @@ CSML_STEPS = 4             # descent steps per mining epoch of ``train_csml``
 CSML_DIAG_FLOOR = 1e-4     # smallest diagonal entry of a CSML descent step
 MINE_BLOCK = 256           # anchors per block of ``mine_triplets``' hard-negative search
 TRI_BLOCK = 64             # ``_tri_inv`` hands triangles of at most this many rows to LAPACK
+NORM_FLOOR = 1e-12         # an embedding of a smaller norm is degenerate: it has no direction
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +126,7 @@ def _transformed_unit_rows(a, embeddings):
     e = np.asarray(embeddings, dtype=np.float64)
     u = e @ a.T
     norms = np.linalg.norm(u, axis=1)
-    if np.any(norms < 1e-12):
+    if np.any(norms < NORM_FLOOR):
         raise ValueError("degenerate embedding: zero norm after transform")
     return e, norms, u / norms[:, None]
 
@@ -284,7 +285,7 @@ def train_csml(embeddings, labels, *, epochs: int, n_hard: int, max_triplets: in
 def length_normalize(embeddings) -> np.ndarray:
     e = np.asarray(embeddings, dtype=np.float64)
     norms = np.linalg.norm(e, axis=-1, keepdims=True)
-    if np.any(norms < 1e-12):
+    if np.any(norms < NORM_FLOOR):
         raise ValueError("degenerate embedding: zero norm")
     return e / norms
 

@@ -85,7 +85,7 @@ def _cmd_mfcc(args) -> int:
 def _check_width(path, features, in_dim: int, owner: str) -> None:
     """CliError naming ``path`` if a feature matrix is not ``in_dim`` wide."""
     for feats in features.values():
-        if feats.ndim == 2 and feats.shape[1] != in_dim:
+        if feats.shape[1] != in_dim:
             raise CliError(f"{path}: features of width {feats.shape[1]}, {owner} in_dim {in_dim}")
 
 
@@ -131,11 +131,15 @@ def _cmd_extract(args) -> int:
 
 
 def _stack_embeddings(path, embeddings, utts) -> np.ndarray:
-    """Rows of ``embeddings`` for ``utts``; a NaN or inf names ``path`` and its utterance."""
+    """Rows of ``embeddings`` for ``utts``; a NaN, an inf or a zero-norm row names
+    ``path`` and its utterance."""
     matrix = np.stack([embeddings[u] for u in utts])
     if not np.isfinite(matrix).all():
         bad = utts[np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0]]
         raise CliError(f"{path}: embedding of {bad!r} holds a non-finite value")
+    zero = np.flatnonzero(np.linalg.norm(matrix, axis=1) < bk.NORM_FLOOR)
+    if zero.size:
+        raise CliError(f"{path}: degenerate embedding: zero norm, utterance {utts[zero[0]]!r}")
     return matrix
 
 
@@ -232,6 +236,9 @@ def _cmd_eval(args) -> int:
         summary = mt.summarize(score_set, p_targets=tuple(args.p_target))
     except ValueError as exc:                 # a degenerate trial set
         raise CliError(f"{args.scores}: {exc}") from exc
+    if np.ptp(score_set.scores) == 0:         # EER 0.5 would be an artefact
+        raise CliError(f"{args.scores}: every score is {score_set.scores[0]:g}: "
+                       f"no threshold separates the trials")
     print(f"{'metric':<18} value")
     print(f"{'EER':<18} {summary['eer'] * 100:.3f}%")
     for p in args.p_target:
@@ -248,8 +255,7 @@ def _cmd_gradcheck(args) -> int:
 
     if args.samples < 1:
         raise CliError(f"--samples {args.samples}: needs at least 1")
-    failures = run_suite(frames=args.frames, samples=args.samples, seed=args.seed,
-                         log=print)
+    failures = run_suite(samples=args.samples, seed=args.seed, log=print)
     if failures:
         raise CliError(f"{failures} gradient check(s) exceeded tolerance")
     print("all gradient checks passed")
@@ -338,7 +344,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    p.add_argument("--frames", type=int, default=50)
     p.add_argument("--samples", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gradcheck)

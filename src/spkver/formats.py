@@ -162,7 +162,7 @@ def write_features(path, features: dict[str, np.ndarray], frame_shift_ms: float)
 
 
 def read_features(path):
-    """(utterance id -> float32 matrix as stored, metadata); frame_shift_ms is finite, > 0."""
+    """(utterance id -> 2-D float32 matrix as stored, metadata); frame_shift_ms is finite, > 0."""
     arrays, meta = read_archive(path)
     if meta is None or meta.get("kind") != "features":
         raise ValueError(f"{path}: not a feature archive")
@@ -170,6 +170,8 @@ def read_features(path):
     if isinstance(shift, bool) or not isinstance(shift, (int, float)) or not 0 < shift < math.inf:
         raise ValueError(f"{path}: key frame_shift_ms holds {shift!r}, not a finite number > 0")
     for utt, feats in arrays.items():
+        if feats.ndim != 2:
+            raise ValueError(f"{path}: features of {utt!r} have shape {feats.shape}, not (T, dim)")
         if not np.isfinite(feats).all():
             raise ValueError(f"{path}: features of {utt!r} hold a non-finite value")
     return arrays, meta

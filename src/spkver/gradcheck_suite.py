@@ -3,13 +3,14 @@ full extractor architectures.
 
 Each check rebuilds a small graph ending in a scalar loss and compares the
 reverse-mode gradients of the listed parameters against central
-differences.  The full nets are checked through the training loss itself,
-``training.batch_loss`` with the softmax objective, so the contract covers
-the graph that training builds.  Inputs are drawn away from activation
-kinks so the comparison is well defined.  Every check runs in float64: the
-op checks' inputs are float64, and the two models' float32 parameters are
-widened before they are probed, since a central difference at step 1e-5
-needs more digits than float32 holds.
+differences.  The full nets, as ``training.build_model`` builds them, go
+through the softmax training loss, ``training.batch_loss``, on a segment of
+``receptive_field + 8`` frames of ``in_dim`` features that the model sizes,
+so the contract covers what training builds and steps: every parameter.
+Inputs are drawn away from activation kinks so the comparison is well
+defined.  Every check runs in float64: the op checks' inputs are float64,
+and the two models' float32 parameters are widened before they are probed,
+since a central difference at step 1e-5 needs more digits than float32 holds.
 """
 
 from __future__ import annotations
@@ -88,36 +89,34 @@ def op_checks(seed: int):
     return checks
 
 
-def full_net_checks(frames: int, seed: int):
-    """Full architectures, their parameters widened to float64, driven to the
+def full_net_checks(seed: int):
+    """Both architectures, their parameters widened to float64, driven to the
     softmax training loss on one segment."""
     rng = np.random.default_rng(seed)
-    cfg = ExperimentConfig(loss="softmax")
     checks = []
-    for arch_name, model in (
-        ("maxpool_net", md.build_maxpool_net(n_spk=4, seed=seed)),
-        ("res_net", md.build_res_net(3, n_spk=4, seed=seed)),
-    ):
+    for arch_name, arch in (("maxpool_net", "maxpool"), ("res_net", "resnet")):
+        cfg = ExperimentConfig(arch=arch, loss="softmax", seed=seed)
+        model = training.build_model(cfg, 4)
         for tensor in model.params.values():      # never stepped: momenta stay float32
             tensor.data = tensor.data.astype(np.float64)
-        feats = rng.standard_normal((max(frames, md.receptive_field(model) + 8), 23))
+        feats = rng.standard_normal((md.receptive_field(model) + 8, model.in_dim))
         labels = np.array([1])
 
-        def loss_fn(model=model, feats=feats, labels=labels):
+        def loss_fn(model=model, feats=feats, labels=labels, cfg=cfg):
             return training.batch_loss(model, [feats], labels, cfg, 0.0)
 
         checks.append((arch_name, loss_fn, model.params))
     return checks
 
 
-def run_suite(frames: int, samples: int, seed: int, log=None) -> int:
+def run_suite(samples: int, seed: int, log=None) -> int:
     """Run every check; returns the number of failures."""
     failures = 0
     rng = np.random.default_rng(seed + 1)
     for name, loss_fn, params in op_checks(seed):
         err = grad_check(loss_fn, params, n_samples=None, rng=rng)
         failures += _report(log, name, err)
-    for name, loss_fn, params in full_net_checks(frames, seed):
+    for name, loss_fn, params in full_net_checks(seed):
         err = grad_check(loss_fn, params, n_samples=samples, rng=rng)
         failures += _report(log, name, err)
     return failures

@@ -21,8 +21,8 @@ been seen at up to about 9 ln(C).
 
 Parameters, momenta, activations and gradients are float32, the dtype the
 builders allocate and checkpoints store; the objectives and the gradient
-norm accumulate in float64.  The optimizer reads and writes every parameter
-of the model's ``params`` and ``velocity`` dicts each step.
+norm accumulate in float64.  Each step, backward reaches every parameter (both
+objectives reach all of both stacks'), and the optimizer steps each of them.
 ``clip_gradients`` and ``sgd_step`` sweep each tensor through flat views in
 blocks of ``OPT_BLOCK`` entries and build no temporary of a parameter's
 size.  The gradient norm follows numpy's pairwise-sum splits down to the
@@ -53,8 +53,6 @@ DIVERGENCE_FACTOR = 1e3
 # and parameter fits a 2 MiB L2 cache.  At least 128, numpy's pairwise-sum
 # leaf, so every block is a node of that sum's tree.
 OPT_BLOCK = 1 << 15
-_ZERO_BLOCK = np.zeros(OPT_BLOCK, np.float32)
-_ZERO_BLOCK.flags.writeable = False
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -81,26 +79,27 @@ def _sum_squares(flat: np.ndarray, scratch: np.ndarray) -> float:
 def clip_gradients(params: dict, max_norm: float) -> float:
     """Scale all gradients so their global norm is at most ``max_norm``.
 
-    Returns the pre-clip norm.  The stacks carry no normalization layers,
-    so occasional loss spikes can otherwise send the per-channel slopes
-    into a feedback loop.  Each gradient's sum of squares accumulates in
-    float64, formed in blocks of ``OPT_BLOCK`` along numpy's pairwise-sum
-    splits, so the norm equals the one
-    ``(g.astype(np.float64) ** 2).sum()`` per tensor gives bit for bit, and
-    so do the clip decision and the scaled gradients; a dot product would
-    sum in another order.
+    Returns the pre-clip norm; first, a parameter without a gradient raises
+    ValueError naming it.  The stacks carry no normalization layers, so
+    occasional loss spikes can otherwise send the per-channel slopes into a
+    feedback loop.  Each gradient's sum of squares accumulates in float64,
+    formed in blocks of ``OPT_BLOCK`` along numpy's pairwise-sum splits, so
+    the norm equals the one ``(g.astype(np.float64) ** 2).sum()`` per tensor
+    gives bit for bit, and so do the clip decision and the scaled gradients;
+    a dot product would sum in another order.
     """
+    for name, tensor in params.items():
+        if tensor.grad is None:
+            raise ValueError(f"parameter {name} received no gradient")
     scratch = np.empty(OPT_BLOCK)
     total = 0.0
     for tensor in params.values():
-        if tensor.grad is not None:
-            total += _sum_squares(_flat(tensor.grad), scratch)
+        total += _sum_squares(_flat(tensor.grad), scratch)
     norm = float(np.sqrt(total))        # a Python float scales each gradient in its dtype
     if max_norm > 0 and norm > max_norm:
         factor = max_norm / norm
         for tensor in params.values():
-            if tensor.grad is not None:
-                tensor.grad *= factor
+            tensor.grad *= factor
     return norm
 
 
@@ -112,19 +111,15 @@ def sgd_step(params: dict, velocity: dict, lr: float, momentum: float):
     parameter is swept once, in blocks of ``OPT_BLOCK`` entries, so a
     block's parameter, velocity and gradient stay in cache across the three
     operations; they are the same elementwise operations in the same order
-    as on whole arrays.  A parameter without a gradient adds zeros from a
-    shared read-only block, so a -0 velocity entry still becomes +0, and
-    its lr v goes to a block-sized temporary.
+    as on whole arrays.
     """
     for name, tensor in params.items():
-        param, vel = _flat(tensor.data), _flat(velocity[name])
-        grad = None if tensor.grad is None else _flat(tensor.grad)
+        param, vel, grad = _flat(tensor.data), _flat(velocity[name]), _flat(tensor.grad)
         for lo in range(0, param.size, OPT_BLOCK):
-            p, v = param[lo:lo + OPT_BLOCK], vel[lo:lo + OPT_BLOCK]
-            g = _ZERO_BLOCK[:v.size] if grad is None else grad[lo:lo + OPT_BLOCK]
+            p, v, g = (a[lo:lo + OPT_BLOCK] for a in (param, vel, grad))
             v *= momentum
             v += g
-            p -= np.multiply(v, lr, out=None if grad is None else g)
+            p -= np.multiply(v, lr, out=g)
 
 
 def build_model(cfg: ExperimentConfig, n_spk: int) -> m.ExtractorModel:

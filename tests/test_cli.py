@@ -472,6 +472,49 @@ def test_resume_from_another_configuration_exits_2(capsys, toy_dir, tmp_path):
     assert not second.exists()
 
 
+def test_resume_into_a_loss_that_leaves_a_parameter_without_gradient_exits_2(
+        capsys, toy_dir, tmp_path):
+    """A softmax checkpoint whose config hash was rewritten to an A-softmax
+    configuration's resumes past the hash check, but A-softmax never reaches
+    the softmax classifier's bias: the first step stops naming it."""
+    corpus, first, second = toy_dir / "corpus", tmp_path / "softmax.ckpt", tmp_path / "out.ckpt"
+    write_toy_config(tmp_path / "softmax.ini")
+    asoftmax = write_toy_config(tmp_path / "asoftmax.ini", loss="asoftmax")
+    code, _, err = run(capsys, *train_argv(corpus, tmp_path / "softmax.ini"), "--out", str(first))
+    assert code == 0, err
+    model, meta = fm.load_checkpoint(first)
+    assert "classifier.b" in model.params
+    fm.save_checkpoint(first, model, step=meta["step"], epoch=0,
+                       config_hash=asoftmax.config_hash(), rng_state=meta["rng_state"],
+                       extra=meta["extra"])
+    code, _, err = run(capsys, *train_argv(corpus, tmp_path / "asoftmax.ini"),
+                       "--resume", str(first), "--out", str(second))
+    assert code == 2
+    assert err.splitlines()[-1] == "spkver: parameter classifier.b received no gradient"
+    assert not second.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "extract"])
+@pytest.mark.parametrize("shape", [(300,), (300, 23, 1)], ids=["1-D", "3-D"])
+def test_features_not_2d_exit_2_naming_archive_and_utterance(capsys, tmp_path, command, shape):
+    feats, out = tmp_path / "feats.bin", tmp_path / "out.bin"
+    fm.write_archive(feats, {"good": np.ones((300, 23)), "odd": np.ones(shape)},
+                     {"kind": "features", "frame_shift_ms": 10.0, "dim": 23}, dtype="f4")
+    (tmp_path / "utt2spk.txt").write_text("good s0\nodd s1\n")
+    if command == "train":
+        write_toy_config(tmp_path / "exp.ini")
+        argv = train_argv(tmp_path, tmp_path / "exp.ini")
+    else:
+        ckpt = tmp_path / "m.ckpt"
+        fm.save_checkpoint(ckpt, md.build_maxpool_net(n_spk=3, width_scale=0.125),
+                           step=0, epoch=0, config_hash="")
+        argv = ["extract", "--checkpoint", str(ckpt), "--features", str(feats)]
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err == f"spkver: {feats}: features of 'odd' have shape {shape}, not (T, dim)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "extract"])
 def test_features_of_another_width_exit_2_naming_archive_and_in_dim(capsys, tmp_path, command):
     """20-dim features against a 23-dim model stop before any training or
@@ -656,6 +699,18 @@ def test_eval_malformed_score_file_exits_2_naming_it(capsys, tmp_path, text, mes
     path.write_bytes(text)
     code, _, err = run(capsys, "eval", "--scores", str(path))
     assert code == 2 and f"spkver: {path}: {message}" in err
+
+
+@pytest.mark.parametrize("score", ["0.25", "-3", "0"])
+def test_eval_of_constant_scores_exits_2_naming_the_file(capsys, tmp_path, score):
+    """Equal scores leave no threshold to place: EER 0.5 would be an artefact."""
+    path = tmp_path / "scores.txt"
+    path.write_text(f"a b target {score}\na c nontarget {score}\nb c nontarget {score}\n")
+    code, out, err = run(capsys, "eval", "--scores", str(path), "--json", str(tmp_path / "e.json"))
+    assert code == 2 and out == ""
+    assert err == (f"spkver: {path}: every score is {float(score):g}: "
+                   f"no threshold separates the trials\n")
+    assert not (tmp_path / "e.json").exists()
 
 
 @pytest.mark.parametrize("value", ["1.5", "0", "-0.2", "nan"])
@@ -881,7 +936,7 @@ def test_score_blocks_cross_boundaries_and_match_library(capsys, tmp_path, monke
 
 
 def test_gradcheck_subcommand_quick(capsys):
-    code, out, err = run(capsys, "gradcheck", "--frames", "46", "--samples", "1")
+    code, out, err = run(capsys, "gradcheck", "--samples", "1")
     assert code == 0, err
     assert "PASS" in out and "FAIL" not in out
 
@@ -889,21 +944,31 @@ def test_gradcheck_subcommand_quick(capsys):
 @pytest.mark.parametrize("samples", ["0", "-1"])
 def test_gradcheck_without_a_sample_exits_2_naming_the_option(capsys, samples):
     """A check that probes no entry would pass vacuously."""
-    code, out, err = run(capsys, "gradcheck", "--frames", "46", "--samples", samples)
+    code, out, err = run(capsys, "gradcheck", "--samples", samples)
     assert code == 2 and out == ""
     assert err == f"spkver: --samples {samples}: needs at least 1\n"
 
 
+def test_gradcheck_frames_is_a_usage_error(capsys):
+    """The full-net checks take the segment length from the model."""
+    code, out, err = run(capsys, "gradcheck", "--frames", "50")
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == "spkver: error: unrecognized arguments: --frames 50"
+
+
 def test_gradcheck_full_nets_differentiate_the_training_loss(capsys, monkeypatch):
     """The full-net checks go through ``training.batch_loss``: one softmax
-    segment per call, for both stacks."""
+    segment per call, for both stacks as ``training.build_model`` builds them,
+    of receptive field + 8 frames of ``in_dim`` features."""
     calls, batch_loss = [], tr.batch_loss
 
     def spy(model, segments, labels, cfg, lam):
+        assert cfg.arch == model.arch and segments[0].shape == (md.receptive_field(model) + 8,
+                                                               model.in_dim)
         calls.append((model.arch, len(segments), cfg.loss, lam))
         return batch_loss(model, segments, labels, cfg, lam)
     monkeypatch.setattr(tr, "batch_loss", spy)
-    code, out, err = run(capsys, "gradcheck", "--frames", "46", "--samples", "1")
+    code, out, err = run(capsys, "gradcheck", "--samples", "1")
     assert code == 0, err
     assert "PASS maxpool_net" in out and "PASS res_net" in out
     assert {arch for arch, *_ in calls} == {"maxpool", "resnet"}
@@ -980,8 +1045,23 @@ def test_score_zero_norm_embedding_exits_2(capsys, tmp_path, backend):
                        "--embeddings", str(emb_path), "--trials", str(trials_path),
                        "--out", str(tmp_path / "s.txt"))
     assert code == 2
-    assert "degenerate embedding: zero norm" in err
+    assert err == f"spkver: {emb_path}: degenerate embedding: zero norm, utterance 'z'\n"
     assert not (tmp_path / "s.txt").exists()
+
+
+@pytest.mark.parametrize("kind", ["csml", "lda-plda"])
+def test_backend_train_zero_norm_embedding_exits_2(capsys, tmp_path, kind):
+    emb_path, out = tmp_path / "emb.bin", tmp_path / "model.bin"
+    rng = np.random.default_rng(4)
+    embeddings = {f"s{s}u{u}": rng.standard_normal(3) for s in range(4) for u in range(3)}
+    embeddings["s2u1"] = np.zeros(3)
+    fm.write_embeddings(emb_path, embeddings)
+    (tmp_path / "utt2spk.txt").write_text("".join(f"{u} {u[:2]}\n" for u in embeddings))
+    code, _, err = run(capsys, "backend-train", "--kind", kind, "--embeddings", str(emb_path),
+                       "--utt2spk", str(tmp_path / "utt2spk.txt"), "--out", str(out))
+    assert code == 2
+    assert err == f"spkver: {emb_path}: degenerate embedding: zero norm, utterance 's2u1'\n"
+    assert not out.exists()
 
 
 def _two_utterance_inputs(tmp_path):

@@ -336,25 +336,22 @@ def ref_clip_gradients(params, max_norm):
     """Whole-array ``clip_gradients``: one squared float64 temporary per gradient."""
     total = 0.0
     for _, tensor in params.items():
-        if tensor.grad is not None:
-            total += float((tensor.grad.astype(np.float64) ** 2).sum())
+        total += float((tensor.grad.astype(np.float64) ** 2).sum())
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         factor = max_norm / norm
         for _, tensor in params.items():
-            if tensor.grad is not None:
-                tensor.grad *= factor
+            tensor.grad *= factor
     return norm
 
 
 def ref_sgd_step(params, velocity, lr, momentum):
-    """Whole-array ``sgd_step``: a zeros array stands in for a missing gradient."""
+    """Whole-array ``sgd_step``."""
     for name, tensor in params.items():
-        grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
         vel = velocity[name]
         vel *= momentum
-        vel += grad
-        tensor.data -= np.multiply(vel, lr, out=grad)
+        vel += tensor.grad
+        tensor.data -= np.multiply(vel, lr, out=tensor.grad)
 
 
 B = tr.OPT_BLOCK
@@ -378,7 +375,7 @@ def _copies(arrays):
     params, velocity = {}, {}
     for name, (data, vel, grad) in arrays.items():
         params[name] = Tensor(data.copy(), requires_grad=True, name=name)
-        params[name].grad = None if grad is None else grad.copy()
+        params[name].grad = grad.copy()
         velocity[name] = vel.copy()
     return params, velocity
 
@@ -387,38 +384,42 @@ def _assert_same_bytes(a, a_vel, b, b_vel):
     for name, t in a.items():
         assert t.data.tobytes() == b[name].data.tobytes(), name
         assert a_vel[name].tobytes() == b_vel[name].tobytes(), name
-        assert (t.grad is None) == (b[name].grad is None), name
-        assert t.grad is None or t.grad.tobytes() == b[name].grad.tobytes(), name
+        assert t.grad.tobytes() == b[name].grad.tobytes(), name
 
 
 @pytest.mark.parametrize("max_norm", [0.0, 1e6, 1.0])
 def test_blocked_optimizer_matches_whole_array_forms(max_norm):
     """Same bytes as the whole-array forms, with and without clipping, for
-    tensors of one, several and a partial last block, with and without a
-    gradient; -0 velocities planted where no gradient arrives become +0."""
+    tensors of one, several and a partial last block, -0 velocities included."""
     rng = np.random.default_rng(12)
     arrays = {}
     for k, shape in enumerate([(2 * B + 3,), (3, 5), (B // 64, 65), (B,), (7,)]):
         vel = rng.standard_normal(shape)
         vel.flat[::5] = -0.0
-        grad = None if k % 2 else rng.standard_normal(shape)
-        arrays[f"p{k}"] = (rng.standard_normal(shape), vel, grad)
+        arrays[f"p{k}"] = (rng.standard_normal(shape), vel, rng.standard_normal(shape))
     (new, new_vel), (ref, ref_vel) = _copies(arrays), _copies(arrays)
     assert tr.clip_gradients(new, max_norm) == ref_clip_gradients(ref, max_norm)
     tr.sgd_step(new, new_vel, lr=0.05, momentum=0.9)
     ref_sgd_step(ref, ref_vel, lr=0.05, momentum=0.9)
     _assert_same_bytes(new, new_vel, ref, ref_vel)
-    for name, (_, _, grad) in arrays.items():
-        if grad is None:
-            assert not np.signbit(new_vel[name].flat[::5]).any(), name
+
+
+def test_clip_gradients_names_a_parameter_without_gradient():
+    """Backward reaches every parameter a step updates; one it did not reach
+    stops the step before any gradient is summed or scaled."""
+    params = {name: Tensor(np.ones(5), requires_grad=True, name=name) for name in "abc"}
+    params["a"].grad, params["c"].grad = np.full(5, 10.0), np.full(5, 10.0)
+    with pytest.raises(ValueError, match="^parameter b received no gradient$"):
+        tr.clip_gradients(params, 1.0)
+    assert (params["a"].grad == 10.0).all() and (params["c"].grad == 10.0).all()
 
 
 def test_optimizer_builds_no_parameter_sized_temporary():
     n = 8 * B + 11
-    params = {name: Tensor(np.ones(n), requires_grad=True, name=name)
-              for name in ("with_grad", "without_grad")}
+    params = {name: Tensor(np.ones(n), requires_grad=True, name=name) for name in ("a", "b")}
     velocity = {name: np.zeros(n) for name in params}
-    params["with_grad"].grad = np.full(n, 0.5)
+    for tensor in params.values():
+        tensor.grad = np.full(n, 0.5)
     tracemalloc.start()
     try:
         tr.clip_gradients(params, 1.0)
