@@ -479,12 +479,12 @@ def test_resume_into_a_loss_that_leaves_a_parameter_without_gradient_exits_2(
     the softmax classifier's bias: the first step stops naming it."""
     corpus, first, second = toy_dir / "corpus", tmp_path / "softmax.ckpt", tmp_path / "out.ckpt"
     write_toy_config(tmp_path / "softmax.ini")
-    asoftmax = write_toy_config(tmp_path / "asoftmax.ini", loss="asoftmax")
+    asoftmax = write_toy_config(tmp_path / "asoftmax.ini", loss="asoftmax", epochs=2)
     code, _, err = run(capsys, *train_argv(corpus, tmp_path / "softmax.ini"), "--out", str(first))
     assert code == 0, err
     model, meta = fm.load_checkpoint(first)
     assert "classifier.b" in model.params
-    fm.save_checkpoint(first, model, step=meta["step"], epoch=0,
+    fm.save_checkpoint(first, model, step=meta["step"], epoch=meta["epoch"],
                        config_hash=asoftmax.config_hash(), rng_state=meta["rng_state"],
                        extra=meta["extra"])
     code, _, err = run(capsys, *train_argv(corpus, tmp_path / "asoftmax.ini"),
