@@ -45,6 +45,7 @@ CSML_DIAG_FLOOR = 1e-4     # smallest diagonal entry of a CSML descent step
 MINE_BLOCK = 256           # anchors per block of ``mine_triplets``' hard-negative search
 TRI_BLOCK = 64             # ``_tri_inv`` hands triangles of at most this many rows to LAPACK
 NORM_FLOOR = 1e-12         # an embedding of a smaller norm is degenerate: it has no direction
+SPREAD_FLOOR = 1e-10       # embeddings of a smaller ``spread`` are collapsed: all about equal
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +289,18 @@ def length_normalize(embeddings) -> np.ndarray:
     if np.any(norms < NORM_FLOOR):
         raise ValueError("degenerate embedding: zero norm")
     return e / norms
+
+
+def spread(embeddings) -> float:
+    """Mean squared distance of the length-normalised rows u_i from their
+    mean: 0 when every row points the same way (a zero row counts as the
+    origin).  Taken as mean |u_i|^2 - |mean u|^2 without forming u, so it is
+    exact to about 1e-15, far below ``SPREAD_FLOOR``."""
+    e = np.asarray(embeddings, dtype=np.float64)
+    sq = np.einsum("ij,ij->i", e, e)
+    w = 1.0 / np.maximum(np.sqrt(sq), NORM_FLOOR)
+    mean = (w @ e) / len(e)
+    return max(0.0, float(np.mean(sq * w * w) - mean @ mean))
 
 
 def _scatter_matrices(embeddings, labels):

@@ -37,6 +37,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _at_least(option: str, value: int, low: int) -> None:
+    """CliError naming ``option`` if its ``value`` is below ``low``."""
+    if value < low:
+        raise CliError(f"{option} {value}: needs at least {low}")
+
+
 def _record(cls, args):
     """A ``cls`` from the options given, each the field its ``dest`` names;
     a field whose option was not given keeps its default."""
@@ -112,8 +118,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    if args.threads < 1:
-        raise CliError(f"--threads {args.threads}: needs at least 1")
+    _at_least("--threads", args.threads, 1)
     model, _ = fm.load_checkpoint(args.checkpoint, momentum=False)
     features, _ = fm.read_features(args.features)
     _check_width(args.features, features, model.in_dim, f"but checkpoint {args.checkpoint} has")
@@ -121,6 +126,9 @@ def _cmd_extract(args) -> int:
         model, features, threads=args.threads,
         log=lambda msg: print(msg, file=sys.stderr))
     fm.write_embeddings(args.out, embeddings)
+    collapse = _collapse(list(embeddings.values()))
+    if collapse:
+        print(f"spkver: warning: {args.out}: {collapse}", file=sys.stderr)
     if args.manifest:
         with open(args.manifest, "w", encoding="utf-8") as fh:
             for utt in skipped:
@@ -128,6 +136,15 @@ def _cmd_extract(args) -> int:
     print(f"wrote {len(embeddings)} embeddings to {args.out} "
           f"({len(skipped)} skipped)")
     return 0
+
+
+def _collapse(rows) -> str:
+    """Why two or more ``rows`` are collapsed, or "" when they spread or are fewer."""
+    if len(rows) < 2:
+        return ""
+    spread = bk.spread(rows)
+    return (f"collapsed embeddings: the length-normalised rows have spread {spread:.3g}, "
+            f"below {bk.SPREAD_FLOOR:g}" if spread < bk.SPREAD_FLOOR else "")
 
 
 def _stack_embeddings(path, embeddings, utts) -> np.ndarray:
@@ -155,7 +172,11 @@ def _load_labeled_embeddings(emb_path, utt2spk_path):
 
 
 def _cmd_backend_train(args) -> int:
+    _at_least("--seed", args.seed, 0)
     utts, matrix, labels = _load_labeled_embeddings(args.embeddings, args.utt2spk)
+    collapse = _collapse(matrix)
+    if collapse:
+        raise CliError(f"{args.embeddings}: {collapse}")
     if args.kind == "csml":
         model = bk.train_csml(matrix, labels, epochs=args.epochs, n_hard=args.n_hard,
                               max_triplets=args.max_triplets, seed=args.seed)
@@ -253,8 +274,8 @@ def _cmd_eval(args) -> int:
 def _cmd_gradcheck(args) -> int:
     from .gradcheck_suite import run_suite
 
-    if args.samples < 1:
-        raise CliError(f"--samples {args.samples}: needs at least 1")
+    _at_least("--samples", args.samples, 1)
+    _at_least("--seed", args.seed, 0)
     failures = run_suite(samples=args.samples, seed=args.seed, log=print)
     if failures:
         raise CliError(f"{failures} gradient check(s) exceeded tolerance")

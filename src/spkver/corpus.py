@@ -1,10 +1,14 @@
 """Synthetic labeled corpora and training-segment sampling.
 
-Corpora are emitted directly as feature matrices: every speaker is a small
-mixture of Gaussians around a speaker-specific mean, each utterance gets a
-random channel offset, and frames add white noise.  Separation between
-speaker means controls task difficulty; a separation of zero makes all
-speakers identically distributed.
+Corpora are emitted directly as feature matrices.  All speakers share K
+mixture components (RMS ``mixture_spread`` per dimension), shifted by a
+speaker-specific mean (RMS ``separation``).  Each speaker also has its own
+random K-cycle as the successor order of the components: a frame stays in
+its component with probability ``DWELL`` and otherwise moves to the
+successor.  Each utterance gets a random channel offset, and frames add
+white noise.  At separation 0 every speaker has the same frame distribution,
+so any statistic that ignores frame order sits near chance, while a
+frame-context extractor can still see the order.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+DWELL = 0.8     # probability that a frame stays in its predecessor's component
 
 
 @dataclass
@@ -35,6 +41,8 @@ class SyntheticCorpusSpec:
             raise ValueError("need at least 2 speakers")
         if self.utts_per_speaker < 1 or self.mixture_components < 1:
             raise ValueError("need at least one utterance and mixture component")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.feature_dim < 1:
             raise ValueError(f"feature_dim must be at least 1, got {self.feature_dim}")
         if not 0 < self.frame_shift_ms < math.inf:
@@ -51,8 +59,8 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec):
     rng = np.random.default_rng(spec.seed)
     n_frames = int(round(spec.utterance_s * 1000.0 / spec.frame_shift_ms))
     d = spec.feature_dim
-    # One mixture shape shared by all speakers; only the mean shifts per
-    # speaker, so separation 0 leaves every speaker identically distributed.
+    # One mixture shape shared by all speakers; only the mean and the cycle
+    # order are per speaker, so at separation 0 speakers differ in order alone.
     shared_offsets = spec.mixture_spread * rng.standard_normal(
         (spec.mixture_components, d))
     features: dict[str, np.ndarray] = {}
@@ -61,10 +69,13 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec):
         spk = f"{spec.speaker_prefix}{s:03d}"
         speaker_mean = spec.separation * rng.standard_normal(d)
         comp_means = speaker_mean + shared_offsets
+        cycle = rng.permutation(spec.mixture_components)
         for u in range(spec.utts_per_speaker):
             utt = f"{spk}-utt{u:03d}"
             channel = spec.channel_scale * rng.standard_normal(d)
-            comps = rng.integers(spec.mixture_components, size=n_frames)
+            pos = (rng.integers(spec.mixture_components)
+                   + np.cumsum(rng.random(n_frames) >= DWELL))
+            comps = cycle[pos % spec.mixture_components]
             frames = (comp_means[comps] + channel
                       + spec.noise_scale * rng.standard_normal((n_frames, d)))
             features[utt] = frames.astype(np.float32)

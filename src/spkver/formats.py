@@ -346,9 +346,10 @@ class ExperimentConfig:
         if self.margin not in MARGINS:
             raise ValueError(f"margin is {self.margin}, needs one of {MARGINS}")
         check_width_scale(self.width_scale)
-        for key in ("resnet_blocks", "in_dim", "batch_size", "steps_per_epoch"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} is {getattr(self, key)}, needs at least 1")
+        for key, low in (("resnet_blocks", 1), ("in_dim", 1), ("batch_size", 1),
+                         ("steps_per_epoch", 1), ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} is {getattr(self, key)}, needs at least {low}")
         for key in ("learning_rate", "momentum", "lr_decay", "grad_clip", "lambda_start",
                     "lambda_decay", "lambda_floor"):
             if not 0 <= getattr(self, key) < math.inf:

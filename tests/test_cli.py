@@ -121,7 +121,8 @@ def test_synth_writes_deterministic_corpus(capsys, tmp_path):
     (["--seconds", "inf"], "utterance_s must be finite and >= 0, got inf"),
     (["--separation", "nan"], "separation must be finite, got nan"),
     (["--dim", "0"], "feature_dim must be at least 1, got 0"),
-], ids=["zero-frame-shift", "infinite-seconds", "nan-separation", "zero-dim"])
+    (["--seed", "-2"], "seed must be at least 0, got -2"),
+], ids=["zero-frame-shift", "infinite-seconds", "nan-separation", "zero-dim", "negative-seed"])
 def test_synth_value_out_of_range_exits_2_naming_it(capsys, tmp_path, flags, message):
     code, _, err = run(capsys, "synth", "--out-dir", str(tmp_path / "c"), "--n-speakers", "2",
                        "--utts-per-speaker", "1", "--seconds", "0.2", *flags)
@@ -848,7 +849,9 @@ def test_backend_train_option_out_of_range_exits_2_naming_it(capsys, tmp_path, k
                                            "the embeddings in {emb}"),
     ("extract", ["--threads", "-3"], "--threads -3: needs at least 1"),
     ("extract", ["--threads", "0"], "--threads 0: needs at least 1"),
-], ids=["zero-lda-dim", "lda-dim-over-width", "negative-threads", "zero-threads"])
+    ("backend-train", ["--seed", "-1"], "--seed -1: needs at least 0"),
+], ids=["zero-lda-dim", "lda-dim-over-width", "negative-threads", "zero-threads",
+        "negative-seed"])
 def test_option_out_of_range_exits_2_naming_the_option(capsys, tmp_path, command, flags,
                                                        message):
     """16-dim embeddings of 4 speakers; a 23-dim corpus and checkpoint for extract."""
@@ -947,6 +950,12 @@ def test_gradcheck_without_a_sample_exits_2_naming_the_option(capsys, samples):
     code, out, err = run(capsys, "gradcheck", "--samples", samples)
     assert code == 2 and out == ""
     assert err == f"spkver: --samples {samples}: needs at least 1\n"
+
+
+def test_gradcheck_negative_seed_exits_2_naming_the_option(capsys):
+    code, out, err = run(capsys, "gradcheck", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "spkver: --seed -1: needs at least 0\n"
 
 
 def test_gradcheck_frames_is_a_usage_error(capsys):
@@ -1062,6 +1071,71 @@ def test_backend_train_zero_norm_embedding_exits_2(capsys, tmp_path, kind):
     assert code == 2
     assert err == f"spkver: {emb_path}: degenerate embedding: zero norm, utterance 's2u1'\n"
     assert not out.exists()
+
+
+def _jittered_rows(jitter):
+    """6 speakers x 4 copies of one 16-d row, each plus ``jitter`` times white noise."""
+    rng = np.random.default_rng(6)
+    row = rng.standard_normal(16)
+    return {f"s{s}u{u}": row + jitter * rng.standard_normal(16)
+            for s in range(6) for u in range(4)}
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-7], ids=["identical", "jitter-1e-7"])
+@pytest.mark.parametrize("kind", ["csml", "lda-plda"])
+def test_backend_train_refuses_collapsed_embeddings_naming_the_archive(capsys, tmp_path, kind,
+                                                                       jitter):
+    """Rows that all point one way, as a dead or diverged extractor gives, fit
+    no backend: the archive and its spread are named."""
+    emb_path, out = tmp_path / "emb.bin", tmp_path / "model.bin"
+    embeddings = _jittered_rows(jitter)
+    fm.write_embeddings(emb_path, embeddings)
+    (tmp_path / "utt2spk.txt").write_text("".join(f"{u} {u[:2]}\n" for u in embeddings))
+    code, _, err = run(capsys, "backend-train", "--kind", kind, "--embeddings", str(emb_path),
+                       "--utt2spk", str(tmp_path / "utt2spk.txt"), "--out", str(out))
+    stored = fm.read_embeddings(emb_path)
+    spread = bk.spread(np.stack([stored[u] for u in sorted(stored)]))
+    assert code == 2 and spread < bk.SPREAD_FLOOR
+    assert err == (f"spkver: {emb_path}: collapsed embeddings: the length-normalised rows "
+                   f"have spread {spread:.3g}, below 1e-10\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["csml", "lda-plda"])
+def test_backend_train_accepts_a_small_but_real_spread(capsys, tmp_path, kind):
+    embeddings = _jittered_rows(1.2e-3)
+    assert 1e-7 < bk.spread(np.stack(list(embeddings.values()))) < 1e-5
+    fm.write_embeddings(tmp_path / "emb.bin", embeddings)
+    (tmp_path / "utt2spk.txt").write_text("".join(f"{u} {u[:2]}\n" for u in embeddings))
+    code, _, err = run(capsys, "backend-train", "--kind", kind,
+                       "--embeddings", str(tmp_path / "emb.bin"),
+                       "--utt2spk", str(tmp_path / "utt2spk.txt"),
+                       "--out", str(tmp_path / "model.bin"), "--epochs", "2")
+    assert code == 0, err
+    assert (tmp_path / "model.bin").exists()
+
+
+@pytest.mark.parametrize("same_frames", [True, False], ids=["collapsed", "spread"])
+def test_extract_warns_when_its_embeddings_collapse(capsys, tmp_path, same_frames):
+    """Three utterances with one feature matrix give three equal embeddings:
+    the archive is still written, with a warning naming it."""
+    rng = np.random.default_rng(2)
+    frames = rng.standard_normal((120, 23))
+    feats = {f"u{i}": frames if same_frames else rng.standard_normal((120, 23))
+             for i in range(3)}
+    fm.write_features(tmp_path / "feats.bin", feats, 10.0)
+    fm.save_checkpoint(tmp_path / "m.ckpt", md.build_maxpool_net(n_spk=3, width_scale=0.125),
+                       step=0, epoch=0, config_hash="")
+    out = tmp_path / "emb.bin"
+    code, _, err = run(capsys, "extract", "--checkpoint", str(tmp_path / "m.ckpt"),
+                       "--features", str(tmp_path / "feats.bin"), "--out", str(out))
+    stored = fm.read_embeddings(out)
+    assert code == 0 and set(stored) == set(feats)
+    spread = bk.spread(list(stored.values()))
+    assert (spread < bk.SPREAD_FLOOR) == same_frames
+    warned = [line for line in err.splitlines() if "collapsed" in line]
+    assert warned == ([f"spkver: warning: {out}: collapsed embeddings: the length-normalised "
+                       f"rows have spread {spread:.3g}, below 1e-10"] if same_frames else [])
 
 
 def _two_utterance_inputs(tmp_path):

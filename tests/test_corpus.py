@@ -1,5 +1,5 @@
-"""Synthetic corpus determinism, separation behavior, and segment
-sampling distribution."""
+"""Synthetic corpus determinism, separation behavior, the per-speaker
+component order, and segment sampling distribution."""
 
 import numpy as np
 import pytest
@@ -10,13 +10,20 @@ from spkver.corpus import (SyntheticCorpusSpec, generate_synthetic_corpus,
 from spkver.metrics import ScoreSet, Trial, compute_eer
 
 
-def mean_vector_eer(features, utt2spk):
+def lag5_covariance(x):
+    c = x - x.mean(axis=0)
+    return (c[:-5].T @ c[5:]).ravel()
+
+
+def cosine_eer(features, utt2spk, statistic=lambda x: x.mean(axis=0)):
+    """Cosine EER over every pair of utterances, each represented by
+    ``statistic`` of its frames (the pooled mean by default)."""
     utts = sorted(features)
-    means = {u: features[u].mean(axis=0) for u in utts}
+    vectors = {u: statistic(features[u]) for u in utts}
     trials, scores = [], []
     for i, a in enumerate(utts):
         for b in utts[i + 1 :]:
-            va, vb = means[a], means[b]
+            va, vb = vectors[a], vectors[b]
             denom = np.linalg.norm(va) * np.linalg.norm(vb)
             trials.append(Trial(a, b, utt2spk[a] == utt2spk[b]))
             scores.append(va @ vb / denom)
@@ -40,7 +47,7 @@ def test_zero_separation_is_chance():
     spec = SyntheticCorpusSpec(n_speakers=6, utts_per_speaker=8, utterance_s=2.0,
                                separation=0.0, channel_scale=0.0, seed=1)
     features, utt2spk = generate_synthetic_corpus(spec)
-    eer = mean_vector_eer(features, utt2spk)
+    eer = cosine_eer(features, utt2spk)
     assert 0.3 < eer < 0.7
 
 
@@ -48,7 +55,29 @@ def test_huge_separation_is_trivial():
     spec = SyntheticCorpusSpec(n_speakers=2, utts_per_speaker=8, utterance_s=2.0,
                                separation=50.0, seed=2)
     features, utt2spk = generate_synthetic_corpus(spec)
-    assert mean_vector_eer(features, utt2spk) < 0.01
+    assert cosine_eer(features, utt2spk) < 0.01
+
+
+def test_speakers_differ_in_component_order_alone_at_zero_separation():
+    """Every speaker has the same frame distribution, so the pooled mean is
+    at chance, but its own cycle through the components, which the lag-5
+    cross-covariance sees."""
+    spec = SyntheticCorpusSpec(n_speakers=12, utts_per_speaker=4, utterance_s=2.0,
+                               separation=0.0, mixture_components=8, mixture_spread=1.5,
+                               channel_scale=0.5, noise_scale=0.7, seed=1)
+    features, utt2spk = generate_synthetic_corpus(spec)
+    assert cosine_eer(features, utt2spk) >= 0.4
+    assert cosine_eer(features, utt2spk, lag5_covariance) <= 0.15
+
+
+@pytest.mark.parametrize("settings,frames", [({"utterance_s": 0.0}, 0),
+                                             ({"mixture_components": 1}, 100)],
+                         ids=["no-frames", "one-component"])
+def test_corpus_edge_sizes_generate(settings, frames):
+    spec = SyntheticCorpusSpec(**{"n_speakers": 2, "utts_per_speaker": 2, "utterance_s": 1.0,
+                                  "feature_dim": 5, "seed": 4, **settings})
+    features, _ = generate_synthetic_corpus(spec)
+    assert [f.shape for f in features.values()] == [(frames, 5)] * 4
 
 
 def test_corpus_shapes_and_labels():

@@ -452,12 +452,13 @@ def test_malformed_config_names_path_and_exits_2(tmp_path, capsys, text):
     ("[optimizer]\nmomentum = -0.5\n", "momentum is -0.5, needs a finite value >= 0"),
     ("[optimizer]\nlr_decay = -2\n", "lr_decay is -2.0, needs a finite value >= 0"),
     ("[optimizer]\ngrad_clip = nan\n", "grad_clip is nan, needs a finite value >= 0"),
+    ("[optimizer]\nseed = -1\n", "seed is -1, needs at least 0"),
 ], ids=["inf-width_scale", "nan-width_scale", "negative-width_scale", "zero-resnet_blocks",
         "zero-in_dim", "zero-batch_size", "zero-steps_per_epoch", "infinite-segments",
         "nan-val_fraction", "above-one-val_fraction", "asoftmax-margin-5", "softmax-margin-5",
         "nan-lambda_start", "negative-lambda_start", "inf-lambda_decay",
         "above-one-lambda_decay", "nan-lambda_floor", "nan-learning_rate", "negative-momentum",
-        "negative-lr_decay", "nan-grad_clip"])
+        "negative-lr_decay", "nan-grad_clip", "negative-seed"])
 def test_config_value_out_of_range_names_path_and_key(tmp_path, capsys, text, message):
     """Each value would end training in a traceback, a NaN loss or a net of
     width-2 layers; it is rejected when the file is read."""

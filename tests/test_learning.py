@@ -1,49 +1,37 @@
 """The learning check: trained embeddings generalise to unseen speakers.
 
-Every speaker of the corpus shares one frame distribution, K = 8 components
-in 23 dimensions; speakers differ only in the temporal order of the
-components.  Each speaker has one random K-cycle as its successor order, and
-each frame stays in its component with probability 0.8, else it moves to the
-successor.  Each utterance adds a channel offset and white noise.  Any
+The corpus is what ``spkver synth`` draws (``corpus.generate_synthetic_corpus``)
+at separation 0: every speaker shares one frame distribution, K = 8
+components in 23 dimensions, and speakers differ only in the temporal order
+of the components, their own random K-cycle walked with dwell probability
+``corpus.DWELL``.  Each utterance adds a channel offset and white noise.  Any
 statistic that ignores frame order (the pooled mean, standard deviation or
 covariance) therefore sits near chance, while the order is visible to a
 frame-context network, and to the lag-5 cross-covariance, which is reported
 as the corpus's ceiling but not gated on.
 
-The res-net trained with A-softmax on 28 speakers must beat, on the 12
-held-out speakers (2,556 pairs, 180 of them target), both its own untrained
-initialisation and every order-blind statistic by three standard errors of
-one EER at 180 target trials, 3 * sqrt(0.25 / 180), about 0.11.
+The res-net trained with A-softmax on the first 28 of 40 speakers must beat,
+on the 12 held-out speakers (2,556 pairs, 180 of them target), both its own
+untrained initialisation and every order-blind statistic by three standard
+errors of one EER at 180 target trials, 3 * sqrt(0.25 / 180), about 0.11.
+Tier-1 runs seed 3; to print the EERs and the margin of other seeds:
+
+    PYTHONPATH=src python tests/test_learning.py 3 5 7 11 13
 """
+
+import sys
 
 import numpy as np
 
 from spkver import training as tr
 from spkver.backend import all_pairs_eer
+from spkver.corpus import SyntheticCorpusSpec, generate_synthetic_corpus
 from spkver.formats import ExperimentConfig
 from spkver.models import embed_batch
 
-K, DIM, FRAMES = 8, 23, 200
-N_SPEAKERS, UTTS, N_TRAIN = 40, 6, 28
+N_TRAIN = 28
 MARGIN = 3 * np.sqrt(0.25 / 180)
-
-
-def order_corpus(seed: int):
-    """(utterance id -> (FRAMES, DIM) float32 features, utterance id -> speaker
-    index), all drawn from one generator: the components are shared by the
-    training and the held-out speakers."""
-    rng = np.random.default_rng(seed)
-    means = 1.5 * rng.standard_normal((K, DIM))
-    features, speaker = {}, {}
-    for s in range(N_SPEAKERS):
-        cycle = rng.permutation(K)
-        for u in range(UTTS):
-            pos = (rng.integers(K) + np.cumsum(rng.random(FRAMES) >= 0.8)) % K
-            frames = (means[cycle[pos]] + 0.5 * rng.standard_normal(DIM)
-                      + 0.7 * rng.standard_normal((FRAMES, DIM)))
-            features[f"s{s:02d}u{u}"] = frames.astype(np.float32)
-            speaker[f"s{s:02d}u{u}"] = s
-    return features, speaker
+BASELINES = ("untrained", "mean", "mean+std", "covariance")
 
 
 def pooled_statistics(feats) -> dict[str, np.ndarray]:
@@ -59,10 +47,14 @@ def pooled_statistics(feats) -> dict[str, np.ndarray]:
 def held_out_eers(seed: int) -> dict[str, float]:
     """Cosine EER over every held-out pair for the trained and the untrained
     res-net and for each pooled statistic."""
-    features, speaker = order_corpus(seed)
-    train = {u: f"spk{s:02d}" for u, s in speaker.items() if s < N_TRAIN}
-    held = sorted(u for u, s in speaker.items() if s >= N_TRAIN)
-    labels = np.array([speaker[u] for u in held])
+    features, utt2spk = generate_synthetic_corpus(SyntheticCorpusSpec(
+        n_speakers=40, utts_per_speaker=6, utterance_s=2.0, feature_dim=23, separation=0.0,
+        mixture_components=8, mixture_spread=1.5, channel_scale=0.5, noise_scale=0.7,
+        seed=seed))
+    trained_on = sorted(set(utt2spk.values()))[:N_TRAIN]
+    train = {u: s for u, s in utt2spk.items() if s in trained_on}
+    held = sorted(u for u, s in utt2spk.items() if s not in trained_on)
+    labels = np.array([utt2spk[u] for u in held])
     cfg = ExperimentConfig(arch="resnet", resnet_blocks=3, loss="asoftmax", width_scale=0.125,
                            learning_rate=0.03, lr_decay=1.0, batch_size=16,
                            segment_min_s=1.0, segment_max_s=1.5, epochs=6,
@@ -82,8 +74,24 @@ def held_out_eers(seed: int) -> dict[str, float]:
     return eers
 
 
+def margin(eers: dict[str, float]) -> float:
+    """How far the trained net's EER is below the best baseline's."""
+    return min(eers[b] for b in BASELINES) - eers["trained"]
+
+
 def test_trained_res_net_beats_untrained_net_and_order_blind_statistics():
     eers = held_out_eers(seed=3)
     print(" ".join(f"{name} {value:.3f}" for name, value in eers.items()))
-    for baseline in ("untrained", "mean", "mean+std", "covariance"):
+    for baseline in BASELINES:
         assert eers["trained"] <= eers[baseline] - MARGIN, (baseline, eers)
+
+
+if __name__ == "__main__":
+    if not sys.argv[1:] or not all(a.isdigit() for a in sys.argv[1:]):
+        sys.exit(__doc__)
+    names = ["trained", *BASELINES, "lag-5"]
+    print("seed " + " ".join(f"{n:>10}" for n in names) + "     margin")
+    for seed in map(int, sys.argv[1:]):
+        eers = held_out_eers(seed)
+        print(f"{seed:>4} " + " ".join(f"{eers[n]:>10.3f}" for n in names)
+              + f" {margin(eers):>10.3f}" + ("" if margin(eers) >= MARGIN else "  below gate"))
