@@ -161,19 +161,26 @@ def _stack_embeddings(path, embeddings, utts) -> np.ndarray:
 
 
 def _load_labeled_embeddings(emb_path, utt2spk_path):
+    """Embedding rows and speaker labels of the utterances both files name; a set
+    that holds no target or no nontarget trial names ``utt2spk_path``."""
     embeddings = fm.read_embeddings(emb_path)
     utt2spk = fm.read_utt2spk(utt2spk_path)
     utts = sorted(u for u in embeddings if u in utt2spk)
     if not utts:
-        raise CliError("no labeled embeddings found")
-    matrix = _stack_embeddings(emb_path, embeddings, utts)
+        raise CliError(f"no labeled embeddings found: no utterance of {emb_path} "
+                       f"is in {utt2spk_path}")
     labels = np.array([utt2spk[u] for u in utts])
-    return utts, matrix, labels
+    if not bk.has_both_trial_kinds(labels):
+        sizes = np.unique(labels, return_counts=True)[1]
+        raise CliError(f"{utt2spk_path}: the labeled embeddings are of {sizes.size} "
+                       f"speaker(s), the largest with {sizes.max()} embedding(s): a backend needs "
+                       f"target and nontarget trials, so 2 speakers, one with 2 embeddings")
+    return _stack_embeddings(emb_path, embeddings, utts), labels
 
 
 def _cmd_backend_train(args) -> int:
     _at_least("--seed", args.seed, 0)
-    utts, matrix, labels = _load_labeled_embeddings(args.embeddings, args.utt2spk)
+    matrix, labels = _load_labeled_embeddings(args.embeddings, args.utt2spk)
     collapse = _collapse(matrix)
     if collapse:
         raise CliError(f"{args.embeddings}: {collapse}")
@@ -201,11 +208,11 @@ def _cmd_backend_train(args) -> int:
     return 0
 
 
-def _parse_text_file(path, parse):
+def _parse_text_file(path, parse, **options):
     """``parse`` of the UTF-8 text of ``path``; a ValueError names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse(fh.read())
+            return parse(fh.read(), **options)
     except ValueError as exc:                 # UnicodeDecodeError included
         raise CliError(f"{path}: {exc}") from exc
 
@@ -252,7 +259,7 @@ def _cmd_eval(args) -> int:
             mt.DcfParams(p_target=p)
         except ValueError as exc:
             raise CliError(f"--p-target {p:g}: {exc}") from exc
-    score_set = _parse_text_file(args.scores, mt.parse_scores)
+    score_set = _parse_text_file(args.scores, mt.parse_scores, ids=False)
     try:
         summary = mt.summarize(score_set, p_targets=tuple(args.p_target))
     except ValueError as exc:                 # a degenerate trial set

@@ -1,23 +1,25 @@
 """Verification-trial evaluation: EER and normalized minimum detection cost.
 
 A ``ScoreSet`` holds trials as columns: a target mask and a score array for
-the metrics, and the enroll and test ids for file I/O only.  Both metrics
-sweep thresholds over the distinct score values, treating tied scores
-atomically; the EER is the crossing of P_miss = P_fa, interpolated linearly
-between adjacent operating points, which makes it invariant under any
+the metrics and, when the caller needs them for file I/O, the enroll and test
+ids.  Both metrics sweep thresholds over the distinct score values, treating
+tied scores atomically; the EER is the crossing of P_miss = P_fa, interpolated
+linearly between adjacent operating points, which makes it invariant under any
 strictly increasing transform of the scores.
 
 Trial and score files are tokenized in line-aligned chunks of about
 ``_CHUNK_CHARS`` characters, so a parse holds the token strings of one chunk
-besides the columns it returns: on a 200k-line score file, under 2 MiB beyond
-the 27 MiB of ids the ``ScoreSet`` keeps.  A bad line is named by one
-line-by-line walk over the whole text.
+besides the columns it returns.  On a 200k-line score file with unique ids,
+the ids are 27 MiB of the returned ``ScoreSet``; a parse without ids keeps
+9 bytes per trial (1.7 MiB) and drops each chunk's id tokens with the chunk.
+A bad line is named by one line-by-line walk over the whole text.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, NoReturn
 
 import numpy as np
@@ -30,16 +32,16 @@ class Trial(NamedTuple):
 
 
 class ScoreSet:
-    """Trials as columns: target mask, finite scores, and ids (blank if not given)."""
+    """Trials as columns: target mask, finite scores, and ids (None if not given)."""
 
     def __init__(self, is_target, scores, enroll: list[str] | None = None,
                  test: list[str] | None = None):
         self.is_target = np.asarray(is_target, dtype=bool)
         self.scores = np.asarray(scores, dtype=np.float64)
+        self.enroll, self.test = enroll, test
         n = self.scores.size
-        self.enroll = [""] * n if enroll is None else enroll
-        self.test = [""] * n if test is None else test
-        shapes = {self.is_target.shape, self.scores.shape, (len(self.enroll),), (len(self.test),)}
+        shapes = {self.is_target.shape, self.scores.shape,
+                  *((len(ids),) for ids in (enroll, test) if ids is not None)}
         if shapes != {(n,)}:
             raise ValueError("target mask, scores and ids must be 1-D, of one length")
         if not np.isfinite(self.scores).all():
@@ -52,7 +54,9 @@ class ScoreSet:
 
     @property
     def trials(self) -> list[Trial]:
-        return list(map(Trial, self.enroll, self.test, self.is_target.tolist()))
+        blank = repeat("")            # ids not given read blank; map stops with the mask
+        return list(map(Trial, self.enroll or blank, self.test or blank,
+                        self.is_target.tolist()))
 
     def split(self):
         """Target and nontarget scores; there must be at least one of each."""
@@ -131,30 +135,32 @@ _FORMATS = {3: "enroll test target|nontarget", 4: "enroll test target|nontarget 
 _CHUNK_CHARS = 1 << 18
 
 
-def _columns(text: str, n_fields: int) -> list:
+def _columns(text: str, n_fields: int, ids: bool = True) -> list:
     """Enroll ids, test ids, target mask and, in a score file (4 fields), scores of the
-    non-blank lines.  Each chunk but the last holds at least ``_CHUNK_CHARS`` characters
-    and ends just after a line feed, so no line and no CR LF pair is split; a chunk is
-    tokenized by one ``split()``, so only its label and score strings are transient, and
-    the per-chunk masks and scores are joined once.  A bad chunk sends the whole text to
-    ``_raise_bad_line``, so an error names the line's number in the file."""
-    enroll, test, arrays = [], [], []
+    non-blank lines; without ``ids`` the two id columns are None.  Each chunk but the
+    last holds at least ``_CHUNK_CHARS`` characters and ends just after a line feed, so
+    no line and no CR LF pair is split; a chunk is tokenized by one ``split()``, so only
+    its label and score strings (and, without ``ids``, its id strings) are transient,
+    and the per-chunk masks and scores are joined once.  A bad chunk sends the whole
+    text to ``_raise_bad_line``, so an error names the line's number in the file."""
+    enroll, test, arrays = ([], [], []) if ids else (None, None, [])
     start = 0
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
-        columns = _chunk_columns(text[start:end], n_fields)
+        columns = _chunk_columns(text[start:end], n_fields, ids)
         if columns is None:
             _raise_bad_line(text, n_fields)
-        enroll += columns[0]
-        test += columns[1]
+        if ids:
+            enroll += columns[0]
+            test += columns[1]
         arrays.append(columns[2:])
         start = end
-    if not enroll:
+    if not sum(chunk[0].size for chunk in arrays):
         raise ValueError("no trials")
     return [enroll, test, *map(np.concatenate, zip(*arrays))]
 
 
-def _chunk_columns(chunk: str, n_fields: int) -> list | None:
+def _chunk_columns(chunk: str, n_fields: int, ids: bool) -> list | None:
     """``_columns`` of whole lines from one ``chunk.split()``; None if a line is bad."""
     if set(map(len, map(str.split, chunk.splitlines()))) <= {0, n_fields}:
         tokens = chunk.split()
@@ -164,7 +170,8 @@ def _chunk_columns(chunk: str, n_fields: int) -> list | None:
             scores = [np.fromiter(map(float, tokens[k::n_fields]), np.float64, n)
                       for k in range(3, n_fields)]
             if all(np.isfinite(column).all() for column in scores):
-                return [tokens[0::n_fields], tokens[1::n_fields], is_target, *scores]
+                id_columns = [tokens[0::n_fields], tokens[1::n_fields]] if ids else [None, None]
+                return [*id_columns, is_target, *scores]
     return None
 
 
@@ -197,9 +204,11 @@ def write_scores(score_set: ScoreSet) -> str:
         score_set.enroll, score_set.test, score_set.is_target.tolist(), score_set.scores.tolist()))
 
 
-def parse_scores(text: str) -> ScoreSet:
-    """Parse trial lines with an appended score column."""
-    enroll, test, is_target, scores = _columns(text, 4)
+def parse_scores(text: str, ids: bool = True) -> ScoreSet:
+    """Parse trial lines with an appended score column.  Every line is checked alike
+    either way; with ``ids`` False the set keeps only the target mask and the scores
+    (9 bytes a trial), as the metrics need no ids."""
+    enroll, test, is_target, scores = _columns(text, 4, ids)
     return ScoreSet(is_target, scores, enroll, test)
 
 

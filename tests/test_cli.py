@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -683,6 +684,35 @@ def test_eval_builds_no_trial_rows(capsys, tmp_path, monkeypatch):
     assert "0.000%" in out
 
 
+def test_eval_parse_keeps_no_ids(capsys, tmp_path, monkeypatch):
+    """``eval`` parses 50k lines of unique ids into 9 bytes a trial (mask and score),
+    peaking below the size of the text beyond it.  A parse that keeps the ids holds
+    about 160 bytes a trial here and peaks at 3.4 times the text."""
+    lines = 50_000
+    path = tmp_path / "scores.txt"
+    path.write_text("".join(f"spk{i % 997:04d}-enr{i:06d} spk{i % 991:04d}-tst{i:06d} "
+                            f"{'target' if i % 10 == 0 else 'nontarget'} {i % 997 / 7:.2f}\n"
+                            for i in range(lines)))
+    parse_scores, seen = mt.parse_scores, {}
+
+    def traced(text, **options):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        score_set = parse_scores(text, **options)
+        held, peak = tracemalloc.get_traced_memory()
+        seen.update(text=sys.getsizeof(text), held=held - before, peak=peak - before)
+        return score_set
+
+    monkeypatch.setattr(mt, "parse_scores", traced)
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "eval", "--scores", str(path))
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert seen["held"] < 12 * lines and seen["peak"] < seen["text"], seen
+
+
 @pytest.mark.parametrize("text,message", [
     (b"a b target\n", "line 1: expected"),
     (b"a b target 0.5\nc d nontarget 0.5 x\n", "line 2: expected"),
@@ -1071,6 +1101,43 @@ def test_backend_train_zero_norm_embedding_exits_2(capsys, tmp_path, kind):
     assert code == 2
     assert err == f"spkver: {emb_path}: degenerate embedding: zero norm, utterance 's2u1'\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("utt2spk,n_spk,largest", [
+    ("s0u0 s0\n", 1, 1),
+    ("s0u0 s0\ns0u1 s0\n", 1, 2),
+    ("s0u0 s0\ns1u0 s1\ns2u0 s2\n", 3, 1),
+], ids=["one-utterance", "one-speaker", "singletons"])
+@pytest.mark.parametrize("kind", ["csml", "lda-plda"])
+def test_backend_train_without_both_trial_kinds_exits_2_naming_the_labels(
+        capsys, tmp_path, kind, utt2spk, n_spk, largest):
+    """Labels that give no target or no nontarget trial fit no backend: the utt2spk
+    file is named, with its speaker count and largest speaker, before any warning."""
+    emb_path, out = tmp_path / "emb.bin", tmp_path / "model.bin"
+    rng = np.random.default_rng(5)
+    fm.write_embeddings(emb_path, {f"s{s}u{u}": rng.standard_normal(4)
+                                   for s in range(3) for u in range(2)})
+    (tmp_path / "utt2spk.txt").write_text(utt2spk)
+    code, out_text, err = run(capsys, "backend-train", "--kind", kind,
+                              "--embeddings", str(emb_path),
+                              "--utt2spk", str(tmp_path / "utt2spk.txt"), "--out", str(out))
+    assert code == 2 and out_text == ""
+    assert err == (f"spkver: {tmp_path / 'utt2spk.txt'}: the labeled embeddings are of "
+                   f"{n_spk} speaker(s), the largest with {largest} embedding(s): a backend "
+                   f"needs target and nontarget trials, so 2 speakers, one with 2 embeddings\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["csml", "lda-plda"])
+def test_backend_train_without_labeled_embeddings_names_both_files(capsys, tmp_path, kind):
+    emb_path, utt2spk_path = tmp_path / "emb.bin", tmp_path / "utt2spk.txt"
+    fm.write_embeddings(emb_path, {"a": np.ones(3), "b": np.arange(3.0)})
+    utt2spk_path.write_text("c s0\nd s1\n")
+    code, _, err = run(capsys, "backend-train", "--kind", kind, "--embeddings", str(emb_path),
+                       "--utt2spk", str(utt2spk_path), "--out", str(tmp_path / "model.bin"))
+    assert code == 2
+    assert err == (f"spkver: no labeled embeddings found: no utterance of {emb_path} "
+                   f"is in {utt2spk_path}\n")
 
 
 def _jittered_rows(jitter):

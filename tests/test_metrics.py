@@ -388,6 +388,19 @@ def assert_score_parse_matches_loop(text):
     assert write_scores(got) == loop_write_scores(trials, scores)
 
 
+def assert_id_less_parse_matches(text):
+    """``parse_scores(ids=False)`` checks every line as the full parse does and
+    keeps its mask and scores, but no ids."""
+    got, error = outcome(parse_scores, text)
+    bare, bare_error = outcome(lambda t: parse_scores(t, ids=False), text)
+    assert bare_error == error
+    if error is None:
+        assert bare.enroll is None and bare.test is None
+        assert bare.scores.tobytes() == got.scores.tobytes()
+        assert np.array_equal(bare.is_target, got.is_target)
+        assert bare.trials == [Trial("", "", y) for y in got.is_target.tolist()]
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(trial_file_texts(4))
 @example("a b target\n0.5 c d nontarget 0.7\n")     # 3 + 5 fields: two good rows by count
@@ -402,6 +415,7 @@ def test_score_parser_matches_line_by_line_parser(text):
     for chunk_chars in CHUNK_SIZES:
         with patch.object(mt, "_CHUNK_CHARS", chunk_chars):
             assert_score_parse_matches_loop(text)
+            assert_id_less_parse_matches(text)
 
 
 def test_every_chunk_size_cuts_after_a_line_feed():
