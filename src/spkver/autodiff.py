@@ -51,6 +51,8 @@ from __future__ import annotations
 
 import numpy as np
 
+GRAD_CHECK_EPS = 1e-5      # the central-difference step of ``grad_check``
+
 # (first, second) index pairs for ``_pair_max``: even and odd frames, even and odd channels
 _FRAME_PAIR, _CHANNEL_PAIR = (np.s_[0::2], np.s_[1::2]), (np.s_[:, 0::2], np.s_[:, 1::2])
 
@@ -386,30 +388,24 @@ def stack_rows(rows: list[Tensor]) -> Tensor:
     return Tensor(out, parents=tuple(rows), backward=backward)
 
 
-def grad_check(loss_fn, params, eps: float = 1e-5, n_samples: int | None = None, rng=None) -> float:
+def grad_check(loss_fn, params, n_samples: int | None = None, rng=None) -> float:
     """Compare reverse-mode gradients against central finite differences.
 
     ``loss_fn`` rebuilds the graph from scratch and returns the scalar loss
     tensor.  Every tensor of ``params``, a dict from name to tensor, is
-    probed; ``n_samples`` bounds the number of randomly chosen entries per
-    tensor (None probes all entries).  Returns the worst
-    relative error across probes.  The tensors should be float64: float32
-    rounding swamps a central difference at the default ``eps``.
+    probed; ``n_samples`` bounds the number of entries per tensor that the
+    generator ``rng`` draws (None probes all entries).  Returns the worst
+    relative error across probes.  Differences at step ``GRAD_CHECK_EPS``
+    are taken in the loss's dtype, which float32 rounding swamps: probe
+    float64 tensors, or wider.
     """
-    named = list(params.items())
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    for _, t in named:
+    for t in params.values():
         t.grad = None
-    loss_fn().backward()
-    analytic = {
-        name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-        for name, t in named
-    }
+    loss_fn().backward()               # the probes below run forward only: .grad stays
 
     worst = 0.0
-    for name, t in named:
+    for t in params.values():
+        analytic = (np.zeros_like(t.data) if t.grad is None else t.grad).reshape(-1)
         size = t.data.size
         if n_samples is None or n_samples >= size:
             indices = np.arange(size)
@@ -418,13 +414,13 @@ def grad_check(loss_fn, params, eps: float = 1e-5, n_samples: int | None = None,
         flat = t.data.reshape(-1)
         for i in indices:
             orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(loss_fn().data)
-            flat[i] = orig - eps
-            f_minus = float(loss_fn().data)
+            flat[i] = orig + GRAD_CHECK_EPS
+            f_plus = loss_fn().data
+            flat[i] = orig - GRAD_CHECK_EPS
+            f_minus = loss_fn().data
             flat[i] = orig
-            fd = (f_plus - f_minus) / (2.0 * eps)
-            an = analytic[name].reshape(-1)[i]
+            fd = (f_plus - f_minus) / (2.0 * GRAD_CHECK_EPS)
+            an = analytic[i]
             rel = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
             worst = max(worst, rel)
-    return worst
+    return float(worst)

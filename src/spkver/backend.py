@@ -468,20 +468,14 @@ def _gaussian_logpdf(x_centered: np.ndarray, chol_lower: np.ndarray) -> np.ndarr
     return -0.5 * ((solved ** 2).sum(axis=0) + logdet + k * np.log(2.0 * np.pi))
 
 
-def plda_score_many(model: PldaModel, enroll, test, preprocess: bool = True) -> np.ndarray:
-    """LLR log p(pair | same) - log p(pair | different), the reference for ``score_pairs``."""
-    e1 = np.atleast_2d(np.asarray(enroll, dtype=np.float64))
-    e2 = np.atleast_2d(np.asarray(test, dtype=np.float64))
-    if preprocess:
-        e1 = plda_preprocess(model, e1)
-        e2 = plda_preprocess(model, e2)
-    d = model.mean.shape[0]
+def plda_score_many(model: PldaModel, enroll, test) -> np.ndarray:
+    """LLR log p(pair | same) - log p(pair | different) of the preprocessed pairs,
+    the reference for ``score_pairs``."""
+    u1, u2 = (plda_preprocess(model, np.atleast_2d(e)) - model.mean for e in (enroll, test))
     total = model.between + model.within
     joint = np.block([[total, model.between], [model.between, total]])
     chol_total = np.linalg.cholesky(total)
     chol_joint = np.linalg.cholesky(joint)
-    u1 = e1 - model.mean
-    u2 = e2 - model.mean
     ll_same = _gaussian_logpdf(np.hstack([u1, u2]), chol_joint)
     ll_diff = _gaussian_logpdf(u1, chol_total) + _gaussian_logpdf(u2, chol_total)
     return ll_same - ll_diff
@@ -559,8 +553,9 @@ def load_backend(path, kind: str):
     """Read the ``save_backend`` file of ``kind`` "csml" or "plda".
 
     Raises ValueError naming the file when its kind differs or an array or
-    metadata key the kind needs is missing, and the array too when a PLDA array
-    is mis-shaped, not finite, not symmetric or not (semi)definite.
+    metadata key the kind needs is missing, the key too when a PLDA file's
+    ``length_norm`` is not a bool, and the array too when a PLDA array is
+    mis-shaped, not finite, not symmetric or not (semi)definite.
     """
     arrays, meta = fm.read_archive(path, dtype=np.float64)
     what = "cosine transform" if kind == "csml" else "PLDA model"
@@ -581,6 +576,9 @@ def load_backend(path, kind: str):
             raise ValueError(f"{path}: {exc}") from exc
     if "length_norm" not in meta:
         raise ValueError(f"{path}: {what} file lacks metadata key length_norm")
+    if not isinstance(meta["length_norm"], bool):
+        raise ValueError(f"{path}: metadata key length_norm holds {meta['length_norm']!r}, "
+                         f"not true or false")
     d = (arrays["within"].shape or (0,))[0]
     shapes = {"mean": (d,), "between": (d, d), "within": (d, d)}
     if "lda" in arrays:

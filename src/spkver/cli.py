@@ -24,10 +24,6 @@ from .corpus import SyntheticCorpusSpec, generate_synthetic_corpus
 from .frontend import FrontendConfig, read_wav, voiced_features
 
 
-class CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument parser that exits with status 1 on usage errors."""
 
@@ -38,9 +34,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _at_least(option: str, value: int, low: int) -> None:
-    """CliError naming ``option`` if its ``value`` is below ``low``."""
+    """ValueError naming ``option`` if its ``value`` is below ``low``."""
     if value < low:
-        raise CliError(f"{option} {value}: needs at least {low}")
+        raise ValueError(f"{option} {value}: needs at least {low}")
+
+
+# The record fields whose option is not --field-name.
+_FLAGS = {"utterance_s": "--seconds", "feature_dim": "--dim",
+          "mixture_components": "--components", "speaker_prefix": "--prefix",
+          "n_mel_filters": "--mel-filters", "n_cepstra": "--cepstra",
+          "vad_energy_offset": "--vad-offset"}
+
+
+def _add_record_options(parser, cls):
+    """One option per field of ``cls``: ``dest`` the field, type its annotation's."""
+    for f in fields(cls):
+        parser.add_argument(_FLAGS.get(f.name, "--" + f.name.replace("_", "-")),
+                            dest=f.name, type=fm.field_type(f))
 
 
 def _record(cls, args):
@@ -66,43 +76,35 @@ def _cmd_mfcc(args) -> int:
     paths = [Path(p) for p in args.wav]
     if args.wav_dir:
         if not Path(args.wav_dir).is_dir():
-            raise CliError(f"--wav-dir {args.wav_dir}: no such directory")
+            raise ValueError(f"--wav-dir {args.wav_dir}: no such directory")
         paths += sorted(Path(args.wav_dir).glob("*.wav"))
     if not paths:
-        raise CliError("no input WAV files" + (f" in {args.wav_dir}" if args.wav_dir else ""))
+        raise ValueError("no input WAV files" + (f" in {args.wav_dir}" if args.wav_dir else ""))
     features, source = {}, {}
     for path in paths:
         if path.stem in source:
-            raise CliError(f"{source[path.stem]} and {path} both give utterance id "
-                           f"{path.stem!r}")
+            raise ValueError(f"{source[path.stem]} and {path} both give utterance id "
+                             f"{path.stem!r}")
         source[path.stem] = path
         waveform = read_wav(path)         # its errors name the file already
         try:
             feats = voiced_features(waveform, cfg, apply_vad=not args.no_vad,
                                     apply_cmn=not args.no_cmn)
         except ValueError as exc:
-            raise CliError(f"{path}: {exc}") from exc
+            raise ValueError(f"{path}: {exc}") from exc
         features[path.stem] = feats
     fm.write_features(args.out, features, cfg.frame_shift_ms)
     print(f"wrote features for {len(features)} utterances to {args.out}")
     return 0
 
 
-def _check_width(path, features, in_dim: int, owner: str) -> None:
-    """CliError naming ``path`` if a feature matrix is not ``in_dim`` wide."""
-    for feats in features.values():
-        if feats.shape[1] != in_dim:
-            raise CliError(f"{path}: features of width {feats.shape[1]}, {owner} in_dim {in_dim}")
-
-
 def _cmd_train(args) -> int:
     cfg = fm.load_config(args.config) if args.config else fm.ExperimentConfig()
     features, meta = fm.read_features(args.features)
-    _check_width(args.features, features, cfg.in_dim, "but the config sets")
     utt2spk = fm.read_utt2spk(args.utt2spk)
     missing = sorted(utt2spk.keys() - features.keys())
     if missing:
-        raise CliError(f"{args.features}: no features for utt2spk id {missing[0]!r}")
+        raise ValueError(f"{args.features}: no features for utt2spk id {missing[0]!r}")
     result = tr.train_extractor(features, utt2spk, cfg, log=print, resume=args.resume,
                                 best_out=args.best_out, frame_shift_ms=meta["frame_shift_ms"])
     tr.save_train_checkpoint(args.out, result, cfg)
@@ -113,7 +115,7 @@ def _cmd_train(args) -> int:
         if result.best_val_eer is not None:         # restored by --resume, never beaten
             why = (f"no resumed epoch beat the restored best_val_eer "
                    f"{result.best_val_eer:g} of {args.resume}")
-        raise CliError(f"--best-out {args.best_out} not written: {why}")
+        raise ValueError(f"--best-out {args.best_out} not written: {why}")
     return 0
 
 
@@ -121,7 +123,10 @@ def _cmd_extract(args) -> int:
     _at_least("--threads", args.threads, 1)
     model, _ = fm.load_checkpoint(args.checkpoint, momentum=False)
     features, _ = fm.read_features(args.features)
-    _check_width(args.features, features, model.in_dim, f"but checkpoint {args.checkpoint} has")
+    other = {feats.shape[1] for feats in features.values()} - {model.in_dim}
+    if other:                                 # read_features gives one width
+        raise ValueError(f"{args.features}: features of width {other.pop()}, but checkpoint "
+                         f"{args.checkpoint} has in_dim {model.in_dim}")
     embeddings, skipped = tr.extract_embeddings(
         model, features, threads=args.threads,
         log=lambda msg: print(msg, file=sys.stderr))
@@ -153,10 +158,10 @@ def _stack_embeddings(path, embeddings, utts) -> np.ndarray:
     matrix = np.stack([embeddings[u] for u in utts])
     if not np.isfinite(matrix).all():
         bad = utts[np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0]]
-        raise CliError(f"{path}: embedding of {bad!r} holds a non-finite value")
+        raise ValueError(f"{path}: embedding of {bad!r} holds a non-finite value")
     zero = np.flatnonzero(np.linalg.norm(matrix, axis=1) < bk.NORM_FLOOR)
     if zero.size:
-        raise CliError(f"{path}: degenerate embedding: zero norm, utterance {utts[zero[0]]!r}")
+        raise ValueError(f"{path}: degenerate embedding: zero norm, utterance {utts[zero[0]]!r}")
     return matrix
 
 
@@ -167,14 +172,15 @@ def _load_labeled_embeddings(emb_path, utt2spk_path):
     utt2spk = fm.read_utt2spk(utt2spk_path)
     utts = sorted(u for u in embeddings if u in utt2spk)
     if not utts:
-        raise CliError(f"no labeled embeddings found: no utterance of {emb_path} "
-                       f"is in {utt2spk_path}")
+        raise ValueError(f"no labeled embeddings found: no utterance of {emb_path} "
+                         f"is in {utt2spk_path}")
     labels = np.array([utt2spk[u] for u in utts])
     if not bk.has_both_trial_kinds(labels):
         sizes = np.unique(labels, return_counts=True)[1]
-        raise CliError(f"{utt2spk_path}: the labeled embeddings are of {sizes.size} "
-                       f"speaker(s), the largest with {sizes.max()} embedding(s): a backend needs "
-                       f"target and nontarget trials, so 2 speakers, one with 2 embeddings")
+        raise ValueError(f"{utt2spk_path}: the labeled embeddings are of {sizes.size} "
+                         f"speaker(s), the largest with {sizes.max()} embedding(s): a backend "
+                         f"needs target and nontarget trials, so 2 speakers, one with 2 "
+                         f"embeddings")
     return _stack_embeddings(emb_path, embeddings, utts), labels
 
 
@@ -183,7 +189,7 @@ def _cmd_backend_train(args) -> int:
     matrix, labels = _load_labeled_embeddings(args.embeddings, args.utt2spk)
     collapse = _collapse(matrix)
     if collapse:
-        raise CliError(f"{args.embeddings}: {collapse}")
+        raise ValueError(f"{args.embeddings}: {collapse}")
     if args.kind == "csml":
         model = bk.train_csml(matrix, labels, epochs=args.epochs, n_hard=args.n_hard,
                               max_triplets=args.max_triplets, seed=args.seed)
@@ -191,8 +197,8 @@ def _cmd_backend_train(args) -> int:
     else:
         n_rows, dim = matrix.shape
         if args.lda_dim is not None and not 0 < args.lda_dim <= dim:
-            raise CliError(f"--lda-dim {args.lda_dim}: not in [1, {dim}], the dimension of "
-                           f"the embeddings in {args.embeddings}")
+            raise ValueError(f"--lda-dim {args.lda_dim}: not in [1, {dim}], the dimension of "
+                             f"the embeddings in {args.embeddings}")
         n_spk = np.unique(labels).size
         if n_rows - n_spk < dim:
             print(f"spkver: warning: {args.embeddings}: {n_rows} embeddings of {n_spk} "
@@ -214,37 +220,37 @@ def _parse_text_file(path, parse, **options):
         with open(path, encoding="utf-8") as fh:
             return parse(fh.read(), **options)
     except ValueError as exc:                 # UnicodeDecodeError included
-        raise CliError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _cmd_score(args) -> int:
     embeddings = fm.read_embeddings(args.embeddings)
     trials = _parse_text_file(args.trials, mt.parse_trials)
     if args.backend != "cosine" and not args.model:
-        raise CliError(f"--model is required for the {args.backend} backend")
+        raise ValueError(f"--model is required for the {args.backend} backend")
     model = None if args.backend == "cosine" else bk.load_backend(args.model, args.backend)
     index = {}
     for utt in (u for t in trials for u in (t.enroll, t.test)):
         if utt not in embeddings:
-            raise CliError(f"trial references unknown utterance {utt!r}")
+            raise ValueError(f"trial references unknown utterance {utt!r}")
         index.setdefault(utt, len(index))
     matrix = _stack_embeddings(args.embeddings, embeddings, list(index))
     if args.center:
         arrays, _ = fm.read_archive(args.center)
         if "mean" not in arrays:
-            raise CliError(f"{args.center}: no 'mean' array to center with")
+            raise ValueError(f"{args.center}: no 'mean' array to center with")
         if arrays["mean"].shape != matrix.shape[1:]:
-            raise CliError(f"{args.center}: mean has {arrays['mean'].size} entries, "
-                           f"embeddings have {matrix.shape[1]}")
+            raise ValueError(f"{args.center}: mean has {arrays['mean'].size} entries, "
+                             f"embeddings have {matrix.shape[1]}")
         if not np.isfinite(arrays["mean"]).all():
-            raise CliError(f"{args.center}: array mean holds a non-finite value")
+            raise ValueError(f"{args.center}: array mean holds a non-finite value")
         matrix -= arrays["mean"]
     try:
         rows = bk.scoring_rows(model, matrix)
     except ValueError as exc:
         if model is None:
             raise
-        raise CliError(f"{args.model}: {exc}") from exc
+        raise ValueError(f"{args.model}: {exc}") from exc
     scores = bk.score_pairs(model, rows, [index[t.enroll] for t in trials],
                             [index[t.test] for t in trials])
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -258,15 +264,15 @@ def _cmd_eval(args) -> int:
         try:
             mt.DcfParams(p_target=p)
         except ValueError as exc:
-            raise CliError(f"--p-target {p:g}: {exc}") from exc
+            raise ValueError(f"--p-target {p:g}: {exc}") from exc
     score_set = _parse_text_file(args.scores, mt.parse_scores, ids=False)
     try:
         summary = mt.summarize(score_set, p_targets=tuple(args.p_target))
     except ValueError as exc:                 # a degenerate trial set
-        raise CliError(f"{args.scores}: {exc}") from exc
+        raise ValueError(f"{args.scores}: {exc}") from exc
     if np.ptp(score_set.scores) == 0:         # EER 0.5 would be an artefact
-        raise CliError(f"{args.scores}: every score is {score_set.scores[0]:g}: "
-                       f"no threshold separates the trials")
+        raise ValueError(f"{args.scores}: every score is {score_set.scores[0]:g}: "
+                         f"no threshold separates the trials")
     print(f"{'metric':<18} value")
     print(f"{'EER':<18} {summary['eer'] * 100:.3f}%")
     for p in args.p_target:
@@ -285,7 +291,7 @@ def _cmd_gradcheck(args) -> int:
     _at_least("--seed", args.seed, 0)
     failures = run_suite(samples=args.samples, seed=args.seed, log=print)
     if failures:
-        raise CliError(f"{failures} gradient check(s) exceeded tolerance")
+        raise ValueError(f"{failures} gradient check(s) exceeded tolerance")
     print("all gradient checks passed")
     return 0
 
@@ -296,31 +302,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n-speakers", type=int)
-    p.add_argument("--utts-per-speaker", type=int)
-    p.add_argument("--seconds", type=float, dest="utterance_s")
-    p.add_argument("--dim", type=int, dest="feature_dim")
-    p.add_argument("--frame-shift-ms", type=float)
-    p.add_argument("--separation", type=float)
-    p.add_argument("--components", type=int, dest="mixture_components")
-    p.add_argument("--mixture-spread", type=float)
-    p.add_argument("--channel-scale", type=float)
-    p.add_argument("--noise-scale", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--prefix", dest="speaker_prefix")
+    _add_record_options(p, SyntheticCorpusSpec)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("mfcc", help="extract voiced, normalized MFCC features")
     p.add_argument("--wav", nargs="*", default=[])
     p.add_argument("--wav-dir")
     p.add_argument("--out", required=True)
-    p.add_argument("--frame-length-ms", type=float)
-    p.add_argument("--frame-shift-ms", type=float)
-    p.add_argument("--preemphasis", type=float)
-    p.add_argument("--mel-filters", type=int, dest="n_mel_filters")
-    p.add_argument("--cepstra", type=int, dest="n_cepstra")
-    p.add_argument("--cmn-window-s", type=float)
-    p.add_argument("--vad-offset", type=float, dest="vad_energy_offset")
+    _add_record_options(p, FrontendConfig)
     p.add_argument("--no-vad", action="store_true")
     p.add_argument("--no-cmn", action="store_true")
     p.set_defaults(func=_cmd_mfcc)
@@ -387,7 +376,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CliError, OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"spkver: {exc}", file=sys.stderr)
         return 2
 

@@ -162,16 +162,21 @@ def write_features(path, features: dict[str, np.ndarray], frame_shift_ms: float)
 
 
 def read_features(path):
-    """(utterance id -> 2-D float32 matrix as stored, metadata); frame_shift_ms is finite, > 0."""
+    """(utterance id -> 2-D float32 matrix as stored, all of one width, metadata);
+    frame_shift_ms is finite, > 0."""
     arrays, meta = read_archive(path)
     if meta is None or meta.get("kind") != "features":
         raise ValueError(f"{path}: not a feature archive")
     shift = meta.get("frame_shift_ms")
     if isinstance(shift, bool) or not isinstance(shift, (int, float)) or not 0 < shift < math.inf:
         raise ValueError(f"{path}: key frame_shift_ms holds {shift!r}, not a finite number > 0")
+    first = next(iter(arrays), None)
     for utt, feats in arrays.items():
         if feats.ndim != 2:
             raise ValueError(f"{path}: features of {utt!r} have shape {feats.shape}, not (T, dim)")
+        if feats.shape[1] != arrays[first].shape[1]:
+            raise ValueError(f"{path}: features of {utt!r} have width {feats.shape[1]}, "
+                             f"those of {first!r} {arrays[first].shape[1]}")
         if not np.isfinite(feats).all():
             raise ValueError(f"{path}: features of {utt!r} hold a non-finite value")
     return arrays, meta
@@ -186,10 +191,17 @@ def write_embeddings(path, embeddings: dict[str, np.ndarray]):
 
 
 def read_embeddings(path):
-    """Utterance id -> float64 embedding: the backends score in float64."""
+    """Utterance id -> float64 1-D embedding, all of one length; backends score in float64."""
     arrays, meta = read_archive(path, dtype=np.float64)
     if meta is None or meta.get("kind") != "embeddings":
         raise ValueError(f"{path}: not an embedding archive")
+    first = next(iter(arrays), None)
+    for utt, emb in arrays.items():
+        if emb.ndim != 1:
+            raise ValueError(f"{path}: embedding of {utt!r} has shape {emb.shape}, not (dim,)")
+        if emb.size != arrays[first].size:
+            raise ValueError(f"{path}: embedding of {utt!r} has {emb.size} entries, "
+                             f"that of {first!r} {arrays[first].size}")
     return arrays
 
 
@@ -309,7 +321,6 @@ class ExperimentConfig:
     arch: str = "maxpool"
     resnet_blocks: int = 3
     width_scale: float = 1.0
-    in_dim: int = 23
     # [loss]
     loss: str = "asoftmax"
     margin: int = 2
@@ -331,7 +342,7 @@ class ExperimentConfig:
     val_fraction: float = 0.1
 
     _SECTIONS = {
-        "model": ("arch", "resnet_blocks", "width_scale", "in_dim"),
+        "model": ("arch", "resnet_blocks", "width_scale"),
         "loss": ("loss", "margin", "lambda_start", "lambda_decay", "lambda_floor"),
         "optimizer": ("learning_rate", "momentum", "lr_decay", "grad_clip",
                       "batch_size", "epochs", "steps_per_epoch", "seed"),
@@ -346,7 +357,7 @@ class ExperimentConfig:
         if self.margin not in MARGINS:
             raise ValueError(f"margin is {self.margin}, needs one of {MARGINS}")
         check_width_scale(self.width_scale)
-        for key, low in (("resnet_blocks", 1), ("in_dim", 1), ("batch_size", 1),
+        for key, low in (("resnet_blocks", 1), ("batch_size", 1),
                          ("steps_per_epoch", 1), ("seed", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} is {getattr(self, key)}, needs at least {low}")
@@ -365,6 +376,11 @@ class ExperimentConfig:
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
+def field_type(f) -> type:
+    """int, float or str: the type a record field's annotation names."""
+    return {"int": int, "float": float}.get(f.type, str)
+
+
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
@@ -372,8 +388,7 @@ def load_config(path) -> ExperimentConfig:
             parser.read_file(fh)
         except configparser.Error as exc:
             raise ValueError(f"{path}: {exc}") from exc
-    convert = {f.name: {"int": int, "float": float}.get(f.type, str)
-               for f in fields(ExperimentConfig)}
+    convert = {f.name: field_type(f) for f in fields(ExperimentConfig)}
     kwargs = {}
     for section in parser.sections():
         keys = ExperimentConfig._SECTIONS.get(section)

@@ -110,20 +110,16 @@ def full_net_checks(seed: int):
 
 
 def run_suite(samples: int, seed: int, log=None) -> int:
-    """Run every check; returns the number of failures."""
+    """Run every check, the op checks on every entry and the full nets on
+    ``samples`` entries per tensor; returns the number of failures."""
     failures = 0
     rng = np.random.default_rng(seed + 1)
-    for name, loss_fn, params in op_checks(seed):
-        err = grad_check(loss_fn, params, n_samples=None, rng=rng)
-        failures += _report(log, name, err)
-    for name, loss_fn, params in full_net_checks(seed):
-        err = grad_check(loss_fn, params, n_samples=samples, rng=rng)
-        failures += _report(log, name, err)
+    checks = [(check, None) for check in op_checks(seed)]
+    checks += [(check, samples) for check in full_net_checks(seed)]
+    for (name, loss_fn, params), n_samples in checks:
+        err = grad_check(loss_fn, params, n_samples=n_samples, rng=rng)
+        ok = err < TOLERANCE
+        failures += not ok
+        if log is not None:
+            log(f"{'PASS' if ok else 'FAIL'} {name}: max relative error {err:.3e}")
     return failures
-
-
-def _report(log, name, err) -> int:
-    ok = err < TOLERANCE
-    if log is not None:
-        log(f"{'PASS' if ok else 'FAIL'} {name}: max relative error {err:.3e}")
-    return 0 if ok else 1

@@ -122,9 +122,10 @@ def sgd_step(params: dict, velocity: dict, lr: float, momentum: float):
             p -= np.multiply(v, lr, out=g)
 
 
-def build_model(cfg: ExperimentConfig, n_spk: int) -> m.ExtractorModel:
+def build_model(cfg: ExperimentConfig, n_spk: int, in_dim: int = 23) -> m.ExtractorModel:
+    """``cfg``'s extractor for ``n_spk`` speakers; 23 is the default MFCC width."""
     depth = {"n_blocks": cfg.resnet_blocks} if cfg.arch == "resnet" else {}
-    return m.ARCHS[cfg.arch](**depth, n_spk=n_spk, in_dim=cfg.in_dim,
+    return m.ARCHS[cfg.arch](**depth, n_spk=n_spk, in_dim=in_dim,
                              width_scale=cfg.width_scale,
                              classifier_bias=cfg.loss == "softmax", seed=cfg.seed)
 
@@ -166,8 +167,9 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
 
     ``resume`` names a checkpoint of a run of this configuration to
     continue; its metadata must hold ``config_hash``, ``step``, ``epoch``
-    and ``rng_state`` of the types it was saved with, and its classifier
-    must have one output per speaker of ``utt2spk``, else ValueError.
+    and ``rng_state`` of the types it was saved with, its classifier must
+    have one output per speaker of ``utt2spk`` and its ``in_dim`` must be
+    the features' width, which a new model takes, else ValueError.
     ``best_out`` names the checkpoint the live run is written to at the end
     of each epoch whose validation EER is the lowest so far (after a resume,
     lower than the restored one), as ``save_train_checkpoint`` writes the
@@ -184,18 +186,17 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
     ``DIVERGENCE_FACTOR * ln(C)`` for C training speakers (checked before
     backward), or when the pre-clip gradient norm is non-finite (checked
     before the SGD step, so the parameters keep their last finite values).
-    ln(C) is the chance-level loss; anchoring on it rather than on the
-    first step's loss makes the abort step the same for a resumed run.
     """
     utts, speakers = sorted(utt2spk), sorted(set(utt2spk.values()))
     labels = np.searchsorted(speakers, [utt2spk[u] for u in utts])  # speaker of each utt
     if len(speakers) < 2:
         raise ValueError("need at least 2 speakers to train")
+    in_dim = features[utts[0]].shape[1]
     min_frames, max_frames = segment_frame_bounds(
         (cfg.segment_min_s, cfg.segment_max_s), frame_shift_ms)
 
     if resume is None:
-        model, rng = build_model(cfg, len(speakers)), np.random.default_rng(cfg.seed)
+        model, rng = build_model(cfg, len(speakers), in_dim), np.random.default_rng(cfg.seed)
         result = TrainResult(model=model, rng_state=rng.bit_generator.state)
     else:
         model, meta = load_checkpoint(resume)
@@ -208,6 +209,9 @@ def train_extractor(features: dict[str, np.ndarray], utt2spk: dict[str, str],
         if model.n_spk != len(speakers):
             raise ValueError(f"{resume}: checkpoint classifies {model.n_spk} speakers, "
                              f"the corpus has {len(speakers)}")
+        if model.in_dim != in_dim:
+            raise ValueError(f"{resume}: checkpoint has in_dim {model.in_dim}, "
+                             f"the features have width {in_dim}")
         for key in ("step", "epoch"):            # type(): a bool is not a count
             if type(meta[key]) is not int or meta[key] < 0:
                 raise _bad_meta(resume, key, meta[key], "an int >= 0")

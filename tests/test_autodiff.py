@@ -17,7 +17,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spkver import autodiff as ad
@@ -30,15 +30,15 @@ from spkver.gradcheck_suite import op_checks
 
 
 def quadratic(out):
-    """Deterministic scalar head for gradient checks."""
+    """Deterministic scalar head for gradient checks, in the dtype of ``out``."""
     flat = out.data.reshape(-1)
-    coeffs = np.linspace(0.5, 1.5, flat.size)
+    coeffs = np.linspace(0.5, 1.5, flat.size, dtype=flat.dtype)
     shape = out.data.shape
 
     def backward(g):
-        return (float(g) * (coeffs * flat).reshape(shape),)
+        return (g * (coeffs * flat).reshape(shape),)
 
-    return Tensor(0.5 * float(coeffs @ (flat ** 2)), parents=(out,), backward=backward)
+    return Tensor(0.5 * (coeffs @ (flat ** 2)), parents=(out,), backward=backward)
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +69,7 @@ def test_affine_gradient():
     x = Tensor(rng.standard_normal((5, 7)), requires_grad=True)
     w = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal(3), requires_grad=True)
-    err = grad_check(lambda: quadratic(ad.affine(x, w, b)),
-                     {"x": x, "w": w, "b": b}, eps=1e-5)
+    err = grad_check(lambda: quadratic(ad.affine(x, w, b)), {"x": x, "w": w, "b": b})
     assert err < 1e-4
 
 
@@ -412,7 +411,7 @@ def step_setup(arch, loss, n_segments, frames):
     cfg = ExperimentConfig(arch=arch, resnet_blocks=3, loss=loss, width_scale=0.125, seed=5)
     model = tr.build_model(cfg, 12)
     rng = np.random.default_rng(21)
-    segments = [rng.standard_normal((frames, cfg.in_dim)) for _ in range(n_segments)]
+    segments = [rng.standard_normal((frames, model.in_dim)) for _ in range(n_segments)]
     labels = rng.integers(0, 12, size=n_segments)
     return lambda: tr.batch_loss(model, segments, labels, cfg, 0.5), model.params
 
@@ -552,7 +551,7 @@ def test_float32_step_and_extraction_make_no_float64_array(arch, loss, monkeypat
     cfg = ExperimentConfig(arch=arch, resnet_blocks=3, loss=loss, width_scale=0.125, seed=5)
     model = tr.build_model(cfg, 12)
     rng = np.random.default_rng(21)
-    segments = [rng.standard_normal((120, cfg.in_dim)) for _ in range(4)]
+    segments = [rng.standard_normal((120, model.in_dim)) for _ in range(4)]
     made = []
     init = ad.Tensor.__init__
 
@@ -599,7 +598,7 @@ def test_full_width_graph_holds_no_activations(arch, loss, bound_mib):
     cfg = ExperimentConfig(arch=arch, loss=loss, width_scale=1.0, seed=5)
     model = tr.build_model(cfg, 100)
     rng = np.random.default_rng(21)
-    segments = [rng.standard_normal((400, cfg.in_dim)) for _ in range(16)]
+    segments = [rng.standard_normal((400, model.in_dim)) for _ in range(16)]
     labels = rng.integers(0, 100, size=16)
     tracemalloc.start()
     try:
@@ -691,23 +690,30 @@ def test_backward_hands_over_gradients_without_aliasing(setup, monkeypatch):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
+@example(seed=12347)
 def test_primitive_gradients_random_trials(seed):
     """Every primitive op passes finite differences on random inputs.
 
     Inputs near max/PReLU kinks are nudged away so the comparison is
-    well defined.
+    well defined.  The ops run in ``np.longdouble``: a loss near 100 has a
+    float64 rounding of about 1.4e-9 in a central difference at step 1e-5,
+    above 1e-4 of the 1e-6 floor; seed 12347 (``time_delay``'s ``w[8]``,
+    gradient -7.16e-7) failed that way in float64.
     """
     rng = np.random.default_rng(seed)
 
+    def draw(shape):
+        return rng.standard_normal(shape).astype(np.longdouble)
+
     def away_from_kinks(shape):
-        v = rng.standard_normal(shape)
+        v = draw(shape)
         v[np.abs(v) < 1e-3] += 1e-2
         return v
 
     x = Tensor(away_from_kinks((4, 4)), requires_grad=True)
-    w = Tensor(rng.standard_normal((12, 3)), requires_grad=True)
-    b = Tensor(rng.standard_normal(3), requires_grad=True)
-    a = Tensor(np.abs(rng.standard_normal(4)) + 0.1, requires_grad=True)
+    w = Tensor(draw((12, 3)), requires_grad=True)
+    b = Tensor(draw(3), requires_grad=True)
+    a = Tensor(np.abs(draw(4)) + 0.1, requires_grad=True)
     ops = {
         "time_delay": lambda: quadratic(ad.time_delay(x, w, b, context=3)),
         "max_pool": lambda: quadratic(ad.max_pool_2x2(x)),

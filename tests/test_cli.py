@@ -519,26 +519,70 @@ def test_features_not_2d_exit_2_naming_archive_and_utterance(capsys, tmp_path, c
 
 @pytest.mark.parametrize("command", ["train", "extract"])
 def test_features_of_another_width_exit_2_naming_archive_and_in_dim(capsys, tmp_path, command):
-    """20-dim features against a 23-dim model stop before any training or
-    forward pass, naming the archive, its width, in_dim and, for extract, the
-    checkpoint."""
-    corpus, out = tmp_path / "corpus", tmp_path / "out.bin"
+    """20-dim features against a 23-dim checkpoint stop before any training or
+    forward pass, naming the checkpoint, in_dim and the features' width: for
+    ``train --resume`` a checkpoint of the same configuration, for extract any,
+    and then the feature archive too."""
+    corpus, out, ckpt = tmp_path / "corpus", tmp_path / "out.bin", tmp_path / "m.ckpt"
     code, _, err = run(capsys, "synth", "--out-dir", str(corpus), "--n-speakers", "3",
                        "--utts-per-speaker", "2", "--seconds", "2.0", "--dim", "20")
     assert code == 0, err
     feats = corpus / "feats.bin"
     if command == "train":
+        cfg = write_toy_config(tmp_path / "exp.ini")
+        state = np.random.default_rng(cfg.seed).bit_generator.state
+        tr.save_train_checkpoint(ckpt, tr.TrainResult(tr.build_model(cfg, 3), rng_state=state),
+                                 cfg)
+        argv = [*train_argv(corpus, tmp_path / "exp.ini"), "--resume", str(ckpt)]
+        message = f"{ckpt}: checkpoint has in_dim 23, the features have width 20"
+    else:
+        fm.save_checkpoint(ckpt, md.build_maxpool_net(n_spk=3, width_scale=0.125),
+                           step=0, epoch=0, config_hash="")
+        argv = ["extract", "--checkpoint", str(ckpt), "--features", str(feats)]
+        message = f"{feats}: features of width 20, but checkpoint {ckpt} has in_dim 23"
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err == f"spkver: {message}\n"
+    assert not out.exists()
+
+
+def test_train_takes_in_dim_from_the_features(capsys, tmp_path):
+    """The configuration states no feature width: a model trained on 20-dim
+    features has in_dim 20 in its architecture record, and extracts from them."""
+    corpus, ckpt = tmp_path / "corpus", tmp_path / "m.ckpt"
+    code, _, err = run(capsys, "synth", "--out-dir", str(corpus), "--n-speakers", "3",
+                       "--utts-per-speaker", "2", "--seconds", "2.0", "--dim", "20")
+    assert code == 0, err
+    write_toy_config(tmp_path / "exp.ini")
+    code, _, err = run(capsys, *train_argv(corpus, tmp_path / "exp.ini"), "--out", str(ckpt))
+    assert code == 0, err
+    model, meta = fm.load_checkpoint(ckpt)
+    assert meta["arch"]["in_dim"] == model.in_dim == 20
+    code, _, err = run(capsys, "extract", "--checkpoint", str(ckpt), "--features",
+                       str(corpus / "feats.bin"), "--out", str(tmp_path / "emb.bin"))
+    assert code == 0, err
+    embeddings = fm.read_embeddings(tmp_path / "emb.bin").values()
+    assert {e.shape for e in embeddings} == {(model.embedding_dim,)}
+
+
+@pytest.mark.parametrize("command", ["train", "extract"])
+def test_features_of_mixed_width_exit_2_naming_archive_and_utterances(capsys, tmp_path,
+                                                                      command):
+    feats, out = tmp_path / "feats.bin", tmp_path / "out.bin"
+    fm.write_archive(feats, {"a": np.ones((300, 23)), "b": np.ones((300, 20))},
+                     {"kind": "features", "frame_shift_ms": 10.0, "dim": 23}, dtype="f4")
+    (tmp_path / "utt2spk.txt").write_text("a s0\nb s1\n")
+    if command == "train":
         write_toy_config(tmp_path / "exp.ini")
-        argv, owner = train_argv(corpus, tmp_path / "exp.ini"), "the config sets"
+        argv = train_argv(tmp_path, tmp_path / "exp.ini")
     else:
         ckpt = tmp_path / "m.ckpt"
         fm.save_checkpoint(ckpt, md.build_maxpool_net(n_spk=3, width_scale=0.125),
                            step=0, epoch=0, config_hash="")
         argv = ["extract", "--checkpoint", str(ckpt), "--features", str(feats)]
-        owner = f"checkpoint {ckpt} has"
     code, _, err = run(capsys, *argv, "--out", str(out))
     assert code == 2
-    assert err == f"spkver: {feats}: features of width 20, but {owner} in_dim 23\n"
+    assert err == f"spkver: {feats}: features of 'b' have width 20, those of 'a' 23\n"
     assert not out.exists()
 
 
@@ -812,8 +856,7 @@ def _assert_scores_match_library(tmp_path, embeddings, trials, models):
     transform = bk.load_backend(models["csml"], "csml").matrix
     expected = {"cosine": cosine(e1, e2),
                 "csml": cosine(e1 @ transform.T, e2 @ transform.T),
-                "plda": bk.plda_score_many(bk.load_backend(models["plda"], "plda"), e1, e2,
-                                           preprocess=True)}
+                "plda": bk.plda_score_many(bk.load_backend(models["plda"], "plda"), e1, e2)}
     for backend, ref in expected.items():
         parsed = mt.parse_scores((tmp_path / f"{backend}_scores.txt").read_text())
         assert parsed.trials == trials
@@ -929,21 +972,63 @@ def test_lda_plda_warns_when_within_class_scatter_is_singular(capsys, tmp_path, 
                    f"dimensions, so the within-class scatter is singular\n" if warned else "")
 
 
-@pytest.mark.parametrize("argv", [
+EMBEDDING_COMMANDS = pytest.mark.parametrize("argv", [
     ["backend-train", "--kind", "lda-plda"], ["backend-train", "--kind", "csml"],
     ["score", "--backend", "cosine"], ["score", "--backend", "csml"],
     ["score", "--backend", "plda"],
 ], ids=["lda-plda", "csml", "score-cosine", "score-csml", "score-plda"])
+
+
+@EMBEDDING_COMMANDS
 def test_non_finite_embedding_exits_2_naming_file_and_utterance(capsys, tmp_path, argv):
     """Backend training and scoring stack embeddings through one check, which
     names the archive and the utterance: no model is fitted on a NaN and no
     score is left to fail as merely non-finite."""
-    rng = np.random.default_rng(3)
-    emb = {f"s{s}u{u}": rng.standard_normal(8) for s in range(6) for u in range(5)}
+    emb = _random_embeddings()
     emb["s2u3"][5] = np.nan
-    emb_path, out = tmp_path / "emb.bin", tmp_path / "out.bin"
+    emb_path = tmp_path / "emb.bin"
     fm.write_embeddings(emb_path, emb)
+    code, err = _run_on_embeddings(capsys, tmp_path, argv, emb_path)
+    assert code == 2
+    assert err == f"spkver: {emb_path}: embedding of 's2u3' holds a non-finite value\n"
+
+
+@EMBEDDING_COMMANDS
+@pytest.mark.parametrize("bad,message", [
+    (np.ones((8, 1)), "has shape (8, 1), not (dim,)"),
+    (None, "has shape (), not (dim,)"),
+    (np.ones(7), "has 7 entries, that of 's0u0' 8"),
+], ids=["2-D", "0-D", "shorter"])
+def test_malformed_embedding_exits_2_naming_file_and_utterance(capsys, tmp_path, argv, bad,
+                                                               message):
+    """An embedding that is not 1-D, or not as long as the first, is refused
+    when the archive is read, naming the archive and the utterance."""
+    emb = _random_embeddings()
+    emb["s2u3"] = np.ones(1) if bad is None else bad
+    emb_path = tmp_path / "emb.bin"
+    fm.write_archive(emb_path, emb, {"kind": "embeddings", "dim": 8}, dtype="f4")
+    if bad is None:         # rank 0: the 1-entry record's header loses its one dimension
+        header = b"s2u3" + struct.pack("<BI", 0, 1)
+        emb_path.write_bytes(emb_path.read_bytes().replace(header + struct.pack("<Q", 1),
+                                                           b"s2u3" + struct.pack("<BI", 0, 0)))
+    code, err = _run_on_embeddings(capsys, tmp_path, argv, emb_path)
+    assert code == 2
+    assert err == f"spkver: {emb_path}: embedding of 's2u3' {message}\n"
+
+
+def _random_embeddings():
+    """30 embeddings of 8 entries: utterance s<speaker>u<index>, 6 speakers."""
+    rng = np.random.default_rng(3)
+    return {f"s{s}u{u}": rng.standard_normal(8) for s in range(6) for u in range(5)}
+
+
+def _run_on_embeddings(capsys, tmp_path, argv, emb_path):
+    """(exit code, stderr) of ``argv`` on ``emb_path``, given the speakers of
+    ``_random_embeddings`` or trials of s0u0, s1u1 and s2u3 and, to score, a
+    model; nothing may be written to ``--out``."""
+    out = tmp_path / "out.bin"
     if argv[0] == "backend-train":
+        emb = _random_embeddings()
         fm.write_utt2spk(tmp_path / "utt2spk.txt", {utt: utt.split("u")[0] for utt in emb})
         extra = ["--utt2spk", str(tmp_path / "utt2spk.txt")]
     else:
@@ -956,9 +1041,8 @@ def test_non_finite_embedding_exits_2_naming_file_and_utterance(capsys, tmp_path
             extra += ["--model", str(tmp_path / "model.bin")]
     code, _, err = run(capsys, *argv, "--embeddings", str(emb_path), *extra,
                        "--out", str(out))
-    assert code == 2
-    assert err == f"spkver: {emb_path}: embedding of 's2u3' holds a non-finite value\n"
     assert not out.exists()
+    return code, err
 
 
 def test_score_blocks_cross_boundaries_and_match_library(capsys, tmp_path, monkeypatch):
@@ -1270,6 +1354,24 @@ def test_score_model_missing_array_exits_2(capsys, tmp_path, backend, arrays, mi
                        "--embeddings", str(emb_path), "--trials", str(trials_path),
                        "--out", str(tmp_path / "s.txt"))
     assert code == 2 and missing in err and not (tmp_path / "s.txt").exists()
+
+
+@pytest.mark.parametrize("value", ["no", None, 1], ids=["string", "null", "int"])
+def test_score_plda_length_norm_not_a_bool_exits_2_naming_the_key(capsys, tmp_path, value):
+    """Only a JSON bool switches length normalisation: "no" would switch it on
+    and null off."""
+    emb_path, trials_path = _two_utterance_inputs(tmp_path)
+    model_path = tmp_path / "plda.bin"
+    fm.write_archive(model_path, {"mean": np.zeros(2), "between": np.eye(2),
+                                  "within": np.eye(2)},
+                     {"kind": "plda", "length_norm": value}, dtype="f8")
+    code, _, err = run(capsys, "score", "--backend", "plda", "--model", str(model_path),
+                       "--embeddings", str(emb_path), "--trials", str(trials_path),
+                       "--out", str(tmp_path / "s.txt"))
+    assert code == 2
+    assert err == (f"spkver: {model_path}: metadata key length_norm holds {value!r}, "
+                   f"not true or false\n")
+    assert not (tmp_path / "s.txt").exists()
 
 
 def test_score_truncated_embeddings_exits_2(capsys, tmp_path):

@@ -409,6 +409,18 @@ segment_max_s = 4.0
         fm.load_config(tmp_path / "bad.ini")
 
 
+def test_config_states_no_feature_width(tmp_path, capsys):
+    """The feature width comes from the features: an ``in_dim`` key is unknown."""
+    path = tmp_path / "old.ini"
+    path.write_text("[model]\nin_dim = 23\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unknown key 'in_dim' in [model]")):
+        fm.load_config(path)
+    missing = str(tmp_path / "missing")
+    assert main(["train", "--config", str(path), "--features", missing,
+                 "--utt2spk", missing, "--out", missing]) == 2
+    assert capsys.readouterr().err == f"spkver: {path}: unknown key 'in_dim' in [model]\n"
+
+
 @pytest.mark.parametrize("text", [
     "[model]\narch = resnet\n[model]\nwidth_scale = 0.5\n",
     "[model]\narch = resnet\narch = maxpool\n",
@@ -434,7 +446,6 @@ def test_malformed_config_names_path_and_exits_2(tmp_path, capsys, text):
     ("[model]\nwidth_scale = nan\n", "width_scale is nan, not a finite positive number"),
     ("[model]\nwidth_scale = -1\n", "width_scale is -1.0, not a finite positive number"),
     ("[model]\nresnet_blocks = 0\n", "resnet_blocks is 0, needs at least 1"),
-    ("[model]\nin_dim = 0\n", "in_dim is 0, needs at least 1"),
     ("[optimizer]\nbatch_size = 0\n", "batch_size is 0, needs at least 1"),
     ("[optimizer]\nsteps_per_epoch = 0\n", "steps_per_epoch is 0, needs at least 1"),
     ("[data]\nsegment_min_s = inf\nsegment_max_s = inf\n",
@@ -454,7 +465,7 @@ def test_malformed_config_names_path_and_exits_2(tmp_path, capsys, text):
     ("[optimizer]\ngrad_clip = nan\n", "grad_clip is nan, needs a finite value >= 0"),
     ("[optimizer]\nseed = -1\n", "seed is -1, needs at least 0"),
 ], ids=["inf-width_scale", "nan-width_scale", "negative-width_scale", "zero-resnet_blocks",
-        "zero-in_dim", "zero-batch_size", "zero-steps_per_epoch", "infinite-segments",
+        "zero-batch_size", "zero-steps_per_epoch", "infinite-segments",
         "nan-val_fraction", "above-one-val_fraction", "asoftmax-margin-5", "softmax-margin-5",
         "nan-lambda_start", "negative-lambda_start", "inf-lambda_decay",
         "above-one-lambda_decay", "nan-lambda_floor", "nan-learning_rate", "negative-momentum",

@@ -46,7 +46,7 @@ def test_tracer_times_each_backward_and_changes_no_gradient(arch, loss):
     cfg = ExperimentConfig(arch=arch, resnet_blocks=2, loss=loss, width_scale=0.125, seed=5)
     model = tr.build_model(cfg, 6)
     rng = np.random.default_rng(31)
-    segments = [rng.standard_normal((120, cfg.in_dim)) for _ in range(4)]
+    segments = [rng.standard_normal((120, model.in_dim)) for _ in range(4)]
     labels = rng.integers(0, 6, size=4)
     expected = gradients_of_one_step(model, segments, labels, cfg)
 

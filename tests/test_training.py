@@ -187,8 +187,8 @@ def test_float32_run_tracks_its_float64_twin_step_by_step(arch, loss, monkeypatc
     def run(widen):
         losses = []
 
-        def built(cfg, n_spk):
-            model = build(cfg, n_spk)
+        def built(*args):
+            model = build(*args)
             if widen:
                 for name, t in model.params.items():
                     t.data = t.data.astype(np.float64)
