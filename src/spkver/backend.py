@@ -24,6 +24,15 @@ what they return by the EER of its held-out rows.
 ``_sample_positions`` is the one sampler: the pairs of ``all_pairs_eer`` and the
 triplets of ``mine_triplets`` are positions in rows of given lengths, all kept or a
 sorted random choice of them, and only the kept ones are built.
+
+LDA never forms the d x d between-class scatter: it whitens its factor F (K x d,
+one row per class, S_b = FᵀF) once into M = L^-1 Fᵀ (S_w = L Lᵀ) and reads its
+pairs, the top eigenpairs of M Mᵀ, from M's SVD when K < d (thin unless
+out_dim > K, where the full one also gives the null pairs past rank K), else from
+``eigh(M Mᵀ)``, which at K >= d and d >= 128 costs under half the SVD of M.
+PLDA's E-step is in Woodbury form: one solve per distinct class size n gives the
+gain B (B + W/n)^-1, and no inverse of the between (B) or within (W) covariance
+is formed.
 """
 
 from __future__ import annotations
@@ -303,18 +312,25 @@ def spread(embeddings) -> float:
     return max(0.0, float(np.mean(sq * w * w) - mean @ mean))
 
 
-def _scatter_matrices(embeddings, labels):
-    """Within- and between-class scatter divided by the row count, the global
-    mean, the class sizes and the class means (classes in ``np.unique`` order;
-    the means from one ``np.add.reduceat`` over the rows sorted by class)."""
+def _class_stats(embeddings, labels):
+    """Within-class scatter over the row count n, the between-class factor F (rows
+    sqrt(n_k / n) (mu_k - mu), so FᵀF is the between-class scatter over n), the global
+    mean, the class sizes and the class means (classes in ``np.unique`` order; the
+    means from one ``np.add.reduceat`` over the rows sorted by class)."""
     e = np.asarray(embeddings, dtype=np.float64)
     index, counts, order, starts = _groups(labels)
     means = np.add.reduceat(e[order], starts, axis=0) / counts[:, None]
     n = e.shape[0]
     mean = e.mean(axis=0)
     centered = e - means[index]
-    diff = means - mean
-    return centered.T @ centered / n, (counts[:, None] * diff).T @ diff / n, mean, counts, means
+    factor = np.sqrt(counts / n)[:, None] * (means - mean)
+    return centered.T @ centered / n, factor, mean, counts, means
+
+
+def _scatter_matrices(embeddings, labels):
+    """``_class_stats`` with the between-class scatter FᵀF in place of its factor F."""
+    s_w, factor, *rest = _class_stats(embeddings, labels)
+    return (s_w, factor.T @ factor, *rest)
 
 
 def _ridge(matrix: np.ndarray, rel: float = 1e-6) -> np.ndarray:
@@ -337,15 +353,12 @@ def _tri_inv(lower: np.ndarray) -> np.ndarray:
     return out
 
 
-def _generalized_eigh(a: np.ndarray, chol_b: np.ndarray, top: int | None = None):
+def _generalized_eigh(a: np.ndarray, chol_b: np.ndarray):
     """Ascending eigenvalues w and eigenvectors V of a v = w b v, given the
     Cholesky factor L of b (b = L L^T): with (w, U) the eigenpairs of
-    L^-1 a L^-T, V = L^-T U, so that V^T b V = I and V^T a V = diag(w).
-    ``top``: only the pairs of the ``top`` largest eigenvalues, descending."""
+    L^-1 a L^-T, V = L^-T U, so that V^T b V = I and V^T a V = diag(w)."""
     l_inv = _tri_inv(chol_b)
     w, u = np.linalg.eigh(l_inv @ a @ l_inv.T)
-    if top is not None:
-        w, u = w[::-1][:top], u[:, ::-1][:, :top]
     return w, l_inv.T @ u
 
 
@@ -362,8 +375,11 @@ class LdaProjection:
 
 
 def lda_fit(embeddings, labels, out_dim: int) -> LdaProjection:
-    """Projection maximizing between-class over within-class scatter."""
-    s_w, s_b, _, counts, _ = _scatter_matrices(embeddings, labels)
+    """Projection maximizing between-class over within-class scatter: the
+    generalized eigenvectors V of (S_b, S_w) of the ``out_dim`` largest eigenvalues,
+    V^T S_w V = I, as L^-T U for U the top eigenvectors of M Mᵀ (module
+    docstring)."""
+    s_w, factor, _, counts, _ = _class_stats(embeddings, labels)
     if counts.size < 2:
         raise ValueError("need at least 2 classes")
     d = s_w.shape[0]
@@ -373,8 +389,16 @@ def lda_fit(embeddings, labels, out_dim: int) -> LdaProjection:
         chol = np.linalg.cholesky(s_w)
     except np.linalg.LinAlgError:
         chol = np.linalg.cholesky(_ridge(s_w))
-    vals, vecs = _generalized_eigh(s_b, chol, top=out_dim)
-    return LdaProjection(vecs.T.copy(), vals.copy())
+    l_inv = _tri_inv(chol)
+    m = l_inv @ factor.T
+    if counts.size < d:
+        u, s, _ = np.linalg.svd(m, full_matrices=out_dim > counts.size)
+        vals = np.zeros(d)
+        vals[:s.size] = s * s
+    else:
+        vals, u = np.linalg.eigh(m @ m.T)
+        vals, u = vals[::-1], u[:, ::-1]
+    return LdaProjection(u[:, :out_dim].T @ l_inv, vals[:out_dim].copy())
 
 
 def lda_project(projection: LdaProjection, x) -> np.ndarray:
@@ -410,10 +434,11 @@ def plda_fit(embeddings, labels, n_iter: int, lda_dim: int | None = None,
     """Fit the two-covariance model by EM over per-speaker latent means.
 
     The E-step puts every speaker's posterior mean in one row of a (K, d)
-    matrix.  A speaker's posterior covariance depends only on its number of
-    samples, so it is inverted once per distinct class size.  The M-step sums
-    are matrix products over those rows plus the within-class scatter of the
-    data, which EM leaves unchanged.
+    matrix.  With the gain G = B (B + W/n)^-1 of its class size n, a speaker of
+    class mean x has posterior mean mu + G (x - mu) and covariance B - G B, the
+    Woodbury form of (B^-1 + n W^-1)^-1.  The M-step sums are matrix products
+    over those rows plus the within-class scatter of the data, which EM leaves
+    unchanged.
     """
     if n_iter < 0:
         raise ValueError(f"n_iter must be at least 0, got {n_iter}")
@@ -438,16 +463,14 @@ def plda_fit(embeddings, labels, n_iter: int, lda_dim: int | None = None,
     within = _ridge(s_w)
 
     for _ in range(n_iter):
-        b_inv = np.linalg.inv(between)
-        w_inv = np.linalg.inv(within)
-        rhs = b_inv @ mean + counts[:, None] * (means @ w_inv.T)
         y = np.empty_like(means)
         cov_b = np.zeros((d, d))                   # sum over speakers of cov_k
         cov_w = np.zeros((d, d))                   # sum over speakers of n_k cov_k
         for j, n_k in enumerate(sizes):
-            cov = np.linalg.inv(b_inv + n_k * w_inv)
+            gain_t = np.linalg.solve(between + within / n_k, between)    # G^T
+            cov = between - gain_t.T @ between
             rows = size_index == j
-            y[rows] = rhs[rows] @ cov.T
+            y[rows] = mean + (means[rows] - mean) @ gain_t
             cov_b += n_of_size[j] * cov
             cov_w += n_of_size[j] * n_k * cov
         mean = y.mean(axis=0)

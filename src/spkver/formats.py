@@ -152,12 +152,22 @@ def read_archive(path, skip_prefix: str | None = None, dtype=None):
     return arrays, meta
 
 
+def _check_features(path, features: dict) -> None:
+    """Raise ValueError naming ``path`` and the utterance unless every matrix is
+    2-D and of the first one's width, on writing and on reading."""
+    first = next(iter(features), None)
+    for utt, feats in features.items():
+        if feats.ndim != 2:
+            raise ValueError(f"{path}: features of {utt!r} have shape {feats.shape}, not (T, dim)")
+        if feats.shape[1] != features[first].shape[1]:
+            raise ValueError(f"{path}: features of {utt!r} have width {feats.shape[1]}, "
+                             f"those of {first!r} {features[first].shape[1]}")
+
+
 def write_features(path, features: dict[str, np.ndarray], frame_shift_ms: float):
-    dims = {f.shape[1] for f in features.values()}
-    if len(dims) > 1:
-        raise ValueError("all feature matrices must share one dimension")
+    _check_features(path, features)
     meta = {"kind": "features", "frame_shift_ms": frame_shift_ms,
-            "dim": dims.pop() if dims else 0}
+            "dim": next(iter(features.values())).shape[1] if features else 0}
     write_archive(path, features, meta, dtype="f4")
 
 
@@ -170,23 +180,28 @@ def read_features(path):
     shift = meta.get("frame_shift_ms")
     if isinstance(shift, bool) or not isinstance(shift, (int, float)) or not 0 < shift < math.inf:
         raise ValueError(f"{path}: key frame_shift_ms holds {shift!r}, not a finite number > 0")
-    first = next(iter(arrays), None)
+    _check_features(path, arrays)
     for utt, feats in arrays.items():
-        if feats.ndim != 2:
-            raise ValueError(f"{path}: features of {utt!r} have shape {feats.shape}, not (T, dim)")
-        if feats.shape[1] != arrays[first].shape[1]:
-            raise ValueError(f"{path}: features of {utt!r} have width {feats.shape[1]}, "
-                             f"those of {first!r} {arrays[first].shape[1]}")
         if not np.isfinite(feats).all():
             raise ValueError(f"{path}: features of {utt!r} hold a non-finite value")
     return arrays, meta
 
 
+def _check_embeddings(path, embeddings: dict) -> None:
+    """Raise ValueError naming ``path`` and the utterance unless every embedding is
+    1-D and as long as the first, on writing and on reading."""
+    first = next(iter(embeddings), None)
+    for utt, emb in embeddings.items():
+        if emb.ndim != 1:
+            raise ValueError(f"{path}: embedding of {utt!r} has shape {emb.shape}, not (dim,)")
+        if emb.size != embeddings[first].size:
+            raise ValueError(f"{path}: embedding of {utt!r} has {emb.size} entries, "
+                             f"that of {first!r} {embeddings[first].size}")
+
+
 def write_embeddings(path, embeddings: dict[str, np.ndarray]):
-    dims = {e.shape[0] for e in embeddings.values()}
-    if len(dims) > 1:
-        raise ValueError("all embeddings must share one dimension")
-    meta = {"kind": "embeddings", "dim": dims.pop() if dims else 0}
+    _check_embeddings(path, embeddings)
+    meta = {"kind": "embeddings", "dim": next(iter(embeddings.values())).size if embeddings else 0}
     write_archive(path, embeddings, meta, dtype="f4")
 
 
@@ -195,13 +210,7 @@ def read_embeddings(path):
     arrays, meta = read_archive(path, dtype=np.float64)
     if meta is None or meta.get("kind") != "embeddings":
         raise ValueError(f"{path}: not an embedding archive")
-    first = next(iter(arrays), None)
-    for utt, emb in arrays.items():
-        if emb.ndim != 1:
-            raise ValueError(f"{path}: embedding of {utt!r} has shape {emb.shape}, not (dim,)")
-        if emb.size != arrays[first].size:
-            raise ValueError(f"{path}: embedding of {utt!r} has {emb.size} entries, "
-                             f"that of {first!r} {arrays[first].size}")
+    _check_embeddings(path, arrays)
     return arrays
 
 

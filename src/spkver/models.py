@@ -196,11 +196,23 @@ def adopt(model: ExtractorModel, name: str, data: np.ndarray, velocity: np.ndarr
     model.velocity[name] = velocity
 
 
+DRAW_BLOCK = 1 << 16    # entries per float64 draw of ``_allocate``: a 512 KiB temporary
+
+
 def _allocate(model: ExtractorModel, rng: np.random.Generator):
-    """float32 parameters, drawn in float64 and rounded, and zero float32 momenta."""
+    """float32 parameters and zero float32 momenta.  A bounded parameter is drawn
+    in float64 and rounded, ``DRAW_BLOCK`` entries at a time straight into its
+    array: the values and the generator stream are those of one draw of the
+    whole shape, without a float64 temporary of it."""
     for name, shape, bound in parameter_table(model.layers):
-        data = (np.full(shape, 0.25, np.float32) if bound is None
-                else rng.uniform(-bound, bound, size=shape).astype(np.float32))
+        if bound is None:
+            data = np.full(shape, 0.25, np.float32)
+        else:
+            data = np.empty(shape, np.float32)
+            flat = data.reshape(-1)
+            for lo in range(0, flat.size, DRAW_BLOCK):
+                flat[lo:lo + DRAW_BLOCK] = rng.uniform(-bound, bound,
+                                                       size=min(DRAW_BLOCK, flat.size - lo))
         adopt(model, name, data, np.zeros_like(data))
 
 

@@ -1,6 +1,7 @@
 """Backend contracts: scoring identities, triplet-loss oracles and
 gradients, mining against a full-sort oracle, the shared validation pair
-sampler, LDA/PLDA oracles, the array scatter and PLDA EM against
+sampler, LDA/PLDA oracles, LDA against scipy's generalized ``eigh`` on each
+of its decompositions, the array scatter and PLDA EM against
 per-speaker loop oracles, PLDA scoring in diagonal form against the
 joint-Gaussian reference ``plda_score_many``, and the numpy linear algebra
 (generalized eigenproblem, triangular inverse) against scipy."""
@@ -638,6 +639,55 @@ def test_lda_ridge_handles_singular_within_scatter():
     assert np.all(np.isfinite(proj.matrix))
 
 
+def lda_data(rng, n_spk, per_spk, d):
+    """Class centres with anisotropic within-class noise: n_spk (per_spk - 1) >= d
+    keeps the within-class scatter full rank."""
+    mix = rng.standard_normal((d, d)) / np.sqrt(d) + np.eye(d)
+    emb, labels = clustered_embeddings(rng, n_spk, per_spk, d, spread=1.0)
+    centers = np.repeat(emb.reshape(n_spk, per_spk, d).mean(axis=1), per_spk, axis=0)
+    return centers + (emb - centers) @ mix, labels
+
+
+@pytest.mark.parametrize("n_spk, d, out_dim", [(12, 20, 5), (15, 8, 4), (5, 12, 8)],
+                         ids=["out_dim<K<d", "K>=d", "out_dim>=K<d"])
+def test_lda_fit_matches_scipy_generalized_eigh(n_spk, d, out_dim):
+    """Against ``scipy.linalg.eigh(s_b, s_w)`` on a thin SVD wider than out_dim,
+    ``eigh(M Mᵀ)`` at K >= d, and a full SVD whose pairs past rank K are null.
+    Pairs of a repeated (null) eigenvalue are defined only up to a rotation, so
+    rows are compared up to sign where the eigenvalue is simple."""
+    emb, labels = lda_data(np.random.default_rng(30 + d), n_spk, 6, d)
+    proj = lda_fit(emb, labels, out_dim)
+
+    s_w, s_b, _ = loop_scatter_matrices(emb, labels)
+    vals, vecs = eigh(s_b, s_w)
+    vals, vecs = vals[::-1][:out_dim], vecs[:, ::-1][:, :out_dim]
+    scale = vals.max()
+    v = proj.matrix.T
+    assert proj.matrix.shape == (out_dim, d)
+    assert np.all(np.diff(proj.eigenvalues) <= 0)
+    assert np.abs(proj.eigenvalues - vals).max() <= 1e-10 * scale
+    assert np.abs(v.T @ s_w @ v - np.eye(out_dim)).max() <= 1e-10
+    assert np.abs(v.T @ s_b @ v - np.diag(proj.eigenvalues)).max() <= 1e-10 * scale
+    simple = np.flatnonzero(vals > 1e-8 * scale)
+    assert simple.size == min(out_dim, n_spk - 1)
+    signs = np.sign((v[:, simple] * vecs[:, simple]).sum(axis=0))
+    assert np.abs(v[:, simple] - signs * vecs[:, simple]).max() <= 1e-8 * np.abs(vecs).max()
+
+
+def test_lda_fit_coincident_class_means_stay_finite():
+    """Two of six classes share their mean, so S_b has rank 4 and the fifth pair
+    (out_dim 5 < K 6 < d 10) has a zero singular value."""
+    rng = np.random.default_rng(40)
+    emb, labels = lda_data(rng, 6, 5, 10)
+    emb[labels == 1] += emb[labels == 0].mean(axis=0) - emb[labels == 1].mean(axis=0)
+    proj = lda_fit(emb, labels, out_dim=5)
+    assert np.all(np.isfinite(proj.matrix)) and np.all(np.isfinite(proj.eigenvalues))
+    assert proj.eigenvalues[-1] <= 1e-12 * proj.eigenvalues[0]
+    s_w = loop_scatter_matrices(emb, labels)[0]
+    v = proj.matrix.T
+    assert np.abs(v.T @ s_w @ v - np.eye(5)).max() <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # PLDA
 
@@ -842,6 +892,20 @@ def test_scatter_and_plda_fit_match_per_speaker_loop_oracle(lda_dim):
         assert_rel_close(model.lda.matrix, lda)
 
 
+def test_plda_fit_with_lda_below_class_count_matches_loop_oracle_llrs():
+    """K = 10 speakers in d = 24 with lda_dim 6: LDA's SVD rows may differ from
+    the oracle's ``eigh`` rows in sign; LLRs do not."""
+    rng = np.random.default_rng(24)
+    emb, labels = lda_data(rng, 10, 6, 24)
+    model = plda_fit(emb, labels, n_iter=6, lda_dim=6)
+    mean, between, within, lda = loop_plda_fit(emb, labels, 6, lda_dim=6)
+    oracle = PldaModel(mean, between, within, lda=LdaProjection(lda, np.ones(6)))
+    pairs = rng.integers(0, labels.size, size=(300, 2))
+    got = bk.plda_score_many(model, emb[pairs[:, 0]], emb[pairs[:, 1]])
+    expected = bk.plda_score_many(oracle, emb[pairs[:, 0]], emb[pairs[:, 1]])
+    assert np.all(np.abs(got - expected) <= 1e-9 * np.maximum(1.0, np.abs(expected)))
+
+
 def test_plda_with_lda_preprocessing():
     rng = np.random.default_rng(22)
     emb, labels = clustered_embeddings(rng, 6, 8, 8, spread=0.5)
@@ -971,15 +1035,6 @@ def test_generalized_eigh_ill_conditioned_b():
     tol = cond_b * 1e-16
     assert np.abs(w - expected).max() <= tol * np.abs(expected).max()
     assert max(residuals(a, b, w, v)) <= tol
-
-
-def test_generalized_eigh_top_pairs_descend():
-    a, b = generalized_pair(np.random.default_rng(208), 40)
-    chol = np.linalg.cholesky(b)
-    w, v = bk._generalized_eigh(a, chol)
-    w_top, v_top = bk._generalized_eigh(a, chol, top=6)
-    assert np.array_equal(w_top, w[::-1][:6])
-    assert np.abs(v_top - v[:, ::-1][:, :6]).max() <= 1e-13 * np.abs(v).max()
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1, bk.TRI_BLOCK + 3])

@@ -106,6 +106,44 @@ def test_feature_and_embedding_wrappers(tmp_path):
         fm.read_features(epath)
 
 
+MALFORMED = {
+    "features-3d": ("features", {"a": np.ones((50, 23, 2))}),
+    "features-1d": ("features", {"a": np.ones((50, 23)), "b": np.ones(50)}),
+    "features-width": ("features", {"a": np.ones((50, 23)), "b": np.ones((40, 20))}),
+    "embeddings-2d": ("embeddings", {"a": np.ones((8, 2)), "b": np.ones((8, 2))}),
+    "embeddings-length": ("embeddings", {"a": np.ones(3), "b": np.ones(4)}),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_archive_writers_refuse_what_their_readers_refuse(tmp_path, case):
+    """The writer raises, before the file exists, the reader's message for the
+    same arrays written without the check."""
+    kind, arrays = MALFORMED[case]
+    path = tmp_path / f"{kind}.bin"
+    meta = {"kind": kind, "frame_shift_ms": 10.0} if kind == "features" else {"kind": kind}
+    fm.write_archive(path, arrays, meta, dtype="f4")
+    with pytest.raises(ValueError) as read_error:
+        fm.read_features(path) if kind == "features" else fm.read_embeddings(path)
+    path.unlink()
+    with pytest.raises(ValueError) as write_error:
+        (fm.write_features(path, arrays, 10.0) if kind == "features"
+         else fm.write_embeddings(path, arrays))
+    assert str(write_error.value) == str(read_error.value)
+    assert str(write_error.value).startswith(f"{path}: {kind[:-1]}")
+    assert not path.exists()
+
+
+def test_write_embeddings_refuses_a_scalar(tmp_path):
+    """``write_archive`` would store a 0-d array as shape (1,), so only the writer
+    can see it."""
+    path = tmp_path / "emb.bin"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: embedding of 'b' has shape (), "
+                                                   "not (dim,)")):
+        fm.write_embeddings(path, {"a": np.ones(3), "b": np.array(1.0)})
+    assert not path.exists()
+
+
 def test_utt2spk_roundtrip(tmp_path):
     mapping = {"u2": "s1", "u1": "s0"}
     path = tmp_path / "utt2spk.txt"

@@ -316,6 +316,24 @@ def test_parameter_table_names_are_unique():
             assert len(names) == len(set(names)), model.arch_dict()
 
 
+@pytest.mark.parametrize("draw_block", [7, 1000, md.DRAW_BLOCK])
+def test_allocate_in_blocks_matches_one_float64_draw_per_parameter(monkeypatch, draw_block):
+    """Drawn block by block, every parameter is bit-identical to one float64
+    ``rng.uniform`` of its shape rounded to float32, and the generator ends in
+    the same state."""
+    monkeypatch.setattr(md, "DRAW_BLOCK", draw_block)
+    model = md.build_res_net(2, n_spk=5, width_scale=0.125, seed=None)
+    rng, reference = np.random.default_rng(21), np.random.default_rng(21)
+    md._allocate(model, rng)
+    for name, shape, bound in md.parameter_table(model.layers):
+        expected = (np.full(shape, 0.25, np.float32) if bound is None
+                    else reference.uniform(-bound, bound, size=shape).astype(np.float32))
+        assert model.params[name].data.dtype == np.float32
+        assert np.array_equal(model.params[name].data, expected), name
+        assert not model.velocity[name].any()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 STACKS = {"maxpool": lambda **kw: md.build_maxpool_net(n_spk=3, width_scale=0.125, **kw),
           "resnet": lambda **kw: md.build_res_net(1, n_spk=3, width_scale=0.125, **kw)}
 
