@@ -9,8 +9,9 @@ One scoring path serves trial lists and the validation pairs of
 rows for cosine, model ``None``; transformed unit rows for CSML; for PLDA,
 length-norm, LDA and the basis that diagonalises both covariances), and
 ``score_pairs`` scores index pairs of those rows, one dot product each,
-``SCORE_BLOCK`` trials at a time (O(block * d) memory).  One trial (x1, x2)
-is ``score_pairs(model, scoring_rows(model, [x1, x2]), [0], [1])[0]``.  A
+``SCORE_BLOCK`` trials at a time (O(block * d) memory), the enroll gather taking
+the product in place.  One trial (x1, x2) is
+``score_pairs(model, scoring_rows(model, [x1, x2]), [0], [1])[0]``.  A
 zero-norm embedding raises "degenerate embedding: zero norm".
 
 CSML fitting builds each transform's rows (``_csml_rows``: the unit rows U and their
@@ -27,9 +28,10 @@ sorted random choice of them, and only the kept ones are built.
 
 LDA never forms the d x d between-class scatter: it whitens its factor F (K x d,
 one row per class, S_b = FᵀF) once into M = L^-1 Fᵀ (S_w = L Lᵀ) and reads its
-pairs, the top eigenpairs of M Mᵀ, from M's SVD when K < d (thin unless
-out_dim > K, where the full one also gives the null pairs past rank K), else from
-``eigh(M Mᵀ)``, which at K >= d and d >= 128 costs under half the SVD of M.
+pairs, the top eigenpairs of M Mᵀ, from M's SVD (thin unless out_dim > K, where
+the full one also gives the null pairs past rank K).  With K >= d classes,
+which no shipped setting reaches, ``eigh(M Mᵀ)`` would be cheaper: 38 against
+157 ms at d 512 and K 1211 (2 vCPUs, one BLAS thread).
 PLDA's E-step is in Woodbury form: one solve per distinct class size n gives the
 gain B (B + W/n)^-1, and no inverse of the between (B) or within (W) covariance
 is formed.
@@ -44,8 +46,9 @@ import numpy as np
 from . import formats as fm
 from .metrics import ScoreSet, compute_eer
 
-# Trials per block of ``score_pairs``: a block's two gathers (1 MB each at d = 512) stay in
-# cache and reuse heap pages; at 4096 trials they were 16 MB, mapped and faulted in afresh.
+# Trials per block of ``score_pairs``: a block's two gathers (1 MB each at d = 512; the product
+# goes into the first) stay in cache and reuse heap pages; at 4096 trials they were 16 MB,
+# mapped and faulted in afresh.
 SCORE_BLOCK = 256
 CSML_VAL_TRIALS = 5000     # validation pairs per held-out EER of ``train_csml``
 CSML_VAL_FRACTION = 0.25   # share of each speaker's rows ``train_csml`` holds out
@@ -390,14 +393,9 @@ def lda_fit(embeddings, labels, out_dim: int) -> LdaProjection:
     except np.linalg.LinAlgError:
         chol = np.linalg.cholesky(_ridge(s_w))
     l_inv = _tri_inv(chol)
-    m = l_inv @ factor.T
-    if counts.size < d:
-        u, s, _ = np.linalg.svd(m, full_matrices=out_dim > counts.size)
-        vals = np.zeros(d)
-        vals[:s.size] = s * s
-    else:
-        vals, u = np.linalg.eigh(m @ m.T)
-        vals, u = vals[::-1], u[:, ::-1]
+    u, s, _ = np.linalg.svd(l_inv @ factor.T, full_matrices=out_dim > counts.size)
+    vals = np.zeros(d)
+    vals[:s.size] = s * s
     return LdaProjection(u[:, :out_dim].T @ l_inv, vals[:out_dim].copy())
 
 
@@ -537,14 +535,17 @@ def scoring_rows(model, embeddings) -> np.ndarray:
 
 def score_pairs(model, rows, enroll_idx, test_idx) -> np.ndarray:
     """Scores of the trials (rows[enroll_idx[k]], rows[test_idx[k]]) of ``scoring_rows``:
-    row-wise dots, for PLDA of all but the last column plus both last columns."""
+    row-wise dots, for PLDA of all but the last column plus both last columns.  The
+    gathers are fresh copies, so the product goes into the first and ``rows`` is not written."""
     enroll_idx, test_idx = np.asarray(enroll_idx), np.asarray(test_idx)
+    plda = isinstance(model, PldaModel)
     out = np.empty(enroll_idx.size)
     for lo in range(0, out.size, SCORE_BLOCK):
         block = slice(lo, lo + SCORE_BLOCK)
         r1, r2 = rows[enroll_idx[block]], rows[test_idx[block]]
-        out[block] = ((r1[:, :-1] * r2[:, :-1]).sum(axis=1) + (r1[:, -1] + r2[:, -1])
-                      if isinstance(model, PldaModel) else (r1 * r2).sum(axis=1))
+        last = r1[:, -1] + r2[:, -1] if plda else None
+        r1 *= r2
+        out[block] = r1[:, :-1].sum(axis=1) + last if plda else r1.sum(axis=1)
     return out
 
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -154,23 +155,26 @@ def _collapse(rows) -> str:
 
 def _stack_embeddings(path, embeddings, utts) -> np.ndarray:
     """Rows of ``embeddings`` for ``utts``; a NaN, an inf or a zero-norm row names
-    ``path`` and its utterance."""
+    ``path`` and its utterance.  Both read each row's sum of squares, so no temporary
+    of the matrix's size is made; it is finite exactly when the row is, as the entries
+    were float32, whose squares cannot overflow."""
     matrix = np.stack([embeddings[u] for u in utts])
-    if not np.isfinite(matrix).all():
-        bad = utts[np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0]]
-        raise ValueError(f"{path}: embedding of {bad!r} holds a non-finite value")
-    zero = np.flatnonzero(np.linalg.norm(matrix, axis=1) < bk.NORM_FLOOR)
+    squares = np.einsum("ij,ij->i", matrix, matrix)
+    bad = np.flatnonzero(~np.isfinite(squares))
+    if bad.size:
+        raise ValueError(f"{path}: embedding of {utts[bad[0]]!r} holds a non-finite value")
+    zero = np.flatnonzero(np.sqrt(squares) < bk.NORM_FLOOR)
     if zero.size:
         raise ValueError(f"{path}: degenerate embedding: zero norm, utterance {utts[zero[0]]!r}")
     return matrix
 
 
 def _load_labeled_embeddings(emb_path, utt2spk_path):
-    """Embedding rows and speaker labels of the utterances both files name; a set
-    that holds no target or no nontarget trial names ``utt2spk_path``."""
-    embeddings = fm.read_embeddings(emb_path)
+    """Embedding rows and speaker labels of the utterances both files name, the only
+    payloads read; a set that holds no target or no nontarget trial names ``utt2spk_path``."""
     utt2spk = fm.read_utt2spk(utt2spk_path)
-    utts = sorted(u for u in embeddings if u in utt2spk)
+    embeddings = fm.read_embeddings(emb_path, utt2spk)
+    utts = sorted(embeddings)
     if not utts:
         raise ValueError(f"no labeled embeddings found: no utterance of {emb_path} "
                          f"is in {utt2spk_path}")
@@ -224,16 +228,18 @@ def _parse_text_file(path, parse, **options):
 
 
 def _cmd_score(args) -> int:
-    embeddings = fm.read_embeddings(args.embeddings)
     trials = _parse_text_file(args.trials, mt.parse_trials)
+    enroll, test, _ = zip(*trials)
+    used = dict.fromkeys(chain.from_iterable(zip(enroll, test)))    # in order of first use
+    index = {utt: row for row, utt in enumerate(used)}
+    embeddings = fm.read_embeddings(args.embeddings, index)    # only the payloads named
+    unknown = next((u for u in index if u not in embeddings), None)
+    if unknown is not None:
+        raise ValueError(f"{args.trials}: trial references utterance {unknown!r}, which "
+                         f"{args.embeddings} does not hold")
     if args.backend != "cosine" and not args.model:
         raise ValueError(f"--model is required for the {args.backend} backend")
     model = None if args.backend == "cosine" else bk.load_backend(args.model, args.backend)
-    index = {}
-    for utt in (u for t in trials for u in (t.enroll, t.test)):
-        if utt not in embeddings:
-            raise ValueError(f"trial references unknown utterance {utt!r}")
-        index.setdefault(utt, len(index))
     matrix = _stack_embeddings(args.embeddings, embeddings, list(index))
     if args.center:
         arrays, _ = fm.read_archive(args.center)
@@ -251,8 +257,7 @@ def _cmd_score(args) -> int:
         if model is None:
             raise
         raise ValueError(f"{args.model}: {exc}") from exc
-    scores = bk.score_pairs(model, rows, [index[t.enroll] for t in trials],
-                            [index[t.test] for t in trials])
+    scores = bk.score_pairs(model, rows, [index[u] for u in enroll], [index[u] for u in test])
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(mt.write_scores(mt.ScoreSet.from_trials(trials, scores)))
     print(f"wrote {len(scores)} scores to {args.out}")

@@ -884,12 +884,17 @@ def test_scatter_and_plda_fit_match_per_speaker_loop_oracle(lda_dim):
 
     model = plda_fit(emb, labels, n_iter=6, lda_dim=lda_dim)
     mean, between, within, lda = loop_plda_fit(emb, labels, 6, lda_dim)
+    assert (model.lda is None) == (lda is None)
+    if lda is not None:
+        # An LDA row is an eigenvector, fixed only up to its sign: flipping the oracle's
+        # rows to the model's flips the same coordinates of the PLDA it fits.
+        flip = np.sign((model.lda.matrix * lda).sum(axis=1))
+        lda, mean = flip[:, None] * lda, flip * mean
+        between, within = (np.outer(flip, flip) * a for a in (between, within))
+        assert_rel_close(model.lda.matrix, lda)
     assert_rel_close(model.mean, mean)
     assert_rel_close(model.between, between)
     assert_rel_close(model.within, within)
-    assert (model.lda is None) == (lda is None)
-    if lda is not None:
-        assert_rel_close(model.lda.matrix, lda)
 
 
 def test_plda_fit_with_lda_below_class_count_matches_loop_oracle_llrs():
@@ -988,6 +993,31 @@ def test_score_pairs_never_calls_the_reference(monkeypatch):
     monkeypatch.setattr(bk, "plda_score_many", fail)
     monkeypatch.setattr(bk, "_gaussian_logpdf", fail)
     assert np.all(np.isfinite(bk.score_pairs(model, rows, [0, 1, 2], [3, 4, 5])))
+
+
+@pytest.mark.parametrize("kind", ["cosine", "csml", "plda"])
+@pytest.mark.parametrize("n_trials", [bk.SCORE_BLOCK - 1, bk.SCORE_BLOCK, bk.SCORE_BLOCK + 1])
+def test_score_pairs_in_place_product_is_bit_equal_and_leaves_rows(kind, n_trials):
+    """The product taken in place in the enroll gather gives the bits of the row-wise
+    ``(r1 * r2).sum(axis=1)`` (plus both last columns for PLDA), at, below and past
+    one block; ``rows`` is not written, and PLDA stays exactly symmetric."""
+    rng = np.random.default_rng(123)
+    d = 150                               # past numpy's 128-entry pairwise-sum block
+    emb = rng.standard_normal((60, d))
+    model = {"cosine": None, "plda": random_plda_model(rng, d),
+             "csml": CsmlTransform(np.eye(d) + np.triu(0.1 * rng.standard_normal((d, d)), 1))}
+    rows = bk.scoring_rows(model[kind], emb)
+    before = rows.copy()
+    enroll_idx, test_idx = rng.integers(0, 60, size=(2, n_trials))
+    got = bk.score_pairs(model[kind], rows, enroll_idx, test_idx)
+    r1, r2 = rows[enroll_idx], rows[test_idx]
+    if kind == "plda":
+        expected = (r1[:, :-1] * r2[:, :-1]).sum(axis=1) + (r1[:, -1] + r2[:, -1])
+        assert np.array_equal(got, bk.score_pairs(model[kind], rows, test_idx, enroll_idx))
+    else:
+        expected = (r1 * r2).sum(axis=1)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(rows, before)
 
 
 # ---------------------------------------------------------------------------

@@ -1121,6 +1121,73 @@ def test_score_names_only_the_missing_utterance(capsys, tmp_path):
     assert "'ghost'" in err and "alpha" not in err
 
 
+def test_score_unknown_trial_utterance_names_the_trials_and_the_archive(capsys, tmp_path):
+    emb_path = tmp_path / "emb.bin"
+    fm.write_embeddings(emb_path, {"alpha": np.ones(3), "beta": np.arange(3.0)})
+    trials_path = tmp_path / "t.txt"
+    trials_path.write_text("alpha beta nontarget\nbeta ghost target\n")
+    code, _, err = run(capsys, "score", "--backend", "cosine",
+                       "--embeddings", str(emb_path), "--trials", str(trials_path),
+                       "--out", str(tmp_path / "s.txt"))
+    assert code == 2
+    assert err == (f"spkver: {trials_path}: trial references utterance 'ghost', which "
+                   f"{emb_path} does not hold\n")
+    assert not (tmp_path / "s.txt").exists()
+
+
+@pytest.mark.parametrize("argv,used", [
+    (["score", "--backend", "cosine"], {"s0u0", "s1u1", "s2u3"}),
+    (["backend-train", "--kind", "lda-plda"], {f"s{s}u{u}" for s in range(4) for u in range(5)}),
+], ids=["score", "backend-train"])
+def test_commands_read_only_the_embeddings_they_use(capsys, tmp_path, monkeypatch, argv, used):
+    """``score`` reads the payloads of the utterances its trials name, and
+    ``backend-train`` those its utt2spk names; the archive's other records come
+    back as read-only placeholders."""
+    emb = _random_embeddings()
+    emb_path = tmp_path / "emb.bin"
+    fm.write_embeddings(emb_path, emb)
+    fm.write_utt2spk(tmp_path / "utt2spk.txt", {utt: utt.split("u")[0] for utt in used})
+    (tmp_path / "t.txt").write_text("s0u0 s1u1 target\ns0u0 s2u3 nontarget\n")
+    extra = {"score": ["--trials", str(tmp_path / "t.txt")],
+             "backend-train": ["--utt2spk", str(tmp_path / "utt2spk.txt")]}[argv[0]]
+    read_archive, read = fm.read_archive, []
+
+    def spy(*args, **kwargs):
+        arrays, meta = read_archive(*args, **kwargs)
+        read.append({name for name, array in arrays.items() if array.flags.writeable})
+        return arrays, meta
+    monkeypatch.setattr(fm, "read_archive", spy)
+    code, _, err = run(capsys, *argv, "--embeddings", str(emb_path), *extra,
+                       "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    assert read == [used]
+
+
+@pytest.mark.parametrize("backend", ["cosine", "csml", "plda"])
+@pytest.mark.parametrize("fault,message", [
+    ("cut", "truncated archive"),
+    ("code", "record 's5u4' has unknown dtype code 7"),
+    ("2-D", "embedding of 's5u4' has shape (8, 1), not (dim,)"),
+])
+def test_score_checks_records_no_trial_names(capsys, tmp_path, backend, fault, message):
+    """A fault in the last record, which no trial names, still exits 2 naming the
+    archive: its payload is not read, but its header is checked."""
+    emb = _random_embeddings()
+    if fault == "2-D":
+        emb["s5u4"] = np.ones((8, 1))
+    emb_path = tmp_path / "emb.bin"
+    fm.write_archive(emb_path, emb, {"kind": "embeddings", "dim": 8}, dtype="f4")
+    blob = emb_path.read_bytes()
+    code_at = blob.index(b"s5u4") + len("s5u4")
+    if fault == "cut":                  # past the header, inside the 32-byte payload
+        emb_path.write_bytes(blob[:code_at + 5 + 8 + 16])
+    elif fault == "code":
+        emb_path.write_bytes(blob[:code_at] + b"\x07" + blob[code_at + 1:])
+    code, err = _run_on_embeddings(capsys, tmp_path, ["score", "--backend", backend], emb_path)
+    assert code == 2
+    assert err == f"spkver: {emb_path}: {message}\n"
+
+
 def test_score_malformed_trial_file_exits_2_naming_it(capsys, tmp_path):
     emb_path = tmp_path / "emb.bin"
     fm.write_embeddings(emb_path, {"a": np.ones(3), "b": np.arange(3.0)})

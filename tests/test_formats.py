@@ -379,17 +379,61 @@ def test_skipped_records_are_checked_against_the_file(tmp_path):
     path = tmp_path / "x.bin"
     fm.write_archive(path, {"a": np.arange(4.0), "skip.b": np.ones((2, 3))}, {"kind": "x"},
                      dtype="f4")
-    arrays, meta = fm.read_archive(path, skip_prefix="skip.")
+    arrays, meta = fm.read_archive(path, skip=lambda name: name.startswith("skip."))
     assert meta == {"kind": "x"} and np.array_equal(arrays["a"], np.arange(4.0))
     assert arrays["skip.b"].shape == (2, 3) and np.isnan(arrays["skip.b"]).all()
     blob = path.read_bytes()
     (tmp_path / "cut.bin").write_bytes(blob[:blob.index(b"skip.b") + 30])
     with pytest.raises(ValueError, match="truncated archive"):
-        fm.read_archive(tmp_path / "cut.bin", skip_prefix="skip.")
+        fm.read_archive(tmp_path / "cut.bin", skip=lambda name: name.startswith("skip."))
     code_at = blob.index(b"skip.b") + len("skip.b")
     (tmp_path / "code.bin").write_bytes(blob[:code_at] + b"\x07" + blob[code_at + 1:])
     with pytest.raises(ValueError, match="record 'skip.b' has unknown dtype code 7"):
-        fm.read_archive(tmp_path / "code.bin", skip_prefix="skip.")
+        fm.read_archive(tmp_path / "code.bin", skip=lambda name: name.startswith("skip."))
+
+
+class _CountingFile:
+    """A file object that counts the bytes its reads return."""
+
+    def __init__(self, fh, counts):
+        self._fh, self._counts = fh, counts
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def read(self, n):
+        chunk = self._fh.read(n)
+        self._counts.append(len(chunk))
+        return chunk
+
+    def readinto(self, buffer):
+        n = self._fh.readinto(buffer)
+        self._counts.append(n)
+        return n
+
+
+def test_read_embeddings_of_named_utterances_reads_only_their_payloads(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    embeddings = {f"u{k:02d}": rng.standard_normal(16) for k in range(20)}
+    path = tmp_path / "e.bin"
+    fm.write_embeddings(path, embeddings)
+    full = fm.read_embeddings(path)
+    named = {"u03", "u11", "u19", "absent"}
+    counts = []
+    monkeypatch.setattr(fm, "open", lambda *a, **k: _CountingFile(open(*a, **k), counts),
+                        raising=False)
+    got = fm.read_embeddings(path, named)
+    assert list(got) == ["u03", "u11", "u19"]
+    for utt, emb in got.items():
+        assert emb.dtype == np.float64 and np.array_equal(emb, full[utt])
+    unnamed_payload = (len(embeddings) - 3) * 16 * 4       # float32 payloads seeked past
+    assert sum(counts) == path.stat().st_size - unnamed_payload
 
 
 def test_loaded_checkpoint_trains_in_place(tmp_path):
