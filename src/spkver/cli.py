@@ -156,13 +156,14 @@ def _collapse(rows) -> str:
 def _stack_embeddings(path, embeddings, utts) -> np.ndarray:
     """Rows of ``embeddings`` for ``utts``; a NaN, an inf or a zero-norm row names
     ``path`` and its utterance.  Both read each row's sum of squares, so no temporary
-    of the matrix's size is made; it is finite exactly when the row is, as the entries
-    were float32, whose squares cannot overflow."""
+    of the matrix's size is made.  A non-finite sum can also come from a finite float64
+    entry past 1e154, so only then are the entries themselves checked."""
     matrix = np.stack([embeddings[u] for u in utts])
     squares = np.einsum("ij,ij->i", matrix, matrix)
-    bad = np.flatnonzero(~np.isfinite(squares))
-    if bad.size:
-        raise ValueError(f"{path}: embedding of {utts[bad[0]]!r} holds a non-finite value")
+    if not np.isfinite(squares).all():
+        bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+        if bad.size:
+            raise ValueError(f"{path}: embedding of {utts[bad[0]]!r} holds a non-finite value")
     zero = np.flatnonzero(np.sqrt(squares) < bk.NORM_FLOOR)
     if zero.size:
         raise ValueError(f"{path}: degenerate embedding: zero norm, utterance {utts[zero[0]]!r}")

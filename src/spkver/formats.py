@@ -57,7 +57,6 @@ _DTYPE_JSON = 2
 _ARRAY_DTYPES = {_DTYPE_F32: np.dtype("<f4"), _DTYPE_F64: np.dtype("<f8")}
 _U32 = struct.Struct("<I")
 _CODE_RANK = struct.Struct("<BI")
-_SHAPES = {ndim: struct.Struct(f"<{ndim}Q") for ndim in range(4)}    # shapes of rank 0 to 3
 # File buffer: headers and small payloads gather here, so the 2.8 MB archive
 # of 1,360 embeddings takes 11 reads or writes rather than 345 with the
 # default 8 KiB; larger payloads bypass it.
@@ -136,8 +135,7 @@ def read_archive(path, skip=None, dtype=None):
             head = take(name_len + 5)               # the name, its dtype code and rank
             name = head[:name_len].decode("utf-8")
             code, ndim = _CODE_RANK.unpack_from(head, name_len)
-            raw_shape = take(8 * ndim)
-            shape = (_SHAPES.get(ndim) or struct.Struct(f"<{ndim}Q")).unpack(raw_shape)
+            shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
             if code == _DTYPE_JSON:
                 if ndim != 1:
                     raise ValueError(f"{path}: metadata record {name!r} has rank {ndim}, not 1")
@@ -225,7 +223,9 @@ def read_embeddings(path, utts=None):
     if meta is None or meta.get("kind") != "embeddings":
         raise ValueError(f"{path}: not an embedding archive")
     _check_embeddings(path, arrays)
-    return arrays if utts is None else {u: arrays[u] for u in arrays if u in utts}
+    for utt in [] if utts is None else [u for u in arrays if u not in utts]:
+        del arrays[utt]             # a skipped placeholder; cheaper than a copy of the rest
+    return arrays
 
 
 def write_utt2spk(path, utt2spk: dict[str, str]):

@@ -993,6 +993,21 @@ def test_non_finite_embedding_exits_2_naming_file_and_utterance(capsys, tmp_path
     assert err == f"spkver: {emb_path}: embedding of 's2u3' holds a non-finite value\n"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the norm of 1e200 overflows
+def test_finite_float64_embedding_past_overflow_is_not_called_non_finite(capsys, tmp_path):
+    """A float64 archive may hold a finite entry whose square overflows; the row's
+    sum of squares is then inf, but the embedding is finite and is scored."""
+    emb = _random_embeddings()
+    emb["s2u3"][5] = 1e200
+    emb_path = tmp_path / "emb.bin"
+    fm.write_archive(emb_path, emb, {"kind": "embeddings", "dim": 8}, dtype="f8")
+    (tmp_path / "t.txt").write_text("s0u0 s1u1 target\ns0u0 s2u3 nontarget\n")
+    code, out, err = run(capsys, "score", "--backend", "cosine", "--embeddings", str(emb_path),
+                         "--trials", str(tmp_path / "t.txt"), "--out", str(tmp_path / "s.txt"))
+    assert (code, err) == (0, "")
+    assert mt.parse_scores((tmp_path / "s.txt").read_text()).scores.size == 2
+
+
 @EMBEDDING_COMMANDS
 @pytest.mark.parametrize("bad,message", [
     (np.ones((8, 1)), "has shape (8, 1), not (dim,)"),
